@@ -33,7 +33,7 @@ from .exprparse import ParseError
 from .linalg import (Overflow, SingularMatrix, SqrtNotConverged,
                      check_positivity)
 from .parabolic import CauchySpec
-from .presets import PRESET_NAMES, make_pair
+from .presets import PRESET_NAMES, make_pair, preset_defaults
 
 __all__ = ["ConfigError", "main", "run"]
 
@@ -183,25 +183,22 @@ def config_hash(cfg: Config, mode: str) -> str:
 # ------------------------------------------------------- problem assembly
 
 
-def _build_pair(cfg: Config, preset: str):
+def _preset_kwargs(cfg: Config, preset: str) -> dict:
+    """Preset coefficients set in the config; presets supplies the rest."""
     if preset not in PRESET_NAMES:
         raise ConfigError(f"[scenario] preset: unknown preset {preset!r}")
-    if preset == "scalar":
-        return make_pair("scalar",
-                         a=cfg.getfloat("operators", "a", 1.0),
-                         b=cfg.getfloat("operators", "b", 0.5))
-    if preset == "commuting":
-        return make_pair("commuting",
-                         n_y=cfg.getint("grid", "n_y", 8),
-                         a=cfg.getexpr("operators", "a", "1+2*y"),
-                         b0=cfg.getfloat("operators", "b0", 0.3),
-                         b1=cfg.getfloat("operators", "b1", 0.1))
-    return make_pair("wentzell",
-                     n_y=cfg.getint("grid", "n_y", 16),
-                     a=cfg.getexpr("operators", "a", "1+y"),
-                     b=cfg.getexpr("operators", "b", "y"),
-                     kernel=cfg.getexpr("operators", "kernel",
-                                        "0.5*exp(-(y-tau)^2)"))
+    kwargs = {}
+    for key, default in preset_defaults(preset).items():
+        section = "grid" if key == "n_y" else "operators"
+        if isinstance(default, int):
+            value = cfg.getint(section, key)
+        elif isinstance(default, float):
+            value = cfg.getfloat(section, key)
+        else:
+            value = cfg.getexpr(section, key)
+        if value is not None:
+            kwargs[key] = value
+    return kwargs
 
 
 def _build_bc(cfg: Config, n: int) -> BoundaryData:
@@ -221,7 +218,7 @@ def _build_bc(cfg: Config, n: int) -> BoundaryData:
 
 
 def _build_spec(cfg: Config, preset: str, eps: float, lam: complex) -> ProblemSpec:
-    pair = _build_pair(cfg, preset)
+    pair = make_pair(preset, **_preset_kwargs(cfg, preset))
     bc = _build_bc(cfg, pair.n)
     try:
         return ProblemSpec(
@@ -420,37 +417,21 @@ def _run_converge(cfg: Config, preset: str, out: Path, header: str,
 def _run_check(cfg: Config, preset: str, out: Path, header: str,
                name: str, chash: str) -> int:
     try:
-        pair = make_pair(preset, check_positive=False, **(
-            {"a": cfg.getfloat("operators", "a", 1.0),
-             "b": cfg.getfloat("operators", "b", 0.5)} if preset == "scalar" else
-            {"n_y": cfg.getint("grid", "n_y", 8),
-             "a": cfg.getexpr("operators", "a", "1+2*y"),
-             "b0": cfg.getfloat("operators", "b0", 0.3),
-             "b1": cfg.getfloat("operators", "b1", 0.1)} if preset == "commuting" else
-            {"n_y": cfg.getint("grid", "n_y", 16),
-             "a": cfg.getexpr("operators", "a", "1+y"),
-             "b": cfg.getexpr("operators", "b", "y"),
-             "kernel": cfg.getexpr("operators", "kernel", "0.5*exp(-(y-tau)^2)")}))
+        kwargs = _preset_kwargs(cfg, preset)
+        pair = make_pair(preset, check_positive=False, **kwargs)
     except (ValueError, ParseError) as exc:
         raise ConfigError(f"cannot build preset {preset!r}: {exc}") from None
     bc = _build_bc(cfg, pair.n)
-    # constant-kernel direction of the dynamic-boundary operator: sample
-    # the resolvent away from zero for that preset
-    samples = ((1.0, 10.0, 100.0, 1000.0) if preset == "wentzell"
-               else (0.0, 1.0, 10.0, 100.0, 1000.0))
-    pos = check_positivity(pair.A, lam_samples=samples)
+    pos = check_positivity(pair.A, lam_samples=pair.lam_samples)
     c1 = check_condition_1(bc)
     c21 = check_condition_2_1(pair, bc=bc)
     grid = pair.grid or SpaceGrid.uniform_interior(4)
+    coeffs = {**preset_defaults(preset), **kwargs}
     if preset == "wentzell":
-        coeffs = (cfg.getexpr("operators", "a", "1+y"),
-                  cfg.getexpr("operators", "b", "y"),
-                  cfg.getexpr("operators", "kernel", "0.5*exp(-(y-tau)^2)"))
-    elif preset == "commuting":
-        coeffs = (cfg.getexpr("operators", "a", "1+2*y"), 0.0, 0.0)
+        c41 = check_condition_4_1(grid, coeffs["a"], coeffs["b"], coeffs["kernel"])
     else:
-        coeffs = (cfg.getfloat("operators", "a", 1.0), 0.0, 0.0)
-    c41 = check_condition_4_1(grid, *coeffs)
+        # the other presets have no drift or kernel coefficient: check a alone
+        c41 = check_condition_4_1(grid, coeffs["a"], 0.0, 0.0)
     payload = {
         "scenario": name, "config_hash": chash, "mode": "check",
         "preset": preset,

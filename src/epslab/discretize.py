@@ -27,6 +27,7 @@ __all__ = [
     "SpaceGrid", "GridFunction", "OperatorPair", "BoundaryData",
     "build_wentzell_operator", "build_integral_operator",
     "check_condition_1", "check_condition_2_1", "check_condition_4_1",
+    "parse_load", "sample_load",
     "e_norm", "mixed_norm", "kfunctional_norm",
 ]
 
@@ -125,7 +126,8 @@ class OperatorPair:
     """Matrix pair (A, B); A is certified positive at construction.
 
     Pass check_positive=False to skip the resolvent scan (needed when A
-    has a nontrivial kernel, as dynamic-boundary operators do).
+    has a nontrivial kernel, as dynamic-boundary operators do).  The scan
+    samples lam_samples, which the pair keeps for later scans.
     """
 
     def __init__(self, A, B, grid: Optional[SpaceGrid] = None,
@@ -139,9 +141,10 @@ class OperatorPair:
         if grid is not None and grid.n != self.A.shape[0]:
             raise ValueError(f"grid has {grid.n} nodes but A is {self.A.shape[0]}x{self.A.shape[0]}")
         self.grid = grid
+        self.lam_samples = tuple(lam_samples)
         self.positivity: Optional[SectorialityReport] = None
         if check_positive:
-            rep = check_positivity(self.A, lam_samples=lam_samples, cap=cap)
+            rep = check_positivity(self.A, lam_samples=self.lam_samples, cap=cap)
             if not rep.passed:
                 raise ValueError(
                     f"A fails the positivity scan: bound {rep.bound:.3e} at "
@@ -165,6 +168,32 @@ class OperatorPair:
         if scale == 0.0:
             return True
         return self.commutator_norm() <= rtol * scale
+
+
+def parse_load(f):
+    """Parse tree of a load given as an expression in t and y, else None."""
+    if isinstance(f, str):
+        return exprparse.parse(f, allowed_vars=("t", "y"))
+    return None
+
+
+def sample_load(f, expr, pair: OperatorPair, t) -> np.ndarray:
+    """Sample an interior load on time nodes t; shape (len(t), pair.n).
+
+    f is None (zero load), a callable t -> vector of length pair.n, or an
+    expression string whose parse_load tree is expr.  Expressions see y
+    at the pair's grid nodes, or at uniform interior nodes without a grid.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    n = pair.n
+    if f is None:
+        return np.zeros((len(t), n), dtype=np.complex128)
+    if expr is not None:
+        grid = pair.grid if pair.grid is not None else SpaceGrid.uniform_interior(n)
+        vals = exprparse.eval_expr(expr, {"t": t[:, None], "y": grid.nodes[None, :]})
+        return np.broadcast_to(np.asarray(vals, dtype=np.complex128), (len(t), n)).copy()
+    rows = [np.asarray(f(float(ti)), dtype=np.complex128).reshape(n) for ti in t]
+    return np.stack(rows)
 
 
 @dataclass(frozen=True)
@@ -448,19 +477,26 @@ def mixed_norm(u: GridFunction, p: float = 2.0, weights=None) -> float:
     return float(np.sum(wt * slices**p) ** (1.0 / p))
 
 
-def kfunctional_norm(f, A, theta: float, p: float = 2.0,
-                     t_grid=None, weights=None, mu_grid=None) -> float:
+def kfunctional_norm(f, A, theta: float, p: float = 2.0, weights=None) -> float:
     """Real-interpolation norm of f between E and D(A) of exponent theta.
 
     K(t, f) = inf_g ||f - g||_E + t ||A g||_E is evaluated on a lower
     envelope: candidate splittings g solve the regularized problems
-    (W + mu A^H W A) g = W f along a log grid of mu, augmented by the
-    exact endpoints g = f and g = 0.  The returned value is the quadrature
+    (W + mu A^H W A) g = W f along a log grid of mu (1e-10..1e10),
+    augmented by the exact endpoints g = f and g = 0.  The generalized
+    Hermitian eigenpairs A^H W A V = W V diag(l), V^H W V = I, read off
+    one SVD, give every candidate g = V (I + mu diag(l))^-1 c in closed
+    form: with c = V^H W f,
+
+        ||f - g||_E^2 = sum |mu l c / (1 + mu l)|^2,
+        ||A g||_E^2   = sum l |c|^2 / (1 + mu l)^2.
+
+    The returned value is the quadrature
 
         ( sum_j (t_j^-theta K(t_j))^p  dlog t )^(1/p)
 
-    over a log-spaced t grid (default 1e-4..1e4), a truncation of the
-    integral form of the (E(A), E)_{theta,p} norm.  Exact for 1x1 A.
+    over a log-spaced t grid (1e-4..1e4), a truncation of the integral
+    form of the (E(A), E)_{theta,p} norm.  Exact for 1x1 A.
     """
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
@@ -472,27 +508,21 @@ def kfunctional_norm(f, A, theta: float, p: float = 2.0,
     if x.shape != (n,):
         raise ValueError(f"vector of length {len(x)} does not match operator size {n}")
     w = _e_weights(n, weights)
-    if t_grid is None:
-        t_grid = np.logspace(-4, 4, 200)
-    else:
-        t_grid = np.asarray(t_grid, dtype=float)
-    if mu_grid is None:
-        mu_grid = np.logspace(-10, 10, 81)
+    t_grid = np.logspace(-4, 4, 200)
+    mu = np.logspace(-10, 10, 81)[:, None]
 
-    W = np.diag(w)
-    AWA = M.conj().T @ W @ M
-    Ax = M @ x
-    # endpoint splittings: g = f (r=0) and g = 0 (s=0)
-    rs = [(0.0, e_norm(Ax, w)), (e_norm(x, w), 0.0)]
-    from .linalg import SingularMatrix
-    for mu in mu_grid:
-        try:
-            g = mat_solve(W + mu * AWA, W @ x)
-        except SingularMatrix:
-            continue
-        rs.append((e_norm(x - g, w), e_norm(M @ g, w)))
-    r = np.array([q[0] for q in rs])
-    s = np.array([q[1] for q in rs])
+    # eigenpairs (sigma^2, W^(-1/2) z) of the pencil (A^H W A, W) from the
+    # SVD of W^(1/2) A W^(-1/2); forming A^H W A would square its condition
+    sw = np.sqrt(w)
+    _, sigma, Zh = np.linalg.svd(sw[:, None] * M / sw[None, :])
+    lam = sigma ** 2
+    c2 = np.abs(Zh @ (sw * x)) ** 2
+    shrink = 1.0 / (1.0 + mu * lam)
+    # endpoint splittings g = f (r=0) and g = 0 (s=0), then one per mu
+    r = np.concatenate(([0.0, e_norm(x, w)],
+                        np.sqrt(np.sum((mu * lam * shrink) ** 2 * c2, axis=1))))
+    s = np.concatenate(([e_norm(M @ x, w), 0.0],
+                        np.sqrt(np.sum(lam * shrink ** 2 * c2, axis=1))))
     K = np.min(r[None, :] + t_grid[:, None] * s[None, :], axis=1)
 
     logt = np.log(t_grid)

@@ -24,8 +24,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import exprparse
-from .discretize import BoundaryData, GridFunction, OperatorPair, SpaceGrid
+from .discretize import (BoundaryData, GridFunction, OperatorPair, parse_load,
+                         sample_load)
 from .linalg import Overflow, expm, inv, mat_solve, op_norm, sqrtm
 
 __all__ = [
@@ -72,10 +72,7 @@ class ProblemSpec:
             self.line_halfwidth = 8.0 * self.T
         elif self.line_halfwidth < self.T:
             raise ValueError("line halfwidth must cover (0, T)")
-        if isinstance(self.f, str):
-            self._f_expr = exprparse.parse(self.f, allowed_vars=("t", "y"))
-        else:
-            self._f_expr = None
+        self._f_expr = parse_load(self.f)
         self.bc.data_for(self.pair.n)  # shape check up front
 
     @property
@@ -89,25 +86,9 @@ class ProblemSpec:
     def t_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_t)
 
-    def y_nodes(self) -> np.ndarray:
-        if self.pair.grid is not None:
-            return self.pair.grid.nodes
-        return SpaceGrid.uniform_interior(self.n).nodes
-
     def f_samples(self, t) -> np.ndarray:
         """Sample the interior load on time nodes t; shape (len(t), n)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.f is None:
-            return np.zeros((len(t), self.n), dtype=np.complex128)
-        if self._f_expr is not None:
-            y = self.y_nodes()
-            vals = exprparse.eval_expr(
-                self._f_expr, {"t": t[:, None], "y": y[None, :]})
-            return np.broadcast_to(np.asarray(vals, dtype=np.complex128),
-                                   (len(t), self.n)).copy()
-        rows = [np.asarray(self.f(float(ti)), dtype=np.complex128).reshape(self.n)
-                for ti in t]
-        return np.stack(rows)
+        return sample_load(self.f, self._f_expr, self.pair, t)
 
     def f_is_zero(self) -> bool:
         if self.f is None:
@@ -336,8 +317,7 @@ def full_solve(spec: ProblemSpec) -> GridFunction:
     finite difference scheme, recorded in meta["path"].
     """
     commutator = spec.pair.commutator_norm()
-    scale = op_norm(spec.pair.A) * op_norm(spec.pair.B)
-    if scale > 0 and commutator > COMMUTE_RTOL * scale:
+    if not spec.pair.commutes(COMMUTE_RTOL):
         out = direct_solve(spec)
         out.meta["commutator"] = commutator
         return out

@@ -1,10 +1,11 @@
 """Dense complex matrix kernels shared by every solver in the package.
 
 All operator calculus here runs on explicit complex matrices: LU solves
-with a pivot guard, the principal matrix square root via a scaled
-Denman-Beavers iteration, a capped matrix exponential, the spectral
-operator norm by power iteration on M^H M, and the resolvent-bound
-scan used to certify that an operator behaves like a positive one.
+with a pivot guard, the principal matrix square root by the Schur
+method of Bjorck & Hammarling (scipy.linalg.sqrtm) behind a spectrum
+check, a capped matrix exponential, the spectral operator norm from the
+SVD, and the resolvent-bound scan used to certify that an operator
+behaves like a positive one.
 """
 from __future__ import annotations
 
@@ -20,16 +21,13 @@ __all__ = [
     "SectorialityReport",
     "as_complex_matrix", "mat_solve", "inv", "sqrtm", "expm", "op_norm",
     "check_positivity",
-    "DEFAULT_PIVOT_RTOL", "SQRT_TOL", "SQRT_MAXITER",
-    "EXPM_NORM_CAP", "OPNORM_RTOL",
+    "DEFAULT_PIVOT_RTOL", "BRANCH_CUT_RTOL", "EXPM_NORM_CAP",
 ]
 
 DEFAULT_PIVOT_RTOL = 1e-13
-SQRT_TOL = 1e-11
-SQRT_MAXITER = 100
+# sqrtm refuses eigenvalues within this multiple of ||M||_F of (-inf, 0]
+BRANCH_CUT_RTOL = 1e-12
 EXPM_NORM_CAP = 1e8
-OPNORM_RTOL = 1e-8
-_OPNORM_MAXITER = 20000
 
 
 class SingularMatrix(np.linalg.LinAlgError):
@@ -37,7 +35,7 @@ class SingularMatrix(np.linalg.LinAlgError):
 
 
 class SqrtNotConverged(ArithmeticError):
-    """The square root iteration stalled; spectrum likely meets (-inf, 0]."""
+    """No principal square root: the spectrum meets (-inf, 0]."""
 
 
 class Overflow(OverflowError):
@@ -77,36 +75,29 @@ def inv(M) -> np.ndarray:
 
 
 def sqrtm(M) -> np.ndarray:
-    """Principal square root by Denman-Beavers iteration with det scaling.
+    """Principal square root by the Schur method (scipy.linalg.sqrtm).
 
-    Converges quadratically when the spectrum avoids (-inf, 0]; otherwise
-    raises SqrtNotConverged (directly if an iterate degenerates, or after
-    SQRT_MAXITER sweeps).
+    The eigenvalues are read off the diagonal of the complex Schur form
+    first.  One within BRANCH_CUT_RTOL * ||M||_F of the closed negative
+    real axis, 0 included, has no principal root and raises
+    SqrtNotConverged, as does a non-finite result.  The zero matrix maps
+    to zeros.
     """
     A = as_complex_matrix(M)
-    n = A.shape[0]
     norm = np.linalg.norm(A, "fro")
     if norm == 0.0:
         return np.zeros_like(A)
-    Y = A.copy()
-    Z = np.eye(n, dtype=np.complex128)
-    for _ in range(SQRT_MAXITER):
-        if np.linalg.norm(Y @ Y - A, "fro") <= SQRT_TOL * norm:
-            return Y
-        sy, ldy = np.linalg.slogdet(Y)
-        sz, ldz = np.linalg.slogdet(Z)
-        if sy == 0 or sz == 0:
-            raise SqrtNotConverged("iterate became singular")
-        mu = np.exp(-(ldy + ldz) / (2 * n))
-        try:
-            Yinv = mat_solve(Y, np.eye(n, dtype=np.complex128))
-            Zinv = mat_solve(Z, np.eye(n, dtype=np.complex128))
-        except SingularMatrix:
-            raise SqrtNotConverged("iterate became singular") from None
-        Y, Z = (mu * Y + Zinv / mu) / 2, (mu * Z + Yinv / mu) / 2
-        if not np.all(np.isfinite(Y)) or not np.all(np.isfinite(Z)):
-            raise SqrtNotConverged("iterate diverged")
-    raise SqrtNotConverged(f"no convergence in {SQRT_MAXITER} iterations")
+    T, Z = scipy.linalg.schur(A, output="complex")
+    ev = np.diagonal(T)
+    tol = BRANCH_CUT_RTOL * norm
+    on_cut = (np.abs(ev.imag) <= tol) & (ev.real <= tol)
+    if np.any(on_cut):
+        raise SqrtNotConverged(
+            f"eigenvalue {complex(ev[on_cut][0]):.3e} on the branch cut (-inf, 0]")
+    R = Z @ scipy.linalg.sqrtm(T) @ Z.conj().T
+    if not np.all(np.isfinite(R)):
+        raise SqrtNotConverged("square root has non-finite entries")
+    return R
 
 
 def expm(M) -> np.ndarray:
@@ -123,33 +114,8 @@ def expm(M) -> np.ndarray:
 
 
 def op_norm(M) -> float:
-    """Spectral norm (largest singular value) by power iteration on M^H M."""
-    A = as_complex_matrix(M)
-    n = A.shape[0]
-    if n == 1:
-        return float(abs(A[0, 0]))
-    col_norms = np.linalg.norm(A, axis=0)
-    top = col_norms.max()
-    if top == 0.0:
-        return 0.0
-    # unit start along the heaviest column: never annihilated by M
-    v = np.zeros(n, dtype=np.complex128)
-    v[int(col_norms.argmax())] = 1.0
-    value = 0.0
-    for _ in range(_OPNORM_MAXITER):
-        w = A @ v
-        value_new = float(np.linalg.norm(w))
-        if value_new == 0.0:
-            return 0.0
-        u = A.conj().T @ w
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return value_new
-        v = u / nu
-        if abs(value_new - value) <= OPNORM_RTOL * value_new:
-            return value_new
-        value = value_new
-    return value
+    """Spectral norm (largest singular value), from the SVD."""
+    return float(np.linalg.norm(as_complex_matrix(M), 2))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import as_complex_matrix, op_norm
+from .linalg import as_complex_matrix
 
 __all__ = [
     "AliasWarning", "LineGrid", "LineSolution",
@@ -159,7 +159,7 @@ def multiplier_bound_scan(pair, eps_list: Sequence, lam_list: Sequence,
     for eps in eps_list:
         for lam in lam_list:
             Phi = resolvent_symbol(pair.A, pair.B, float(eps), complex(lam), xi)
-            norms = np.array([op_norm(Phi[k]) for k in range(len(xi))])
+            norms = np.linalg.norm(Phi, 2, axis=(1, 2))
             s = _weight_scalar(float(eps), complex(lam), xi)
             coercive = (1.0 + np.abs(float(eps) * xi**2 + complex(lam))) * norms
             weighted = s * norms

@@ -17,8 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import exprparse
-from .discretize import GridFunction, OperatorPair, SpaceGrid
+from .discretize import GridFunction, OperatorPair, parse_load, sample_load
 from .elliptic import ProblemSpec, QSystem, _boundary_blocks, compute_q_system
 from .linalg import Overflow, expm, inv, mat_solve, op_norm
 
@@ -52,10 +51,7 @@ class CauchySpec:
                 f"u0 has length {len(self.u0)}, operator size is {self.pair.n}")
         # the drift must be invertible for the problem to be well posed
         inv(self.pair.B)
-        if isinstance(self.f, str):
-            self._f_expr = exprparse.parse(self.f, allowed_vars=("t", "y"))
-        else:
-            self._f_expr = None
+        self._f_expr = parse_load(self.f)
 
     @property
     def n(self) -> int:
@@ -69,20 +65,8 @@ class CauchySpec:
         return np.linspace(0.0, self.T, self.n_t)
 
     def f_samples(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.f is None:
-            return np.zeros((len(t), self.n), dtype=np.complex128)
-        if self._f_expr is not None:
-            if self.pair.grid is not None:
-                y = self.pair.grid.nodes
-            else:
-                y = SpaceGrid.uniform_interior(self.n).nodes
-            vals = exprparse.eval_expr(self._f_expr, {"t": t[:, None], "y": y[None, :]})
-            return np.broadcast_to(np.asarray(vals, dtype=np.complex128),
-                                   (len(t), self.n)).copy()
-        rows = [np.asarray(self.f(float(ti)), dtype=np.complex128).reshape(self.n)
-                for ti in t]
-        return np.stack(rows)
+        """Sample the load on time nodes t; shape (len(t), n)."""
+        return sample_load(self.f, self._f_expr, self.pair, t)
 
 
 def cauchy_solve(cspec: CauchySpec) -> GridFunction:

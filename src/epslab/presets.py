@@ -10,6 +10,7 @@ and load data used by the sweeps so tests and the CLI agree on what
 """
 from __future__ import annotations
 
+import inspect
 from typing import Tuple
 
 import numpy as np
@@ -21,7 +22,7 @@ from .parabolic import CauchySpec
 
 __all__ = [
     "PRESET_NAMES", "make_scalar_pair", "make_commuting_pair",
-    "make_wentzell_pair", "make_pair", "dirichlet_neumann",
+    "make_wentzell_pair", "make_pair", "preset_defaults", "dirichlet_neumann",
     "neumann_dirichlet", "uniformity_base", "decay_base",
     "convergence_problem", "cross_validation_spec",
 ]
@@ -66,14 +67,23 @@ def make_wentzell_pair(n_y: int = 16, a: str = "1+y", b: str = "y",
                         lam_samples=(1.0, 10.0, 100.0, 1000.0))
 
 
+def _builder(name: str):
+    builders = {"scalar": make_scalar_pair, "commuting": make_commuting_pair,
+                "wentzell": make_wentzell_pair}
+    if name not in builders:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return builders[name]
+
+
 def make_pair(name: str, **kwargs) -> OperatorPair:
-    if name == "scalar":
-        return make_scalar_pair(**kwargs)
-    if name == "commuting":
-        return make_commuting_pair(**kwargs)
-    if name == "wentzell":
-        return make_wentzell_pair(**kwargs)
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return _builder(name)(**kwargs)
+
+
+def preset_defaults(name: str) -> dict:
+    """Default coefficients of a preset, read off its builder's signature."""
+    params = inspect.signature(_builder(name)).parameters
+    return {key: par.default for key, par in params.items()
+            if key != "check_positive"}
 
 
 def _data(n: int, scale: complex) -> np.ndarray:

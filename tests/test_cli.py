@@ -3,9 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from epslab.cli import ConfigError, load_config, main, run
+from epslab.cli import ConfigError, _preset_kwargs, load_config, main, run
+from epslab.presets import make_commuting_pair, make_pair
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -196,6 +198,14 @@ def test_overrides_and_preset_flag(tmp_path):
         run(cfgp, out, overrides=["noseparator"])
     cfg = load_config(cfgp, preset="commuting")
     assert cfg.raw("scenario", "preset") == "commuting"
+
+
+def test_preset_keys_missing_from_config_keep_preset_defaults(tmp_path):
+    cfg = load_config(write(tmp_path, "[scenario]\npreset = commuting\n"
+                                      "[grid]\nn_y = 4\n[operators]\nb1 = 0.2\n"))
+    pair = make_pair("commuting", **_preset_kwargs(cfg, "commuting"))
+    want = make_commuting_pair(n_y=4, b1=0.2)
+    assert np.array_equal(pair.A, want.A) and np.array_equal(pair.B, want.B)
 
 
 def test_config_hash_tracks_content(tmp_path):

@@ -9,7 +9,41 @@ from epslab.discretize import (
     check_condition_1, check_condition_2_1, check_condition_4_1, e_norm,
     kfunctional_norm, mixed_norm,
 )
-from epslab.linalg import SingularMatrix, op_norm
+from epslab.linalg import SingularMatrix, mat_solve, op_norm
+
+
+def _kfunctional_by_solves(f, A, theta, p, w, stacked=False):
+    """Reference K-functional norm from one regularized solve per mu.
+
+    By default each candidate solves (W + mu A^H W A) g = W f with the
+    guarded LU and is dropped when the pivot guard trips, as
+    kfunctional_norm did before its closed form.  stacked=True solves the
+    same problem as the least-squares system [W^1/2; mu^1/2 W^1/2 A] g =
+    [W^1/2 f; 0] instead, which is well conditioned and keeps every mu.
+    """
+    A = np.asarray(A, dtype=complex)
+    x = np.asarray(f, dtype=complex)
+    w = np.asarray(w, dtype=float)
+    n = len(x)
+    W = np.diag(w)
+    sw = np.sqrt(w)
+    rs = [(0.0, e_norm(A @ x, w)), (e_norm(x, w), 0.0)]
+    for mu in np.logspace(-10, 10, 81):
+        if stacked:
+            S = np.vstack([np.diag(sw), np.sqrt(mu) * sw[:, None] * A])
+            rhs = np.concatenate([sw * x, np.zeros(n)])
+            g = np.linalg.lstsq(S, rhs, rcond=None)[0]
+        else:
+            try:
+                g = mat_solve(W + mu * A.conj().T @ W @ A, W @ x)
+            except SingularMatrix:
+                continue
+        rs.append((e_norm(x - g, w), e_norm(A @ g, w)))
+    r = np.array([q[0] for q in rs])
+    s = np.array([q[1] for q in rs])
+    t = np.logspace(-4, 4, 200)
+    K = np.min(r[None, :] + t[:, None] * s[None, :], axis=1)
+    return float(np.trapezoid((t ** (-theta) * K) ** p, np.log(t)) ** (1.0 / p))
 
 
 class TestSpaceGrid:
@@ -366,6 +400,35 @@ class TestKFunctionalNorm:
 
     def test_zero_vector(self):
         assert kfunctional_norm([0.0, 0.0], np.eye(2), 0.5, 2.0) == 0.0
+
+    @pytest.mark.parametrize("theta,p", [(0.25, 2.0), (0.75, 2.0), (0.5, 1.0), (0.25, 3.0)])
+    def test_matches_regularized_solves_random(self, theta, p):
+        rng = np.random.default_rng(29)
+        A = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        f = rng.normal(size=16) + 1j * rng.normal(size=16)
+        w = rng.uniform(0.5, 1.5, size=16)
+        want = _kfunctional_by_solves(f, A, theta, p, w)
+        assert kfunctional_norm(f, A, theta, p, weights=w) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("theta,p", [(0.25, 1.0), (0.25, 2.0), (0.75, 2.0)])
+    def test_matches_regularized_solves_singular(self, theta, p):
+        # the dynamic-boundary operator annihilates constants
+        g = SpaceGrid.uniform_interior(16)
+        A = build_wentzell_operator(g, "1+y", "y")
+        w = g.weights
+        generic = 1.0 + g.nodes
+        off_kernel = generic - np.sum(w * generic)  # W-orthogonal to constants
+        for f in (generic, off_kernel):
+            got = kfunctional_norm(f, A, theta, p, weights=w)
+            assert got == pytest.approx(
+                _kfunctional_by_solves(f, A, theta, p, w, stacked=True), rel=1e-8)
+            # the pivot guard drops the large-mu candidates, so the guarded
+            # envelope is never lower ...
+            guarded = _kfunctional_by_solves(f, A, theta, p, w)
+            assert got <= guarded * (1 + 1e-12)
+            # ... and off the kernel the dropped candidates do not bind
+            if f is off_kernel:
+                assert got == pytest.approx(guarded, rel=1e-8)
 
     def test_validates_theta(self):
         with pytest.raises(ValueError):

@@ -82,6 +82,20 @@ class TestSqrtm:
         with pytest.raises(SqrtNotConverged):
             sqrtm([[-1.0]])
 
+    @pytest.mark.parametrize("M", [
+        np.diag([4.0, -1.0]),
+        [[0.0, 1.0], [0.0, 0.0]],  # nilpotent: no square root at all
+    ])
+    def test_spectrum_on_branch_cut_raises(self, M):
+        with pytest.raises(SqrtNotConverged):
+            sqrtm(M)
+
+    def test_just_off_the_cut(self):
+        A = np.array([[-1.0, -1e-3], [1e-3, -1.0]])  # eigenvalues -1 +- 1e-3 i
+        R = sqrtm(A)
+        np.testing.assert_allclose(R @ R, A, atol=1e-12)
+        assert np.all(np.linalg.eigvals(R).real > 0)
+
     def test_random_spd_batch(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -137,7 +151,17 @@ class TestOpNorm:
         for _ in range(30):
             n = int(rng.integers(1, 20))
             A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            assert op_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-6)
+            assert op_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+    def test_close_top_singular_values(self):
+        # sigma_1 = 1, sigma_2 = 1 - 1e-4: power iteration on M^H M
+        # converges too slowly here and stops below the true norm
+        rng = np.random.default_rng(23)
+        U, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+        V, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+        s = np.concatenate(([1.0, 1.0 - 1e-4], np.linspace(0.9, 0.1, 14)))
+        M = U @ np.diag(s) @ V.conj().T
+        assert op_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(0, 2**31 - 1))

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from epslab.discretize import BoundaryData, OperatorPair
 from epslab.elliptic import ProblemSpec
+from epslab.linalg import op_norm
 from epslab.multiplier import (
     AliasWarning, LineGrid, multiplier_bound_scan, resolvent_symbol,
     whole_line_solve,
@@ -182,6 +183,17 @@ class TestBoundScan:
         rec = multiplier_bound_scan(pair, [0.0], [2.0])[0]
         # s = |lam|, Phi = 1/(1 + 0.5 i xi + 2); sup at xi = 0
         assert rec["bound_weighted"] == pytest.approx(2.0 / 3.0, rel=1e-6)
+
+    def test_matrix_pair_matches_per_xi_norms(self):
+        rng = np.random.default_rng(13)
+        G = rng.normal(size=(6, 6))
+        pair = OperatorPair(G @ G.T + 6 * np.eye(6), rng.normal(size=(6, 6)))
+        xi = np.linspace(-50.0, 50.0, 41)
+        rec = multiplier_bound_scan(pair, [0.01], [3.0], xi=xi)[0]
+        Phi = resolvent_symbol(pair.A, pair.B, 0.01, 3.0, xi)
+        norms = np.array([op_norm(P) for P in Phi])
+        want = np.max((1.0 + np.abs(0.01 * xi**2 + 3.0)) * norms)
+        assert rec["bound_coercive"] == pytest.approx(want, rel=1e-12)
 
     def test_record_fields(self):
         pair = OperatorPair([[1.0]], [[0.0]])

@@ -40,6 +40,13 @@ def test_wentzell_pair_structure():
     assert 0.0 not in pair.positivity.lam_samples
 
 
+def test_wentzell_pair_keeps_lam_samples_unchecked():
+    # check mode builds the pair unchecked and scans these samples later
+    pair = make_wentzell_pair(check_positive=False)
+    assert pair.positivity is None
+    assert pair.lam_samples == (1.0, 10.0, 100.0, 1000.0)
+
+
 def test_make_pair_dispatch():
     for name in PRESET_NAMES:
         assert make_pair(name).n >= 1
