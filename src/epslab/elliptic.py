@@ -331,7 +331,7 @@ def full_solve(spec: ProblemSpec) -> GridFunction:
     from .multiplier import whole_line_solve
     line = whole_line_solve(spec)
     u1 = line.on_grid(t)
-    du1 = line.on_grid(t, derivative=1)
+    du1 = line.on_grid(t[[0, -1]], derivative=1)
     se = np.sqrt(spec.eps)
     a0, a1 = spec.bc.alpha
     b0, b1 = spec.bc.beta

@@ -175,12 +175,17 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
 
 
 def uniformity_factors(reports: Sequence[EstimateReport]) -> dict:
-    """Per lam: (max ratio, max/min ratio across eps), skipping failed rows."""
+    """Per lam: (max ratio, max/min ratio across eps).
+
+    Only ok rows with rhs > 0 count: a row with zero data has ratio 0 by
+    convention and carries no information about uniformity.  A lam with
+    no such row is left out.
+    """
     out = {}
     for rep in reports:
-        if rep.status == "ok":
+        if rep.status == "ok" and rep.rhs > 0:
             out.setdefault(rep.lam, []).append(rep.ratio)
-    return {lam: (max(rs), max(rs) / min(rs)) for lam, rs in out.items() if rs}
+    return {lam: (max(rs), max(rs) / min(rs)) for lam, rs in out.items()}
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ turns the equation into one algebraic system per frequency:
     (A + i xi B + (eps xi^2 + lam) I) u_hat(xi) = f_hat(xi).
 
 The solution symbol Phi(xi) is the inverse above; trig interpolation
-evaluates the solution and its derivatives exactly at arbitrary points
+evaluates the solution and its derivatives exactly at equispaced points
 of the cell, which is what the boundary-correction route needs.  The
 module also measures the uniform multiplier bounds whose finiteness is
 the quantitative content of the coercive estimates.
@@ -62,17 +62,29 @@ class LineGrid:
         return cls(x=x, xi=xi, halfwidth=float(halfwidth))
 
 
-def resolvent_symbol(A, B, eps: float, lam: complex, xi) -> np.ndarray:
-    """Stack of Phi(xi) = (A + i xi B + (eps xi^2 + lam))^-1, shape (m, n, n)."""
+def _symbol(A, B, eps: float, lam: complex, xi) -> np.ndarray:
+    """Stack of A + i xi B + (eps xi^2 + lam) I, shape (m, n, n)."""
     A = as_complex_matrix(A)
     B = as_complex_matrix(B)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    n = A.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    M = (A[None, :, :]
-         + 1j * xi[:, None, None] * B[None, :, :]
-         + (eps * xi**2 + lam)[:, None, None] * eye[None, :, :])
-    return np.linalg.inv(M)
+    diag = np.arange(A.shape[0])
+    M = np.multiply.outer(1j * xi, B)
+    M += A
+    M[:, diag, diag] += (eps * xi**2 + lam)[:, None]
+    return M
+
+
+def resolvent_symbol(A, B, eps: float, lam: complex, xi) -> np.ndarray:
+    """Stack of Phi(xi) = (A + i xi B + (eps xi^2 + lam))^-1, shape (m, n, n)."""
+    return np.linalg.inv(_symbol(A, B, eps, lam, xi))
+
+
+def _cis(x: np.ndarray) -> np.ndarray:
+    """exp(i x) for real x, from one cos and one sin pass."""
+    out = np.empty(x.shape, dtype=np.complex128)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
 
 
 @dataclass
@@ -85,12 +97,38 @@ class LineSolution:
     lam: complex
 
     def on_grid(self, points, derivative: int = 0) -> np.ndarray:
-        """Values of d^derivative u / dx^derivative at arbitrary points."""
+        """Values of d^derivative u / dx^derivative at equispaced points.
+
+        The points p_l = p0 + l h (l < m) must be equispaced to within
+        1e-9 |h|, as in GridFunction; otherwise ValueError.  The phase
+        factors in two levels: with R = ceil(sqrt(m)) and l = q R + s,
+
+            exp(i (p_l - x0) xi) = exp(i (p0 - x0) xi) exp(i s h xi)
+                                   exp(i q R h xi),
+
+        so the R x n_x table E[s] and the Q x n_x table F[q] replace the
+        m x n_x phase matrix, and F folds into the coefficients before
+        one product E @ (F * coef).  That takes about 2 sqrt(m) n_x
+        complex exponentials instead of m n_x.
+        """
         pts = np.atleast_1d(np.asarray(points, dtype=float))
-        fac = (1j * self.grid.xi) ** derivative
+        m = len(pts)
+        xi = self.grid.xi
+        n_x, n = self.uhat.shape
+        if m == 0:
+            return np.zeros((0, n), dtype=np.complex128)
+        h = float(pts[-1] - pts[0]) / max(m - 1, 1)
+        if np.any(np.abs(np.diff(pts) - h) > 1e-9 * abs(h)):
+            raise ValueError("on_grid needs equispaced points")
+        fac = (1j * xi) ** derivative * _cis((pts[0] - self.grid.x[0]) * xi)
         coef = fac[:, None] * self.uhat
-        phase = np.exp(1j * np.outer(pts - self.grid.x[0], self.grid.xi))
-        return (phase @ coef) / self.grid.n_x
+        R = int(np.ceil(np.sqrt(m)))
+        Q = -(-m // R)
+        E = _cis(np.outer(h * np.arange(R), xi))
+        F = _cis(np.outer(xi, R * h * np.arange(Q)))
+        G = F[:, :, None] * coef[:, None, :]
+        vals = (E @ G.reshape(n_x, Q * n)).reshape(R, Q, n)
+        return vals.transpose(1, 0, 2).reshape(Q * R, n)[:m] / n_x
 
     def nodal_values(self, derivative: int = 0) -> np.ndarray:
         fac = (1j * self.grid.xi) ** derivative
@@ -100,7 +138,9 @@ class LineSolution:
 def whole_line_solve(spec) -> LineSolution:
     """Solve the constant-coefficient problem on the periodic line.
 
-    The load is spec's interior f, extended by zero outside [0, T].
+    The load is spec's interior f, extended by zero outside [0, T].  All
+    frequencies go through one batched solve with the symbol matrices;
+    Phi itself is never formed.
     Warns with AliasWarning when the top ALIAS_BAND_FRACTION of the
     frequency axis carries more than ALIAS_ENERGY_TOL of the load energy,
     a sign that n_x under-resolves f.
@@ -124,8 +164,8 @@ def whole_line_solve(spec) -> LineSolution:
                 f"{alias:.2e} of the load energy; increase n_x",
                 AliasWarning, stacklevel=2)
 
-    Phi = resolvent_symbol(spec.pair.A, spec.pair.B, spec.eps, spec.lam, grid.xi)
-    uhat = np.einsum("kij,kj->ki", Phi, fhat)
+    M = _symbol(spec.pair.A, spec.pair.B, spec.eps, spec.lam, grid.xi)
+    uhat = np.linalg.solve(M, fhat[..., None])[..., 0]
     return LineSolution(grid=grid, uhat=uhat, alias_energy=alias,
                         eps=spec.eps, lam=spec.lam)
 

@@ -99,6 +99,22 @@ def test_sweep_outputs_and_schema(tmp_path):
     assert "1+0j" in summary["uniformity"]
 
 
+def test_sweep_on_zero_data_writes_empty_uniformity(tmp_path):
+    # every ratio is 0 by convention, so no lam has a uniformity factor
+    text = (CONFIGS / "scalar_sweep.ini").read_text()
+    for old, new in (("f1 = 1.0", "f1 = 0.0"), ("f2 = 0.5", "f2 = 0.0"),
+                     ("f = exp(-64*(t-0.5)^2)", "f = none")):
+        assert old in text
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    assert main(["--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[2:]
+    assert len(rows) == 15 and all(row.endswith(",ok") for row in rows)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_failed"] == 0
+    assert summary["uniformity"] == {}
+
+
 def test_byte_identical_reruns(tmp_path):
     cfgp = write(tmp_path, SWEEP_MINI)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

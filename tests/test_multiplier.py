@@ -9,6 +9,7 @@ from epslab.multiplier import (
     AliasWarning, LineGrid, multiplier_bound_scan, resolvent_symbol,
     whole_line_solve,
 )
+from epslab.presets import make_pair
 
 
 def dn_bc():
@@ -142,6 +143,46 @@ class TestWholeLineSolve:
         sol = whole_line_solve(spec)
         assert np.abs(sol.uhat).max() == 0.0
         assert sol.alias_energy == 0.0
+
+
+def dense_on_grid(sol, points, derivative=0):
+    """The m x n_x phase-matrix evaluation that on_grid replaced."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    fac = (1j * sol.grid.xi) ** derivative
+    coef = fac[:, None] * sol.uhat
+    phase = np.exp(1j * np.outer(pts - sol.grid.x[0], sol.grid.xi))
+    return (phase @ coef) / sol.grid.n_x
+
+
+class TestOnGrid:
+    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4])
+    @pytest.mark.parametrize("n_x", [256, 1024, 2048])
+    @pytest.mark.parametrize("preset,kwargs", [("scalar", {}),
+                                               ("commuting", {"n_y": 16})])
+    def test_matches_dense_phase_matrix(self, preset, kwargs, n_x, eps):
+        import warnings
+        spec = ProblemSpec(pair=make_pair(preset, **kwargs), eps=eps, lam=3.0,
+                           T=1.0, bc=dn_bc(), f="exp(-64*(t-0.5)^2)",
+                           n_t=101, n_x=n_x, line_halfwidth=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasWarning)
+            sol = whole_line_solve(spec)
+        point_sets = [np.linspace(0.0, 1.0, m) for m in (5, 201, 801)]
+        point_sets += [np.linspace(-3.5, 3.5, 29), [0.0, 1.0], [0.3],
+                       sol.grid.x]
+        for pts in point_sets:
+            for d in (0, 1, 2):
+                got = sol.on_grid(pts, derivative=d)
+                want = dense_on_grid(sol, pts, d)
+                assert got.shape == want.shape
+                rel = np.abs(got - want).max() / np.abs(want).max()
+                assert rel <= 1e-12, (len(pts), d, rel)
+
+    def test_rejects_points_that_are_not_equispaced(self):
+        sol = whole_line_solve(line_spec(n_x=256))
+        for pts in ([0.0, 0.1, 0.3], [0.0, 1.0, 0.0], np.geomspace(0.1, 1.0, 9)):
+            with pytest.raises(ValueError):
+                sol.on_grid(pts)
 
 
 class TestResolventSymbol:
