@@ -352,14 +352,14 @@ def _run_solve(cfg: Config, preset: str, out: Path, header: str,
 
 
 def _run_sweep(cfg: Config, preset: str, out: Path, header: str,
-               name: str, chash: str, jobs: int) -> int:
+               name: str, chash: str) -> int:
     eps_list = cfg.getfloatlist("sweep", "eps_list", required=True)
     lam_list = cfg.getcomplexlist("sweep", "lambda_list", required=True)
     if not eps_list or not lam_list:
         raise ConfigError("[sweep] eps_list and lambda_list must be nonempty")
     p = cfg.getfloat("scenario", "p", 2.0)
     base = _build_spec(cfg, preset, eps=eps_list[0], lam=lam_list[0])
-    reports = uniformity_sweep(base, eps_list, lam_list, p=p, jobs=jobs)
+    reports = uniformity_sweep(base, eps_list, lam_list, p=p)
     _write(out / "sweep.csv", header,
            [SWEEP_HEADER] + [_report_row(r) for r in reports])
     factors = uniformity_factors(reports)
@@ -450,7 +450,7 @@ def _run_check(cfg: Config, preset: str, out: Path, header: str,
 # ------------------------------------------------------------- entry point
 
 
-def run(config_path, out_dir, mode: Optional[str] = None, jobs: int = 1,
+def run(config_path, out_dir, mode: Optional[str] = None,
         preset: Optional[str] = None, overrides: Sequence[str] = ()) -> int:
     cfg = load_config(config_path, overrides=overrides, preset=preset)
     mode = mode or cfg.raw("scenario", "mode")
@@ -465,7 +465,7 @@ def run(config_path, out_dir, mode: Optional[str] = None, jobs: int = 1,
     if mode == "solve":
         return _run_solve(cfg, chosen, out, header, name, chash)
     if mode == "sweep":
-        return _run_sweep(cfg, chosen, out, header, name, chash, jobs)
+        return _run_sweep(cfg, chosen, out, header, name, chash)
     if mode == "converge":
         return _run_converge(cfg, chosen, out, header, name, chash)
     return _run_check(cfg, chosen, out, header, name, chash)
@@ -480,7 +480,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="scenario file (INI format)")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for sweep cells")
+                        help="ignored; sweep cells run serially")
     parser.add_argument("--preset", choices=PRESET_NAMES,
                         help="override [scenario] preset")
     parser.add_argument("--override", action="append", default=[],
@@ -488,7 +488,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="override a config entry (repeatable)")
     args = parser.parse_args(argv)
     try:
-        return run(args.config, args.out, mode=args.mode, jobs=args.jobs,
+        return run(args.config, args.out, mode=args.mode,
                    preset=args.preset, overrides=args.override)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

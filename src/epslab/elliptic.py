@@ -14,7 +14,9 @@ written in the anchored, decaying form
 and the boundary functionals give a 2n x 2n block system for (g1, h2).
 The factorization is exact when A and B commute; otherwise the residual
 of the quadratic is (RB - BR)/(4 eps) and the solvers fall back to a
-block-tridiagonal finite difference scheme (direct_solve).
+block-tridiagonal finite difference scheme (direct_solve), solved by one
+block Thomas pass whose first and last pivots are 2n x 2n blocks that
+absorb the two-node reach of the one-sided boundary derivatives.
 """
 from __future__ import annotations
 
@@ -228,82 +230,55 @@ def mode_derivatives(spec: ProblemSpec, qsys: Optional[QSystem] = None):
     return t, u, du, ddu
 
 
-def _fd_blocks(spec: ProblemSpec):
-    """Interior stencil blocks of the finite difference scheme."""
+def direct_solve(spec: ProblemSpec) -> GridFunction:
+    """Block-tridiagonal finite difference solve of the full problem.
+
+    Interior rows are the standard O(h^2) stencil; the boundary rows use
+    one-sided O(h^2) derivatives, which reach two nodes in.  One block
+    Thomas pass solves the system: the first pivot is the 2n x 2n block
+    of rows 0 and 1 on (u_0, u_1), which both reach u_2; interior rows
+    pivot on single n x n blocks; the last pivot is the 2n x 2n block of
+    rows N-2 and N-1 on (u_{N-2}, u_{N-1}) once u_{N-3} is substituted.
+    Each pivot is factored once, by mat_solve, and no off-diagonal block
+    is inverted.
+    """
     t = spec.t_grid()
     h = t[1] - t[0]
-    n = spec.n
+    n, N = spec.n, spec.n_t
     eye = np.eye(n, dtype=np.complex128)
     B = spec.pair.B
     lower = -spec.eps / h**2 * eye - B / (2 * h)
     diag = 2 * spec.eps / h**2 * eye + spec.A_lam
     upper = -spec.eps / h**2 * eye + B / (2 * h)
-    return t, h, lower, diag, upper
-
-
-def direct_solve(spec: ProblemSpec) -> GridFunction:
-    """Block-tridiagonal finite difference solve of the full problem.
-
-    Interior rows are the standard O(h^2) stencil; the boundary rows use
-    one-sided O(h^2) derivatives whose two-node reach is eliminated with
-    the adjacent interior row, restoring block-tridiagonal structure.
-    """
-    t, h, lower, diag, upper = _fd_blocks(spec)
-    n, N = spec.n, spec.n_t
-    eye = np.eye(n, dtype=np.complex128)
     fvals = spec.f_samples(t)
     f1, f2 = spec.bc.data_for(n)
-
-    L = [np.zeros((n, n), dtype=np.complex128) for _ in range(N)]
-    D = [np.zeros((n, n), dtype=np.complex128) for _ in range(N)]
-    U = [np.zeros((n, n), dtype=np.complex128) for _ in range(N)]
-    rhs = np.zeros((N, n), dtype=np.complex128)
-    for i in range(1, N - 1):
-        L[i], D[i], U[i] = lower, diag, upper
-        rhs[i] = fvals[i]
-
     a0, a1 = spec.bc.alpha
     b0, b1 = spec.bc.beta
     c_left = np.sqrt(spec.eps) * a1 / (2 * h)
     c_right = np.sqrt(spec.eps) * b1 / (2 * h)
 
-    # left boundary row: (a0 - 3c) u0 + 4c u1 - c u2 = f1
-    D[0] = (a0 - 3 * c_left) * eye
-    U[0] = 4 * c_left * eye
-    rhs[0] = f1
-    if c_left != 0:
-        # add c * upper^-1 * (row 1) to cancel the u2 term
-        shift = c_left * inv(upper)
-        D[0] = D[0] + shift @ lower
-        U[0] = U[0] + shift @ diag
-        rhs[0] = rhs[0] + shift @ rhs[1]
+    # W[i] = [Uhat_i | r_i]: u_i = r_i - Uhat_i u_{i+1} (u_2 for i = 0)
+    W = np.empty((N - 2, n, n + 1), dtype=np.complex128)
+    # rows 0 and 1: (a0 - 3c) u0 + 4c u1 - c u2 = f1, then the stencil
+    P = np.block([[(a0 - 3 * c_left) * eye, 4 * c_left * eye], [lower, diag]])
+    rhs = np.block([[-c_left * eye, f1[:, None]], [upper, fvals[1][:, None]]])
+    W[:2] = mat_solve(P, rhs).reshape(2, n, n + 1)
+    for i in range(2, N - 2):
+        E = lower @ W[i - 1]
+        W[i] = mat_solve(diag - E[:, :n],
+                         np.column_stack([upper, fvals[i] - E[:, n]]))
 
-    # right boundary row: (b0 + 3c') u_{N-1} - 4c' u_{N-2} + c' u_{N-3} = f2
-    D[N - 1] = (b0 + 3 * c_right) * eye
-    L[N - 1] = -4 * c_right * eye
-    rhs[N - 1] = f2
-    if c_right != 0:
-        # add -c' * lower^-1 * (row N-2) to cancel the u_{N-3} term
-        shift = -c_right * inv(lower)
-        D[N - 1] = D[N - 1] + shift @ upper
-        L[N - 1] = L[N - 1] + shift @ diag
-        rhs[N - 1] = rhs[N - 1] + shift @ rhs[N - 2]
-
-    # block Thomas sweep
-    Dhat = [None] * N
-    rhat = np.zeros_like(rhs)
-    Dhat[0] = D[0]
-    rhat[0] = rhs[0]
-    for i in range(1, N):
-        W = mat_solve(Dhat[i - 1], np.column_stack([U[i - 1], rhat[i - 1]]))
-        Ui_prev = W[:, :n]
-        ri_prev = W[:, n]
-        Dhat[i] = D[i] - L[i] @ Ui_prev
-        rhat[i] = rhs[i] - L[i] @ ri_prev
-    u = np.zeros((N, n), dtype=np.complex128)
-    u[N - 1] = mat_solve(Dhat[N - 1], rhat[N - 1])
-    for i in range(N - 2, -1, -1):
-        u[i] = mat_solve(Dhat[i], rhat[i] - U[i] @ u[i + 1])
+    # rows N-2 and N-1 with u_{N-3} = r - Uhat u_{N-2} substituted; the
+    # last row is (b0 + 3c') u_{N-1} - 4c' u_{N-2} + c' u_{N-3} = f2
+    Uhat, r = W[N - 3, :, :n], W[N - 3, :, n]
+    P = np.block([[diag - lower @ Uhat, upper],
+                  [-c_right * (4 * eye + Uhat), (b0 + 3 * c_right) * eye]])
+    rhs = np.concatenate([fvals[N - 2] - lower @ r, f2 - c_right * r])
+    u = np.empty((N, n), dtype=np.complex128)
+    u[N - 2:] = mat_solve(P, rhs).reshape(2, n)
+    for i in range(N - 3, 0, -1):
+        u[i] = W[i, :, n] - W[i, :, :n] @ u[i + 1]
+    u[0] = W[0, :, n] - W[0, :, :n] @ u[2]
     return GridFunction(t, u, meta={
         "path": "direct", "eps": spec.eps, "lam": spec.lam})
 

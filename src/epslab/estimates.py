@@ -149,29 +149,22 @@ def coercive_report(spec: ProblemSpec, u: Optional[GridFunction] = None,
 
 
 def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
-                     lam_list: Sequence[complex], p: float = 2.0,
-                     jobs: int = 1) -> List[EstimateReport]:
+                     lam_list: Sequence[complex],
+                     p: float = 2.0) -> List[EstimateReport]:
     """coercive_report over the (eps, lam) grid; failures become rows.
 
-    Cells are independent; jobs > 1 fans them out over a thread pool
-    with results kept in input order.
+    Cells run serially in input order, eps fastest within each lam.
     """
-    cells = [(eps, lam) for lam in lam_list for eps in eps_list]
-
-    def run_cell(cell) -> EstimateReport:
-        eps, lam = cell
-        cap = max(base.eps0, eps)
-        spec = dataclasses.replace(base, eps=eps, lam=lam, eps0=cap)
-        try:
-            return coercive_report(spec, p=p)
-        except SOLVER_ERRORS as exc:
-            return _failed_report(eps, lam, p, str(exc))
-
-    if jobs <= 1:
-        return [run_cell(c) for c in cells]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_cell, cells))
+    reports = []
+    for lam in lam_list:
+        for eps in eps_list:
+            cap = max(base.eps0, eps)
+            spec = dataclasses.replace(base, eps=eps, lam=lam, eps0=cap)
+            try:
+                reports.append(coercive_report(spec, p=p))
+            except SOLVER_ERRORS as exc:
+                reports.append(_failed_report(eps, lam, p, str(exc)))
+    return reports
 
 
 def uniformity_factors(reports: Sequence[EstimateReport]) -> dict:

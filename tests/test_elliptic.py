@@ -10,6 +10,7 @@ from epslab.elliptic import (
     solve_boundary_system,
 )
 from epslab.linalg import Overflow, op_norm, sqrtm
+from epslab.presets import make_wentzell_pair
 
 
 def scalar_pair(a=1.0, b=0.0):
@@ -248,6 +249,63 @@ class TestDirectSolve:
         ud = direct_solve(spec)
         uh = homogeneous_solution(spec)
         assert np.abs(ud.values - uh.values).max() <= 5e-5
+
+
+def _dense_fd_solution(spec):
+    """Assemble the whole (N n) x (N n) finite difference system and solve it."""
+    t = spec.t_grid()
+    h = t[1] - t[0]
+    n, N = spec.n, spec.n_t
+    eye = np.eye(n)
+    B = spec.pair.B
+    lower = -spec.eps / h**2 * eye - B / (2 * h)
+    diag = 2 * spec.eps / h**2 * eye + spec.A_lam
+    upper = -spec.eps / h**2 * eye + B / (2 * h)
+    a0, a1 = spec.bc.alpha
+    b0, b1 = spec.bc.beta
+    cl = np.sqrt(spec.eps) * a1 / (2 * h)
+    cr = np.sqrt(spec.eps) * b1 / (2 * h)
+    K = np.zeros((N, n, N, n), dtype=complex)
+    rhs = spec.f_samples(t)
+    K[0, :, 0], K[0, :, 1], K[0, :, 2] = (a0 - 3 * cl) * eye, 4 * cl * eye, -cl * eye
+    for i in range(1, N - 1):
+        K[i, :, i - 1], K[i, :, i], K[i, :, i + 1] = lower, diag, upper
+    K[-1, :, -3], K[-1, :, -2], K[-1, :, -1] = cr * eye, -4 * cr * eye, (b0 + 3 * cr) * eye
+    rhs[0], rhs[-1] = spec.bc.data_for(n)
+    return np.linalg.solve(K.reshape(N * n, N * n), rhs.ravel()).reshape(N, n)
+
+
+def _peclet_one_spec(eps):
+    # h = 0.005 and B = 1: the cell Peclet number |B| h / (2 eps) is 1 at
+    # eps = 0.0025, where the upper stencil block is exactly zero
+    bc = BoundaryData(m1=1, m2=0, alpha=(1.0, 1.0), beta=(1.0, 0.0), f1=1.0, f2=0.5)
+    return ProblemSpec(pair=scalar_pair(1.0, 1.0), eps=eps, lam=0.0, T=1.0,
+                       bc=bc, n_t=201), 1e-12
+
+
+def _wentzell_robin_spec(eps, n_t):
+    # non-commuting pair with Robin rows at both ends; n_t = 5 leaves one
+    # interior row between the two 2n x 2n end pivots.  The dense system
+    # has condition numbers up to ~2e6 here, so the oracle itself is only
+    # good to ~1e-11
+    pair = make_wentzell_pair(n_y=8)
+    bc = BoundaryData(m1=1, m2=1, alpha=(1.0, 0.7), beta=(0.4, 1.0),
+                      f1=np.ones(8), f2=0.5 * np.ones(8))
+    return ProblemSpec(pair=pair, eps=eps, lam=3.0, T=1.0, bc=bc,
+                       f="exp(-64*(t-0.5)^2)", n_t=n_t), 1e-10
+
+
+@pytest.mark.parametrize("make, args", [
+    *[pytest.param(_peclet_one_spec, (eps,), id=f"peclet1-eps{eps!r}")
+      for eps in (0.0025, 0.0025 * (1 + 1e-12), 0.0025 * (1 + 1e-8))],
+    *[pytest.param(_wentzell_robin_spec, (eps, n_t), id=f"wentzell-eps{eps:g}-nt{n_t}")
+      for eps in (1.0, 1e-2, 1e-4) for n_t in (5, 41)],
+])
+def test_direct_solve_matches_dense_assembly(make, args):
+    spec, rtol = make(*args)
+    u = direct_solve(spec).values
+    ref = _dense_fd_solution(spec)
+    assert np.abs(u - ref).max() <= rtol * np.abs(ref).max()
 
 
 class TestFullSolve:
