@@ -14,6 +14,7 @@ interpolation norm between D(A) and E.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -127,7 +128,9 @@ class OperatorPair:
 
     Pass check_positive=False to skip the resolvent scan (needed when A
     has a nontrivial kernel, as dynamic-boundary operators do).  The scan
-    samples lam_samples, which the pair keeps for later scans.
+    samples lam_samples, which the pair keeps for later scans.  A and B
+    are fixed at construction and never reassigned, so the commutator
+    norm and the scale ||A|| ||B|| are computed once per pair.
     """
 
     def __init__(self, A, B, grid: Optional[SpaceGrid] = None,
@@ -160,14 +163,20 @@ class OperatorPair:
             return np.asarray(self.grid.weights, dtype=float)
         return np.full(self.n, 1.0 / self.n)
 
+    @cached_property
     def commutator_norm(self) -> float:
+        """||AB - BA||_2."""
         return op_norm(self.A @ self.B - self.B @ self.A)
 
+    @cached_property
+    def _norm_product(self) -> float:
+        return op_norm(self.A) * op_norm(self.B)
+
     def commutes(self, rtol: float = 1e-10) -> bool:
-        scale = op_norm(self.A) * op_norm(self.B)
+        scale = self._norm_product
         if scale == 0.0:
             return True
-        return self.commutator_norm() <= rtol * scale
+        return self.commutator_norm <= rtol * scale
 
 
 def parse_load(f):

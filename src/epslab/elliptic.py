@@ -239,8 +239,9 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     of rows 0 and 1 on (u_0, u_1), which both reach u_2; interior rows
     pivot on single n x n blocks; the last pivot is the 2n x 2n block of
     rows N-2 and N-1 on (u_{N-2}, u_{N-1}) once u_{N-3} is substituted.
-    Each pivot is factored once, by mat_solve, and no off-diagonal block
-    is inverted.
+    Each pivot is factored and solved once, by one mat_solve (a single
+    LAPACK gesv behind the pivot guard), and no off-diagonal block is
+    inverted.
     """
     t = spec.t_grid()
     h = t[1] - t[0]
@@ -263,10 +264,13 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     P = np.block([[(a0 - 3 * c_left) * eye, 4 * c_left * eye], [lower, diag]])
     rhs = np.block([[-c_left * eye, f1[:, None]], [upper, fvals[1][:, None]]])
     W[:2] = mat_solve(P, rhs).reshape(2, n, n + 1)
+    # [upper | f_i - lower r_{i-1}]: only the last column changes per row
+    rhs = np.empty((n, n + 1), dtype=np.complex128)
+    rhs[:, :n] = upper
     for i in range(2, N - 2):
         E = lower @ W[i - 1]
-        W[i] = mat_solve(diag - E[:, :n],
-                         np.column_stack([upper, fvals[i] - E[:, n]]))
+        np.subtract(fvals[i], E[:, n], out=rhs[:, n])
+        W[i] = mat_solve(diag - E[:, :n], rhs)
 
     # rows N-2 and N-1 with u_{N-3} = r - Uhat u_{N-2} substituted; the
     # last row is (b0 + 3c') u_{N-1} - 4c' u_{N-2} + c' u_{N-3} = f2
@@ -291,7 +295,7 @@ def full_solve(spec: ProblemSpec) -> GridFunction:
     modes absorb the boundary mismatch.  Non-commuting pairs use the
     finite difference scheme, recorded in meta["path"].
     """
-    commutator = spec.pair.commutator_norm()
+    commutator = spec.pair.commutator_norm
     if not spec.pair.commutes(COMMUTE_RTOL):
         out = direct_solve(spec)
         out.meta["commutator"] = commutator

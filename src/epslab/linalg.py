@@ -1,20 +1,21 @@
 """Dense complex matrix kernels shared by every solver in the package.
 
-All operator calculus here runs on explicit complex matrices: LU solves
-with a pivot guard, the principal matrix square root by the Schur
-method of Bjorck & Hammarling (scipy.linalg.sqrtm) behind a spectrum
-check, a capped matrix exponential, the spectral operator norm from the
-SVD, and the resolvent-bound scan used to certify that an operator
-behaves like a positive one.
+All operator calculus here runs on explicit complex matrices: linear
+solves by one LAPACK gesv (LU with partial pivoting) behind a pivot
+guard, the principal matrix square root by the Schur method of
+Bjorck & Hammarling (scipy.linalg.sqrtm) behind a spectrum check, a
+capped matrix exponential, the spectral operator norm from the SVD, and
+the resolvent-bound scan used to certify that an operator behaves like
+a positive one.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgesv
 
 __all__ = [
     "SingularMatrix", "SqrtNotConverged", "Overflow",
@@ -47,26 +48,36 @@ def as_complex_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not (np.all(np.isfinite(A.real)) and np.all(np.isfinite(A.imag))):
+    if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
 
 
 def mat_solve(M, rhs) -> np.ndarray:
-    """Solve M x = rhs by partial-pivot LU; rhs may be a vector or matrix."""
+    """Solve M x = rhs by one LAPACK zgesv; rhs may be a vector or matrix.
+
+    Raises SingularMatrix for the zero (or empty) matrix and when the
+    smallest LU pivot falls below DEFAULT_PIVOT_RTOL * ||M||_inf, and
+    ValueError for a non-finite or misshapen rhs.  Neither input is
+    overwritten.
+    """
     A = as_complex_matrix(M)
-    b = np.asarray(rhs, dtype=np.complex128)
-    norm = np.linalg.norm(A, np.inf)
+    norm = np.abs(A).sum(axis=1).max(initial=0.0)
     if norm == 0.0:
         raise SingularMatrix("zero matrix")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A)
-    pivots = np.abs(np.diagonal(lu))
-    if pivots.min() < DEFAULT_PIVOT_RTOL * norm:
+    b = np.asarray(rhs, dtype=np.complex128)
+    if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
+        raise ValueError(f"rhs of shape {b.shape} does not match a {A.shape} matrix")
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lu, _, x, info = zgesv(A, b)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of zgesv")
+    pivot = np.abs(np.diagonal(lu)).min()
+    if pivot < DEFAULT_PIVOT_RTOL * norm:
         raise SingularMatrix(
-            f"pivot ratio {pivots.min() / norm:.3e} below {DEFAULT_PIVOT_RTOL:.0e}")
-    return scipy.linalg.lu_solve((lu, piv), b)
+            f"pivot ratio {pivot / norm:.3e} below {DEFAULT_PIVOT_RTOL:.0e}")
+    return x
 
 
 def inv(M) -> np.ndarray:

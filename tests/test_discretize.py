@@ -131,6 +131,18 @@ class TestOperatorPair:
                             check_positive=False)
         assert not pair.commutes()
 
+    def test_commutator_norms_computed_once(self, monkeypatch):
+        A = np.array([[2.0, 1.0], [0.0, 3.0]])
+        B = np.array([[0.0, 1.0], [1.0, 0.0]])
+        pair = OperatorPair(A, B, check_positive=False)
+        calls = []
+        monkeypatch.setattr("epslab.discretize.op_norm",
+                            lambda M: calls.append(1) or op_norm(M))
+        for _ in range(3):
+            assert pair.commutator_norm == op_norm(A @ B - B @ A)
+            assert not pair.commutes(1e-10)
+        assert len(calls) == 3  # ||AB - BA||, ||A||, ||B||
+
     def test_default_weights(self):
         pair = OperatorPair(np.eye(4), np.zeros((4, 4)))
         np.testing.assert_allclose(pair.weights(), 0.25)

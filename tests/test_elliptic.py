@@ -308,6 +308,25 @@ def test_direct_solve_matches_dense_assembly(make, args):
     assert np.abs(u - ref).max() <= rtol * np.abs(ref).max()
 
 
+def test_direct_solve_rejects_non_finite_load():
+    # an inf in the load at the interior node t = 0.5 must stop the sweep
+    # rather than come back as NaNs
+    pair = make_wentzell_pair(n_y=8)
+    bc = BoundaryData(m1=1, m2=1, alpha=(1.0, 0.7), beta=(0.4, 1.0),
+                      f1=np.ones(8), f2=0.5 * np.ones(8))
+
+    def load(t):
+        f = np.ones(8)
+        if t == 0.5:
+            f[3] = np.inf
+        return f
+
+    spec = ProblemSpec(pair=pair, eps=1e-2, lam=3.0, T=1.0, bc=bc, f=load, n_t=801)
+    assert spec.t_grid()[400] == 0.5
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        direct_solve(spec)
+
+
 class TestFullSolve:
     def test_path_semigroup_when_f_zero(self):
         spec = ProblemSpec(pair=commuting_pair(3, 1), eps=0.5, lam=1.0, T=1.0,

@@ -58,6 +58,103 @@ class TestMatSolve:
             mat_solve(np.zeros((3, 3)), np.ones(3))
 
 
+def _close_to(x, ref, rtol=1e-12):
+    return np.linalg.norm(x - ref) <= rtol * np.linalg.norm(ref)
+
+
+class TestMatSolveContract:
+    """mat_solve against np.linalg.solve, its inputs, and every guard."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 32, 64])
+    def test_matches_numpy_solve(self, n):
+        rng = np.random.default_rng(100 + n)
+        M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        Bm = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        x = mat_solve(M, b)
+        assert x.shape == (n,)
+        assert _close_to(x, np.linalg.solve(M, b))
+        X = mat_solve(M, Bm)
+        assert X.shape == (n, 3)
+        assert _close_to(X, np.linalg.solve(M, Bm))
+        assert _close_to(mat_solve(M.tolist(), b.tolist()), np.linalg.solve(M, b))
+        # real input, and transposed (non-C-contiguous) views of both sides
+        R = M.real
+        assert _close_to(mat_solve(R, b.real), np.linalg.solve(R, b.real))
+        Bt = Bm.T.copy().T
+        assert n == 1 or not (M.T.flags.c_contiguous or Bt.flags.c_contiguous)
+        assert _close_to(mat_solve(M.T, Bt), np.linalg.solve(M.T, Bt))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_property_diagonally_dominant(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=8))
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        entry = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                   allow_infinity=False)
+        X = np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+        b = np.array(data.draw(st.lists(entry, min_size=n * k, max_size=n * k)))
+        M = X.reshape(n, n)
+        M = M + np.diag(np.abs(M).sum(axis=1) + 1.0)
+        B = b.reshape(n, k)
+        assert _close_to(mat_solve(M, B), np.linalg.solve(M, B))
+
+    def test_inputs_unchanged(self):
+        rng = np.random.default_rng(5)
+        # Fortran-ordered complex128 is the layout LAPACK could work in
+        M = np.asfortranarray(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        B = np.asfortranarray(rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4)))
+        b = B[:, 0].copy()
+        M0, B0, b0 = M.copy(), B.copy(), b.copy()
+        mat_solve(M, B)
+        mat_solve(M, b)
+        np.testing.assert_array_equal(M, M0)
+        np.testing.assert_array_equal(B, B0)
+        np.testing.assert_array_equal(b, b0)
+
+    def test_zero_and_empty_matrix(self):
+        with pytest.raises(SingularMatrix, match="zero matrix"):
+            mat_solve(np.zeros((2, 2)), np.ones(2))
+        with pytest.raises(SingularMatrix, match="zero matrix"):
+            mat_solve(np.zeros((0, 0)), np.zeros(0))
+
+    def test_exactly_singular(self):
+        with pytest.raises(SingularMatrix, match="pivot ratio"):
+            mat_solve([[0.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+
+    def test_pivot_ratio_threshold(self):
+        with pytest.raises(SingularMatrix, match="pivot ratio"):
+            mat_solve(np.diag([1.0, 5e-14]), np.ones(2))
+        x = mat_solve(np.diag([1.0, 5e-13]), np.ones(2))
+        np.testing.assert_allclose(x, [1.0, 2e12], rtol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_matrix(self, bad):
+        M = np.eye(3, dtype=complex)
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mat_solve(M, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_rhs(self, bad):
+        b = np.ones((3, 2), dtype=complex)
+        b[2, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            mat_solve(np.eye(3), b)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            mat_solve(np.eye(3), b[:, 1])
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (2, 3), (3, 2, 2)])
+    def test_rhs_shape_mismatch(self, shape):
+        with pytest.raises(ValueError):
+            mat_solve(np.eye(3), np.ones(shape))
+
+    def test_empty_rhs_columns(self):
+        X = mat_solve(np.eye(3) + 1j, np.ones((3, 0)))
+        assert X.shape == (3, 0)
+        assert X.dtype == np.complex128
+
+
 class TestSqrtm:
     def test_frozen_integer_example(self):
         # X = [[5, 2], [1, 3]] squares to [[27, 16], [8, 11]]
