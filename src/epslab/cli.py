@@ -217,19 +217,22 @@ def _build_bc(cfg: Config, n: int) -> BoundaryData:
         raise ConfigError(f"[boundary]: {exc}") from None
 
 
-def _build_spec(cfg: Config, preset: str, eps: float, lam: complex) -> ProblemSpec:
+def _build_spec(cfg: Config, preset: str, eps_list: Sequence[float],
+                lam: complex) -> ProblemSpec:
+    """The problem at eps_list[0]; every eps in eps_list must be valid."""
     pair = make_pair(preset, **_preset_kwargs(cfg, preset))
     bc = _build_bc(cfg, pair.n)
     try:
-        return ProblemSpec(
-            pair=pair, eps=eps, lam=lam,
+        spec = ProblemSpec(
+            pair=pair, eps=eps_list[0], lam=lam,
             T=cfg.getfloat("scenario", "T", 1.0),
             bc=bc,
             f=cfg.getexpr("data", "f"),
             n_t=cfg.getint("grid", "n_t", 201),
-            eps0=max(cfg.getfloat("scenario", "eps0", 1.0), eps),
-            n_x=cfg.getint("grid", "n_x", 1024),
-            line_halfwidth=cfg.getfloat("grid", "L"))
+            n_x=cfg.getint("grid", "n_x", 1024))
+        for eps in eps_list[1:]:
+            dataclasses.replace(spec, eps=eps)
+        return spec
     except (ValueError, ParseError) as exc:
         raise ConfigError(f"invalid scenario: {exc}") from None
 
@@ -321,8 +324,8 @@ print(out)
 def _run_solve(cfg: Config, preset: str, out: Path, header: str,
                name: str, chash: str) -> int:
     spec = _build_spec(cfg, preset,
-                       eps=cfg.getfloat("solve", "eps",
-                                        cfg.getfloat("scenario", "eps", 0.1)),
+                       [cfg.getfloat("solve", "eps",
+                                     cfg.getfloat("scenario", "eps", 0.1))],
                        lam=cfg.getcomplex("solve", "lambda",
                                           cfg.getcomplex("scenario", "lambda", 1.0)))
     u = full_solve(spec)
@@ -358,7 +361,7 @@ def _run_sweep(cfg: Config, preset: str, out: Path, header: str,
     if not eps_list or not lam_list:
         raise ConfigError("[sweep] eps_list and lambda_list must be nonempty")
     p = cfg.getfloat("scenario", "p", 2.0)
-    base = _build_spec(cfg, preset, eps=eps_list[0], lam=lam_list[0])
+    base = _build_spec(cfg, preset, eps_list, lam=lam_list[0])
     reports = uniformity_sweep(base, eps_list, lam_list, p=p)
     _write(out / "sweep.csv", header,
            [SWEEP_HEADER] + [_report_row(r) for r in reports])
@@ -382,7 +385,7 @@ def _run_sweep(cfg: Config, preset: str, out: Path, header: str,
 def _run_converge(cfg: Config, preset: str, out: Path, header: str,
                   name: str, chash: str) -> int:
     eps_list = cfg.getfloatlist("convergence", "eps_list", required=True)
-    base = _build_spec(cfg, preset, eps=eps_list[0],
+    base = _build_spec(cfg, preset, eps_list,
                        lam=cfg.getcomplex("scenario", "lambda", 0.0))
     u0 = cfg.getvector("data", "u0", base.n, default=1.0)
     try:

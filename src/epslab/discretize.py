@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ __all__ = [
     "SpaceGrid", "GridFunction", "OperatorPair", "BoundaryData",
     "build_wentzell_operator", "build_integral_operator",
     "check_condition_1", "check_condition_2_1", "check_condition_4_1",
-    "parse_load", "sample_load",
+    "IntervalProblem",
     "e_norm", "mixed_norm", "kfunctional_norm",
 ]
 
@@ -179,30 +179,50 @@ class OperatorPair:
         return self.commutator_norm <= rtol * scale
 
 
-def parse_load(f):
-    """Parse tree of a load given as an expression in t and y, else None."""
-    if isinstance(f, str):
-        return exprparse.parse(f, allowed_vars=("t", "y"))
-    return None
+class IntervalProblem:
+    """Plumbing shared by the problem descriptions on (0, T).
 
-
-def sample_load(f, expr, pair: OperatorPair, t) -> np.ndarray:
-    """Sample an interior load on time nodes t; shape (len(t), pair.n).
-
-    f is None (zero load), a callable t -> vector of length pair.n, or an
-    expression string whose parse_load tree is expr.  Expressions see y
-    at the pair's grid nodes, or at uniform interior nodes without a grid.
+    A dataclass mixing this in has fields pair, lam, T, f and n_t, and
+    calls _init_interval from __post_init__.  f is None (zero load), a
+    callable t -> vector of length pair.n, or an expression string in t
+    and y; expressions see y at the pair's grid nodes, or at uniform
+    interior nodes without a grid.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    n = pair.n
-    if f is None:
-        return np.zeros((len(t), n), dtype=np.complex128)
-    if expr is not None:
-        grid = pair.grid if pair.grid is not None else SpaceGrid.uniform_interior(n)
-        vals = exprparse.eval_expr(expr, {"t": t[:, None], "y": grid.nodes[None, :]})
-        return np.broadcast_to(np.asarray(vals, dtype=np.complex128), (len(t), n)).copy()
-    rows = [np.asarray(f(float(ti)), dtype=np.complex128).reshape(n) for ti in t]
-    return np.stack(rows)
+
+    def _init_interval(self, min_nodes: int) -> None:
+        self.lam = complex(self.lam)
+        self.T = float(self.T)
+        if self.T <= 0:
+            raise ValueError("T must be positive")
+        if self.n_t < min_nodes:
+            raise ValueError(f"need at least {min_nodes} time nodes")
+        self._f_expr = (exprparse.parse(self.f, allowed_vars=("t", "y"))
+                        if isinstance(self.f, str) else None)
+
+    @property
+    def n(self) -> int:
+        return self.pair.n
+
+    @property
+    def A_lam(self) -> np.ndarray:
+        return self.pair.A + self.lam * np.eye(self.n)
+
+    def t_grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.T, self.n_t)
+
+    def f_samples(self, t) -> np.ndarray:
+        """Sample the interior load on time nodes t; shape (len(t), n)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        n = self.n
+        if self.f is None:
+            return np.zeros((len(t), n), dtype=np.complex128)
+        if self._f_expr is not None:
+            grid = self.pair.grid or SpaceGrid.uniform_interior(n)
+            vals = exprparse.eval_expr(
+                self._f_expr, {"t": t[:, None], "y": grid.nodes[None, :]})
+            return np.broadcast_to(np.asarray(vals, dtype=np.complex128), (len(t), n)).copy()
+        rows = [np.asarray(self.f(float(ti)), dtype=np.complex128).reshape(n) for ti in t]
+        return np.stack(rows)
 
 
 @dataclass(frozen=True)

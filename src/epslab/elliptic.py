@@ -21,14 +21,14 @@ absorb the two-node reach of the one-sided boundary derivatives.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .discretize import (BoundaryData, GridFunction, OperatorPair, parse_load,
-                         sample_load)
+from .discretize import BoundaryData, GridFunction, IntervalProblem, OperatorPair
 from .linalg import Overflow, expm, inv, mat_solve, op_norm, sqrtm
+from .multiplier import check_n_x, whole_line_solve
 
 __all__ = [
     "ProblemSpec", "QSystem",
@@ -42,12 +42,13 @@ PROPAGATOR_CAP = 1e6
 
 
 @dataclass
-class ProblemSpec:
+class ProblemSpec(IntervalProblem):
     """Full description of one singularly perturbed two-point problem.
 
-    f may be None (homogeneous), an expression string in t and y, or a
-    callable t -> vector of length pair.n.  n_x and line_halfwidth only
-    matter for the Fourier route; line_halfwidth defaults to 8*T.
+    eps must be finite and positive.  The load f (None when homogeneous)
+    and the time grid work as in IntervalProblem.  n_x, a power of two
+    >= 4, only matters for the Fourier route, whose periodic window is
+    [-8T, 8T).
     """
     pair: OperatorPair
     eps: float
@@ -56,41 +57,15 @@ class ProblemSpec:
     bc: BoundaryData
     f: Union[None, str, Callable] = None
     n_t: int = 201
-    eps0: float = 1.0
     n_x: int = 1024
-    line_halfwidth: Optional[float] = None
 
     def __post_init__(self):
         self.eps = float(self.eps)
-        self.lam = complex(self.lam)
-        self.T = float(self.T)
-        if not 0 < self.eps <= self.eps0:
-            raise ValueError(f"eps must lie in (0, {self.eps0}], got {self.eps}")
-        if self.T <= 0:
-            raise ValueError("T must be positive")
-        if self.n_t < 5:
-            raise ValueError("need at least 5 time nodes")
-        if self.line_halfwidth is None:
-            self.line_halfwidth = 8.0 * self.T
-        elif self.line_halfwidth < self.T:
-            raise ValueError("line halfwidth must cover (0, T)")
-        self._f_expr = parse_load(self.f)
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        self._init_interval(min_nodes=5)
+        check_n_x(self.n_x)
         self.bc.data_for(self.pair.n)  # shape check up front
-
-    @property
-    def n(self) -> int:
-        return self.pair.n
-
-    @property
-    def A_lam(self) -> np.ndarray:
-        return self.pair.A + self.lam * np.eye(self.n)
-
-    def t_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_t)
-
-    def f_samples(self, t) -> np.ndarray:
-        """Sample the interior load on time nodes t; shape (len(t), n)."""
-        return sample_load(self.f, self._f_expr, self.pair, t)
 
     def f_is_zero(self) -> bool:
         if self.f is None:
@@ -189,6 +164,21 @@ def compute_q_system(spec: ProblemSpec) -> QSystem:
                    E1=E1, E2=E2, g1=g1, g2=E2 @ h2, h2=h2)
 
 
+def _orbit(P: np.ndarray, start: np.ndarray, n_t: int,
+           backward: bool = False) -> np.ndarray:
+    """n_t states of the step x -> P x from start, one product per step.
+
+    The orbit fills rows 0, 1, ... in turn; backward=True anchors start
+    at the last row and fills toward row 0.
+    """
+    x = np.empty((n_t, len(start)), dtype=np.complex128)
+    rows = x[::-1] if backward else x
+    rows[0] = start
+    for i in range(1, n_t):
+        rows[i] = P @ rows[i - 1]
+    return x
+
+
 def _propagate_modes(spec: ProblemSpec, qsys: QSystem):
     """Sample both anchored modes on the time grid by stepping."""
     t = spec.t_grid()
@@ -198,14 +188,8 @@ def _propagate_modes(spec: ProblemSpec, qsys: QSystem):
     for P in (P1, P2):
         if op_norm(P) > PROPAGATOR_CAP:
             raise Overflow("mode propagator is unstable over one step")
-    x = np.empty((spec.n_t, spec.n), dtype=np.complex128)
-    w = np.empty((spec.n_t, spec.n), dtype=np.complex128)
-    x[0] = qsys.g1
-    for i in range(1, spec.n_t):
-        x[i] = P1 @ x[i - 1]
-    w[-1] = qsys.h2
-    for i in range(spec.n_t - 2, -1, -1):
-        w[i] = P2 @ w[i + 1]
+    x = _orbit(P1, qsys.g1, spec.n_t)
+    w = _orbit(P2, qsys.h2, spec.n_t, backward=True)
     return t, x, w
 
 
@@ -307,7 +291,6 @@ def full_solve(spec: ProblemSpec) -> GridFunction:
         out.meta["commutator"] = commutator
         return out
 
-    from .multiplier import whole_line_solve
     line = whole_line_solve(spec)
     u1 = line.on_grid(t)
     du1 = line.on_grid(t[[0, -1]], derivative=1)
@@ -334,10 +317,9 @@ def epsilon_derivative(spec: ProblemSpec, delta: Optional[float] = None,
         delta = 0.05 * spec.eps
     if spec.eps - delta <= 0:
         raise ValueError("delta too large: eps - delta must stay positive")
-    cap = max(spec.eps0, spec.eps + delta)
 
     def at(e):
-        return full_solve(dataclasses.replace(spec, eps=e, eps0=cap))
+        return full_solve(dataclasses.replace(spec, eps=e))
 
     lo = at(spec.eps - delta)
     hi = at(spec.eps + delta)

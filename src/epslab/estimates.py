@@ -158,8 +158,7 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
     reports = []
     for lam in lam_list:
         for eps in eps_list:
-            cap = max(base.eps0, eps)
-            spec = dataclasses.replace(base, eps=eps, lam=lam, eps0=cap)
+            spec = dataclasses.replace(base, eps=eps, lam=lam)
             try:
                 reports.append(coercive_report(spec, p=p))
             except SOLVER_ERRORS as exc:
@@ -274,8 +273,7 @@ def layer_norm_sweep(spec: ProblemSpec, eps_list: Sequence[float],
     rows = []
     ts = np.linspace(0.0, spec.T, n_t_samples)
     for eps in eps_list:
-        cap = max(spec.eps0, eps)
-        sp = dataclasses.replace(spec, eps=eps, eps0=cap)
+        sp = dataclasses.replace(spec, eps=eps)
         M, N = build_MN(sp)
         rows.append({
             "eps": eps,
@@ -319,13 +317,17 @@ def convergence_study(base: ProblemSpec, cauchy: CauchySpec,
     Gaps are reported in the mixed norm and as a sup over the compact
     window [delta, T - delta]; the discretization floor is estimated by
     grid halving at the smallest eps, and gaps are flagged above-floor
-    when they exceed floor_factor times it.
+    when they exceed floor_factor times it.  base and cauchy must share
+    the operator pair, and both need lam = 0.
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 2 or any(e2 >= e1 for e1, e2 in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must be strictly decreasing, length >= 2")
-    if base.lam != 0:
+    if base.lam != 0 or cauchy.lam != 0:
         raise ValueError("convergence study requires lam = 0")
+    if not (np.array_equal(cauchy.pair.A, base.pair.A)
+            and np.array_equal(cauchy.pair.B, base.pair.B)):
+        raise ValueError("cauchy and base must share the operator pair (A, B)")
     if not (0.0 < compact_delta < base.T / 2):
         raise ValueError("compact_delta must lie in (0, T/2)")
     w = base.pair.weights()
@@ -334,12 +336,11 @@ def convergence_study(base: ProblemSpec, cauchy: CauchySpec,
 
     def wired(eps: float, n_t: int) -> ProblemSpec:
         bc = dataclasses.replace(base.bc, f1=u0.copy(), f2=u0.copy())
-        cap = max(base.eps0, eps)
-        return dataclasses.replace(base, eps=eps, bc=bc, f=cauchy.f,
-                                   n_t=n_t, eps0=cap)
+        return dataclasses.replace(base, eps=eps, bc=bc, f=cauchy.f, n_t=n_t)
 
     x_gaps, sup_gaps, statuses = [], [], []
     for eps in eps_arr:
+        u = None
         try:
             u = full_solve(wired(eps, base.n_t))
             diff = u.values - limit.values
@@ -351,16 +352,16 @@ def convergence_study(base: ProblemSpec, cauchy: CauchySpec,
             sup_gaps.append(np.nan)
             statuses.append(f"error: {exc}")
 
-    # discretization floor at the sharpest layer: same solve on a halved grid
+    # discretization floor at the sharpest layer: the last solve, u,
+    # against the same problem on a halved grid
     floor = np.nan
-    try:
-        n_fine = 2 * (base.n_t - 1) + 1
-        coarse = full_solve(wired(eps_arr[-1], base.n_t))
-        fine = full_solve(wired(eps_arr[-1], n_fine))
-        dd = coarse.values - fine.values[::2]
-        floor = mixed_norm(GridFunction(coarse.t, dd), p=p, weights=w)
-    except SOLVER_ERRORS:
-        pass
+    if u is not None:
+        try:
+            fine = full_solve(wired(eps_arr[-1], 2 * (base.n_t - 1) + 1))
+            dd = u.values - fine.values[::2]
+            floor = mixed_norm(GridFunction(u.t, dd), p=p, weights=w)
+        except SOLVER_ERRORS:
+            pass
 
     above = tuple(bool(np.isfinite(g) and np.isfinite(floor)
                        and g > floor_factor * floor) for g in x_gaps)

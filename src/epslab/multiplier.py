@@ -22,7 +22,7 @@ import numpy as np
 from .linalg import as_complex_matrix
 
 __all__ = [
-    "AliasWarning", "LineGrid", "LineSolution",
+    "AliasWarning", "LineGrid", "LineSolution", "check_n_x",
     "whole_line_solve", "resolvent_symbol", "multiplier_bound_scan",
     "ALIAS_BAND_FRACTION", "ALIAS_ENERGY_TOL",
 ]
@@ -33,6 +33,12 @@ ALIAS_ENERGY_TOL = 1e-6
 
 class AliasWarning(UserWarning):
     """Sampled load carries nontrivial energy in the top frequency band."""
+
+
+def check_n_x(n_x: int) -> None:
+    """Reject a line grid size that is not a power of two >= 4."""
+    if n_x < 4 or (n_x & (n_x - 1)) != 0:
+        raise ValueError(f"n_x must be a power of two >= 4, got {n_x}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,7 @@ class LineGrid:
 
     @classmethod
     def make(cls, n_x: int, halfwidth: float) -> "LineGrid":
-        if n_x < 4 or (n_x & (n_x - 1)) != 0:
-            raise ValueError(f"n_x must be a power of two >= 4, got {n_x}")
+        check_n_x(n_x)
         if halfwidth <= 0:
             raise ValueError("halfwidth must be positive")
         dx = 2.0 * halfwidth / n_x
@@ -138,14 +143,15 @@ class LineSolution:
 def whole_line_solve(spec) -> LineSolution:
     """Solve the constant-coefficient problem on the periodic line.
 
-    The load is spec's interior f, extended by zero outside [0, T].  All
-    frequencies go through one batched solve with the symbol matrices;
-    Phi itself is never formed.
+    The load is spec's interior f, extended by zero outside [0, T], on
+    the periodic window [-8T, 8T) with spec.n_x nodes.  All frequencies
+    go through one batched solve with the symbol matrices; Phi itself is
+    never formed.
     Warns with AliasWarning when the top ALIAS_BAND_FRACTION of the
     frequency axis carries more than ALIAS_ENERGY_TOL of the load energy,
     a sign that n_x under-resolves f.
     """
-    grid = LineGrid.make(spec.n_x, spec.line_halfwidth)
+    grid = LineGrid.make(spec.n_x, 8.0 * spec.T)
     fvals = np.zeros((grid.n_x, spec.n), dtype=np.complex128)
     mask = (grid.x >= 0.0) & (grid.x <= spec.T)
     if spec.f is not None and np.any(mask):

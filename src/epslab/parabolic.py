@@ -17,8 +17,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .discretize import GridFunction, OperatorPair, parse_load, sample_load
-from .elliptic import ProblemSpec, QSystem, _boundary_blocks, compute_q_system
+from .discretize import GridFunction, IntervalProblem, OperatorPair
+from .elliptic import (ProblemSpec, QSystem, _boundary_blocks, _orbit,
+                       compute_q_system)
 from .linalg import Overflow, expm, inv, mat_solve, op_norm
 
 __all__ = [
@@ -29,8 +30,12 @@ CAUCHY_STABILITY_CAP = 1e6
 
 
 @dataclass
-class CauchySpec:
-    """First-order problem B u' + (A + lam) u = f on (0, T), u(0) = u0."""
+class CauchySpec(IntervalProblem):
+    """First-order problem B u' + (A + lam) u = f on (0, T), u(0) = u0.
+
+    B must be invertible.  The load f and the time grid work as in
+    IntervalProblem, as they do for ProblemSpec.
+    """
     pair: OperatorPair
     lam: complex
     T: float
@@ -39,34 +44,13 @@ class CauchySpec:
     n_t: int = 201
 
     def __post_init__(self):
-        self.lam = complex(self.lam)
-        self.T = float(self.T)
-        if self.T <= 0:
-            raise ValueError("T must be positive")
-        if self.n_t < 3:
-            raise ValueError("need at least 3 time nodes")
+        self._init_interval(min_nodes=3)
         self.u0 = np.atleast_1d(np.asarray(self.u0, dtype=np.complex128))
         if self.u0.shape != (self.pair.n,):
             raise ValueError(
                 f"u0 has length {len(self.u0)}, operator size is {self.pair.n}")
         # the drift must be invertible for the problem to be well posed
         inv(self.pair.B)
-        self._f_expr = parse_load(self.f)
-
-    @property
-    def n(self) -> int:
-        return self.pair.n
-
-    @property
-    def A_lam(self) -> np.ndarray:
-        return self.pair.A + self.lam * np.eye(self.n)
-
-    def t_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_t)
-
-    def f_samples(self, t) -> np.ndarray:
-        """Sample the load on time nodes t; shape (len(t), n)."""
-        return sample_load(self.f, self._f_expr, self.pair, t)
 
 
 def cauchy_solve(cspec: CauchySpec) -> GridFunction:
@@ -86,12 +70,11 @@ def cauchy_solve(cspec: CauchySpec) -> GridFunction:
     h = t[1] - t[0]
     E = expm(-h * G)
     Eh = expm(-h * G / 2.0)
-    u = np.empty((cspec.n_t, cspec.n), dtype=np.complex128)
-    u[0] = cspec.u0
     if cspec.f is None:
-        for i in range(cspec.n_t - 1):
-            u[i + 1] = E @ u[i]
+        u = _orbit(E, cspec.u0, cspec.n_t)
     else:
+        u = np.empty((cspec.n_t, cspec.n), dtype=np.complex128)
+        u[0] = cspec.u0
         fmid = cspec.f_samples(t[:-1] + h / 2.0)
         binv_f = mat_solve(cspec.pair.B, fmid.T).T
         for i in range(cspec.n_t - 1):

@@ -233,6 +233,21 @@ def test_config_hash_tracks_content(tmp_path):
     assert len(config_hash(c1, "solve")) == 16
 
 
+@pytest.mark.parametrize("override", ["grid.n_x=1000", "sweep.eps_list=1 0",
+                                      "sweep.eps_list=1 inf"])
+def test_invalid_spec_is_config_error(tmp_path, capsys, override):
+    cfgp = write(tmp_path, SWEEP_MINI)
+    assert main(["--config", str(cfgp), "--out", str(tmp_path / "out"),
+                 "--override", override]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")),
+                         ids=lambda p: p.stem)
+def test_shipped_config_runs(tmp_path, config):
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_shipped_configs_parse():
     for name in ("scalar_solve", "scalar_sweep", "commuting_sweep",
                  "commuting_converge", "wentzell_check"):

@@ -5,11 +5,12 @@ import pytest
 
 from epslab.discretize import BoundaryData, OperatorPair, SpaceGrid
 from epslab.elliptic import (
-    ProblemSpec, QSystem, compute_q_system, direct_solve, epsilon_derivative,
-    full_solve, homogeneous_solution, mode_derivatives, solve_boundary_cramer,
-    solve_boundary_system,
+    ProblemSpec, QSystem, _orbit, compute_q_system, direct_solve,
+    epsilon_derivative, full_solve, homogeneous_solution, mode_derivatives,
+    solve_boundary_cramer, solve_boundary_system,
 )
 from epslab.linalg import Overflow, op_norm, sqrtm
+from epslab.multiplier import whole_line_solve
 from epslab.presets import make_wentzell_pair
 
 
@@ -33,17 +34,15 @@ def commuting_pair(n=6, seed=0):
 class TestProblemSpec:
     def test_defaults(self):
         s = ProblemSpec(pair=scalar_pair(), eps=0.5, lam=1.0, T=2.0, bc=dn_bc())
-        assert s.line_halfwidth == 16.0
+        assert whole_line_solve(s).grid.halfwidth == 16.0
         assert s.n == 1
         np.testing.assert_allclose(s.t_grid()[[0, -1]], [0.0, 2.0])
 
     def test_eps_bounds(self):
-        with pytest.raises(ValueError):
-            ProblemSpec(pair=scalar_pair(), eps=0.0, lam=0.0, T=1.0, bc=dn_bc())
-        with pytest.raises(ValueError):
-            ProblemSpec(pair=scalar_pair(), eps=1.5, lam=0.0, T=1.0, bc=dn_bc())
-        s = ProblemSpec(pair=scalar_pair(), eps=1.5, lam=0.0, T=1.0, bc=dn_bc(),
-                        eps0=2.0)
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                ProblemSpec(pair=scalar_pair(), eps=bad, lam=0.0, T=1.0, bc=dn_bc())
+        s = ProblemSpec(pair=scalar_pair(), eps=1.5, lam=0.0, T=1.0, bc=dn_bc())
         assert s.eps == 1.5
 
     def test_rejects_bad_shapes(self):
@@ -52,9 +51,10 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(pair=scalar_pair(), eps=0.5, lam=0.0, T=1.0, bc=dn_bc(),
                         n_t=4)
-        with pytest.raises(ValueError):
-            ProblemSpec(pair=scalar_pair(), eps=0.5, lam=0.0, T=1.0, bc=dn_bc(),
-                        line_halfwidth=0.5)
+        for bad in (1000, 2, 0):
+            with pytest.raises(ValueError, match="power of two"):
+                ProblemSpec(pair=scalar_pair(), eps=0.5, lam=0.0, T=1.0,
+                            bc=dn_bc(), n_x=bad)
 
     def test_boundary_dimension_checked(self):
         bad = BoundaryData(m1=0, m2=1, alpha=(1.0, 0.0), beta=(0.0, 1.0),
@@ -207,6 +207,17 @@ class TestHomogeneousSolution:
         spec = ProblemSpec(pair=pair, eps=1.0, lam=0.0, T=100.0, bc=dn_bc(), n_t=5)
         with pytest.raises(Overflow):
             homogeneous_solution(spec)
+
+    def test_orbit_matches_stepping_loop(self):
+        rng = np.random.default_rng(3)
+        P = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        start = rng.normal(size=6) + 0j
+        want = np.empty((9, 6), dtype=np.complex128)
+        want[0] = start
+        for i in range(1, 9):
+            want[i] = P @ want[i - 1]
+        assert np.array_equal(_orbit(P, start, 9), want)
+        assert np.array_equal(_orbit(P, start, 9, backward=True), want[::-1])
 
 
 def _manufactured_scalar(eps=0.2, lam=0.5, a=1.3, b=0.7, T=1.5):

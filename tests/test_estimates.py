@@ -281,6 +281,13 @@ def test_convergence_validation():
                           [1e-1, 1e-2], 0.1)
     with pytest.raises(ValueError):
         convergence_study(base, cauchy, [1e-1, 1e-2], 0.6)
+    with pytest.raises(ValueError, match="lam = 0"):
+        convergence_study(base, dataclasses.replace(cauchy, lam=1.0),
+                          [1e-1, 1e-2], 0.1)
+    for other in (make_scalar_pair(a=2.0), make_scalar_pair(b=1.0)):
+        with pytest.raises(ValueError, match="operator pair"):
+            convergence_study(base, dataclasses.replace(cauchy, pair=other),
+                              [1e-1, 1e-2], 0.1)
 
 
 def test_convergence_floor_flag():

@@ -18,10 +18,10 @@ def dn_bc():
 
 
 def line_spec(a=1.0, b=0.0, eps=0.01, lam=3.0, f="exp(-64*(t-0.5)^2)",
-              n_x=1024, halfwidth=8.0):
+              n_x=1024):
     pair = OperatorPair([[a]], [[b]])
     return ProblemSpec(pair=pair, eps=eps, lam=lam, T=1.0, bc=dn_bc(),
-                       f=f, n_t=101, n_x=n_x, line_halfwidth=halfwidth)
+                       f=f, n_t=101, n_x=n_x)
 
 
 class TestLineGrid:
@@ -98,13 +98,13 @@ class TestWholeLineSolve:
     def test_translation_covariance(self):
         # shifting the load support by whole cells shifts the solution
         pair = OperatorPair([[1.0]], [[0.3]])
-        g = LineGrid.make(512, 8.0)
+        g = LineGrid.make(2048, 32.0)  # the solve's window at T = 4
         shift_cells = 16
         shift = shift_cells * g.dx
 
         def make(f):
             return ProblemSpec(pair=pair, eps=0.05, lam=2.0, T=4.0, bc=dn_bc(),
-                               f=f, n_t=101, n_x=512, line_halfwidth=8.0)
+                               f=f, n_t=101, n_x=2048)
 
         base = whole_line_solve(make("exp(-32*(t-1.0)^2)"))
         moved = whole_line_solve(make(f"exp(-32*(t-1.0-{shift})^2)"))
@@ -117,7 +117,7 @@ class TestWholeLineSolve:
         pair = OperatorPair(A, np.zeros((2, 2)))
         spec = ProblemSpec(pair=pair, eps=0.01, lam=3.0, T=1.0, bc=dn_bc(),
                            f=lambda t: np.array([np.exp(-64 * (t - 0.5) ** 2), 0.0]),
-                           n_t=101, n_x=1024, line_halfwidth=8.0)
+                           n_t=101, n_x=1024)
         sol = whole_line_solve(spec)
         u = sol.nodal_values()
         assert np.abs(u[:, 1]).max() <= 1e-12
@@ -163,7 +163,7 @@ class TestOnGrid:
         import warnings
         spec = ProblemSpec(pair=make_pair(preset, **kwargs), eps=eps, lam=3.0,
                            T=1.0, bc=dn_bc(), f="exp(-64*(t-0.5)^2)",
-                           n_t=101, n_x=n_x, line_halfwidth=8.0)
+                           n_t=101, n_x=n_x)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AliasWarning)
             sol = whole_line_solve(spec)
