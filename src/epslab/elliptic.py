@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -166,21 +166,37 @@ def compute_q_system(spec: ProblemSpec) -> QSystem:
 
 def _orbit(P: np.ndarray, start: np.ndarray, n_t: int,
            backward: bool = False) -> np.ndarray:
-    """n_t states of the step x -> P x from start, one product per step.
+    """n_t states of the step x -> P x from start, sampled by block doubling.
 
-    The orbit fills rows 0, 1, ... in turn; backward=True anchors start
-    at the last row and fills toward row 0.
+    Row 0 is start.  With the first k rows filled, the next
+    m = min(k, n_t - k) rows are rows[:m] @ (P^k)^T, one GEMM, and P^k
+    is then squared: about log2(n_t) GEMMs plus as many n x n
+    squarings, O(n_t n^2) flops in all.  backward=True anchors start at
+    the last row and fills toward row 0.  Raises Overflow when a state
+    is not finite.
     """
     x = np.empty((n_t, len(start)), dtype=np.complex128)
     rows = x[::-1] if backward else x
     rows[0] = start
-    for i in range(1, n_t):
-        rows[i] = P @ rows[i - 1]
+    Pk, k = P, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < n_t:
+            m = min(k, n_t - k)
+            rows[k:k + m] = rows[:m] @ Pk.T
+            k += m
+            if k < n_t:
+                Pk = Pk @ Pk
+    if not np.isfinite(x).all():
+        raise Overflow("semigroup orbit left the representable range")
     return x
 
 
 def _propagate_modes(spec: ProblemSpec, qsys: QSystem):
-    """Sample both anchored modes on the time grid by stepping."""
+    """Sample both anchored modes on the time grid.
+
+    Each mode is the orbit of its one-step propagator exp(-h G), built
+    by block doubling in _orbit.
+    """
     t = spec.t_grid()
     h = t[1] - t[0]
     P1 = expm(-h * qsys.G1)
@@ -308,10 +324,16 @@ def full_solve(spec: ProblemSpec) -> GridFunction:
         "commutator": commutator, "alias_energy": line.alias_energy})
 
 
-def epsilon_derivative(spec: ProblemSpec, delta: Optional[float] = None,
-                       order: int = 1) -> GridFunction:
-    """Central finite difference of the solution in the parameter eps."""
-    if order not in (1, 2):
+def _eps_stencil(spec: ProblemSpec, delta: Optional[float],
+                 orders: Sequence[int]):
+    """Central eps-differences of the solution, one solve per stencil node.
+
+    Solves eps - delta and eps + delta, and eps itself when order 2 is
+    among orders.  Returns (mid, derivatives): mid is the solve at eps
+    (None when no order needs it) and derivatives holds one GridFunction
+    per entry of orders.
+    """
+    if any(order not in (1, 2) for order in orders):
         raise ValueError("order must be 1 or 2")
     if delta is None:
         delta = 0.05 * spec.eps
@@ -323,11 +345,20 @@ def epsilon_derivative(spec: ProblemSpec, delta: Optional[float] = None,
 
     lo = at(spec.eps - delta)
     hi = at(spec.eps + delta)
-    if order == 1:
-        vals = (hi.values - lo.values) / (2 * delta)
-    else:
-        mid = at(spec.eps)
-        vals = (hi.values - 2 * mid.values + lo.values) / delta**2
-    return GridFunction(lo.t, vals, meta={
-        "path": "eps-derivative", "order": order, "delta": delta,
-        "eps": spec.eps, "lam": spec.lam})
+    mid = at(spec.eps) if 2 in orders else None
+    out = []
+    for order in orders:
+        if order == 1:
+            vals = (hi.values - lo.values) / (2 * delta)
+        else:
+            vals = (hi.values - 2 * mid.values + lo.values) / delta**2
+        out.append(GridFunction(lo.t, vals, meta={
+            "path": "eps-derivative", "order": order, "delta": delta,
+            "eps": spec.eps, "lam": spec.lam}))
+    return mid, out
+
+
+def epsilon_derivative(spec: ProblemSpec, delta: Optional[float] = None,
+                       order: int = 1) -> GridFunction:
+    """Central finite difference of the solution in the parameter eps."""
+    return _eps_stencil(spec, delta, (order,))[1][0]

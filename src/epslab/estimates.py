@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .discretize import GridFunction, e_norm, kfunctional_norm, mixed_norm
-from .elliptic import ProblemSpec, epsilon_derivative, full_solve
+from .elliptic import ProblemSpec, _eps_stencil, full_solve
 from .linalg import (Overflow, SingularMatrix, SqrtNotConverged, mat_solve,
                      op_norm, sqrtm)
 from .parabolic import CauchySpec, build_MN, cauchy_solve
@@ -204,8 +204,7 @@ def epsilon_derivative_report(spec: ProblemSpec, p: float = 2.0,
     sum_k ||A_lam^(-m_k/2) f_k|| for the vanishing-eps comparison.
     """
     w = spec.pair.weights()
-    d1 = epsilon_derivative(spec, delta=delta, order=1)
-    d2 = epsilon_derivative(spec, delta=delta, order=2)
+    u, (d1, d2) = _eps_stencil(spec, delta, (1, 2))
     mod = abs(spec.lam)
     d1w = spec.eps ** (1.5 - 1.0 / p) * _lam_pow(mod, 0.5) * mixed_norm(
         d1, p=p, weights=w)
@@ -213,7 +212,6 @@ def epsilon_derivative_report(spec: ProblemSpec, p: float = 2.0,
     rhs = _data_norms(spec, p, w)
     lhs = d1w + d2w
     ratio = lhs / rhs if rhs > 0 else 0.0
-    u = full_solve(spec)
     scaled = spec.eps ** (1.0 / p) * mixed_norm(u, p=p, weights=w)
     f1, f2 = spec.bc.data_for(spec.n)
     root = sqrtm(spec.A_lam)

@@ -11,7 +11,7 @@ from epslab.elliptic import (
 )
 from epslab.linalg import Overflow, op_norm, sqrtm
 from epslab.multiplier import whole_line_solve
-from epslab.presets import make_wentzell_pair
+from epslab.presets import dirichlet_neumann, make_pair, make_wentzell_pair
 
 
 def scalar_pair(a=1.0, b=0.0):
@@ -216,8 +216,49 @@ class TestHomogeneousSolution:
         want[0] = start
         for i in range(1, 9):
             want[i] = P @ want[i - 1]
-        assert np.array_equal(_orbit(P, start, 9), want)
-        assert np.array_equal(_orbit(P, start, 9, backward=True), want[::-1])
+        scale = np.linalg.norm(want, axis=1)
+        # block doubling sums in another order than the loop: compare
+        # each row to 1e-13 of its norm, not bit for bit
+        for got, ref, s in ((_orbit(P, start, 9), want, scale),
+                            (_orbit(P, start, 9, backward=True), want[::-1],
+                             scale[::-1])):
+            assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-13 * s)
+
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_orbit_matches_long_double_stepping(self, n):
+        rng = np.random.default_rng(n)
+        M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        P = M / (1.02 * np.linalg.norm(M, 2))
+        start = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for n_t in (1, 2, 3, 9, 1024, 1025, 1601):
+            ref = np.empty((n_t, n), dtype=np.clongdouble)
+            ref[0] = start
+            for i in range(1, n_t):
+                ref[i] = P.astype(np.clongdouble) @ ref[i - 1]
+            scale = np.max(np.abs(ref))
+            for got, want in ((_orbit(P, start, n_t), ref),
+                              (_orbit(P, start, n_t, backward=True), ref[::-1])):
+                assert got.shape == (n_t, n)
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_orbit_overflow_is_typed(self):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow):
+                _orbit(np.array([[1e5 + 0j]]), np.array([1 + 0j]), 200)
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-4])
+    def test_matches_per_node_exponentials(self, eps):
+        from scipy.linalg import expm as sexpm
+        spec = ProblemSpec(pair=make_pair("commuting", n_y=64), eps=eps,
+                           lam=0.0, T=1.0, bc=dirichlet_neumann(64), n_t=1601)
+        qsys = compute_q_system(spec)
+        u = homogeneous_solution(spec, qsys)
+        want = np.array([sexpm(-t * qsys.G1) @ qsys.g1
+                         + sexpm(-(spec.T - t) * qsys.G2) @ qsys.h2
+                         for t in u.t])
+        assert np.max(np.abs(u.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _manufactured_scalar(eps=0.2, lam=0.5, a=1.3, b=0.7, T=1.5):

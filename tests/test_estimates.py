@@ -194,6 +194,48 @@ def test_eps_derivative_report_scalar_oracle():
                       np.sqrt(eps0) * mixed_norm(u), rtol=1e-12)
 
 
+def test_eps_derivative_report_solves_each_stencil_node_once(monkeypatch):
+    import epslab.elliptic
+    import epslab.estimates
+    from epslab.discretize import e_norm, mixed_norm
+    from epslab.elliptic import epsilon_derivative
+    from epslab.estimates import _data_norms
+    from epslab.linalg import mat_solve, sqrtm
+
+    p = 2.0
+    spec = uniformity_base("scalar", eps=0.1)
+    w = spec.pair.weights()
+    d1 = epsilon_derivative(spec, order=1)
+    d2 = epsilon_derivative(spec, order=2)
+    u = full_solve(spec)
+    d1w = spec.eps ** (1.5 - 1.0 / p) * abs(spec.lam) ** 0.5 * mixed_norm(
+        d1, p=p, weights=w)
+    d2w = spec.eps ** (3.0 - 1.0 / p) * mixed_norm(d2, p=p, weights=w)
+    rhs = _data_norms(spec, p, w)
+    f1, f2 = spec.bc.data_for(spec.n)
+    root = sqrtm(spec.A_lam)
+    comp = sum(e_norm(fk if m == 0 else mat_solve(root, fk), w)
+               for fk, m in ((f1, spec.bc.m1), (f2, spec.bc.m2)))
+
+    calls = []
+
+    def counting(sp):
+        calls.append(sp.eps)
+        return full_solve(sp)
+
+    monkeypatch.setattr(epslab.elliptic, "full_solve", counting)
+    monkeypatch.setattr(epslab.estimates, "full_solve", counting)
+    rep = epsilon_derivative_report(spec, p=p)
+    assert len(calls) == 3
+    assert rep.d1_weighted == d1w
+    assert rep.d2_weighted == d2w
+    assert rep.rhs == rhs
+    assert rep.ratio == (d1w + d2w) / rhs
+    assert rep.scaled_u_norm == spec.eps ** (1.0 / p) * mixed_norm(u, p=p, weights=w)
+    assert rep.data_comparator == comp
+    assert (rep.eps, rep.lam, rep.p) == (spec.eps, spec.lam, p)
+
+
 # -------------------------------------------------------------- decay_fit
 
 
