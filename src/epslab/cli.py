@@ -29,11 +29,12 @@ from .discretize import (SpaceGrid, BoundaryData, check_condition_1,
 from .elliptic import ProblemSpec, full_solve
 from .estimates import (EstimateReport, coercive_report, convergence_study,
                         uniformity_factors, uniformity_sweep)
-from .exprparse import ParseError
+from .exprparse import EvalError, ParseError
 from .linalg import (Overflow, SingularMatrix, SqrtNotConverged,
                      check_positivity)
 from .parabolic import CauchySpec
-from .presets import PRESET_NAMES, make_pair, preset_defaults
+from .presets import (PRESET_NAMES, dirichlet_neumann, make_pair,
+                      preset_defaults)
 
 __all__ = ["ConfigError", "main", "run"]
 
@@ -202,17 +203,14 @@ def _preset_kwargs(cfg: Config, preset: str) -> dict:
 
 
 def _build_bc(cfg: Config, n: int) -> BoundaryData:
-    alpha = cfg.getcomplexlist("boundary", "alpha") or [1.0, 0.0]
-    beta = cfg.getcomplexlist("boundary", "beta") or [0.0, 1.0]
-    if len(alpha) != 2 or len(beta) != 2:
-        raise ConfigError("[boundary] alpha/beta: need exactly two coefficients")
+    """Boundary keys set in the config; dirichlet_neumann supplies the rest."""
+    values = {"alpha": cfg.getcomplexlist("boundary", "alpha"),
+              "beta": cfg.getcomplexlist("boundary", "beta"),
+              "f1": cfg.getvector("boundary", "f1", n),
+              "f2": cfg.getvector("boundary", "f2", n)}
     try:
-        return BoundaryData(
-            m1=cfg.getint("boundary", "m1", 0),
-            m2=cfg.getint("boundary", "m2", 1),
-            alpha=tuple(alpha), beta=tuple(beta),
-            f1=cfg.getvector("boundary", "f1", n, default=1.0),
-            f2=cfg.getvector("boundary", "f2", n, default=0.5))
+        return dataclasses.replace(dirichlet_neumann(n), **{
+            key: val for key, val in values.items() if val is not None})
     except ValueError as exc:
         raise ConfigError(f"[boundary]: {exc}") from None
 
@@ -499,7 +497,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, EvalError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 1
 

@@ -34,10 +34,9 @@ __all__ = [
     "ProblemSpec", "QSystem",
     "compute_q_system", "solve_boundary_system", "solve_boundary_cramer",
     "homogeneous_solution", "direct_solve", "full_solve",
-    "epsilon_derivative", "COMMUTE_RTOL",
+    "epsilon_derivative",
 ]
 
-COMMUTE_RTOL = 1e-10
 PROPAGATOR_CAP = 1e6
 
 
@@ -107,15 +106,11 @@ def _q_operators(spec: ProblemSpec):
 
 def _boundary_blocks(G1, G2, E1, E2, bc: BoundaryData, eps: float):
     """Blocks of the boundary system in unknowns (g1, h2)."""
-    n = G1.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    se = np.sqrt(eps)
-    a0, a1 = bc.alpha
-    b0, b1 = bc.beta
-    A11 = a0 * eye - se * a1 * G1
-    A12 = (a0 * eye + se * a1 * G2) @ E2
-    A21 = (b0 * eye - se * b1 * G1) @ E1
-    A22 = b0 * eye + se * b1 * G2
+    eye = np.eye(G1.shape[0], dtype=np.complex128)
+    A11 = bc.apply(1, eye, -G1, eps)
+    A12 = bc.apply(1, eye, G2, eps) @ E2
+    A21 = bc.apply(2, eye, -G1, eps) @ E1
+    A22 = bc.apply(2, eye, G2, eps)
     return A11, A12, A21, A22
 
 
@@ -296,7 +291,7 @@ def full_solve(spec: ProblemSpec) -> GridFunction:
     finite difference scheme, recorded in meta["path"].
     """
     commutator = spec.pair.commutator_norm
-    if not spec.pair.commutes(COMMUTE_RTOL):
+    if not spec.pair.commutes():
         out = direct_solve(spec)
         out.meta["commutator"] = commutator
         return out
@@ -310,11 +305,8 @@ def full_solve(spec: ProblemSpec) -> GridFunction:
     line = whole_line_solve(spec)
     u1 = line.on_grid(t)
     du1 = line.on_grid(t[[0, -1]], derivative=1)
-    se = np.sqrt(spec.eps)
-    a0, a1 = spec.bc.alpha
-    b0, b1 = spec.bc.beta
-    l1 = a0 * u1[0] + se * a1 * du1[0]
-    l2 = b0 * u1[-1] + se * b1 * du1[-1]
+    l1 = spec.bc.apply(1, u1[0], du1[0], spec.eps)
+    l2 = spec.bc.apply(2, u1[-1], du1[-1], spec.eps)
     f1, f2 = spec.bc.data_for(spec.n)
     bc2 = dataclasses.replace(spec.bc, f1=f1 - l1, f2=f2 - l2)
     spec2 = dataclasses.replace(spec, bc=bc2, f=None)

@@ -153,8 +153,10 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
                      p: float = 2.0) -> List[EstimateReport]:
     """coercive_report over the (eps, lam) grid; failures become rows.
 
-    Cells run serially in input order, eps fastest within each lam.
+    Cells run serially in input order, eps fastest within each lam.  An
+    inadmissible p raises before any cell runs.
     """
+    base.bc.theta(p)
     reports = []
     for lam in lam_list:
         for eps in eps_list:

@@ -92,12 +92,12 @@ def _data(n: int, scale: complex) -> np.ndarray:
 
 def dirichlet_neumann(n: int, f1: complex = 1.0, f2: complex = 0.5) -> BoundaryData:
     """Value pinned at t = 0, scaled slope at t = T."""
-    return BoundaryData(0, 1, (1.0, 0.0), (0.0, 1.0), _data(n, f1), _data(n, f2))
+    return BoundaryData((1.0, 0.0), (0.0, 1.0), _data(n, f1), _data(n, f2))
 
 
 def neumann_dirichlet(n: int, f1: complex = 1.0, f2: complex = 1.0) -> BoundaryData:
     """Scaled slope at t = 0, value pinned at t = T."""
-    return BoundaryData(1, 0, (0.0, 1.0), (1.0, 0.0), _data(n, f1), _data(n, f2))
+    return BoundaryData((0.0, 1.0), (1.0, 0.0), _data(n, f1), _data(n, f2))
 
 
 def uniformity_base(preset: str = "scalar", eps: float = 1.0,

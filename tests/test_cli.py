@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epslab.cli import ConfigError, _preset_kwargs, load_config, main, run
+from epslab.cli import Config, ConfigError, _preset_kwargs, load_config, main, run
 from epslab.presets import make_commuting_pair, make_pair
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -244,8 +244,75 @@ def test_invalid_spec_is_config_error(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")),
                          ids=lambda p: p.stem)
-def test_shipped_config_runs(tmp_path, config):
+def test_shipped_config_runs(tmp_path, config, monkeypatch):
+    # every key the file sets must be one the CLI reads
+    read = set()
+    raw = Config.raw
+
+    def recording_raw(self, section, key, default=None):
+        read.add((section, key))
+        return raw(self, section, key, default)
+
+    monkeypatch.setattr(Config, "raw", recording_raw)
     assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    cp = load_config(config).cp
+    unread = {(sec, key) for sec in cp.sections() for key in cp.options(sec)} - read
+    assert not unread
+
+
+@pytest.mark.parametrize("mini, override", [
+    (SWEEP_MINI, "data.f=sqrt(t-0.5)"),
+    (SOLVE_MINI, "data.f=sqrt(t-0.5)"),
+    ((CONFIGS / "wentzell_check.ini").read_text(), "operators.a=sqrt(y-0.5)"),
+], ids=["sweep-load", "solve-load", "wentzell-coefficient"])
+def test_expression_that_fails_to_evaluate_is_invalid_scenario(
+        tmp_path, capsys, mini, override):
+    assert main(["--config", str(write(tmp_path, mini)),
+                 "--out", str(tmp_path / "out"), "--override", override]) == 1
+    assert "invalid scenario: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["1", "inf", "0.5", "nan"])
+def test_sweep_with_inadmissible_p_is_invalid_scenario(tmp_path, capsys, p):
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIGS / "scalar_sweep.ini"), "--out", str(out),
+                 "--override", f"scenario.p={p}"]) == 1
+    assert "invalid scenario: p = " in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_converge_never_forms_theta(tmp_path):
+    assert main(["--config", str(write(tmp_path, CONVERGE_MINI)),
+                 "--out", str(tmp_path / "out"), "--override", "scenario.p=1"]) == 0
+
+
+def test_robin_neumann_sweep_runs_at_p_inf(tmp_path):
+    # both orders are 1, so theta = (0.5, 0.5) stays admissible
+    out = tmp_path / "out"
+    assert main(["--config", str(write(tmp_path, SWEEP_MINI)), "--out", str(out),
+                 "--override", "boundary.alpha=1 1",
+                 "--override", "scenario.p=inf"]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[2:]
+    assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
+
+
+def test_boundary_order_follows_coefficients(tmp_path):
+    # no [boundary] m1 key: alpha = 1 0.5 is an order-1 Robin condition
+    out = tmp_path / "out"
+    assert main(["--config", str(write(tmp_path, SOLVE_MINI)), "--out", str(out),
+                 "--override", "boundary.alpha=1 0.5"]) == 0
+    assert (out / "summary.json").is_file()
+
+
+def test_stale_order_keys_are_ignored(tmp_path):
+    # the orders come from alpha and beta; old m1/m2 keys change nothing
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    cfgp = write(tmp_path, SOLVE_MINI)
+    assert main(["--config", str(cfgp), "--out", str(out1)]) == 0
+    assert main(["--config", str(cfgp), "--out", str(out2),
+                 "--override", "boundary.m1=1", "--override", "boundary.m2=0"]) == 0
+    assert ((out1 / "solution.csv").read_text().splitlines()[1:]
+            == (out2 / "solution.csv").read_text().splitlines()[1:])
 
 
 def test_shipped_configs_parse():

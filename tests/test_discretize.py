@@ -140,7 +140,7 @@ class TestOperatorPair:
                             lambda M: calls.append(1) or op_norm(M))
         for _ in range(3):
             assert pair.commutator_norm == op_norm(A @ B - B @ A)
-            assert not pair.commutes(1e-10)
+            assert not pair.commutes()
         assert len(calls) == 3  # ||AB - BA||, ||A||, ||B||
 
     def test_default_weights(self):
@@ -155,38 +155,60 @@ class TestOperatorPair:
 
 class TestBoundaryData:
     def test_dirichlet_neumann(self):
-        bc = BoundaryData(m1=0, m2=1, alpha=(1.0, 0.0), beta=(0.0, 1.0),
+        bc = BoundaryData(alpha=(1.0, 0.0), beta=(0.0, 1.0),
                           f1=1.0, f2=0.0)
         assert bc.d == 1.0
         assert bc.theta(2.0) == (0.25, 0.75)
 
     def test_rejects_dirichlet_dirichlet(self):
         with pytest.raises(ValueError):
-            BoundaryData(m1=0, m2=0, alpha=(1.0, 0.0), beta=(1.0, 0.0),
+            BoundaryData(alpha=(1.0, 0.0), beta=(1.0, 0.0),
                          f1=0.0, f2=0.0)
 
     def test_rejects_neumann_neumann(self):
         with pytest.raises(ValueError):
-            BoundaryData(m1=1, m2=1, alpha=(0.0, 1.0), beta=(0.0, 1.0),
+            BoundaryData(alpha=(0.0, 1.0), beta=(0.0, 1.0),
                          f1=0.0, f2=0.0)
 
     def test_robin_neumann_allowed(self):
-        bc = BoundaryData(m1=1, m2=1, alpha=(1.0, 1.0), beta=(0.0, 1.0),
+        bc = BoundaryData(alpha=(1.0, 1.0), beta=(0.0, 1.0),
                           f1=0.0, f2=0.0)
         assert bc.d == 1.0
 
     def test_rejects_overorder_coefficient(self):
-        with pytest.raises(ValueError):
-            BoundaryData(m1=0, m2=1, alpha=(1.0, 0.5), beta=(0.0, 1.0),
-                         f1=0.0, f2=0.0)
+        # a nonzero derivative coefficient makes the condition order 1
+        bc = BoundaryData(alpha=(1.0, 0.5), beta=(0.0, 1.0),
+                          f1=0.0, f2=0.0)
+        assert bc.m1 == 1
 
     def test_rejects_zero_leading(self):
         with pytest.raises(ValueError):
-            BoundaryData(m1=1, m2=0, alpha=(1.0, 0.0), beta=(1.0, 0.0),
+            BoundaryData(alpha=(1.0, 0.0), beta=(1.0, 0.0),
                          f1=0.0, f2=0.0)
 
+    @pytest.mark.parametrize("alpha, beta, orders, theta", [
+        ((1.0, 0.0), (0.0, 1.0), (0, 1), (0.25, 0.75)),   # Dirichlet-Neumann
+        ((0.0, 1.0), (1.0, 0.0), (1, 0), (0.75, 0.25)),   # Neumann-Dirichlet
+        ((1.0, 1.0), (0.0, 1.0), (1, 1), (0.75, 0.75)),   # Robin-Neumann
+        ((1.0, 0.7), (0.4, 1.0), (1, 1), (0.75, 0.75)),   # Robin-Robin
+    ])
+    def test_orders_derived_from_coefficients(self, alpha, beta, orders, theta):
+        bc = BoundaryData(alpha=alpha, beta=beta, f1=0.0, f2=0.0)
+        assert (bc.m1, bc.m2) == orders
+        assert bc.theta(2.0) == theta
+
+    def test_rejects_end_without_coefficients(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            BoundaryData(alpha=(0.0, 0.0), beta=(0.0, 1.0), f1=0.0, f2=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, np.inf, 0.5, np.nan])
+    def test_theta_rejects_inadmissible_p(self, p):
+        bc = BoundaryData(alpha=(1.0, 0.0), beta=(0.0, 1.0), f1=0.0, f2=0.0)
+        with pytest.raises(ValueError, match="p = "):
+            bc.theta(p)
+
     def test_data_broadcast(self):
-        bc = BoundaryData(m1=0, m2=1, alpha=(1.0, 0.0), beta=(0.0, 1.0),
+        bc = BoundaryData(alpha=(1.0, 0.0), beta=(0.0, 1.0),
                           f1=2.0, f2=np.array([1.0, 2.0, 3.0]))
         f1, f2 = bc.data_for(3)
         np.testing.assert_array_equal(f1, [2.0, 2.0, 2.0])
@@ -303,7 +325,7 @@ class TestIntegralOperator:
 
 class TestConditions:
     def test_condition_1_passes_for_valid_data(self):
-        bc = BoundaryData(m1=0, m2=1, alpha=(1.0, 0.0), beta=(0.0, 1.0),
+        bc = BoundaryData(alpha=(1.0, 0.0), beta=(0.0, 1.0),
                           f1=0.0, f2=0.0)
         rep = check_condition_1(bc)
         assert isinstance(rep, ConditionReport)

@@ -5,7 +5,7 @@ import pytest
 
 from epslab.discretize import BoundaryData, OperatorPair, SpaceGrid
 from epslab.elliptic import (
-    ProblemSpec, QSystem, _orbit, compute_q_system, direct_solve,
+    ProblemSpec, QSystem, _boundary_blocks, _orbit, compute_q_system, direct_solve,
     epsilon_derivative, full_solve, homogeneous_solution, mode_derivatives,
     solve_boundary_cramer, solve_boundary_system,
 )
@@ -20,7 +20,7 @@ def scalar_pair(a=1.0, b=0.0):
 
 def dn_bc(f1=1.0, f2=0.0):
     # value condition at 0, derivative condition at T
-    return BoundaryData(m1=0, m2=1, alpha=(1.0, 0.0), beta=(0.0, 1.0), f1=f1, f2=f2)
+    return BoundaryData(alpha=(1.0, 0.0), beta=(0.0, 1.0), f1=f1, f2=f2)
 
 
 def commuting_pair(n=6, seed=0):
@@ -57,7 +57,7 @@ class TestProblemSpec:
                             bc=dn_bc(), n_x=bad)
 
     def test_boundary_dimension_checked(self):
-        bad = BoundaryData(m1=0, m2=1, alpha=(1.0, 0.0), beta=(0.0, 1.0),
+        bad = BoundaryData(alpha=(1.0, 0.0), beta=(0.0, 1.0),
                            f1=np.array([1.0, 2.0]), f2=0.0)
         with pytest.raises(ValueError):
             ProblemSpec(pair=scalar_pair(), eps=0.5, lam=0.0, T=1.0, bc=bad)
@@ -147,7 +147,7 @@ class TestQSystem:
 
     def test_cramer_cross_check(self):
         pair = commuting_pair(5, 7)
-        bc = BoundaryData(m1=1, m2=1, alpha=(1.0, 0.5), beta=(0.2, 1.0),
+        bc = BoundaryData(alpha=(1.0, 0.5), beta=(0.2, 1.0),
                           f1=np.linspace(1, 2, 5), f2=np.linspace(-1, 1, 5))
         spec = ProblemSpec(pair=pair, eps=0.15, lam=2.0, T=1.0, bc=bc)
         q = compute_q_system(spec)
@@ -156,6 +156,25 @@ class TestQSystem:
         g1b, h2b = solve_boundary_cramer(q.G1, q.G2, q.E1, q.E2, bc, spec.eps, f1, f2)
         np.testing.assert_allclose(g1a, g1b, atol=1e-10)
         np.testing.assert_allclose(h2a, h2b, atol=1e-10)
+
+    @pytest.mark.parametrize("alpha, beta", [((1.0, 0.0), (0.0, 1.0)),
+                                             ((0.3 - 0.2j, 1.1), (0.7, 0.4 + 0.5j))])
+    def test_boundary_blocks_match_explicit_formulas(self, alpha, beta):
+        rng = np.random.default_rng(3)
+        G1, G2, E1, E2 = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                          for _ in range(4))
+        bc = BoundaryData(alpha=alpha, beta=beta, f1=0.0, f2=0.0)
+        eps = 0.37
+        eye = np.eye(4, dtype=np.complex128)
+        se = np.sqrt(eps)
+        a0, a1 = bc.alpha
+        b0, b1 = bc.beta
+        want = (a0 * eye - se * a1 * G1,
+                (a0 * eye + se * a1 * G2) @ E2,
+                (b0 * eye - se * b1 * G1) @ E1,
+                b0 * eye + se * b1 * G2)
+        for got, ref in zip(_boundary_blocks(G1, G2, E1, E2, bc, eps), want):
+            assert np.array_equal(got, ref)
 
 
 class TestHomogeneousSolution:
@@ -169,7 +188,7 @@ class TestHomogeneousSolution:
 
     def test_residual_and_boundary_functionals(self):
         pair = commuting_pair(5, 11)
-        bc = BoundaryData(m1=1, m2=0, alpha=(0.5, 1.0), beta=(1.0, 0.0),
+        bc = BoundaryData(alpha=(0.5, 1.0), beta=(1.0, 0.0),
                           f1=np.linspace(0.5, 1.0, 5), f2=np.linspace(-1, 0, 5))
         spec = ProblemSpec(pair=pair, eps=0.25, lam=1.0, T=1.5, bc=bc, n_t=61)
         t, u, du, ddu = mode_derivatives(spec)
@@ -268,7 +287,7 @@ def _manufactured_scalar(eps=0.2, lam=0.5, a=1.3, b=0.7, T=1.5):
     f = lambda t: np.array([-eps * ddustar(t) + b * dustar(t) + (a + lam) * ustar(t)])
     se = np.sqrt(eps)
     alpha, beta = (1.0, 0.5), (0.3, 1.0)
-    bc = BoundaryData(m1=1, m2=1, alpha=alpha, beta=beta,
+    bc = BoundaryData(alpha=alpha, beta=beta,
                       f1=alpha[0] * ustar(0) + se * alpha[1] * dustar(0),
                       f2=beta[0] * ustar(T) + se * beta[1] * dustar(T))
     pair = OperatorPair([[a]], [[b]])
@@ -295,7 +314,7 @@ class TestDirectSolve:
 
     def test_matrix_valued_against_semigroup(self):
         pair = commuting_pair(4, 13)
-        bc = BoundaryData(m1=0, m2=1, alpha=(1.0, 0.0), beta=(0.0, 1.0),
+        bc = BoundaryData(alpha=(1.0, 0.0), beta=(0.0, 1.0),
                           f1=np.linspace(1, 2, 4), f2=np.zeros(4))
         spec = ProblemSpec(pair=pair, eps=0.5, lam=1.0, T=1.0, bc=bc, n_t=401)
         ud = direct_solve(spec)
@@ -330,7 +349,7 @@ def _dense_fd_solution(spec):
 def _peclet_one_spec(eps):
     # h = 0.005 and B = 1: the cell Peclet number |B| h / (2 eps) is 1 at
     # eps = 0.0025, where the upper stencil block is exactly zero
-    bc = BoundaryData(m1=1, m2=0, alpha=(1.0, 1.0), beta=(1.0, 0.0), f1=1.0, f2=0.5)
+    bc = BoundaryData(alpha=(1.0, 1.0), beta=(1.0, 0.0), f1=1.0, f2=0.5)
     return ProblemSpec(pair=scalar_pair(1.0, 1.0), eps=eps, lam=0.0, T=1.0,
                        bc=bc, n_t=201), 1e-12
 
@@ -341,7 +360,7 @@ def _wentzell_robin_spec(eps, n_t):
     # has condition numbers up to ~2e6 here, so the oracle itself is only
     # good to ~1e-11
     pair = make_wentzell_pair(n_y=8)
-    bc = BoundaryData(m1=1, m2=1, alpha=(1.0, 0.7), beta=(0.4, 1.0),
+    bc = BoundaryData(alpha=(1.0, 0.7), beta=(0.4, 1.0),
                       f1=np.ones(8), f2=0.5 * np.ones(8))
     return ProblemSpec(pair=pair, eps=eps, lam=3.0, T=1.0, bc=bc,
                        f="exp(-64*(t-0.5)^2)", n_t=n_t), 1e-10
@@ -364,7 +383,7 @@ def test_direct_solve_rejects_non_finite_load():
     # an inf in the load at the interior node t = 0.5 must stop the sweep
     # rather than come back as NaNs
     pair = make_wentzell_pair(n_y=8)
-    bc = BoundaryData(m1=1, m2=1, alpha=(1.0, 0.7), beta=(0.4, 1.0),
+    bc = BoundaryData(alpha=(1.0, 0.7), beta=(0.4, 1.0),
                       f1=np.ones(8), f2=0.5 * np.ones(8))
 
     def load(t):
@@ -404,7 +423,7 @@ class TestFullSolve:
         # smooth load decaying below 1e-7 at the support edges: both solver
         # routes must agree up to the finite difference error
         pair = OperatorPair([[1.3]], [[0.7]])
-        bc = BoundaryData(m1=1, m2=1, alpha=(1.0, 0.5), beta=(0.3, 1.0),
+        bc = BoundaryData(alpha=(1.0, 0.5), beta=(0.3, 1.0),
                           f1=0.8, f2=-0.4)
         spec = ProblemSpec(pair=pair, eps=0.2, lam=0.5, T=2.0, bc=bc,
                            f="exp(-16*(t-1)^2)", n_t=801, n_x=2048)
@@ -415,7 +434,7 @@ class TestFullSolve:
 
     def test_boundary_functionals_reproduced(self):
         pair = commuting_pair(4, 17)
-        bc = BoundaryData(m1=0, m2=1, alpha=(2.0, 0.0), beta=(0.5, 1.0),
+        bc = BoundaryData(alpha=(2.0, 0.0), beta=(0.5, 1.0),
                           f1=np.linspace(1, 2, 4), f2=np.linspace(0, 1, 4))
         spec = ProblemSpec(pair=pair, eps=0.3, lam=1.0, T=1.0, bc=bc,
                            f="sin(3*t)*exp(-16*(t-0.5)^2)", n_t=801, n_x=2048)

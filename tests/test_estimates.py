@@ -35,7 +35,7 @@ def dn_closed_form(eps, a, lam, T=1.0, f1=1.0):
 
 def dn_spec(eps=1.0, a=1.0, b=0.0, lam=1.0, n_t=801, f1=1.0, f2=0.0):
     pair = OperatorPair(np.array([[a]]), np.array([[b]]), check_positive=False)
-    bc = BoundaryData(0, 1, (1.0, 0.0), (0.0, 1.0),
+    bc = BoundaryData((1.0, 0.0), (0.0, 1.0),
                       np.array([f1], dtype=complex),
                       np.array([f2], dtype=complex))
     return ProblemSpec(pair=pair, eps=eps, lam=lam, T=1.0, bc=bc, n_t=n_t)

@@ -13,7 +13,7 @@ from epslab.presets import make_pair
 
 
 def dn_bc():
-    return BoundaryData(m1=0, m2=1, alpha=(1.0, 0.0), beta=(0.0, 1.0),
+    return BoundaryData(alpha=(1.0, 0.0), beta=(0.0, 1.0),
                         f1=0.0, f2=0.0)
 
 

@@ -117,7 +117,7 @@ def test_unstable_drift_raises():
 def _spec(eps=0.25, b=1.0, bc=None, n_t=9):
     pair = scalar_pair(a=1.0, b=b)
     if bc is None:
-        bc = BoundaryData(0, 1, (1.0, 0.0), (0.0, 1.0),
+        bc = BoundaryData((1.0, 0.0), (0.0, 1.0),
                           np.array([1.0]), np.array([0.5]))
     return ProblemSpec(pair=pair, eps=eps, lam=0.5, T=1.0, bc=bc, n_t=n_t)
 
@@ -139,7 +139,7 @@ def test_mn_matrix_case():
     A = np.diag(1.0 + rng.uniform(size=3))
     B = 0.3 * np.eye(3) + 0.1 * A
     pair = OperatorPair(A, B, check_positive=False)
-    bc = BoundaryData(0, 1, (1.0, 0.0), (1.0, 1.0),
+    bc = BoundaryData((1.0, 0.0), (1.0, 1.0),
                       rng.normal(size=3), rng.normal(size=3))
     spec = ProblemSpec(pair=pair, eps=0.1, lam=1.0, T=1.0, bc=bc, n_t=7)
     qsys = compute_q_system(spec)
