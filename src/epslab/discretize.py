@@ -29,7 +29,7 @@ __all__ = [
     "build_wentzell_operator", "build_integral_operator",
     "check_condition_1", "check_condition_2_1", "check_condition_4_1",
     "IntervalProblem",
-    "e_norm", "mixed_norm", "kfunctional_norm", "COMMUTE_RTOL",
+    "e_norm", "check_p", "mixed_norm", "kfunctional_norm", "COMMUTE_RTOL",
 ]
 
 
@@ -504,13 +504,18 @@ def e_norm(v, weights=None) -> float:
     return float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
 
 
+def check_p(p: float) -> None:
+    """Reject a norm exponent outside [1, inf], nan included."""
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+
+
 def mixed_norm(u: GridFunction, p: float = 2.0, weights=None) -> float:
     """Discrete L_p(0,T;E) norm: trapezoid in t over per-slice E-norms."""
+    check_p(p)
     slices = u.e_norms(weights)
     if p == np.inf:
         return float(slices.max())
-    if p < 1:
-        raise ValueError("p must be >= 1")
     wt = np.full(u.n_t, u.dt)
     wt[0] = wt[-1] = u.dt / 2
     return float(np.sum(wt * slices**p) ** (1.0 / p))
@@ -535,12 +540,12 @@ def kfunctional_norm(f, A, theta: float, p: float = 2.0, weights=None) -> float:
         ( sum_j (t_j^-theta K(t_j))^p  dlog t )^(1/p)
 
     over a log-spaced t grid (1e-4..1e4), a truncation of the integral
-    form of the (E(A), E)_{theta,p} norm.  Exact for 1x1 A.
+    form of the (E(A), E)_{theta,p} norm, and max_j t_j^-theta K(t_j) at
+    p = inf.  Exact for 1x1 A.
     """
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_p(p)
     M = as_complex_matrix(A)
     n = M.shape[0]
     x = np.atleast_1d(np.asarray(f, dtype=np.complex128))
@@ -564,6 +569,7 @@ def kfunctional_norm(f, A, theta: float, p: float = 2.0, weights=None) -> float:
                         np.sqrt(np.sum(lam * shrink ** 2 * c2, axis=1))))
     K = np.min(r[None, :] + t_grid[:, None] * s[None, :], axis=1)
 
-    logt = np.log(t_grid)
-    integrand = (t_grid ** (-theta) * K) ** p
-    return float(np.trapezoid(integrand, logt) ** (1.0 / p))
+    weighted = t_grid ** (-theta) * K
+    if p == np.inf:
+        return float(weighted.max())
+    return float(np.trapezoid(weighted ** p, np.log(t_grid)) ** (1.0 / p))

@@ -16,7 +16,9 @@ The factorization is exact when A and B commute; otherwise the residual
 of the quadratic is (RB - BR)/(4 eps) and the solvers fall back to a
 block-tridiagonal finite difference scheme (direct_solve), solved by one
 block Thomas pass whose first and last pivots are 2n x 2n blocks that
-absorb the two-node reach of the one-sided boundary derivatives.
+absorb the two-node reach of the one-sided boundary derivatives.  The
+pass runs gesv in the data's dtype (float64 for real data) and checks
+the pivot guard once per solve, after the forward sweep.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .discretize import BoundaryData, GridFunction, IntervalProblem, OperatorPair
-from .linalg import Overflow, expm, inv, mat_solve, op_norm, sqrtm
+from .linalg import GESV, Overflow, check_solves, expm, inv, mat_solve, op_norm, sqrtm
 from .multiplier import check_n_x, whole_line_solve
 
 __all__ = [
@@ -167,23 +169,23 @@ def _orbit(P: np.ndarray, start: np.ndarray, n_t: int,
     m = min(k, n_t - k) rows are rows[:m] @ (P^k)^T, one GEMM, and P^k
     is then squared: about log2(n_t) GEMMs plus as many n x n
     squarings, O(n_t n^2) flops in all.  backward=True anchors start at
-    the last row and fills toward row 0.  Raises Overflow when a state
-    is not finite.
+    the last row: the orbit is filled forward and returned as a reversed
+    view, so no GEMM works on negative strides.  Raises Overflow when a
+    state is not finite.
     """
     x = np.empty((n_t, len(start)), dtype=np.complex128)
-    rows = x[::-1] if backward else x
-    rows[0] = start
+    x[0] = start
     Pk, k = P, 1
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n_t:
             m = min(k, n_t - k)
-            rows[k:k + m] = rows[:m] @ Pk.T
+            np.matmul(x[:m], Pk.T, out=x[k:k + m])
             k += m
             if k < n_t:
                 Pk = Pk @ Pk
     if not np.isfinite(x).all():
         raise Overflow("semigroup orbit left the representable range")
-    return x
+    return x[::-1] if backward else x
 
 
 def _propagate_modes(spec: ProblemSpec, qsys: QSystem):
@@ -234,38 +236,63 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     of rows 0 and 1 on (u_0, u_1), which both reach u_2; interior rows
     pivot on single n x n blocks; the last pivot is the 2n x 2n block of
     rows N-2 and N-1 on (u_{N-2}, u_{N-1}) once u_{N-3} is substituted.
-    Each pivot is factored and solved once, by one mat_solve (a single
-    LAPACK gesv behind the pivot guard), and no off-diagonal block is
-    inverted.
+    Each pivot is factored and solved once by one LAPACK gesv, and no
+    off-diagonal block is inverted.  gesv runs in float64 when A + lam,
+    B, the load and the boundary data are all real, else in complex128;
+    the result is complex128 either way.  The two end pivots go through
+    mat_solve; the interior pivots meet the same guard (check_solves)
+    once per solve, after the forward sweep, and the first failing row
+    raises the error mat_solve would have raised for it.
     """
     t = spec.t_grid()
     h = t[1] - t[0]
     n, N = spec.n, spec.n_t
-    eye = np.eye(n, dtype=np.complex128)
-    B = spec.pair.B
-    lower = -spec.eps / h**2 * eye - B / (2 * h)
-    diag = 2 * spec.eps / h**2 * eye + spec.A_lam
-    upper = -spec.eps / h**2 * eye + B / (2 * h)
+    B, A_lam = spec.pair.B, spec.A_lam
     fvals = spec.f_samples(t)
     f1, f2 = spec.bc.data_for(n)
-    a0, a1 = spec.bc.alpha
-    b0, b1 = spec.bc.beta
+    (a0, a1), (b0, b1) = spec.bc.alpha, spec.bc.beta
+    data = (B, A_lam, fvals, f1, f2, spec.bc.alpha, spec.bc.beta)
+    dtype = np.dtype(np.complex128 if any(np.any(np.imag(x)) for x in data)
+                     else np.float64)
+    if dtype == np.float64:
+        B, A_lam, fvals, f1, f2 = B.real, A_lam.real, fvals.real, f1.real, f2.real
+        a0, a1, b0, b1 = a0.real, a1.real, b0.real, b1.real
+    eye = np.eye(n, dtype=dtype)
+    lower = -spec.eps / h**2 * eye - B / (2 * h)
+    diag = 2 * spec.eps / h**2 * eye + A_lam
+    upper = -spec.eps / h**2 * eye + B / (2 * h)
     c_left = np.sqrt(spec.eps) * a1 / (2 * h)
     c_right = np.sqrt(spec.eps) * b1 / (2 * h)
 
     # W[i] = [Uhat_i | r_i]: u_i = r_i - Uhat_i u_{i+1} (u_2 for i = 0)
-    W = np.empty((N - 2, n, n + 1), dtype=np.complex128)
+    W = np.empty((N - 2, n, n + 1), dtype=dtype)
     # rows 0 and 1: (a0 - 3c) u0 + 4c u1 - c u2 = f1, then the stencil
     P = np.block([[(a0 - 3 * c_left) * eye, 4 * c_left * eye], [lower, diag]])
     rhs = np.block([[-c_left * eye, f1[:, None]], [upper, fvals[1][:, None]]])
     W[:2] = mat_solve(P, rhs).reshape(2, n, n + 1)
-    # [upper | f_i - lower r_{i-1}]: only the last column changes per row
-    rhs = np.empty((n, n + 1), dtype=np.complex128)
+    # row i: Z[i] = [diag | f_i] - lower W[i-1] = [S_i | c_i], and
+    # S_i W[i] = [upper | c_i]; Z keeps every pivot block for the guard
+    Z = np.empty_like(W)
+    Z[2:, :, :n] = diag
+    Z[2:, :, n] = fvals[2:N - 2]
+    E = np.empty((n, n + 1), dtype=dtype)
+    rhs = np.empty((n, n + 1), dtype=dtype)
     rhs[:, :n] = upper
-    for i in range(2, N - 2):
-        E = lower @ W[i - 1]
-        np.subtract(fvals[i], E[:, n], out=rhs[:, n])
-        W[i] = mat_solve(diag - E[:, :n], rhs)
+    gesv = GESV[dtype]
+    LU = [None] * (N - 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(2, N - 2):
+            Zi = Z[i]
+            np.matmul(lower, W[i - 1], out=E)
+            np.subtract(Zi, E, out=Zi)
+            rhs[:, n] = Zi[:, n]
+            LU[i], _, W[i], _ = gesv(Zi[:, :n], rhs)
+    # rhs = [upper | c_i] and upper already passed as part of the first
+    # pivot's rhs, so only c_i needs the finiteness check
+    S = Z[2:, :, :n]
+    pivots = np.diagonal(np.stack(LU[2:]), axis1=1, axis2=2)
+    check_solves(np.isfinite(S).all(axis=(1, 2)), np.abs(S).sum(axis=2).max(axis=1),
+                 np.isfinite(Z[2:, :, n]).all(axis=1), np.abs(pivots).min(axis=1))
 
     # rows N-2 and N-1 with u_{N-3} = r - Uhat u_{N-2} substituted; the
     # last row is (b0 + 3c') u_{N-1} - 4c' u_{N-2} + c' u_{N-3} = f2
@@ -273,11 +300,13 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     P = np.block([[diag - lower @ Uhat, upper],
                   [-c_right * (4 * eye + Uhat), (b0 + 3 * c_right) * eye]])
     rhs = np.concatenate([fvals[N - 2] - lower @ r, f2 - c_right * r])
-    u = np.empty((N, n), dtype=np.complex128)
+    u = np.empty((N, n), dtype=dtype)
     u[N - 2:] = mat_solve(P, rhs).reshape(2, n)
+    Uhat, r, Uu = W[:, :, :n], W[:, :, n], np.empty(n, dtype=dtype)
     for i in range(N - 3, 0, -1):
-        u[i] = W[i, :, n] - W[i, :, :n] @ u[i + 1]
-    u[0] = W[0, :, n] - W[0, :, :n] @ u[2]
+        np.matmul(Uhat[i], u[i + 1], out=Uu)
+        np.subtract(r[i], Uu, out=u[i])
+    u[0] = r[0] - Uhat[0] @ u[2]
     return GridFunction(t, u, meta={
         "path": "direct", "eps": spec.eps, "lam": spec.lam})
 

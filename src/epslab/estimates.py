@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .discretize import GridFunction, e_norm, kfunctional_norm, mixed_norm
+from .discretize import GridFunction, check_p, e_norm, kfunctional_norm, mixed_norm
 from .elliptic import ProblemSpec, _eps_stencil, full_solve
 from .linalg import (Overflow, SingularMatrix, SqrtNotConverged, mat_solve,
                      op_norm, sqrtm)
@@ -318,7 +318,8 @@ def convergence_study(base: ProblemSpec, cauchy: CauchySpec,
     window [delta, T - delta]; the discretization floor is estimated by
     grid halving at the smallest eps, and gaps are flagged above-floor
     when they exceed floor_factor times it.  base and cauchy must share
-    the operator pair, and both need lam = 0.
+    the operator pair, and both need lam = 0; an inadmissible p raises
+    before any solve.
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 2 or any(e2 >= e1 for e1, e2 in zip(eps_arr, eps_arr[1:])):
@@ -330,6 +331,7 @@ def convergence_study(base: ProblemSpec, cauchy: CauchySpec,
         raise ValueError("cauchy and base must share the operator pair (A, B)")
     if not (0.0 < compact_delta < base.T / 2):
         raise ValueError("compact_delta must lie in (0, T/2)")
+    check_p(p)
     w = base.pair.weights()
     limit = cauchy_solve(dataclasses.replace(cauchy, T=base.T, n_t=base.n_t))
     u0 = cauchy.u0

@@ -1,12 +1,14 @@
-"""Dense complex matrix kernels shared by every solver in the package.
+"""Dense matrix kernels shared by every solver in the package.
 
-All operator calculus here runs on explicit complex matrices: linear
-solves by one LAPACK gesv (LU with partial pivoting) behind a pivot
-guard, the principal matrix square root by the Schur method of
-Bjorck & Hammarling (scipy.linalg.sqrtm) behind a spectrum check, a
-capped matrix exponential, the spectral operator norm from the SVD, and
-the resolvent-bound scan used to certify that an operator behaves like
-a positive one.
+Linear solves run one LAPACK gesv (LU with partial pivoting) in
+float64 when matrix and right-hand side are both real and in complex128
+otherwise, behind a pivot guard that check_solves states once for one
+solve or a whole sequence of them.  The rest of the operator calculus
+runs on explicit complex matrices: the principal matrix square root by
+the Schur method of Bjorck & Hammarling (scipy.linalg.sqrtm) behind a
+spectrum check, a capped matrix exponential, the spectral operator norm
+from the SVD, and the resolvent-bound scan used to certify that an
+operator behaves like a positive one.
 """
 from __future__ import annotations
 
@@ -15,20 +17,22 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zgesv
+from scipy.linalg.lapack import dgesv, zgesv
 
 __all__ = [
     "SingularMatrix", "SqrtNotConverged", "Overflow",
     "SectorialityReport",
-    "as_complex_matrix", "mat_solve", "inv", "sqrtm", "expm", "op_norm",
-    "check_positivity",
-    "DEFAULT_PIVOT_RTOL", "BRANCH_CUT_RTOL", "EXPM_NORM_CAP",
+    "as_complex_matrix", "mat_solve", "check_solves", "inv", "sqrtm", "expm",
+    "op_norm", "check_positivity",
+    "GESV", "DEFAULT_PIVOT_RTOL", "BRANCH_CUT_RTOL", "EXPM_NORM_CAP",
 ]
 
 DEFAULT_PIVOT_RTOL = 1e-13
 # sqrtm refuses eigenvalues within this multiple of ||M||_F of (-inf, 0]
 BRANCH_CUT_RTOL = 1e-12
 EXPM_NORM_CAP = 1e8
+# the raw LAPACK solver for each working dtype; no guard
+GESV = {np.dtype(np.float64): dgesv, np.dtype(np.complex128): zgesv}
 
 
 class SingularMatrix(np.linalg.LinAlgError):
@@ -53,30 +57,58 @@ def as_complex_matrix(M) -> np.ndarray:
     return A
 
 
-def mat_solve(M, rhs) -> np.ndarray:
-    """Solve M x = rhs by one LAPACK zgesv; rhs may be a vector or matrix.
+def check_solves(finite, norm, finite_rhs, pivot=np.inf) -> None:
+    """Raise mat_solve's error for the first solve that fails its guard.
 
-    Raises SingularMatrix for the zero (or empty) matrix and when the
-    smallest LU pivot falls below DEFAULT_PIVOT_RTOL * ||M||_inf, and
-    ValueError for a non-finite or misshapen rhs.  Neither input is
-    overwritten.
+    Each argument is a scalar for one solve or holds one entry per solve,
+    in solve order: whether the matrix is finite, its inf-norm, whether
+    the rhs is finite, and the smallest |U_ii| of its LU factors.  A
+    solve fails on the first of: a non-finite matrix (ValueError), a
+    zero norm (SingularMatrix), a non-finite rhs (ValueError), and
+    pivot < DEFAULT_PIVOT_RTOL * norm (SingularMatrix).  The default
+    pivot lets a caller check the inputs before factoring.
     """
-    A = as_complex_matrix(M)
-    norm = np.abs(A).sum(axis=1).max(initial=0.0)
-    if norm == 0.0:
+    ok = np.logical_and(finite, finite_rhs) & (norm != 0.0)
+    ok &= ~(pivot < DEFAULT_PIVOT_RTOL * norm)
+    if ok.all():
+        return
+    finite, norm, finite_rhs, pivot = np.broadcast_arrays(
+        finite, norm, finite_rhs, pivot)
+    k = np.unravel_index(np.argmin(ok), ok.shape)
+    if not finite[k]:
+        raise ValueError("matrix entries must be finite")
+    if norm[k] == 0.0:
         raise SingularMatrix("zero matrix")
-    b = np.asarray(rhs, dtype=np.complex128)
+    if not finite_rhs[k]:
+        raise ValueError("array must not contain infs or NaNs")
+    ratio = pivot[k] / norm[k]
+    raise SingularMatrix(f"pivot ratio {ratio:.3e} below {DEFAULT_PIVOT_RTOL:.0e}")
+
+
+def mat_solve(M, rhs) -> np.ndarray:
+    """Solve M x = rhs by one LAPACK gesv; rhs may be a vector or matrix.
+
+    Works in float64 when M and rhs are both real and in complex128
+    otherwise, and returns x in that dtype.  ValueError for a misshapen
+    M or rhs, then the check_solves guard: ValueError for non-finite
+    entries, SingularMatrix for the zero (or empty) matrix and when the
+    smallest LU pivot falls below DEFAULT_PIVOT_RTOL * ||M||_inf.
+    Neither input is overwritten.
+    """
+    A, b = np.asarray(M), np.asarray(rhs)
+    complex_ = np.iscomplexobj(A) or np.iscomplexobj(b)
+    dtype = np.dtype(np.complex128 if complex_ else np.float64)
+    A, b = A.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
         raise ValueError(f"rhs of shape {b.shape} does not match a {A.shape} matrix")
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    lu, _, x, info = zgesv(A, b)
+    norm = np.abs(A).sum(axis=1).max(initial=0.0)
+    check_solves(np.isfinite(A).all(), norm, np.isfinite(b).all())
+    lu, _, x, info = GESV[dtype](A, b)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of zgesv")
-    pivot = np.abs(np.diagonal(lu)).min()
-    if pivot < DEFAULT_PIVOT_RTOL * norm:
-        raise SingularMatrix(
-            f"pivot ratio {pivot / norm:.3e} below {DEFAULT_PIVOT_RTOL:.0e}")
+        raise ValueError(f"illegal value in argument {-info} of gesv")
+    check_solves(True, norm, True, np.abs(np.diagonal(lu)).min())
     return x
 
 

@@ -281,6 +281,15 @@ def test_sweep_with_inadmissible_p_is_invalid_scenario(tmp_path, capsys, p):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("p", ["nan", "0.5"])
+def test_converge_with_inadmissible_p_is_config_error(tmp_path, capsys, p):
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIGS / "commuting_converge.ini"), "--out", str(out),
+                 "--override", f"scenario.p={p}"]) == 1
+    assert "p must be >= 1" in capsys.readouterr().err
+    assert not (out / "converge.csv").exists()
+
+
 def test_converge_never_forms_theta(tmp_path):
     assert main(["--config", str(write(tmp_path, CONVERGE_MINI)),
                  "--out", str(tmp_path / "out"), "--override", "scenario.p=1"]) == 0

@@ -397,6 +397,11 @@ class TestNorms:
         with pytest.raises(ValueError):
             mixed_norm(u, 0.5)
 
+    def test_mixed_norm_rejects_nan_p(self):
+        u = GridFunction(np.linspace(0, 1, 5), np.ones((5, 1)))
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            mixed_norm(u, np.nan)
+
 
 class TestKFunctionalNorm:
     @pytest.mark.parametrize("a,theta,p", [
@@ -463,6 +468,20 @@ class TestKFunctionalNorm:
             # ... and off the kernel the dropped candidates do not bind
             if f is off_kernel:
                 assert got == pytest.approx(guarded, rel=1e-8)
+
+    def test_sup_norm_at_p_inf(self):
+        # K(t, 1) = min(1, 2t) for A = [[2]], so the p = inf norm is the
+        # largest t^-1/2 min(1, 2t) on the quadrature grid, at most sqrt(2)
+        t = np.logspace(-4, 4, 200)
+        want = np.max(t ** -0.5 * np.minimum(1.0, 2.0 * t))
+        got = kfunctional_norm([1.0], [[2.0]], 0.5, np.inf)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert 1.4 < got <= np.sqrt(2.0)
+
+    def test_validates_p(self):
+        for p in (0.5, np.nan):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                kfunctional_norm([1.0], [[1.0]], 0.5, p)
 
     def test_validates_theta(self):
         with pytest.raises(ValueError):

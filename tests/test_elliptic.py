@@ -9,7 +9,8 @@ from epslab.elliptic import (
     epsilon_derivative, full_solve, homogeneous_solution, mode_derivatives,
     solve_boundary_cramer, solve_boundary_system,
 )
-from epslab.linalg import Overflow, op_norm, sqrtm
+from epslab import elliptic
+from epslab.linalg import Overflow, SingularMatrix, op_norm, sqrtm
 from epslab.multiplier import whole_line_solve
 from epslab.presets import dirichlet_neumann, make_pair, make_wentzell_pair
 
@@ -260,6 +261,15 @@ class TestHomogeneousSolution:
                 assert got.shape == (n_t, n)
                 assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("n, n_t", [(1, 2), (6, 9), (16, 801), (64, 1601)])
+    def test_backward_orbit_is_forward_orbit_reversed(self, n, n_t):
+        rng = np.random.default_rng(n_t)
+        M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        P = M / (1.02 * np.linalg.norm(M, 2))
+        start = rng.normal(size=n) + 1j * rng.normal(size=n)
+        np.testing.assert_array_equal(_orbit(P, start, n_t, backward=True),
+                                      _orbit(P, start, n_t)[::-1])
+
     def test_orbit_overflow_is_typed(self):
         import warnings
         with warnings.catch_warnings():
@@ -354,15 +364,16 @@ def _peclet_one_spec(eps):
                        bc=bc, n_t=201), 1e-12
 
 
-def _wentzell_robin_spec(eps, n_t):
+def _wentzell_robin_spec(eps, n_t, lam=3.0):
     # non-commuting pair with Robin rows at both ends; n_t = 5 leaves one
     # interior row between the two 2n x 2n end pivots.  The dense system
     # has condition numbers up to ~2e6 here, so the oracle itself is only
-    # good to ~1e-11
+    # good to ~1e-11.  A real lam runs the sweep in float64, a complex
+    # one in complex128
     pair = make_wentzell_pair(n_y=8)
     bc = BoundaryData(alpha=(1.0, 0.7), beta=(0.4, 1.0),
                       f1=np.ones(8), f2=0.5 * np.ones(8))
-    return ProblemSpec(pair=pair, eps=eps, lam=3.0, T=1.0, bc=bc,
+    return ProblemSpec(pair=pair, eps=eps, lam=lam, T=1.0, bc=bc,
                        f="exp(-64*(t-0.5)^2)", n_t=n_t), 1e-10
 
 
@@ -371,12 +382,45 @@ def _wentzell_robin_spec(eps, n_t):
       for eps in (0.0025, 0.0025 * (1 + 1e-12), 0.0025 * (1 + 1e-8))],
     *[pytest.param(_wentzell_robin_spec, (eps, n_t), id=f"wentzell-eps{eps:g}-nt{n_t}")
       for eps in (1.0, 1e-2, 1e-4) for n_t in (5, 41)],
+    *[pytest.param(_wentzell_robin_spec, (eps, n_t, lam),
+                   id=f"wentzell-eps{eps:g}-nt{n_t}-lam{tag}")
+      for eps in (1.0, 1e-2, 1e-4) for n_t in (5, 41)
+      for lam, tag in ((3 + 2j, "3+2j"), (-0.5j, "-0.5j"))],
 ])
 def test_direct_solve_matches_dense_assembly(make, args):
     spec, rtol = make(*args)
     u = direct_solve(spec).values
     ref = _dense_fd_solution(spec)
     assert np.abs(u - ref).max() <= rtol * np.abs(ref).max()
+
+
+def _singular_interior_spec(f1, n_t, a1=1.0):
+    # diagonal pair, h = 1/4, eps = 1/16: the first component's upper
+    # stencil entry is exactly 0 and its diagonal entry 2 + a1 - 3, so
+    # every interior pivot from row 3 on is diag(2 + a1 - 3, s)
+    pair = OperatorPair(np.diag([a1, 5.0]), np.diag([0.5, 0.5]), check_positive=False)
+    bc = BoundaryData(alpha=(1.0, 1.0), beta=(1.0, 0.0), f1=f1, f2=0.0)
+    return ProblemSpec(pair=pair, eps=1 / 16, lam=-3.0, T=(n_t - 1) / 4, bc=bc, n_t=n_t)
+
+
+@pytest.mark.parametrize("f1", [1.0, 1j], ids=["float64", "complex128"])
+@pytest.mark.parametrize("a1, ratio", [(1.0, r"0\.000e\+00"), (1.0 + 2.0**-50, r"\d\.\d{3}e-16")])
+def test_direct_solve_interior_pivot_guard(monkeypatch, f1, a1, ratio):
+    # only the first pivot goes through mat_solve: the guard after the
+    # sweep raises the error mat_solve would raise for the failing row,
+    # before the last pivot is formed
+    calls, mat_solve = [], elliptic.mat_solve
+
+    def recording(M, rhs):
+        x = mat_solve(M, rhs)
+        calls.append(x.dtype)
+        return x
+
+    monkeypatch.setattr(elliptic, "mat_solve", recording)
+    spec = _singular_interior_spec(f1, n_t=41, a1=a1)
+    with pytest.raises(SingularMatrix, match=rf"^pivot ratio {ratio} below 1e-13$"):
+        direct_solve(spec)
+    assert calls == [np.dtype(np.float64 if f1 == 1.0 else np.complex128)]
 
 
 def test_direct_solve_rejects_non_finite_load():

@@ -149,6 +149,18 @@ class TestMatSolveContract:
         with pytest.raises(ValueError):
             mat_solve(np.eye(3), np.ones(shape))
 
+    def test_working_dtype(self):
+        M = np.array([[2.0, 1.0], [1.0, 3.0]])
+        b = np.array([1.0, 2.0])
+        x = mat_solve(M, b)
+        assert x.dtype == np.float64
+        assert mat_solve(M.astype(int).tolist(), [1, 2]).dtype == np.float64
+        for M_, b_ in ((M + 0j, b), (M, b + 0j), (M + 1j, b), (M, 1j * b)):
+            y = mat_solve(M_, b_)
+            assert y.dtype == np.complex128
+            assert _close_to(y, np.linalg.solve(M_, b_))
+        assert _close_to(x, np.linalg.solve(M, b))
+
     def test_empty_rhs_columns(self):
         X = mat_solve(np.eye(3) + 1j, np.ones((3, 0)))
         assert X.shape == (3, 0)
