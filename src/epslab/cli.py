@@ -38,8 +38,6 @@ from .presets import (PRESET_NAMES, dirichlet_neumann, make_pair,
 
 __all__ = ["ConfigError", "main", "run"]
 
-MODES = ("solve", "sweep", "converge", "check")
-
 NUMERICAL_ERRORS = (Overflow, SingularMatrix, SqrtNotConverged,
                     np.linalg.LinAlgError, FloatingPointError)
 
@@ -53,8 +51,34 @@ class ConfigError(ValueError):
 # ----------------------------------------------------------- config access
 
 
+def _parse_complex(token: str) -> complex:
+    token = token.strip()
+    if token.startswith("["):
+        if not token.endswith("]"):
+            raise ValueError(f"unterminated complex pair {token!r}")
+        parts = [p for p in token[1:-1].replace(",", " ").split() if p]
+        if len(parts) != 2:
+            raise ValueError(f"complex pair needs two entries, got {token!r}")
+        return complex(float(parts[0]), float(parts[1]))
+    return complex(float(token), 0.0)
+
+
+def _complex_list(text: str) -> list:
+    return [_parse_complex(t) for t in _TOKEN_RE.findall(text)]
+
+
+# config value kinds: (cast of the raw string, what a failed cast expected)
+REAL = (float, "expected a real number")
+INT = (int, "expected an integer")
+COMPLEX = (_parse_complex, "expected a real or [re, im] pair")
+REALS = (lambda s: [float(t) for t in _TOKEN_RE.findall(s)],
+         "expected space-separated reals")
+COMPLEXES = (_complex_list, "expected space-separated [re, im] pairs or reals")
+VECTOR = (_complex_list, "expected a scalar or n values")
+
+
 class Config:
-    """Typed accessors over configparser with key-path error messages."""
+    """Typed reads over configparser with key-path error messages."""
 
     def __init__(self, cp: configparser.ConfigParser):
         self.cp = cp
@@ -65,62 +89,29 @@ class Config:
             return val if val else default
         return default
 
-    def require(self, section: str, key: str) -> str:
+    def get(self, section: str, key: str, kind: tuple, default=None,
+            required: bool = False):
+        """[section] key cast by kind: a (cast, description) pair.
+
+        An unset key gives default, or a ConfigError when required; a
+        failed cast is a ConfigError naming the key and the description.
+        """
         val = self.raw(section, key)
         if val is None:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return val
-
-    def _cast(self, section, key, val, cast, what):
+            if required:
+                raise ConfigError(f"missing required key [{section}] {key}")
+            return default
+        cast, what = kind
         try:
             return cast(val)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"[{section}] {key}: {what}: {exc}") from None
 
-    def getfloat(self, section, key, default=None):
-        val = self.raw(section, key)
-        if val is None:
-            return default
-        return self._cast(section, key, val, float, "expected a real number")
-
-    def getint(self, section, key, default=None):
-        val = self.raw(section, key)
-        if val is None:
-            return default
-        return self._cast(section, key, val, int, "expected an integer")
-
-    def getcomplex(self, section, key, default=None):
-        val = self.raw(section, key)
-        if val is None:
-            return default
-        return self._cast(section, key, val, _parse_complex,
-                          "expected a real or [re, im] pair")
-
-    def getfloatlist(self, section, key, required=False):
-        val = self.require(section, key) if required else self.raw(section, key)
-        if val is None:
-            return None
-        return self._cast(section, key, val,
-                          lambda s: [float(t) for t in _TOKEN_RE.findall(s)],
-                          "expected space-separated reals")
-
-    def getcomplexlist(self, section, key, required=False):
-        val = self.require(section, key) if required else self.raw(section, key)
-        if val is None:
-            return None
-        return self._cast(section, key, val,
-                          lambda s: [_parse_complex(t) for t in _TOKEN_RE.findall(s)],
-                          "expected space-separated [re, im] pairs or reals")
-
     def getvector(self, section, key, n, default=None):
-        val = self.raw(section, key)
-        if val is None:
-            if default is None:
-                return None
-            return np.full(n, complex(default), dtype=complex)
-        vals = self._cast(section, key, val,
-                          lambda s: [_parse_complex(t) for t in _TOKEN_RE.findall(s)],
-                          "expected a scalar or n values")
+        vals = self.get(section, key, VECTOR,
+                        None if default is None else [complex(default)])
+        if vals is None:
+            return None
         if len(vals) == 1:
             return np.full(n, vals[0], dtype=complex)
         if len(vals) == n:
@@ -132,18 +123,6 @@ class Config:
         if val is None or val.lower() == "none":
             return default
         return val
-
-
-def _parse_complex(token: str) -> complex:
-    token = token.strip()
-    if token.startswith("["):
-        if not token.endswith("]"):
-            raise ValueError(f"unterminated complex pair {token!r}")
-        parts = [p for p in token[1:-1].replace(",", " ").split() if p]
-        if len(parts) != 2:
-            raise ValueError(f"complex pair needs two entries, got {token!r}")
-        return complex(float(parts[0]), float(parts[1]))
-    return complex(float(token), 0.0)
 
 
 def load_config(path, overrides: Sequence[str] = (),
@@ -191,12 +170,9 @@ def _preset_kwargs(cfg: Config, preset: str) -> dict:
     kwargs = {}
     for key, default in preset_defaults(preset).items():
         section = "grid" if key == "n_y" else "operators"
-        if isinstance(default, int):
-            value = cfg.getint(section, key)
-        elif isinstance(default, float):
-            value = cfg.getfloat(section, key)
-        else:
-            value = cfg.getexpr(section, key)
+        kind = {int: INT, float: REAL}.get(type(default))
+        value = (cfg.getexpr(section, key) if kind is None
+                 else cfg.get(section, key, kind))
         if value is not None:
             kwargs[key] = value
     return kwargs
@@ -204,8 +180,8 @@ def _preset_kwargs(cfg: Config, preset: str) -> dict:
 
 def _build_bc(cfg: Config, n: int) -> BoundaryData:
     """Boundary keys set in the config; dirichlet_neumann supplies the rest."""
-    values = {"alpha": cfg.getcomplexlist("boundary", "alpha"),
-              "beta": cfg.getcomplexlist("boundary", "beta"),
+    values = {"alpha": cfg.get("boundary", "alpha", COMPLEXES),
+              "beta": cfg.get("boundary", "beta", COMPLEXES),
               "f1": cfg.getvector("boundary", "f1", n),
               "f2": cfg.getvector("boundary", "f2", n)}
     try:
@@ -223,11 +199,11 @@ def _build_spec(cfg: Config, preset: str, eps_list: Sequence[float],
     try:
         spec = ProblemSpec(
             pair=pair, eps=eps_list[0], lam=lam,
-            T=cfg.getfloat("scenario", "T", 1.0),
+            T=cfg.get("scenario", "T", REAL, 1.0),
             bc=bc,
             f=cfg.getexpr("data", "f"),
-            n_t=cfg.getint("grid", "n_t", 201),
-            n_x=cfg.getint("grid", "n_x", 1024))
+            n_t=cfg.get("grid", "n_t", INT, 201),
+            n_x=cfg.get("grid", "n_x", INT, 1024))
         for eps in eps_list[1:]:
             dataclasses.replace(spec, eps=eps)
         return spec
@@ -319,15 +295,14 @@ print(out)
 # ------------------------------------------------------------------ modes
 
 
-def _run_solve(cfg: Config, preset: str, out: Path, header: str,
-               name: str, chash: str) -> int:
-    spec = _build_spec(cfg, preset,
-                       [cfg.getfloat("solve", "eps",
-                                     cfg.getfloat("scenario", "eps", 0.1))],
-                       lam=cfg.getcomplex("solve", "lambda",
-                                          cfg.getcomplex("scenario", "lambda", 1.0)))
+def _run_solve(cfg: Config, out: Path, header: str, ident: dict) -> int:
+    spec = _build_spec(cfg, ident["preset"],
+                       [cfg.get("solve", "eps", REAL,
+                                cfg.get("scenario", "eps", REAL, 0.1))],
+                       lam=cfg.get("solve", "lambda", COMPLEX,
+                                   cfg.get("scenario", "lambda", COMPLEX, 1.0)))
     u = full_solve(spec)
-    rep = coercive_report(spec, u, p=cfg.getfloat("scenario", "p", 2.0))
+    rep = coercive_report(spec, u, p=cfg.get("scenario", "p", REAL, 2.0))
     cols = ["t"]
     for j in range(u.n):
         cols += [f"u{j}_re", f"u{j}_im"]
@@ -344,22 +319,18 @@ def _run_solve(cfg: Config, preset: str, out: Path, header: str,
            [f"{_fmt(t)} {_fmt(v)}" for t, v in zip(u.t, norms)])
     _write(out / "estimate.csv", header, [SWEEP_HEADER, _report_row(rep)])
     _write_json(out / "summary.json", {
-        "scenario": name, "config_hash": chash, "mode": "solve",
-        "preset": preset, "path": u.meta.get("path"),
-        "eps": spec.eps, "lambda": spec.lam,
+        **ident, "path": u.meta.get("path"), "eps": spec.eps, "lambda": spec.lam,
         "ratio": rep.ratio, "lhs_total": rep.lhs_total, "rhs": rep.rhs})
-    (out / "plot.py").write_text(PLOT_STUB)
     return 0
 
 
-def _run_sweep(cfg: Config, preset: str, out: Path, header: str,
-               name: str, chash: str) -> int:
-    eps_list = cfg.getfloatlist("sweep", "eps_list", required=True)
-    lam_list = cfg.getcomplexlist("sweep", "lambda_list", required=True)
+def _run_sweep(cfg: Config, out: Path, header: str, ident: dict) -> int:
+    eps_list = cfg.get("sweep", "eps_list", REALS, required=True)
+    lam_list = cfg.get("sweep", "lambda_list", COMPLEXES, required=True)
     if not eps_list or not lam_list:
         raise ConfigError("[sweep] eps_list and lambda_list must be nonempty")
-    p = cfg.getfloat("scenario", "p", 2.0)
-    base = _build_spec(cfg, preset, eps_list, lam=lam_list[0])
+    p = cfg.get("scenario", "p", REAL, 2.0)
+    base = _build_spec(cfg, ident["preset"], eps_list, lam=lam_list[0])
     reports = uniformity_sweep(base, eps_list, lam_list, p=p)
     _write(out / "sweep.csv", header,
            [SWEEP_HEADER] + [_report_row(r) for r in reports])
@@ -369,31 +340,27 @@ def _run_sweep(cfg: Config, preset: str, out: Path, header: str,
                 for r in reports if r.lam == lam and r.status == "ok"]
         _write(out / f"sweep_lam{i}.dat", header, rows)
     _write_json(out / "summary.json", {
-        "scenario": name, "config_hash": chash, "mode": "sweep",
-        "preset": preset, "p": p,
-        "n_cells": len(reports),
+        **ident, "p": p, "n_cells": len(reports),
         "n_failed": sum(r.status != "ok" for r in reports),
         "uniformity": {f"{lam.real:g}{lam.imag:+g}j":
                        {"max_ratio": mx, "factor": fac}
                        for lam, (mx, fac) in factors.items()}})
-    (out / "plot.py").write_text(PLOT_STUB)
     return 2 if any(r.status != "ok" for r in reports) else 0
 
 
-def _run_converge(cfg: Config, preset: str, out: Path, header: str,
-                  name: str, chash: str) -> int:
-    eps_list = cfg.getfloatlist("convergence", "eps_list", required=True)
-    base = _build_spec(cfg, preset, eps_list,
-                       lam=cfg.getcomplex("scenario", "lambda", 0.0))
+def _run_converge(cfg: Config, out: Path, header: str, ident: dict) -> int:
+    eps_list = cfg.get("convergence", "eps_list", REALS, required=True)
+    base = _build_spec(cfg, ident["preset"], eps_list,
+                       lam=cfg.get("scenario", "lambda", COMPLEX, 0.0))
     u0 = cfg.getvector("data", "u0", base.n, default=1.0)
     try:
         cauchy = CauchySpec(pair=base.pair, lam=0.0, T=base.T, u0=u0,
                             f=cfg.getexpr("data", "f0"), n_t=base.n_t)
         record = convergence_study(
             base, cauchy, eps_list,
-            compact_delta=cfg.getfloat("convergence", "delta", 0.1 * base.T),
-            p=cfg.getfloat("scenario", "p", 2.0),
-            floor_factor=cfg.getfloat("convergence", "floor_factor", 5.0))
+            compact_delta=cfg.get("convergence", "delta", REAL, 0.1 * base.T),
+            p=cfg.get("scenario", "p", REAL, 2.0),
+            floor_factor=cfg.get("convergence", "floor_factor", REAL, 5.0))
     except ValueError as exc:
         raise ConfigError(f"invalid convergence scenario: {exc}") from None
     rows = []
@@ -407,16 +374,14 @@ def _run_converge(cfg: Config, preset: str, out: Path, header: str,
            [f"{_fmt(e)} {_fmt(g)}" for e, g in
             zip(record.eps_list, record.x_norm_gaps) if np.isfinite(g)])
     _write_json(out / "summary.json", {
-        "scenario": name, "config_hash": chash, "mode": "converge",
-        "preset": preset, "fitted_rate": record.fitted_rate,
+        **ident, "fitted_rate": record.fitted_rate,
         "floor": record.floor, "delta": record.delta,
         "statuses": list(record.statuses)})
-    (out / "plot.py").write_text(PLOT_STUB)
     return 2 if any(s != "ok" for s in record.statuses) else 0
 
 
-def _run_check(cfg: Config, preset: str, out: Path, header: str,
-               name: str, chash: str) -> int:
+def _run_check(cfg: Config, out: Path, header: str, ident: dict) -> int:
+    preset = ident["preset"]
     try:
         kwargs = _preset_kwargs(cfg, preset)
         pair = make_pair(preset, check_positive=False, **kwargs)
@@ -434,8 +399,7 @@ def _run_check(cfg: Config, preset: str, out: Path, header: str,
         # the other presets have no drift or kernel coefficient: check a alone
         c41 = check_condition_4_1(grid, coeffs["a"], 0.0, 0.0)
     payload = {
-        "scenario": name, "config_hash": chash, "mode": "check",
-        "preset": preset,
+        **ident,
         "positivity": {"passed": pos.passed, "details": {
             "bound": pos.bound, "cap": pos.cap, "worst_lam": pos.worst_lam,
             "lam_samples": list(pos.lam_samples), "values": list(pos.values)}},
@@ -448,6 +412,11 @@ def _run_check(cfg: Config, preset: str, out: Path, header: str,
     return 0 if all_passed else 1
 
 
+RUNNERS = {"solve": _run_solve, "sweep": _run_sweep,
+           "converge": _run_converge, "check": _run_check}
+MODES = tuple(RUNNERS)
+
+
 # ------------------------------------------------------------- entry point
 
 
@@ -457,19 +426,16 @@ def run(config_path, out_dir, mode: Optional[str] = None,
     mode = mode or cfg.raw("scenario", "mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    name = cfg.raw("scenario", "name", Path(config_path).stem)
-    chash = config_hash(cfg, mode)
-    header = f"# scenario={name} config_hash={chash}"
-    chosen = cfg.raw("scenario", "preset", "scalar")
+    ident = {"scenario": cfg.raw("scenario", "name", Path(config_path).stem),
+             "config_hash": config_hash(cfg, mode), "mode": mode,
+             "preset": cfg.raw("scenario", "preset", "scalar")}
+    header = f"# scenario={ident['scenario']} config_hash={ident['config_hash']}"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if mode == "solve":
-        return _run_solve(cfg, chosen, out, header, name, chash)
-    if mode == "sweep":
-        return _run_sweep(cfg, chosen, out, header, name, chash)
-    if mode == "converge":
-        return _run_converge(cfg, chosen, out, header, name, chash)
-    return _run_check(cfg, chosen, out, header, name, chash)
+    code = RUNNERS[mode](cfg, out, header, ident)
+    if mode != "check":  # check writes no .dat files to plot
+        (out / "plot.py").write_text(PLOT_STUB)
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -38,14 +38,22 @@ class NonPositiveCoefficient(ValueError):
 
 
 def _as_coefficient(fn, variables: tuple) -> Callable:
-    """Accept an expression string, a callable, or a constant."""
+    """Sampler of a coefficient given as an expression, a callable or a constant.
+
+    The sampler takes the variables as keyword arrays and returns the
+    coefficient broadcast to the shape of the first one, so a constant,
+    whether a number or an expression such as "2", samples like any other
+    coefficient.
+    """
     if isinstance(fn, str):
         node = exprparse.parse(fn, allowed_vars=variables)
-        return lambda **kw: exprparse.eval_expr(node, kw)
-    if callable(fn):
-        return lambda **kw: fn(*(kw[v] for v in variables))
-    value = float(fn)
-    return lambda **kw: np.full_like(np.asarray(kw[variables[0]], dtype=float), value)
+        sample = lambda **kw: exprparse.eval_expr(node, kw)
+    elif callable(fn):
+        sample = lambda **kw: fn(*(kw[v] for v in variables))
+    else:
+        value = float(fn)
+        sample = lambda **kw: value
+    return lambda **kw: np.broadcast_to(sample(**kw), np.shape(kw[variables[0]]))
 
 
 @dataclass(frozen=True)
@@ -312,68 +320,39 @@ def _one_sided_rows(a0: float, b0: float, h: float):
 def build_wentzell_operator(grid: SpaceGrid, a, b) -> np.ndarray:
     """Matrix of A u = -(a u'' + b u') with a u'' + b u' = 0 at both ends.
 
-    Central differences on the interior; the boundary values are
-    eliminated through one-sided O(h^2) realizations of the boundary
-    condition, which couples the two endpoint unknowns through a 2x2
-    solve.  Constants are reproduced exactly in the kernel.
+    One matrix L on all n + 2 nodes holds central rows of -(a u'' + b u')
+    on the interior and, in the two end rows, the one-sided O(h^2) rows of
+    a u'' + b u' = 0.  A is its Schur complement on the interior: the end
+    rows give the boundary values (u_0, u_{n+1}) = S u_interior with
+    S = -C^-1 R through one 2x2 solve, and A = L_II + L_IB S.  Constants
+    are reproduced exactly in the kernel.
     """
     n = grid.n
     if n < 2:
         raise ValueError("dynamic boundary elimination needs at least 2 interior nodes")
     h = grid.h
-    a_fn = _as_coefficient(a, ("y",))
-    b_fn = _as_coefficient(b, ("y",))
     full = np.linspace(0.0, 1.0, n + 2)
-    a_all = np.asarray(a_fn(y=full), dtype=float)
-    b_all = np.asarray(b_fn(y=full), dtype=float)
+    a_all = np.asarray(_as_coefficient(a, ("y",))(y=full), dtype=float)
+    b_all = np.asarray(_as_coefficient(b, ("y",))(y=full), dtype=float)
     if np.any(a_all <= 0):
         raise NonPositiveCoefficient(
             f"diffusion coefficient must be positive; min over grid is {a_all.min():.3e}")
 
-    # boundary rows in unknowns (u_0, u_{n+1}; u_1..u_n)
-    left = _one_sided_rows(a_all[0], b_all[0], h)
-    right = _one_sided_rows(a_all[-1], -b_all[-1], h)  # mirrored derivative sign
-    C = np.zeros((2, 2))
-    R = np.zeros((2, n))
-    for k in range(4):
-        idx = k            # global index of stencil point, from the left end
-        coef = left[k]
-        if idx == 0:
-            C[0, 0] += coef
-        elif idx == n + 1:
-            C[0, 1] += coef
-        else:
-            R[0, idx - 1] += coef
-        jdx = n + 1 - k    # from the right end
-        coef = right[k]
-        if jdx == n + 1:
-            C[1, 1] += coef
-        elif jdx == 0:
-            C[1, 0] += coef
-        else:
-            R[1, jdx - 1] += coef
+    L = np.zeros((n + 2, n + 2))
+    j = np.arange(1, n + 1)
+    aj, bj = a_all[1:-1], b_all[1:-1]
+    L[j, j - 1] = -(aj / h**2 - bj / (2 * h))
+    L[j, j] = -(-2 * aj / h**2)
+    L[j, j + 1] = -(aj / h**2 + bj / (2 * h))
+    L[0, :4] = _one_sided_rows(a_all[0], b_all[0], h)
+    # the right row walks inward from u_{n+1}, with the derivative mirrored
+    L[-1, -4:] = _one_sided_rows(a_all[-1], -b_all[-1], h)[::-1]
+    ends, inner = [0, n + 1], slice(1, n + 1)
+    C, R = L[ends][:, ends], L[ends, inner]
     if abs(np.linalg.det(C)) < 1e-12 * (np.abs(C).max() ** 2 + 1e-300):
         raise ValueError("degenerate boundary elimination (singular 2x2 system)")
-    S = -np.linalg.solve(C, R)  # (u_0, u_{n+1}) = S @ u_interior
-
-    A = np.zeros((n, n))
-    for j in range(1, n + 1):
-        aj, bj = a_all[j], b_all[j]
-        cm = -(aj / h**2 - bj / (2 * h))   # coefficient on u_{j-1}
-        cc = -(-2 * aj / h**2)             # on u_j
-        cp = -(aj / h**2 + bj / (2 * h))   # on u_{j+1}
-        row = np.zeros(n)
-        row[j - 1] += cc
-        if j - 1 >= 1:
-            row[j - 2] += cm
-        else:
-            row += cm * S[0]
-        if j + 1 <= n:
-            row[j] += cp
-        else:
-            row += cp * S[1]
-        A[j - 1] = row
-    return A
+    S = -np.linalg.solve(C, R)
+    return L[inner, inner] + L[inner][:, ends] @ S
 
 
 def build_integral_operator(grid: SpaceGrid, kernel) -> np.ndarray:
@@ -382,8 +361,6 @@ def build_integral_operator(grid: SpaceGrid, kernel) -> np.ndarray:
     Y = grid.nodes[:, None]
     Tau = grid.nodes[None, :]
     K = np.asarray(k_fn(y=Y + 0 * Tau, tau=Tau + 0 * Y), dtype=complex)
-    if K.shape != (grid.n, grid.n):
-        raise ValueError(f"kernel evaluation returned shape {K.shape}")
     return K * grid.weights[None, :]
 
 

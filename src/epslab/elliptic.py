@@ -242,7 +242,8 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     the result is complex128 either way.  The two end pivots go through
     mat_solve; the interior pivots meet the same guard (check_solves)
     once per solve, after the forward sweep, and the first failing row
-    raises the error mat_solve would have raised for it.
+    raises the error mat_solve would have raised for it.  A back
+    substitution that overflows raises Overflow.
     """
     t = spec.t_grid()
     h = t[1] - t[0]
@@ -279,20 +280,20 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     rhs = np.empty((n, n + 1), dtype=dtype)
     rhs[:, :n] = upper
     gesv = GESV[dtype]
-    LU = [None] * (N - 2)
+    pivots = np.empty((N - 2, n), dtype=dtype)   # diagonals of the LU factors
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(2, N - 2):
             Zi = Z[i]
             np.matmul(lower, W[i - 1], out=E)
             np.subtract(Zi, E, out=Zi)
             rhs[:, n] = Zi[:, n]
-            LU[i], _, W[i], _ = gesv(Zi[:, :n], rhs)
+            lu, _, W[i], _ = gesv(Zi[:, :n], rhs)
+            pivots[i] = lu.diagonal()
     # rhs = [upper | c_i] and upper already passed as part of the first
     # pivot's rhs, so only c_i needs the finiteness check
     S = Z[2:, :, :n]
-    pivots = np.diagonal(np.stack(LU[2:]), axis1=1, axis2=2)
     check_solves(np.isfinite(S).all(axis=(1, 2)), np.abs(S).sum(axis=2).max(axis=1),
-                 np.isfinite(Z[2:, :, n]).all(axis=1), np.abs(pivots).min(axis=1))
+                 np.isfinite(Z[2:, :, n]).all(axis=1), np.abs(pivots[2:]).min(axis=1))
 
     # rows N-2 and N-1 with u_{N-3} = r - Uhat u_{N-2} substituted; the
     # last row is (b0 + 3c') u_{N-1} - 4c' u_{N-2} + c' u_{N-3} = f2
@@ -307,6 +308,8 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
         np.matmul(Uhat[i], u[i + 1], out=Uu)
         np.subtract(r[i], Uu, out=u[i])
     u[0] = r[0] - Uhat[0] @ u[2]
+    if not np.isfinite(u).all():
+        raise Overflow("finite difference solution overflowed to non-finite values")
     return GridFunction(t, u, meta={
         "path": "direct", "eps": spec.eps, "lam": spec.lam})
 

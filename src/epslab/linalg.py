@@ -44,7 +44,7 @@ class SqrtNotConverged(ArithmeticError):
 
 
 class Overflow(OverflowError):
-    """A matrix exponential exceeded the representable working range."""
+    """A matrix exponential or a solution left the representable working range."""
 
 
 def as_complex_matrix(M) -> np.ndarray:

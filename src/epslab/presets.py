@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .discretize import (BoundaryData, OperatorPair, SpaceGrid,
+from .discretize import (BoundaryData, OperatorPair, SpaceGrid, _as_coefficient,
                          build_integral_operator, build_wentzell_operator)
 from .elliptic import ProblemSpec
 from .parabolic import CauchySpec
@@ -44,11 +44,7 @@ def make_commuting_pair(n_y: int = 8, a: str = "1+2*y", b0: float = 0.3,
     B = b0 I + b1 A; they commute by construction, so the semigroup and
     multiplier routes are both exact for this family."""
     grid = SpaceGrid.uniform_interior(n_y)
-    from .exprparse import eval_expr, parse
-    avals = np.asarray(eval_expr(parse(a, allowed_vars=("y",)),
-                                 {"y": grid.nodes}), dtype=complex)
-    avals = np.broadcast_to(avals, (n_y,))
-    A = np.diag(avals)
+    A = np.diag(np.asarray(_as_coefficient(a, ("y",))(y=grid.nodes), dtype=complex))
     B = b0 * np.eye(n_y) + b1 * A
     return OperatorPair(A, B, grid=grid, check_positive=check_positive)
 

@@ -324,6 +324,41 @@ def test_stale_order_keys_are_ignored(tmp_path):
             == (out2 / "solution.csv").read_text().splitlines()[1:])
 
 
+@pytest.mark.parametrize("override", ["operators.a=2", "operators.b=0",
+                                      "operators.kernel=0.5"])
+def test_wentzell_takes_constant_coefficients(tmp_path, override):
+    assert main(["--config", str(CONFIGS / "wentzell_check.ini"),
+                 "--out", str(tmp_path / "out"), "--override", override]) == 0
+
+
+@pytest.mark.parametrize("config, override, message", [
+    ("scalar_solve", "grid.n_t=x", "invalid scenario: [grid] n_t: expected an integer: "
+     "invalid literal for int() with base 10: 'x'"),
+    ("scalar_solve", "scenario.T=x", "invalid scenario: [scenario] T: expected a real "
+     "number: could not convert string to float: 'x'"),
+    ("scalar_solve", "solve.lambda=[1", "[solve] lambda: expected a real or [re, im] "
+     "pair: unterminated complex pair '[1'"),
+    ("scalar_sweep", "sweep.eps_list=1 x", "[sweep] eps_list: expected space-separated "
+     "reals: could not convert string to float: 'x'"),
+    ("scalar_sweep", "sweep.lambda_list=[1,2,3]", "[sweep] lambda_list: expected "
+     "space-separated [re, im] pairs or reals: complex pair needs two entries, "
+     "got '[1,2,3]'"),
+    ("scalar_sweep", "sweep.eps_list=", "missing required key [sweep] eps_list"),
+    ("commuting_converge", "data.u0=x", "[data] u0: expected a scalar or n values: "
+     "could not convert string to float: 'x'"),
+    ("commuting_converge", "data.u0=1 2 3", "[data] u0: expected 1 or 8 values, got 3"),
+    ("commuting_sweep", "grid.n_y=x", "[grid] n_y: expected an integer: "
+     "invalid literal for int() with base 10: 'x'"),
+    ("commuting_sweep", "operators.b0=x", "[operators] b0: expected a real number: "
+     "could not convert string to float: 'x'"),
+], ids=["int", "real", "complex", "reals", "complexes", "required", "vector",
+        "vector-length", "preset-int", "preset-real"])
+def test_config_read_errors_name_the_key(tmp_path, capsys, config, override, message):
+    assert main(["--config", str(CONFIGS / f"{config}.ini"), "--out", str(tmp_path / "out"),
+                 "--override", override]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_shipped_configs_parse():
     for name in ("scalar_solve", "scalar_sweep", "commuting_sweep",
                  "commuting_converge", "wentzell_check"):

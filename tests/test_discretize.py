@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from epslab.discretize import (
     BoundaryData, ConditionReport, GridFunction, NonPositiveCoefficient,
     OperatorPair, SpaceGrid, build_integral_operator, build_wentzell_operator,
-    check_condition_1, check_condition_2_1, check_condition_4_1, e_norm,
-    kfunctional_norm, mixed_norm,
+    _as_coefficient, _one_sided_rows, check_condition_1, check_condition_2_1,
+    check_condition_4_1, e_norm, kfunctional_norm, mixed_norm,
 )
 from epslab.linalg import SingularMatrix, mat_solve, op_norm
 
@@ -292,6 +292,74 @@ class TestWentzellOperator:
         with pytest.raises(ValueError):
             build_wentzell_operator(SpaceGrid.uniform_interior(1), 1.0, 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64])
+    @pytest.mark.parametrize("a, b", [("1+y", "y"), (1.0, 0.0),
+                                      ("2+sin(3*y)", "-1+2*y"), ("exp(y)", "10*cos(y)")])
+    def test_schur_complement_matches_row_by_row_assembly(self, n, a, b):
+        g = SpaceGrid.uniform_interior(n)
+        A = build_wentzell_operator(g, a, b)
+        assert np.array_equal(A, _row_by_row_wentzell(g, a, b))
+
+    def test_constant_expressions_equal_constants(self):
+        g = SpaceGrid.uniform_interior(6)
+        assert np.array_equal(build_wentzell_operator(g, "2", "-0.5"),
+                              build_wentzell_operator(g, 2.0, -0.5))
+
+
+@pytest.mark.parametrize("coef", ["2", "2+0*y", 2.0, lambda y: 2.0],
+                         ids=["expression", "y-expression", "number", "callable"])
+def test_every_coefficient_kind_samples_to_the_grid_shape(coef):
+    y = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(_as_coefficient(coef, ("y",))(y=y), np.full(5, 2.0))
+
+
+def _row_by_row_wentzell(g, a, b):
+    """The Wentzell matrix as it was assembled before the Schur form: each
+    one-sided stencil point placed in the 2x2 system C or the coupling R,
+    then each interior row built with the boundary values substituted."""
+    n, h = g.n, g.h
+    full = np.linspace(0.0, 1.0, n + 2)
+    a_all = np.asarray(_as_coefficient(a, ("y",))(y=full), dtype=float)
+    b_all = np.asarray(_as_coefficient(b, ("y",))(y=full), dtype=float)
+    left = _one_sided_rows(a_all[0], b_all[0], h)
+    right = _one_sided_rows(a_all[-1], -b_all[-1], h)
+    C = np.zeros((2, 2))
+    R = np.zeros((2, n))
+    for k in range(4):
+        idx, coef = k, left[k]
+        if idx == 0:
+            C[0, 0] += coef
+        elif idx == n + 1:
+            C[0, 1] += coef
+        else:
+            R[0, idx - 1] += coef
+        jdx, coef = n + 1 - k, right[k]
+        if jdx == n + 1:
+            C[1, 1] += coef
+        elif jdx == 0:
+            C[1, 0] += coef
+        else:
+            R[1, jdx - 1] += coef
+    S = -np.linalg.solve(C, R)
+    A = np.zeros((n, n))
+    for j in range(1, n + 1):
+        aj, bj = a_all[j], b_all[j]
+        cm = -(aj / h**2 - bj / (2 * h))
+        cc = -(-2 * aj / h**2)
+        cp = -(aj / h**2 + bj / (2 * h))
+        row = np.zeros(n)
+        row[j - 1] += cc
+        if j - 1 >= 1:
+            row[j - 2] += cm
+        else:
+            row += cm * S[0]
+        if j + 1 <= n:
+            row[j] += cp
+        else:
+            row += cp * S[1]
+        A[j - 1] = row
+    return A
+
 
 class TestIntegralOperator:
     def test_constant_kernel(self):
@@ -299,6 +367,11 @@ class TestIntegralOperator:
         B = build_integral_operator(g, 0.5)
         u = np.arange(1.0, 7.0)
         np.testing.assert_allclose(B @ u, 0.5 * np.sum(g.weights * u))
+
+    def test_constant_expression_kernel(self):
+        g = SpaceGrid.uniform_interior(6)
+        assert np.array_equal(build_integral_operator(g, "0.5"),
+                              build_integral_operator(g, 0.5))
 
     def test_norm_bounded_by_kernel_sup(self):
         g = SpaceGrid.uniform_interior(12)

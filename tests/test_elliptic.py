@@ -442,6 +442,25 @@ def test_direct_solve_rejects_non_finite_load():
         direct_solve(spec)
 
 
+def _overflowing_load_spec(lam):
+    # a finite load of 1e308 at t = 0.95, the node N-2: every pivot and
+    # its rhs stay finite, and the back substitution overflows
+    bc = BoundaryData(alpha=(1.0, 0.5), beta=(1.0, 1.0), f1=np.ones(4), f2=np.ones(4))
+
+    def load(t):
+        return np.full(4, 1e308 if abs(t - 0.95) < 1e-12 else 0.0)
+
+    spec = ProblemSpec(pair=make_wentzell_pair(n_y=4), eps=1e-2, lam=lam, T=1.0,
+                       bc=bc, f=load, n_t=21)
+    return spec
+
+
+@pytest.mark.parametrize("lam", [3.0, 3 + 2j], ids=["float64", "complex128"])
+def test_direct_solve_raises_when_the_solution_overflows(lam):
+    with pytest.raises(Overflow, match="non-finite"):
+        direct_solve(_overflowing_load_spec(lam))
+
+
 class TestFullSolve:
     def test_path_semigroup_when_f_zero(self):
         spec = ProblemSpec(pair=commuting_pair(3, 1), eps=0.5, lam=1.0, T=1.0,

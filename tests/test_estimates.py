@@ -14,7 +14,7 @@ from epslab.estimates import (ConvergenceRecord, DecayFit, EstimateReport,
                               uniformity_sweep)
 from epslab.presets import (convergence_problem, decay_base,
                             dirichlet_neumann, make_scalar_pair,
-                            uniformity_base)
+                            make_wentzell_pair, uniformity_base)
 
 
 def l2_quad(fn, T=1.0):
@@ -166,6 +166,22 @@ def test_sweep_records_failures():
     assert np.isnan(reps[1].ratio)
     factors = uniformity_factors(reps)
     assert list(factors) == [1.0]
+
+
+def test_sweep_records_an_overflowing_solve_as_an_error():
+    # the load 1e308 at t = 0.95 overflows the finite difference back
+    # substitution; the cell is an error row, not an ok row holding nan
+    bc = BoundaryData(alpha=(1.0, 0.5), beta=(1.0, 1.0), f1=np.ones(4), f2=np.ones(4))
+
+    def load(t):
+        return np.full(4, 1e308 if abs(t - 0.95) < 1e-12 else 0.0)
+
+    base = ProblemSpec(pair=make_wentzell_pair(n_y=4), eps=1e-2, lam=3.0, T=1.0,
+                       bc=bc, f=load, n_t=21)
+    reps = uniformity_sweep(base, [1e-2], [3.0, 3 + 2j])
+    assert [r.status for r in reps] == [
+        "error: finite difference solution overflowed to non-finite values"] * 2
+    assert all(np.isnan(r.ratio) for r in reps)
 
 
 # ---------------------------------------------- epsilon_derivative_report

@@ -40,6 +40,13 @@ def test_wentzell_pair_structure():
     assert 0.0 not in pair.positivity.lam_samples
 
 
+def test_constant_expressions_build_the_constant_pairs():
+    pair = make_wentzell_pair(n_y=8, a="2", b="0", kernel="0.5")
+    want = make_wentzell_pair(n_y=8, a=2.0, b=0.0, kernel=0.5)
+    assert np.array_equal(pair.A, want.A) and np.array_equal(pair.B, want.B)
+    assert np.array_equal(make_commuting_pair(n_y=5, a="3").A, 3 * np.eye(5))
+
+
 def test_wentzell_pair_keeps_lam_samples_unchecked():
     # check mode builds the pair unchecked and scans these samples later
     pair = make_wentzell_pair(check_positive=False)
