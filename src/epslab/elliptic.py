@@ -24,19 +24,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .discretize import BoundaryData, GridFunction, IntervalProblem, OperatorPair
-from .linalg import GESV, Overflow, check_solves, expm, inv, mat_solve, op_norm, sqrtm
+from .linalg import GESV, Overflow, check_solves, expm, mat_solve, op_norm, sqrtm
 from .multiplier import check_n_x, whole_line_solve
 
 __all__ = [
     "ProblemSpec", "QSystem",
-    "compute_q_system", "solve_boundary_system", "solve_boundary_cramer",
+    "compute_q_system", "solve_boundary_system",
     "homogeneous_solution", "direct_solve", "full_solve",
-    "epsilon_derivative",
 ]
 
 PROPAGATOR_CAP = 1e6
@@ -78,17 +77,15 @@ class ProblemSpec(IntervalProblem):
 class QSystem:
     """Square-root calculus objects and the solved boundary coefficients.
 
-    Qlam = (B^2+4 eps A_lam)^(1/2), Dinv = -Qlam^(-1)/d is the inverse of
-    the operator determinant of the boundary system in the anchored
-    parameterization.  G1 = -Q2 and G2 = Q1 generate the decaying modes;
-    E1 = exp(-T G1), E2 = exp(-T G2) are the cross-interval propagators.
+    Qlam = (B^2+4 eps A_lam)^(1/2).  G1 = -Q2 and G2 = Q1 generate the
+    decaying modes; E1 = exp(-T G1), E2 = exp(-T G2) are the
+    cross-interval propagators.
     g1 and h2 solve the boundary block system; g2 = E2 h2 is the weight
     the T-anchored mode carries at t = 0.
     """
     Q1: np.ndarray
     Q2: np.ndarray
     Qlam: np.ndarray
-    Dinv: np.ndarray
     G1: np.ndarray
     G2: np.ndarray
     E1: np.ndarray
@@ -127,22 +124,6 @@ def solve_boundary_system(G1, G2, E1, E2, bc: BoundaryData, eps: float,
     return sol[:n], sol[n:]
 
 
-def solve_boundary_cramer(G1, G2, E1, E2, bc: BoundaryData, eps: float,
-                          f1: np.ndarray, f2: np.ndarray):
-    """Block-Cramer solution, valid when all blocks commute.
-
-    For commuting pairs the blocks are rational functions of (B, R) and
-    commute with each other, so the 2x2 block determinant
-    Delta = A11 A22 - A12 A21 inverts the system componentwise.  Serves
-    as an independent cross-check of solve_boundary_system.
-    """
-    A11, A12, A21, A22 = _boundary_blocks(G1, G2, E1, E2, bc, eps)
-    Delta = A11 @ A22 - A12 @ A21
-    g1 = mat_solve(Delta, A22 @ f1 - A12 @ f2)
-    h2 = mat_solve(Delta, A11 @ f2 - A21 @ f1)
-    return g1, h2
-
-
 def compute_q_system(spec: ProblemSpec) -> QSystem:
     """Square-root calculus plus the solved boundary weights for spec.
 
@@ -151,13 +132,12 @@ def compute_q_system(spec: ProblemSpec) -> QSystem:
     be subtracted from the data first, which full_solve does.
     """
     Q1, Q2, R = _q_operators(spec)
-    Dinv = -inv(R) / spec.bc.d
     G1, G2 = -Q2, Q1
     E1 = expm(-spec.T * G1)
     E2 = expm(-spec.T * G2)
     f1, f2 = spec.bc.data_for(spec.n)
     g1, h2 = solve_boundary_system(G1, G2, E1, E2, spec.bc, spec.eps, f1, f2)
-    return QSystem(Q1=Q1, Q2=Q2, Qlam=R, Dinv=Dinv, G1=G1, G2=G2,
+    return QSystem(Q1=Q1, Q2=Q2, Qlam=R, G1=G1, G2=G2,
                    E1=E1, E2=E2, g1=g1, g2=E2 @ h2, h2=h2)
 
 
@@ -289,18 +269,19 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
             rhs[:, n] = Zi[:, n]
             lu, _, W[i], _ = gesv(Zi[:, :n], rhs)
             pivots[i] = lu.diagonal()
-    # rhs = [upper | c_i] and upper already passed as part of the first
-    # pivot's rhs, so only c_i needs the finiteness check
-    S = Z[2:, :, :n]
-    check_solves(np.isfinite(S).all(axis=(1, 2)), np.abs(S).sum(axis=2).max(axis=1),
-                 np.isfinite(Z[2:, :, n]).all(axis=1), np.abs(pivots[2:]).min(axis=1))
+        # rhs = [upper | c_i] and upper already passed as part of the first
+        # pivot's rhs, so only c_i needs the finiteness check
+        S = Z[2:, :, :n]
+        check_solves(np.isfinite(S).all(axis=(1, 2)), np.abs(S).sum(axis=2).max(axis=1),
+                     np.isfinite(Z[2:, :, n]).all(axis=1), np.abs(pivots[2:]).min(axis=1))
 
-    # rows N-2 and N-1 with u_{N-3} = r - Uhat u_{N-2} substituted; the
-    # last row is (b0 + 3c') u_{N-1} - 4c' u_{N-2} + c' u_{N-3} = f2
-    Uhat, r = W[N - 3, :, :n], W[N - 3, :, n]
-    P = np.block([[diag - lower @ Uhat, upper],
-                  [-c_right * (4 * eye + Uhat), (b0 + 3 * c_right) * eye]])
-    rhs = np.concatenate([fvals[N - 2] - lower @ r, f2 - c_right * r])
+        # rows N-2 and N-1 with u_{N-3} = r - Uhat u_{N-2} substituted; the
+        # last row is (b0 + 3c') u_{N-1} - 4c' u_{N-2} + c' u_{N-3} = f2;
+        # a non-finite entry here is left to mat_solve's check
+        Uhat, r = W[N - 3, :, :n], W[N - 3, :, n]
+        P = np.block([[diag - lower @ Uhat, upper],
+                      [-c_right * (4 * eye + Uhat), (b0 + 3 * c_right) * eye]])
+        rhs = np.concatenate([fvals[N - 2] - lower @ r, f2 - c_right * r])
     u = np.empty((N, n), dtype=dtype)
     u[N - 2:] = mat_solve(P, rhs).reshape(2, n)
     Uhat, r, Uu = W[:, :, :n], W[:, :, n], np.empty(n, dtype=dtype)
@@ -347,42 +328,3 @@ def full_solve(spec: ProblemSpec) -> GridFunction:
         "path": "multiplier+semigroup", "eps": spec.eps, "lam": spec.lam,
         "commutator": commutator, "alias_energy": line.alias_energy})
 
-
-def _eps_stencil(spec: ProblemSpec, delta: Optional[float],
-                 orders: Sequence[int]):
-    """Central eps-differences of the solution, one solve per stencil node.
-
-    Solves eps - delta and eps + delta, and eps itself when order 2 is
-    among orders.  Returns (mid, derivatives): mid is the solve at eps
-    (None when no order needs it) and derivatives holds one GridFunction
-    per entry of orders.
-    """
-    if any(order not in (1, 2) for order in orders):
-        raise ValueError("order must be 1 or 2")
-    if delta is None:
-        delta = 0.05 * spec.eps
-    if spec.eps - delta <= 0:
-        raise ValueError("delta too large: eps - delta must stay positive")
-
-    def at(e):
-        return full_solve(dataclasses.replace(spec, eps=e))
-
-    lo = at(spec.eps - delta)
-    hi = at(spec.eps + delta)
-    mid = at(spec.eps) if 2 in orders else None
-    out = []
-    for order in orders:
-        if order == 1:
-            vals = (hi.values - lo.values) / (2 * delta)
-        else:
-            vals = (hi.values - 2 * mid.values + lo.values) / delta**2
-        out.append(GridFunction(lo.t, vals, meta={
-            "path": "eps-derivative", "order": order, "delta": delta,
-            "eps": spec.eps, "lam": spec.lam}))
-    return mid, out
-
-
-def epsilon_derivative(spec: ProblemSpec, delta: Optional[float] = None,
-                       order: int = 1) -> GridFunction:
-    """Central finite difference of the solution in the parameter eps."""
-    return _eps_stencil(spec, delta, (order,))[1][0]

@@ -1,9 +1,9 @@
 """Quantitative measurements on solved problems.
 
 Each routine turns one analytic claim into numbers: weighted-derivative
-ratios for the coercive estimate, the eps-derivative bounds, the decay
-rate of the boundary propagator M, boundedness of N, and the gap
-between the elliptic solution and its first-order limit as eps -> 0.
+ratios for the coercive estimate, the decay rate of the boundary
+propagator M, boundedness of N, and the gap between the elliptic
+solution and its first-order limit as eps -> 0.
 Nothing here asserts; callers (tests, CLI) compare against thresholds.
 """
 from __future__ import annotations
@@ -15,15 +15,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .discretize import GridFunction, check_p, e_norm, kfunctional_norm, mixed_norm
-from .elliptic import ProblemSpec, _eps_stencil, full_solve
-from .linalg import (Overflow, SingularMatrix, SqrtNotConverged, mat_solve,
-                     op_norm, sqrtm)
+from .elliptic import ProblemSpec, full_solve
+from .linalg import Overflow, SingularMatrix, SqrtNotConverged, op_norm
 from .parabolic import CauchySpec, build_MN, cauchy_solve
 
 __all__ = [
-    "EstimateReport", "EpsDerivativeReport", "DecayFit", "ConvergenceRecord",
+    "EstimateReport", "DecayFit", "ConvergenceRecord",
     "FitDegenerate", "coercive_report", "uniformity_sweep",
-    "uniformity_factors", "epsilon_derivative_report", "decay_fit",
+    "uniformity_factors", "decay_fit",
     "layer_norm_sweep", "convergence_study", "time_derivatives",
 ]
 
@@ -180,49 +179,6 @@ def uniformity_factors(reports: Sequence[EstimateReport]) -> dict:
         if rep.status == "ok" and rep.rhs > 0:
             out.setdefault(rep.lam, []).append(rep.ratio)
     return {lam: (max(rs), max(rs) / min(rs)) for lam, rs in out.items()}
-
-
-@dataclass(frozen=True)
-class EpsDerivativeReport:
-    """Weighted norms of du/deps and d2u/deps2 against the data norms."""
-    eps: float
-    lam: complex
-    p: float
-    d1_weighted: float
-    d2_weighted: float
-    rhs: float
-    ratio: float
-    scaled_u_norm: float
-    data_comparator: float
-
-
-def epsilon_derivative_report(spec: ProblemSpec, p: float = 2.0,
-                              delta: Optional[float] = None) -> EpsDerivativeReport:
-    """Evaluate the smoothness-in-eps bound on one solve.
-
-    d1_weighted = eps^(3/2-1/p) |lam|^(1/2) ||du/deps||_X and
-    d2_weighted = eps^(3-1/p) ||d2u/deps2||_X; rhs is the boundary-data
-    norm.  scaled_u_norm = eps^(1/p) ||u||_X is tracked against
-    sum_k ||A_lam^(-m_k/2) f_k|| for the vanishing-eps comparison.
-    """
-    w = spec.pair.weights()
-    u, (d1, d2) = _eps_stencil(spec, delta, (1, 2))
-    mod = abs(spec.lam)
-    d1w = spec.eps ** (1.5 - 1.0 / p) * _lam_pow(mod, 0.5) * mixed_norm(
-        d1, p=p, weights=w)
-    d2w = spec.eps ** (3.0 - 1.0 / p) * mixed_norm(d2, p=p, weights=w)
-    rhs = _data_norms(spec, p, w)
-    lhs = d1w + d2w
-    ratio = lhs / rhs if rhs > 0 else 0.0
-    scaled = spec.eps ** (1.0 / p) * mixed_norm(u, p=p, weights=w)
-    f1, f2 = spec.bc.data_for(spec.n)
-    root = sqrtm(spec.A_lam)
-    comp = 0.0
-    for fk, m in ((f1, spec.bc.m1), (f2, spec.bc.m2)):
-        vec = fk if m == 0 else mat_solve(root, fk)
-        comp += e_norm(vec, w)
-    return EpsDerivativeReport(spec.eps, spec.lam, p, d1w, d2w, rhs, ratio,
-                               scaled, comp)
 
 
 @dataclass(frozen=True)

@@ -332,10 +332,12 @@ def test_wentzell_takes_constant_coefficients(tmp_path, override):
 
 
 @pytest.mark.parametrize("config, override, message", [
-    ("scalar_solve", "grid.n_t=x", "invalid scenario: [grid] n_t: expected an integer: "
+    ("scalar_solve", "grid.n_t=x", "[grid] n_t: expected an integer: "
      "invalid literal for int() with base 10: 'x'"),
-    ("scalar_solve", "scenario.T=x", "invalid scenario: [scenario] T: expected a real "
+    ("scalar_solve", "scenario.T=x", "[scenario] T: expected a real "
      "number: could not convert string to float: 'x'"),
+    ("scalar_solve", "grid.n_x=x", "[grid] n_x: expected an integer: "
+     "invalid literal for int() with base 10: 'x'"),
     ("scalar_solve", "solve.lambda=[1", "[solve] lambda: expected a real or [re, im] "
      "pair: unterminated complex pair '[1'"),
     ("scalar_sweep", "sweep.eps_list=1 x", "[sweep] eps_list: expected space-separated "
@@ -351,7 +353,7 @@ def test_wentzell_takes_constant_coefficients(tmp_path, override):
      "invalid literal for int() with base 10: 'x'"),
     ("commuting_sweep", "operators.b0=x", "[operators] b0: expected a real number: "
      "could not convert string to float: 'x'"),
-], ids=["int", "real", "complex", "reals", "complexes", "required", "vector",
+], ids=["int", "real", "n_x", "complex", "reals", "complexes", "required", "vector",
         "vector-length", "preset-int", "preset-real"])
 def test_config_read_errors_name_the_key(tmp_path, capsys, config, override, message):
     assert main(["--config", str(CONFIGS / f"{config}.ini"), "--out", str(tmp_path / "out"),

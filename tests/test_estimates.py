@@ -8,8 +8,7 @@ from epslab.discretize import BoundaryData, GridFunction, OperatorPair
 from epslab.elliptic import ProblemSpec, full_solve
 from epslab.estimates import (ConvergenceRecord, DecayFit, EstimateReport,
                               FitDegenerate, coercive_report,
-                              convergence_study, decay_fit,
-                              epsilon_derivative_report, layer_norm_sweep,
+                              convergence_study, decay_fit, layer_norm_sweep,
                               time_derivatives, uniformity_factors,
                               uniformity_sweep)
 from epslab.presets import (convergence_problem, decay_base,
@@ -182,74 +181,6 @@ def test_sweep_records_an_overflowing_solve_as_an_error():
     assert [r.status for r in reps] == [
         "error: finite difference solution overflowed to non-finite values"] * 2
     assert all(np.isnan(r.ratio) for r in reps)
-
-
-# ---------------------------------------------- epsilon_derivative_report
-
-
-def test_eps_derivative_report_scalar_oracle():
-    import sympy as sp
-    eps0, lam, a = 0.2, 1.0, 1.0
-    spec = dn_spec(eps=eps0, a=a, lam=lam, n_t=401)
-    t, e = sp.symbols("t e", positive=True)
-    u_sym = sp.cosh((1 - t) * sp.sqrt((a + lam) / e)) / sp.cosh(sp.sqrt((a + lam) / e))
-    d1 = sp.lambdify(t, sp.diff(u_sym, e).subs(e, eps0), "numpy")
-    d2 = sp.lambdify(t, sp.diff(u_sym, e, 2).subs(e, eps0), "numpy")
-    rep = epsilon_derivative_report(spec)
-    want1 = eps0 ** 1.0 * abs(lam) ** 0.5 * l2_quad(d1)
-    want2 = eps0 ** 2.5 * l2_quad(d2)
-    assert abs(rep.d1_weighted - want1) < 5e-3 * want1
-    assert abs(rep.d2_weighted - want2) < 2e-2 * want2
-    assert rep.rhs > 0
-    assert rep.ratio == (rep.d1_weighted + rep.d2_weighted) / rep.rhs
-    # m1 = 0 datum enters plainly, zero Neumann datum drops out
-    assert np.isclose(rep.data_comparator, 1.0, rtol=1e-12)
-    u = full_solve(spec)
-    from epslab.discretize import mixed_norm
-    assert np.isclose(rep.scaled_u_norm,
-                      np.sqrt(eps0) * mixed_norm(u), rtol=1e-12)
-
-
-def test_eps_derivative_report_solves_each_stencil_node_once(monkeypatch):
-    import epslab.elliptic
-    import epslab.estimates
-    from epslab.discretize import e_norm, mixed_norm
-    from epslab.elliptic import epsilon_derivative
-    from epslab.estimates import _data_norms
-    from epslab.linalg import mat_solve, sqrtm
-
-    p = 2.0
-    spec = uniformity_base("scalar", eps=0.1)
-    w = spec.pair.weights()
-    d1 = epsilon_derivative(spec, order=1)
-    d2 = epsilon_derivative(spec, order=2)
-    u = full_solve(spec)
-    d1w = spec.eps ** (1.5 - 1.0 / p) * abs(spec.lam) ** 0.5 * mixed_norm(
-        d1, p=p, weights=w)
-    d2w = spec.eps ** (3.0 - 1.0 / p) * mixed_norm(d2, p=p, weights=w)
-    rhs = _data_norms(spec, p, w)
-    f1, f2 = spec.bc.data_for(spec.n)
-    root = sqrtm(spec.A_lam)
-    comp = sum(e_norm(fk if m == 0 else mat_solve(root, fk), w)
-               for fk, m in ((f1, spec.bc.m1), (f2, spec.bc.m2)))
-
-    calls = []
-
-    def counting(sp):
-        calls.append(sp.eps)
-        return full_solve(sp)
-
-    monkeypatch.setattr(epslab.elliptic, "full_solve", counting)
-    monkeypatch.setattr(epslab.estimates, "full_solve", counting)
-    rep = epsilon_derivative_report(spec, p=p)
-    assert len(calls) == 3
-    assert rep.d1_weighted == d1w
-    assert rep.d2_weighted == d2w
-    assert rep.rhs == rhs
-    assert rep.ratio == (d1w + d2w) / rhs
-    assert rep.scaled_u_norm == spec.eps ** (1.0 / p) * mixed_norm(u, p=p, weights=w)
-    assert rep.data_comparator == comp
-    assert (rep.eps, rep.lam, rep.p) == (spec.eps, spec.lam, p)
 
 
 # -------------------------------------------------------------- decay_fit
