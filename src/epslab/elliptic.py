@@ -29,7 +29,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .discretize import BoundaryData, GridFunction, IntervalProblem, OperatorPair
-from .linalg import GESV, Overflow, check_solves, expm, mat_solve, op_norm, sqrtm
+from .linalg import (GESV, Overflow, SingularMatrix, check_solves, expm, mat_solve,
+                     op_norm, sqrtm)
 from .multiplier import check_n_x, whole_line_solve
 
 __all__ = [
@@ -192,8 +193,7 @@ def homogeneous_solution(spec: ProblemSpec, qsys: Optional[QSystem] = None) -> G
         qsys = compute_q_system(spec)
     t, x, w = _propagate_modes(spec, qsys)
     u = x + w
-    return GridFunction(t, u, meta={
-        "path": "semigroup", "eps": spec.eps, "lam": spec.lam})
+    return GridFunction(t, u, meta={"path": "semigroup"})
 
 
 def mode_derivatives(spec: ProblemSpec, qsys: Optional[QSystem] = None):
@@ -222,8 +222,10 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     the result is complex128 either way.  The two end pivots go through
     mat_solve; the interior pivots meet the same guard (check_solves)
     once per solve, after the forward sweep, and the first failing row
-    raises the error mat_solve would have raised for it.  A back
-    substitution that overflows raises Overflow.
+    raises the error mat_solve would have raised for it.  Non-finite
+    load or boundary data raise mat_solve's ValueError up front; after
+    that, a pivot, rhs or back substitution that leaves the finite range
+    raises Overflow.
     """
     t = spec.t_grid()
     h = t[1] - t[0]
@@ -231,6 +233,8 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     B, A_lam = spec.pair.B, spec.A_lam
     fvals = spec.f_samples(t)
     f1, f2 = spec.bc.data_for(n)
+    if not all(np.isfinite(x).all() for x in (fvals, f1, f2)):
+        raise ValueError("array must not contain infs or NaNs")
     (a0, a1), (b0, b1) = spec.bc.alpha, spec.bc.beta
     data = (B, A_lam, fvals, f1, f2, spec.bc.alpha, spec.bc.beta)
     dtype = np.dtype(np.complex128 if any(np.any(np.imag(x)) for x in data)
@@ -272,18 +276,23 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
         # rhs = [upper | c_i] and upper already passed as part of the first
         # pivot's rhs, so only c_i needs the finiteness check
         S = Z[2:, :, :n]
-        check_solves(np.isfinite(S).all(axis=(1, 2)), np.abs(S).sum(axis=2).max(axis=1),
-                     np.isfinite(Z[2:, :, n]).all(axis=1), np.abs(pivots[2:]).min(axis=1))
-
-        # rows N-2 and N-1 with u_{N-3} = r - Uhat u_{N-2} substituted; the
-        # last row is (b0 + 3c') u_{N-1} - 4c' u_{N-2} + c' u_{N-3} = f2;
-        # a non-finite entry here is left to mat_solve's check
-        Uhat, r = W[N - 3, :, :n], W[N - 3, :, n]
-        P = np.block([[diag - lower @ Uhat, upper],
-                      [-c_right * (4 * eye + Uhat), (b0 + 3 * c_right) * eye]])
-        rhs = np.concatenate([fvals[N - 2] - lower @ r, f2 - c_right * r])
-    u = np.empty((N, n), dtype=dtype)
-    u[N - 2:] = mat_solve(P, rhs).reshape(2, n)
+        u = np.empty((N, n), dtype=dtype)
+        try:
+            check_solves(np.isfinite(S).all(axis=(1, 2)), np.abs(S).sum(axis=2).max(axis=1),
+                         np.isfinite(Z[2:, :, n]).all(axis=1), np.abs(pivots[2:]).min(axis=1))
+            # rows N-2 and N-1 with u_{N-3} = r - Uhat u_{N-2} substituted; the
+            # last row is (b0 + 3c') u_{N-1} - 4c' u_{N-2} + c' u_{N-3} = f2;
+            # a non-finite entry here is left to mat_solve's check
+            Uhat, r = W[N - 3, :, :n], W[N - 3, :, n]
+            P = np.block([[diag - lower @ Uhat, upper],
+                          [-c_right * (4 * eye + Uhat), (b0 + 3 * c_right) * eye]])
+            rhs = np.concatenate([fvals[N - 2] - lower @ r, f2 - c_right * r])
+            u[N - 2:] = mat_solve(P, rhs).reshape(2, n)
+        except SingularMatrix:
+            raise
+        except ValueError as exc:
+            # the data are finite, so a non-finite pivot or rhs is overflow
+            raise Overflow("finite difference sweep overflowed to non-finite values") from exc
     Uhat, r, Uu = W[:, :, :n], W[:, :, n], np.empty(n, dtype=dtype)
     for i in range(N - 3, 0, -1):
         np.matmul(Uhat[i], u[i + 1], out=Uu)
@@ -291,8 +300,7 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     u[0] = r[0] - Uhat[0] @ u[2]
     if not np.isfinite(u).all():
         raise Overflow("finite difference solution overflowed to non-finite values")
-    return GridFunction(t, u, meta={
-        "path": "direct", "eps": spec.eps, "lam": spec.lam})
+    return GridFunction(t, u, meta={"path": "direct"})
 
 
 def full_solve(spec: ProblemSpec) -> GridFunction:
@@ -303,18 +311,12 @@ def full_solve(spec: ProblemSpec) -> GridFunction:
     modes absorb the boundary mismatch.  Non-commuting pairs use the
     finite difference scheme, recorded in meta["path"].
     """
-    commutator = spec.pair.commutator_norm
     if not spec.pair.commutes():
-        out = direct_solve(spec)
-        out.meta["commutator"] = commutator
-        return out
+        return direct_solve(spec)
+    if spec.f_is_zero():
+        return homogeneous_solution(spec)
 
     t = spec.t_grid()
-    if spec.f_is_zero():
-        out = homogeneous_solution(spec)
-        out.meta["commutator"] = commutator
-        return out
-
     line = whole_line_solve(spec)
     u1 = line.on_grid(t)
     du1 = line.on_grid(t[[0, -1]], derivative=1)
@@ -325,6 +327,5 @@ def full_solve(spec: ProblemSpec) -> GridFunction:
     spec2 = dataclasses.replace(spec, bc=bc2, f=None)
     u2 = homogeneous_solution(spec2)
     return GridFunction(t, u1 + u2.values, meta={
-        "path": "multiplier+semigroup", "eps": spec.eps, "lam": spec.lam,
-        "commutator": commutator, "alias_energy": line.alias_energy})
+        "path": "multiplier+semigroup", "alias_energy": line.alias_energy})
 

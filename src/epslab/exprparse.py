@@ -27,7 +27,7 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "ParseError", "UnknownVariable", "EvalError",
-    "parse", "eval_expr", "pretty", "free_variables",
+    "parse", "eval_expr", "pretty",
 ]
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "sqrt", "abs")
@@ -219,20 +219,6 @@ def parse(src: str, allowed_vars=()) -> Expr:
     if kind != "end":
         raise ParseError(f"trailing input {text!r}", offset, ("operator", "end"))
     return node
-
-
-def free_variables(e: Expr) -> frozenset:
-    if isinstance(e, Num):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return free_variables(e.operand)
-    if isinstance(e, BinOp):
-        return free_variables(e.left) | free_variables(e.right)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    raise TypeError(f"not an Expr node: {e!r}")
 
 
 def eval_expr(e: Expr, bindings: Mapping[str, object] = ()):

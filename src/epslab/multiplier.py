@@ -84,56 +84,50 @@ def resolvent_symbol(A, B, eps: float, lam: complex, xi) -> np.ndarray:
     return np.linalg.inv(_symbol(A, B, eps, lam, xi))
 
 
-def _cis(x: np.ndarray) -> np.ndarray:
-    """exp(i x) for real x, from one cos and one sin pass."""
-    out = np.empty(x.shape, dtype=np.complex128)
-    np.cos(x, out=out.real)
-    np.sin(x, out=out.imag)
-    return out
-
-
 @dataclass
 class LineSolution:
     """Fourier-side solution; evaluation is exact trig interpolation."""
     grid: LineGrid
     uhat: np.ndarray
     alias_energy: float
-    eps: float
-    lam: complex
 
     def on_grid(self, points, derivative: int = 0) -> np.ndarray:
         """Values of d^derivative u / dx^derivative at equispaced points.
 
         The points p_l = p0 + l h (l < m) must be equispaced to within
-        1e-9 |h|, as in GridFunction; otherwise ValueError.  The phase
-        factors in two levels: with R = ceil(sqrt(m)) and l = q R + s,
+        1e-9 |h|, and for m >= 2 the step |h| must divide the window
+        length L = 2 halfwidth to within 1e-9 L; otherwise ValueError.
+        Then every p_l lies on the periodic grid of P = L / |h| points
+        from p0, and with integer wavenumbers k (xi_k = 2 pi k / L)
 
-            exp(i (p_l - x0) xi) = exp(i (p0 - x0) xi) exp(i s h xi)
-                                   exp(i q R h xi),
+            u(p_l) = 1/n_x sum_k coef_k exp(+-2 pi i k l / P),
+            coef_k = (i xi_k)^d exp(i (p0 - x0) xi_k) uhat_k,
 
-        so the R x n_x table E[s] and the Q x n_x table F[q] replace the
-        m x n_x phase matrix, and F folds into the coefficients before
-        one product E @ (F * coef).  That takes about 2 sqrt(m) n_x
-        complex exponentials instead of m n_x.
+        with the sign of h, so the coefficients fold into the bins k mod P
+        and one inverse FFT of length P gives the values.
+        A single point uses P = 1.  The folded array holds P n values:
+        on the time grid, P = 16 (n_t - 1).
         """
         pts = np.atleast_1d(np.asarray(points, dtype=float))
         m = len(pts)
-        xi = self.grid.xi
         n_x, n = self.uhat.shape
         if m == 0:
             return np.zeros((0, n), dtype=np.complex128)
         h = float(pts[-1] - pts[0]) / max(m - 1, 1)
         if np.any(np.abs(np.diff(pts) - h) > 1e-9 * abs(h)):
             raise ValueError("on_grid needs equispaced points")
-        fac = (1j * xi) ** derivative * _cis((pts[0] - self.grid.x[0]) * xi)
-        coef = fac[:, None] * self.uhat
-        R = int(np.ceil(np.sqrt(m)))
-        Q = -(-m // R)
-        E = _cis(np.outer(h * np.arange(R), xi))
-        F = _cis(np.outer(xi, R * h * np.arange(Q)))
-        G = F[:, :, None] * coef[:, None, :]
-        vals = (E @ G.reshape(n_x, Q * n)).reshape(R, Q, n)
-        return vals.transpose(1, 0, 2).reshape(Q * R, n)[:m] / n_x
+        L = 2.0 * self.grid.halfwidth
+        P = round(L / abs(h)) if h else 1
+        if m > 1 and abs(P * abs(h) - L) > 1e-9 * L:
+            raise ValueError(f"on_grid needs a step that divides the window length {L}")
+        xi = self.grid.xi
+        fac = (1j * xi) ** derivative * np.exp(1j * (pts[0] - self.grid.x[0]) * xi)
+        k = (np.fft.fftfreq(n_x) * n_x).astype(np.int64)
+        bins = np.zeros((P, n), dtype=np.complex128)
+        np.add.at(bins, k % P, fac[:, None] * self.uhat)
+        vals = np.fft.ifft(bins, axis=0, norm="forward")
+        l = np.arange(m) if h >= 0 else -np.arange(m)
+        return vals[l % P] / n_x
 
     def nodal_values(self, derivative: int = 0) -> np.ndarray:
         fac = (1j * self.grid.xi) ** derivative
@@ -172,8 +166,7 @@ def whole_line_solve(spec) -> LineSolution:
 
     M = _symbol(spec.pair.A, spec.pair.B, spec.eps, spec.lam, grid.xi)
     uhat = np.linalg.solve(M, fhat[..., None])[..., 0]
-    return LineSolution(grid=grid, uhat=uhat, alias_energy=alias,
-                        eps=spec.eps, lam=spec.lam)
+    return LineSolution(grid=grid, uhat=uhat, alias_energy=alias)
 
 
 def _weight_scalar(eps: float, lam: complex, xi: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ def cauchy_solve(cspec: CauchySpec) -> GridFunction:
         c = h * (binv_f @ Eh.T)
         for i in range(cspec.n_t - 1):
             u[i + 1] = E @ u[i] + c[i]
-    return GridFunction(t, u, meta={"path": "cauchy", "lam": cspec.lam})
+    return GridFunction(t, u, meta={"path": "cauchy"})
 
 
 def build_MN(spec: ProblemSpec, qsys: Optional[QSystem] = None):

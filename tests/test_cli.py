@@ -203,6 +203,15 @@ n_t = 51
     assert "error" in rows[1]
 
 
+def test_overflowing_finite_load_is_a_numerical_failure(tmp_path, capsys):
+    # the wentzell solve goes through direct_solve, whose sweep overflows
+    # on this finite load
+    assert main(["--config", str(write(tmp_path, SOLVE_MINI)),
+                 "--out", str(tmp_path / "out"), "--preset", "wentzell",
+                 "--override", "data.f=1e308*exp(-10000*(t-0.5)^2)"]) == 2
+    assert "numerical failure: Overflow" in capsys.readouterr().err
+
+
 def test_overrides_and_preset_flag(tmp_path):
     cfgp = write(tmp_path, SOLVE_MINI)
     out = tmp_path / "out"

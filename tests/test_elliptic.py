@@ -434,7 +434,8 @@ def test_direct_solve_rejects_non_finite_load():
 
 def _overflowing_load_spec(lam, t_load=0.95):
     # a finite load of 1e308 at t_load; at t = 0.95, the node N-2, every
-    # pivot and its rhs stay finite, and the back substitution overflows
+    # pivot and its rhs stay finite, and the back substitution overflows;
+    # earlier nodes overflow an interior rhs or the last pivot
     bc = BoundaryData(alpha=(1.0, 0.5), beta=(1.0, 1.0), f1=np.ones(4), f2=np.ones(4))
 
     def load(t):
@@ -445,17 +446,18 @@ def _overflowing_load_spec(lam, t_load=0.95):
     return spec
 
 
+@pytest.mark.parametrize("t_load", [0.05, 0.5, 0.90, 0.95])
 @pytest.mark.parametrize("lam", [3.0, 3 + 2j], ids=["float64", "complex128"])
-def test_direct_solve_raises_when_the_solution_overflows(lam):
+def test_direct_solve_raises_when_the_solution_overflows(lam, t_load):
     with pytest.raises(Overflow, match="non-finite"):
-        direct_solve(_overflowing_load_spec(lam))
+        direct_solve(_overflowing_load_spec(lam, t_load))
 
 
 @pytest.mark.filterwarnings("error")
 def test_direct_solve_last_pivot_overflow_raises_without_warning():
     # a 1e308 load at t = 0.90 overflows in the last pivot's assembly;
     # that runs under the sweep's errstate, so the error is the only signal
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(Overflow, match="non-finite"):
         direct_solve(_overflowing_load_spec(3 + 2j, t_load=0.90))
 
 

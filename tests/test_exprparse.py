@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from epslab.exprparse import (
     BinOp, Call, EvalError, Expr, Neg, Num, ParseError, UnknownVariable, Var,
-    eval_expr, free_variables, parse, pretty,
+    eval_expr, parse, pretty,
 )
 
 
@@ -144,12 +144,6 @@ class TestPretty:
 
     def test_negative_literal_rendered_parenthesized(self):
         assert pretty(BinOp("*", Num(-1.5), Var("y"))) == "(-1.5)*y"
-
-
-def test_free_variables():
-    node = parse("sin(t)*y + tau - y", allowed_vars=("t", "y", "tau"))
-    assert free_variables(node) == frozenset({"t", "y", "tau"})
-    assert free_variables(Num(3.0)) == frozenset()
 
 
 _names = st.sampled_from(["y", "t", "tau", "x0", "zz"])

@@ -169,7 +169,7 @@ class TestOnGrid:
             sol = whole_line_solve(spec)
         point_sets = [np.linspace(0.0, 1.0, m) for m in (5, 201, 801)]
         point_sets += [np.linspace(-3.5, 3.5, 29), [0.0, 1.0], [0.3],
-                       sol.grid.x]
+                       np.linspace(1.0, 0.0, 201), sol.grid.x]
         for pts in point_sets:
             for d in (0, 1, 2):
                 got = sol.on_grid(pts, derivative=d)
@@ -180,7 +180,8 @@ class TestOnGrid:
 
     def test_rejects_points_that_are_not_equispaced(self):
         sol = whole_line_solve(line_spec(n_x=256))
-        for pts in ([0.0, 0.1, 0.3], [0.0, 1.0, 0.0], np.geomspace(0.1, 1.0, 9)):
+        for pts in ([0.0, 0.1, 0.3], [0.0, 1.0, 0.0], np.geomspace(0.1, 1.0, 9),
+                    [0.0, 0.3, 0.6]):
             with pytest.raises(ValueError):
                 sol.on_grid(pts)
 
