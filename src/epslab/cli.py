@@ -32,7 +32,6 @@ from .estimates import (EstimateReport, coercive_report, convergence_study,
 from .exprparse import EvalError, ParseError
 from .linalg import (Overflow, SingularMatrix, SqrtNotConverged,
                      check_positivity)
-from .parabolic import CauchySpec
 from .presets import (PRESET_NAMES, dirichlet_neumann, make_pair,
                       preset_defaults)
 
@@ -352,11 +351,11 @@ def _run_converge(cfg: Config, out: Path, header: str, ident: dict) -> int:
     base = _build_spec(cfg, ident["preset"], eps_list,
                        lam=cfg.get("scenario", "lambda", COMPLEX, 0.0))
     u0 = cfg.getvector("data", "u0", base.n, default=1.0)
+    if cfg.getexpr("data", "f0") is not None:
+        raise ConfigError("[data] f0 is no longer read; the load is [data] f")
     try:
-        cauchy = CauchySpec(pair=base.pair, lam=0.0, T=base.T, u0=u0,
-                            f=cfg.getexpr("data", "f0"), n_t=base.n_t)
         record = convergence_study(
-            base, cauchy, eps_list,
+            base, u0, eps_list,
             compact_delta=cfg.get("convergence", "delta", REAL, 0.1 * base.T),
             p=cfg.get("scenario", "p", REAL, 2.0),
             floor_factor=cfg.get("convergence", "floor_factor", REAL, 5.0))

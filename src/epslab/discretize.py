@@ -203,8 +203,8 @@ class IntervalProblem:
     def _init_interval(self, min_nodes: int) -> None:
         self.lam = complex(self.lam)
         self.T = float(self.T)
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"T must be finite and positive, got {self.T}")
         if self.n_t < min_nodes:
             raise ValueError(f"need at least {min_nodes} time nodes")
         self._f_expr = (exprparse.parse(self.f, allowed_vars=("t", "y"))

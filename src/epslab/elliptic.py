@@ -35,7 +35,7 @@ from .multiplier import check_n_x, whole_line_solve
 
 __all__ = [
     "ProblemSpec", "QSystem",
-    "compute_q_system", "solve_boundary_system",
+    "compute_q_system",
     "homogeneous_solution", "direct_solve", "full_solve",
 ]
 
@@ -104,25 +104,11 @@ def _q_operators(spec: ProblemSpec):
     return Q1, Q2, R
 
 
-def _boundary_blocks(G1, G2, E1, E2, bc: BoundaryData, eps: float):
-    """Blocks of the boundary system in unknowns (g1, h2)."""
+def _boundary_matrix(G1, G2, E1, E2, bc: BoundaryData, eps: float) -> np.ndarray:
+    """The 2n x 2n boundary system in the unknowns (g1, h2)."""
     eye = np.eye(G1.shape[0], dtype=np.complex128)
-    A11 = bc.apply(1, eye, -G1, eps)
-    A12 = bc.apply(1, eye, G2, eps) @ E2
-    A21 = bc.apply(2, eye, -G1, eps) @ E1
-    A22 = bc.apply(2, eye, G2, eps)
-    return A11, A12, A21, A22
-
-
-def solve_boundary_system(G1, G2, E1, E2, bc: BoundaryData, eps: float,
-                          f1: np.ndarray, f2: np.ndarray):
-    """Solve the 2n x 2n block system for the mode weights (g1, h2)."""
-    A11, A12, A21, A22 = _boundary_blocks(G1, G2, E1, E2, bc, eps)
-    n = G1.shape[0]
-    S = np.block([[A11, A12], [A21, A22]])
-    rhs = np.concatenate([f1, f2])
-    sol = mat_solve(S, rhs)
-    return sol[:n], sol[n:]
+    return np.block([[bc.apply(1, eye, -G1, eps), bc.apply(1, eye, G2, eps) @ E2],
+                     [bc.apply(2, eye, -G1, eps) @ E1, bc.apply(2, eye, G2, eps)]])
 
 
 def compute_q_system(spec: ProblemSpec) -> QSystem:
@@ -137,7 +123,8 @@ def compute_q_system(spec: ProblemSpec) -> QSystem:
     E1 = expm(-spec.T * G1)
     E2 = expm(-spec.T * G2)
     f1, f2 = spec.bc.data_for(spec.n)
-    g1, h2 = solve_boundary_system(G1, G2, E1, E2, spec.bc, spec.eps, f1, f2)
+    S = _boundary_matrix(G1, G2, E1, E2, spec.bc, spec.eps)
+    g1, h2 = np.split(mat_solve(S, np.concatenate([f1, f2])), 2)
     return QSystem(Q1=Q1, Q2=Q2, Qlam=R, G1=G1, G2=G2,
                    E1=E1, E2=E2, g1=g1, g2=E2 @ h2, h2=h2)
 

@@ -120,7 +120,8 @@ def coercive_report(spec: ProblemSpec, u: Optional[GridFunction] = None,
     Left side: eps^(j/2) |lam|^(1-j/2) ||u^(j)||_X for j = 0, 1, 2 plus
     ||Au||_X, with the two alternative eps-weight families alongside.
     Right side: ||f||_X plus interpolation and plain norms of the
-    boundary data.  Derivatives are O(h^2) finite differences.
+    boundary data.  Derivatives are O(h^2) finite differences.  Raises
+    Overflow when a measured number is not finite.
     """
     if u is None:
         u = full_solve(spec)
@@ -143,6 +144,8 @@ def coercive_report(spec: ProblemSpec, u: Optional[GridFunction] = None,
     rhs = f_norm + _data_norms(spec, p, w)
     lhs_total = sum(main) + au_norm
     ratio = lhs_total / rhs if rhs > 0 else 0.0
+    if not np.isfinite(main + alt + third + [au_norm, rhs, ratio]).all():
+        raise Overflow("coercive report overflowed to non-finite values")
     return EstimateReport(spec.eps, spec.lam, p, tuple(main), tuple(alt),
                           tuple(third), au_norm, rhs, ratio)
 
@@ -262,53 +265,54 @@ def _sup_gap(t: np.ndarray, diff: np.ndarray, weights, delta: float,
         (np.abs(sl) ** 2 @ np.asarray(weights)).real, 0.0))))
 
 
-def convergence_study(base: ProblemSpec, cauchy: CauchySpec,
+def convergence_study(base: ProblemSpec, u0: np.ndarray,
                       eps_list: Sequence[float], compact_delta: float,
                       p: float = 2.0, floor_factor: float = 5.0) -> ConvergenceRecord:
     """Measure the vanishing-viscosity gap over a decreasing eps list.
 
-    The second-order problem is re-wired from the limit problem's data:
-    both boundary values are set to u0 and the load to the limit load,
-    so the only difference from the first-order solve is the eps term.
-    Gaps are reported in the mixed norm and as a sup over the compact
-    window [delta, T - delta]; the discretization floor is estimated by
-    grid halving at the smallest eps, and gaps are flagged above-floor
-    when they exceed floor_factor times it.  base and cauchy must share
-    the operator pair, and both need lam = 0; an inadmissible p raises
-    before any solve.
+    The limit problem B w' + A w = f, w(0) = u0 takes base's pair, grid
+    and load, and each eps solves base with both boundary values set to
+    u0, so the two solves differ only by the eps term.  Gaps are
+    reported in the mixed norm and as a sup over the compact window
+    [delta, T - delta]; a non-finite gap is an error row.  The floor is
+    the grid-halving difference at the smallest eps (nan when not
+    finite), and gaps above floor_factor times it are flagged.  base
+    needs lam = 0; an inadmissible p raises before any solve.
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 2 or any(e2 >= e1 for e1, e2 in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must be strictly decreasing, length >= 2")
-    if base.lam != 0 or cauchy.lam != 0:
+    if base.lam != 0:
         raise ValueError("convergence study requires lam = 0")
-    if not (np.array_equal(cauchy.pair.A, base.pair.A)
-            and np.array_equal(cauchy.pair.B, base.pair.B)):
-        raise ValueError("cauchy and base must share the operator pair (A, B)")
     if not (0.0 < compact_delta < base.T / 2):
         raise ValueError("compact_delta must lie in (0, T/2)")
+    if not 0 <= floor_factor < np.inf:
+        raise ValueError(f"floor_factor must be finite and >= 0, got {floor_factor}")
     check_p(p)
     w = base.pair.weights()
-    limit = cauchy_solve(dataclasses.replace(cauchy, T=base.T, n_t=base.n_t))
+    cauchy = CauchySpec(pair=base.pair, lam=0.0, T=base.T, u0=u0, f=base.f,
+                        n_t=base.n_t)
+    limit = cauchy_solve(cauchy)
     u0 = cauchy.u0
 
     def wired(eps: float, n_t: int) -> ProblemSpec:
         bc = dataclasses.replace(base.bc, f1=u0.copy(), f2=u0.copy())
-        return dataclasses.replace(base, eps=eps, bc=bc, f=cauchy.f, n_t=n_t)
+        return dataclasses.replace(base, eps=eps, bc=bc, n_t=n_t)
 
-    x_gaps, sup_gaps, statuses = [], [], []
+    rows = []
     for eps in eps_arr:
         u = None
         try:
             u = full_solve(wired(eps, base.n_t))
             diff = u.values - limit.values
-            x_gaps.append(mixed_norm(GridFunction(u.t, diff), p=p, weights=w))
-            sup_gaps.append(_sup_gap(u.t, diff, w, compact_delta, base.T))
-            statuses.append("ok")
+            gaps = (mixed_norm(GridFunction(u.t, diff), p=p, weights=w),
+                    _sup_gap(u.t, diff, w, compact_delta, base.T))
+            if not np.isfinite(gaps).all():
+                raise Overflow("gap to the limit solution is not finite")
+            rows.append((*gaps, "ok"))
         except SOLVER_ERRORS as exc:
-            x_gaps.append(np.nan)
-            sup_gaps.append(np.nan)
-            statuses.append(f"error: {exc}")
+            rows.append((np.nan, np.nan, f"error: {exc}"))
+    x_gaps, sup_gaps, statuses = zip(*rows)
 
     # discretization floor at the sharpest layer: the last solve, u,
     # against the same problem on a halved grid
@@ -320,17 +324,16 @@ def convergence_study(base: ProblemSpec, cauchy: CauchySpec,
             floor = mixed_norm(GridFunction(u.t, dd), p=p, weights=w)
         except SOLVER_ERRORS:
             pass
+    floor = float(floor) if np.isfinite(floor) else np.nan
 
-    above = tuple(bool(np.isfinite(g) and np.isfinite(floor)
-                       and g > floor_factor * floor) for g in x_gaps)
-    pts = [(e, g) for e, g, a in zip(eps_arr, x_gaps, above)
-           if a and np.isfinite(g) and g > 0]
+    # a failed gap or floor is nan, and nan compares false
+    above = tuple(bool(g > floor_factor * floor) for g in x_gaps)
+    pts = [(e, g) for e, g, a in zip(eps_arr, x_gaps, above) if a]
     if len(pts) >= 2:
         le = np.log([p_[0] for p_ in pts])
         lg = np.log([p_[1] for p_ in pts])
         rate = float(np.polyfit(le, lg, 1)[0])
     else:
         rate = np.nan
-    return ConvergenceRecord(tuple(eps_arr), tuple(x_gaps), tuple(sup_gaps),
-                             float(floor), above, rate, compact_delta,
-                             tuple(statuses))
+    return ConvergenceRecord(tuple(eps_arr), x_gaps, sup_gaps, floor, above,
+                             rate, compact_delta, statuses)

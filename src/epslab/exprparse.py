@@ -13,7 +13,8 @@ strings.  The grammar is a small calculator language:
 '^' binds tighter than unary minus, so -y^2 means -(y^2).  Functions:
 sin, cos, exp, sqrt, abs.  Constants pi and e are folded into literals
 at parse time.  Evaluation is elementwise over numpy arrays so sampled
-grids evaluate in one call.
+grids evaluate in one call.  parse rejects a syntax tree deeper than
+MAX_DEPTH nodes, so evaluating and rendering never exhaust the stack.
 """
 from __future__ import annotations
 
@@ -27,8 +28,10 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "ParseError", "UnknownVariable", "EvalError",
-    "parse", "eval_expr", "pretty",
+    "parse", "eval_expr", "pretty", "MAX_DEPTH",
 ]
+
+MAX_DEPTH = 200  # nodes on the longest root-to-leaf path parse accepts
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "sqrt", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -87,6 +90,7 @@ class Call:
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
+_CHILDREN = {Neg: ("operand",), Call: ("arg",), BinOp: ("left", "right")}
 
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -214,10 +218,19 @@ def parse(src: str, allowed_vars=()) -> Expr:
     """Parse ``src`` into an Expr; names outside ``allowed_vars`` are rejected."""
     tokens = _tokenize(src)
     parser = _Parser(tokens, frozenset(allowed_vars))
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", parser.peek()[2]) from None
     kind, text, offset = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input {text!r}", offset, ("operator", "end"))
+    stack = [(node, 1)]  # depth-first walk without recursion
+    while stack:
+        e, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression is deeper than {MAX_DEPTH} levels", 0)
+        stack += [(getattr(e, f), depth + 1) for f in _CHILDREN.get(type(e), ())]
     return node
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .discretize import GridFunction, IntervalProblem, OperatorPair
-from .elliptic import (ProblemSpec, QSystem, _boundary_blocks, _orbit,
+from .elliptic import (ProblemSpec, QSystem, _boundary_matrix, _orbit,
                        compute_q_system)
 from .linalg import Overflow, expm, inv, mat_solve, op_norm
 
@@ -100,10 +100,7 @@ def build_MN(spec: ProblemSpec, qsys: Optional[QSystem] = None):
     if qsys is None:
         qsys = compute_q_system(spec)
     n = spec.n
-    A11, A12, A21, A22 = _boundary_blocks(
-        qsys.G1, qsys.G2, qsys.E1, qsys.E2, spec.bc, spec.eps)
-    S = np.block([[A11, A12], [A21, A22]])
-    X = inv(S)
+    X = inv(_boundary_matrix(qsys.G1, qsys.G2, qsys.E1, qsys.E2, spec.bc, spec.eps))
     X11, X12 = X[:n, :n], X[:n, n:]
     X21, X22 = X[n:, :n], X[n:, n:]
 

@@ -18,7 +18,6 @@ import numpy as np
 from .discretize import (BoundaryData, OperatorPair, SpaceGrid, _as_coefficient,
                          build_integral_operator, build_wentzell_operator)
 from .elliptic import ProblemSpec
-from .parabolic import CauchySpec
 
 __all__ = [
     "PRESET_NAMES", "make_scalar_pair", "make_commuting_pair",
@@ -128,8 +127,8 @@ def decay_base(eps: float = 0.05, b: float = -0.5, n_t: int = 101) -> ProblemSpe
 
 
 def convergence_problem(preset: str = "scalar",
-                        n_t: int = 201) -> Tuple[ProblemSpec, CauchySpec]:
-    """Elliptic template plus its first-order limit problem.
+                        n_t: int = 201) -> Tuple[ProblemSpec, np.ndarray]:
+    """Elliptic template plus the start value u0 of its first-order limit.
 
     The drift is positive, so the slow mode anchors at t = 0 and the
     limit problem marches forward from u0; the layer at t = T enters
@@ -147,9 +146,7 @@ def convergence_problem(preset: str = "scalar",
         raise ValueError("convergence scenarios need a commuting pair")
     base = ProblemSpec(pair=pair, eps=0.1, lam=0.0, T=1.0,
                        bc=dirichlet_neumann(n), n_t=n_t)
-    cauchy = CauchySpec(pair=pair, lam=0.0, T=1.0, u0=np.asarray(u0, dtype=complex),
-                        f=None, n_t=n_t)
-    return base, cauchy
+    return base, np.asarray(u0, dtype=complex)
 
 
 def cross_validation_spec(eps: float = 0.1, lam: complex = 1.0,

@@ -159,8 +159,8 @@ def test_05_multiplier_bound():
 def test_06_singular_perturbation_convergence():
     with criterion(6, "vanishing-viscosity gap decay", limit=120.0):
         for name in ("scalar", "commuting"):
-            base, cauchy = convergence_problem(name)
-            rec = convergence_study(base, cauchy, EPS_DECADES[1:],
+            base, u0 = convergence_problem(name)
+            rec = convergence_study(base, u0, EPS_DECADES[1:],
                                     compact_delta=0.1 * base.T)
             assert all(s == "ok" for s in rec.statuses), name
             for gaps in (rec.x_norm_gaps, rec.sup_norm_gaps):

@@ -304,6 +304,73 @@ def test_converge_never_forms_theta(tmp_path):
                  "--out", str(tmp_path / "out"), "--override", "scenario.p=1"]) == 0
 
 
+def test_converge_takes_its_load_from_data_f(tmp_path):
+    config = str(CONFIGS / "commuting_converge.ini")
+    plain, loaded = tmp_path / "plain", tmp_path / "loaded"
+    assert main(["--config", config, "--out", str(plain)]) == 0
+    assert main(["--config", config, "--out", str(loaded),
+                 "--override", "data.f=100*exp(-64*(t-0.5)^2)"]) == 0
+    rows = [(out / "converge.csv").read_text().splitlines()[2:]
+            for out in (plain, loaded)]
+    assert rows[0] != rows[1]
+
+
+@pytest.mark.parametrize("f0, code", [("none", 0), ("1", 1), ("exp(-t)", 1)])
+def test_data_f0_is_none_or_a_config_error(tmp_path, capsys, f0, code):
+    assert main(["--config", str(write(tmp_path, CONVERGE_MINI)),
+                 "--out", str(tmp_path / "out"), "--override", f"data.f0={f0}"]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            "config error: [data] f0 is no longer read; the load is [data] f\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_norms_are_a_numerical_failure(tmp_path, capsys):
+    # at p = 1e300 every mixed norm overflows to inf
+    assert main(["--config", str(CONFIGS / "scalar_solve.ini"),
+                 "--out", str(tmp_path / "solve"), "--override", "scenario.p=1e300"]) == 2
+    assert "numerical failure: Overflow" in capsys.readouterr().err
+    out = tmp_path / "sweep"
+    assert main(["--config", str(CONFIGS / "scalar_sweep.ini"),
+                 "--out", str(out), "--override", "scenario.p=1e300"]) == 2
+    rows = (out / "sweep.csv").read_text().splitlines()[2:]
+    assert len(rows) == 15 and all(",error: " in row for row in rows)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_convergence_gaps_are_error_rows(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIGS / "commuting_converge.ini"),
+                 "--out", str(out), "--override", "data.u0=1e308"]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert all(s.startswith("error: ") for s in summary["statuses"])
+    assert summary["floor"] == "nan"
+
+
+@pytest.mark.parametrize("load", ["(" * 250 + "t" + ")" * 250, "+".join(["t"] * 3001),
+                                  "-" * 990 + "t"], ids=["parens", "sum", "neg"])
+def test_too_deep_load_is_invalid_scenario(tmp_path, capsys, load):
+    assert main(["--config", str(write(tmp_path, SOLVE_MINI)),
+                 "--out", str(tmp_path / "out"), "--override", f"data.f={load}"]) == 1
+    assert "invalid scenario: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, override, message", [
+    ("scalar_solve", "scenario.T=nan", "invalid scenario: T must be finite and positive, got nan"),
+    ("scalar_sweep", "scenario.T=inf", "invalid scenario: T must be finite and positive, got inf"),
+    ("commuting_converge", "scenario.T=nan",
+     "invalid scenario: T must be finite and positive, got nan"),
+    ("commuting_converge", "convergence.floor_factor=nan",
+     "invalid convergence scenario: floor_factor must be finite and >= 0, got nan"),
+    ("commuting_converge", "convergence.floor_factor=-1",
+     "invalid convergence scenario: floor_factor must be finite and >= 0, got -1.0"),
+], ids=["solve-T", "sweep-T", "converge-T", "floor-nan", "floor-negative"])
+def test_bad_T_or_floor_factor_is_config_error(tmp_path, capsys, config, override, message):
+    assert main(["--config", str(CONFIGS / f"{config}.ini"), "--out", str(tmp_path / "out"),
+                 "--override", override]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_robin_neumann_sweep_runs_at_p_inf(tmp_path):
     # both orders are 1, so theta = (0.5, 0.5) stays admissible
     out = tmp_path / "out"

@@ -5,7 +5,7 @@ import pytest
 
 from epslab.discretize import BoundaryData, OperatorPair, SpaceGrid
 from epslab.elliptic import (
-    ProblemSpec, QSystem, _boundary_blocks, _orbit, compute_q_system, direct_solve,
+    ProblemSpec, QSystem, _boundary_matrix, _orbit, compute_q_system, direct_solve,
     full_solve, homogeneous_solution, mode_derivatives,
 )
 from epslab import elliptic
@@ -44,6 +44,11 @@ class TestProblemSpec:
                 ProblemSpec(pair=scalar_pair(), eps=bad, lam=0.0, T=1.0, bc=dn_bc())
         s = ProblemSpec(pair=scalar_pair(), eps=1.5, lam=0.0, T=1.0, bc=dn_bc())
         assert s.eps == 1.5
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
+    def test_T_must_be_finite_and_positive(self, T):
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            ProblemSpec(pair=scalar_pair(), eps=0.5, lam=0.0, T=T, bc=dn_bc())
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -158,8 +163,10 @@ class TestQSystem:
                 (a0 * eye + se * a1 * G2) @ E2,
                 (b0 * eye - se * b1 * G1) @ E1,
                 b0 * eye + se * b1 * G2)
-        for got, ref in zip(_boundary_blocks(G1, G2, E1, E2, bc, eps), want):
-            assert np.array_equal(got, ref)
+        S = _boundary_matrix(G1, G2, E1, E2, bc, eps)
+        got = (S[:4, :4], S[:4, 4:], S[4:, :4], S[4:, 4:])
+        for blk, ref in zip(got, want):
+            assert np.array_equal(blk, ref)
 
 
 class TestHomogeneousSolution:

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from epslab.discretize import BoundaryData, GridFunction, OperatorPair
+from epslab.discretize import BoundaryData, GridFunction, OperatorPair, mixed_norm
 from epslab.elliptic import ProblemSpec, full_solve
 from epslab.estimates import (ConvergenceRecord, DecayFit, EstimateReport,
                               FitDegenerate, coercive_report,
                               convergence_study, decay_fit, layer_norm_sweep,
                               time_derivatives, uniformity_factors,
                               uniformity_sweep)
+from epslab.linalg import Overflow
+from epslab.parabolic import CauchySpec, cauchy_solve
 from epslab.presets import (convergence_problem, decay_base,
-                            dirichlet_neumann, make_scalar_pair,
-                            make_wentzell_pair, uniformity_base)
+                            dirichlet_neumann, make_wentzell_pair,
+                            uniformity_base)
 
 
 def l2_quad(fn, T=1.0):
@@ -183,6 +185,17 @@ def test_sweep_records_an_overflowing_solve_as_an_error():
     assert all(np.isnan(r.ratio) for r in reps)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_report_with_an_overflowing_norm_is_an_error():
+    # at p = 1e300 every mixed norm overflows to inf, which is no measurement
+    base = uniformity_base("scalar", n_t=51)
+    with pytest.raises(Overflow):
+        coercive_report(base, p=1e300)
+    reps = uniformity_sweep(base, [1.0, 0.1], [1.0], p=1e300)
+    assert [r.status for r in reps] == [
+        "error: coercive report overflowed to non-finite values"] * 2
+
+
 # -------------------------------------------------------------- decay_fit
 
 
@@ -234,8 +247,8 @@ def test_layer_norm_sweep_monotone():
 
 
 def test_convergence_scalar():
-    base, cauchy = convergence_problem("scalar")
-    rec = convergence_study(base, cauchy, [1e-1, 1e-2, 1e-3, 1e-4], 0.1)
+    base, u0 = convergence_problem("scalar")
+    rec = convergence_study(base, u0, [1e-1, 1e-2, 1e-3, 1e-4], 0.1)
     assert all(s == "ok" for s in rec.statuses)
     gaps = rec.x_norm_gaps
     sups = rec.sup_norm_gaps
@@ -250,8 +263,8 @@ def test_convergence_scalar():
 
 
 def test_convergence_commuting():
-    base, cauchy = convergence_problem("commuting")
-    rec = convergence_study(base, cauchy, [1e-1, 1e-2, 1e-3], 0.1)
+    base, u0 = convergence_problem("commuting")
+    rec = convergence_study(base, u0, [1e-1, 1e-2, 1e-3], 0.1)
     gaps = rec.x_norm_gaps
     assert all(s == "ok" for s in rec.statuses)
     for hi, lo in zip(gaps, gaps[1:]):
@@ -260,28 +273,55 @@ def test_convergence_commuting():
 
 
 def test_convergence_validation():
-    base, cauchy = convergence_problem("scalar")
+    base, u0 = convergence_problem("scalar")
     with pytest.raises(ValueError):
-        convergence_study(base, cauchy, [1e-2, 1e-1], 0.1)
+        convergence_study(base, u0, [1e-2, 1e-1], 0.1)
     with pytest.raises(ValueError):
-        convergence_study(base, cauchy, [1e-1], 0.1)
+        convergence_study(base, u0, [1e-1], 0.1)
     with pytest.raises(ValueError):
-        convergence_study(dataclasses.replace(base, lam=1.0), cauchy,
+        convergence_study(dataclasses.replace(base, lam=1.0), u0,
                           [1e-1, 1e-2], 0.1)
     with pytest.raises(ValueError):
-        convergence_study(base, cauchy, [1e-1, 1e-2], 0.6)
-    with pytest.raises(ValueError, match="lam = 0"):
-        convergence_study(base, dataclasses.replace(cauchy, lam=1.0),
-                          [1e-1, 1e-2], 0.1)
-    for other in (make_scalar_pair(a=2.0), make_scalar_pair(b=1.0)):
-        with pytest.raises(ValueError, match="operator pair"):
-            convergence_study(base, dataclasses.replace(cauchy, pair=other),
-                              [1e-1, 1e-2], 0.1)
+        convergence_study(base, u0, [1e-1, 1e-2], 0.6)
+
+
+def test_convergence_with_a_load_matches_its_two_solves():
+    # the limit problem takes base's load; each eps solves base with both
+    # boundary values set to u0
+    base, u0 = convergence_problem("commuting", n_t=101)
+    base = dataclasses.replace(base, f="100*exp(-64*(t-0.5)^2)")
+    eps_list = [1e-1, 1e-2]
+    rec = convergence_study(base, u0, eps_list, 0.1)
+    assert rec.statuses == ("ok", "ok")
+    limit = cauchy_solve(CauchySpec(pair=base.pair, lam=0.0, T=base.T, u0=u0,
+                                    f=base.f, n_t=base.n_t))
+    bc = dataclasses.replace(base.bc, f1=u0, f2=u0)
+    for eps, gap in zip(eps_list, rec.x_norm_gaps):
+        u = full_solve(dataclasses.replace(base, eps=eps, bc=bc))
+        diff = GridFunction(u.t, u.values - limit.values)
+        assert gap == mixed_norm(diff, p=2.0, weights=base.pair.weights())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_convergence_records_an_overflowing_gap_as_an_error():
+    base, _ = convergence_problem("scalar", n_t=51)
+    rec = convergence_study(base, np.array([1e308]), [1e-1, 1e-2], 0.1)
+    assert rec.statuses == ("error: gap to the limit solution is not finite",) * 2
+    assert np.isnan(rec.x_norm_gaps + rec.sup_norm_gaps).all()
+    assert np.isnan(rec.floor)
+    assert not any(rec.above_floor)
+
+
+@pytest.mark.parametrize("floor_factor", [np.nan, np.inf, -1.0])
+def test_convergence_rejects_a_bad_floor_factor(floor_factor):
+    base, u0 = convergence_problem("scalar", n_t=51)
+    with pytest.raises(ValueError, match="floor_factor must be finite and >= 0"):
+        convergence_study(base, u0, [1e-1, 1e-2], 0.1, floor_factor=floor_factor)
 
 
 def test_convergence_floor_flag():
-    base, cauchy = convergence_problem("scalar", n_t=101)
-    rec = convergence_study(base, cauchy, [1e-1, 1e-2], 0.1,
+    base, u0 = convergence_problem("scalar", n_t=101)
+    rec = convergence_study(base, u0, [1e-1, 1e-2], 0.1,
                             floor_factor=1e30)
     assert not any(rec.above_floor)
     assert np.isnan(rec.fitted_rate)

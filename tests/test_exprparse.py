@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epslab.exprparse import (
-    BinOp, Call, EvalError, Expr, Neg, Num, ParseError, UnknownVariable, Var,
-    eval_expr, parse, pretty,
+    MAX_DEPTH, BinOp, Call, EvalError, Expr, Neg, Num, ParseError, UnknownVariable,
+    Var, eval_expr, parse, pretty,
 )
 
 
@@ -124,6 +124,24 @@ class TestErrors:
     def test_overflow_tolerated(self):
         assert ev("exp(10000)") == math.inf
         assert ev("10^400") == math.inf
+
+
+class TestDepth:
+    @pytest.mark.parametrize("src", [
+        "(" * 250 + "t" + ")" * 250,
+        "sin(" * 250 + "t" + ")" * 250,
+        "+".join(["t"] * 3001),
+        "-" * 990 + "t",
+        "-" * MAX_DEPTH + "t",
+    ], ids=["parens-250", "calls-250", "sum-3001", "neg-990", "neg-over-limit"])
+    def test_too_deep_is_parse_error(self, src):
+        with pytest.raises(ParseError):
+            parse(src, allowed_vars=("t",))
+
+    def test_limit_depth_evaluates_and_round_trips(self):
+        node = parse("-" * (MAX_DEPTH - 1) + "t", allowed_vars=("t",))
+        assert eval_expr(node, {"t": 2.0}) == (-1) ** (MAX_DEPTH - 1) * 2.0
+        assert parse(pretty(node), allowed_vars=("t",)) == node
 
 
 class TestPretty:

@@ -27,6 +27,12 @@ def test_spec_validation():
         CauchySpec(scalar_pair(b=0.0), 0.0, 1.0, np.array([1.0]))
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf])
+def test_spec_rejects_a_non_finite_T(T):
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        CauchySpec(scalar_pair(), 0.0, T, np.array([1.0]))
+
+
 def test_f_samples_string_and_callable():
     pair = scalar_pair()
     cs = CauchySpec(pair, 0.0, 1.0, np.array([1.0]), f="t^2")

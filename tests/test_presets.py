@@ -92,13 +92,11 @@ def test_decay_base_orientation():
 
 
 def test_convergence_problem_wiring():
-    base, cauchy = convergence_problem("scalar")
-    assert base.lam == 0 and cauchy.lam == 0
-    assert base.T == cauchy.T
-    assert cauchy.u0.shape == (1,)
-    base2, cauchy2 = convergence_problem("commuting")
-    assert cauchy2.u0.shape == (8,)
-    assert base2.pair is cauchy2.pair
+    base, u0 = convergence_problem("scalar")
+    assert base.lam == 0
+    assert u0.shape == (1,)
+    base2, u02 = convergence_problem("commuting")
+    assert u02.shape == (8,) == (base2.n,)
     with pytest.raises(ValueError):
         convergence_problem("wentzell")
 
