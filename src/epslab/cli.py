@@ -30,15 +30,11 @@ from .elliptic import ProblemSpec, full_solve
 from .estimates import (EstimateReport, coercive_report, convergence_study,
                         uniformity_factors, uniformity_sweep)
 from .exprparse import EvalError, ParseError
-from .linalg import (Overflow, SingularMatrix, SqrtNotConverged,
-                     check_positivity)
+from .linalg import NUMERICAL_ERRORS, check_positivity
 from .presets import (PRESET_NAMES, dirichlet_neumann, make_pair,
                       preset_defaults)
 
 __all__ = ["ConfigError", "main", "run"]
-
-NUMERICAL_ERRORS = (Overflow, SingularMatrix, SqrtNotConverged,
-                    np.linalg.LinAlgError, FloatingPointError)
 
 _TOKEN_RE = re.compile(r"\[[^\]]*\]|\S+")
 

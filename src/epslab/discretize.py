@@ -28,7 +28,6 @@ __all__ = [
     "SpaceGrid", "GridFunction", "OperatorPair", "BoundaryData",
     "build_wentzell_operator", "build_integral_operator",
     "check_condition_1", "check_condition_2_1", "check_condition_4_1",
-    "IntervalProblem",
     "e_norm", "check_p", "mixed_norm", "kfunctional_norm", "COMMUTE_RTOL",
 ]
 
@@ -128,7 +127,8 @@ class GridFunction:
     def e_norms(self, weights=None) -> np.ndarray:
         """E-norm of each time slice."""
         w = _e_weights(self.n, weights)
-        return np.sqrt(np.sum(w * np.abs(self.values) ** 2, axis=1).real)
+        with np.errstate(over="ignore"):
+            return np.sqrt(np.sum(w * np.abs(self.values) ** 2, axis=1).real)
 
 
 COMMUTE_RTOL = 1e-10
@@ -188,52 +188,6 @@ class OperatorPair:
         if scale == 0.0:
             return True
         return self.commutator_norm <= COMMUTE_RTOL * scale
-
-
-class IntervalProblem:
-    """Plumbing shared by the problem descriptions on (0, T).
-
-    A dataclass mixing this in has fields pair, lam, T, f and n_t, and
-    calls _init_interval from __post_init__.  f is None (zero load), a
-    callable t -> vector of length pair.n, or an expression string in t
-    and y; expressions see y at the pair's grid nodes, or at uniform
-    interior nodes without a grid.
-    """
-
-    def _init_interval(self, min_nodes: int) -> None:
-        self.lam = complex(self.lam)
-        self.T = float(self.T)
-        if not 0 < self.T < np.inf:
-            raise ValueError(f"T must be finite and positive, got {self.T}")
-        if self.n_t < min_nodes:
-            raise ValueError(f"need at least {min_nodes} time nodes")
-        self._f_expr = (exprparse.parse(self.f, allowed_vars=("t", "y"))
-                        if isinstance(self.f, str) else None)
-
-    @property
-    def n(self) -> int:
-        return self.pair.n
-
-    @property
-    def A_lam(self) -> np.ndarray:
-        return self.pair.A + self.lam * np.eye(self.n)
-
-    def t_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_t)
-
-    def f_samples(self, t) -> np.ndarray:
-        """Sample the interior load on time nodes t; shape (len(t), n)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        n = self.n
-        if self.f is None:
-            return np.zeros((len(t), n), dtype=np.complex128)
-        if self._f_expr is not None:
-            grid = self.pair.grid or SpaceGrid.uniform_interior(n)
-            vals = exprparse.eval_expr(
-                self._f_expr, {"t": t[:, None], "y": grid.nodes[None, :]})
-            return np.broadcast_to(np.asarray(vals, dtype=np.complex128), (len(t), n)).copy()
-        rows = [np.asarray(self.f(float(ti)), dtype=np.complex128).reshape(n) for ti in t]
-        return np.stack(rows)
 
 
 @dataclass(frozen=True)
@@ -495,7 +449,8 @@ def mixed_norm(u: GridFunction, p: float = 2.0, weights=None) -> float:
         return float(slices.max())
     wt = np.full(u.n_t, u.dt)
     wt[0] = wt[-1] = u.dt / 2
-    return float(np.sum(wt * slices**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        return float(np.sum(wt * slices**p) ** (1.0 / p))
 
 
 def kfunctional_norm(f, A, theta: float, p: float = 2.0, weights=None) -> float:

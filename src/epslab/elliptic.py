@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .discretize import BoundaryData, GridFunction, IntervalProblem, OperatorPair
+from . import exprparse
+from .discretize import BoundaryData, GridFunction, OperatorPair, SpaceGrid
 from .linalg import (GESV, Overflow, SingularMatrix, check_solves, expm, mat_solve,
                      op_norm, sqrtm)
 from .multiplier import check_n_x, whole_line_solve
@@ -43,13 +44,17 @@ PROPAGATOR_CAP = 1e6
 
 
 @dataclass
-class ProblemSpec(IntervalProblem):
+class ProblemSpec:
     """Full description of one singularly perturbed two-point problem.
 
-    eps must be finite and positive.  The load f (None when homogeneous)
-    and the time grid work as in IntervalProblem.  n_x, a power of two
-    >= 4, only matters for the Fourier route, whose periodic window is
-    [-8T, 8T).
+    eps must be finite and positive, T finite and positive, and the time
+    grid needs n_t >= 5 nodes.  f is None (zero load), a callable
+    t -> vector of length pair.n, or an expression string in t and y;
+    expressions see y at the pair's grid nodes, or at uniform interior
+    nodes without a grid.  n_x, a power of two >= 4, only matters for
+    the Fourier route, whose periodic window is [-8T, 8T).  The same
+    spec describes the eps -> 0 limit that parabolic.cauchy_solve
+    integrates, in which eps and bc do not enter.
     """
     pair: OperatorPair
     eps: float
@@ -64,9 +69,41 @@ class ProblemSpec(IntervalProblem):
         self.eps = float(self.eps)
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        self._init_interval(min_nodes=5)
+        self.lam = complex(self.lam)
+        self.T = float(self.T)
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"T must be finite and positive, got {self.T}")
+        if self.n_t < 5:
+            raise ValueError("need at least 5 time nodes")
+        self._f_expr = (exprparse.parse(self.f, allowed_vars=("t", "y"))
+                        if isinstance(self.f, str) else None)
         check_n_x(self.n_x)
         self.bc.data_for(self.pair.n)  # shape check up front
+
+    @property
+    def n(self) -> int:
+        return self.pair.n
+
+    @property
+    def A_lam(self) -> np.ndarray:
+        return self.pair.A + self.lam * np.eye(self.n)
+
+    def t_grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.T, self.n_t)
+
+    def f_samples(self, t) -> np.ndarray:
+        """Sample the interior load on time nodes t; shape (len(t), n)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        n = self.n
+        if self.f is None:
+            return np.zeros((len(t), n), dtype=np.complex128)
+        if self._f_expr is not None:
+            grid = self.pair.grid or SpaceGrid.uniform_interior(n)
+            vals = exprparse.eval_expr(
+                self._f_expr, {"t": t[:, None], "y": grid.nodes[None, :]})
+            return np.broadcast_to(np.asarray(vals, dtype=np.complex128), (len(t), n)).copy()
+        rows = [np.asarray(self.f(float(ti)), dtype=np.complex128).reshape(n) for ti in t]
+        return np.stack(rows)
 
     def f_is_zero(self) -> bool:
         if self.f is None:
@@ -174,19 +211,16 @@ def _propagate_modes(spec: ProblemSpec, qsys: QSystem):
     return t, x, w
 
 
-def homogeneous_solution(spec: ProblemSpec, qsys: Optional[QSystem] = None) -> GridFunction:
+def homogeneous_solution(spec: ProblemSpec) -> GridFunction:
     """Solve the problem with f = 0 via the anchored semigroup modes."""
-    if qsys is None:
-        qsys = compute_q_system(spec)
-    t, x, w = _propagate_modes(spec, qsys)
+    t, x, w = _propagate_modes(spec, compute_q_system(spec))
     u = x + w
     return GridFunction(t, u, meta={"path": "semigroup"})
 
 
-def mode_derivatives(spec: ProblemSpec, qsys: Optional[QSystem] = None):
+def mode_derivatives(spec: ProblemSpec):
     """(u, u', u'') of the homogeneous representation, sampled exactly."""
-    if qsys is None:
-        qsys = compute_q_system(spec)
+    qsys = compute_q_system(spec)
     t, x, w = _propagate_modes(spec, qsys)
     u = x + w
     du = -x @ qsys.G1.T + w @ qsys.G2.T

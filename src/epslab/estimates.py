@@ -16,8 +16,8 @@ import numpy as np
 
 from .discretize import GridFunction, check_p, e_norm, kfunctional_norm, mixed_norm
 from .elliptic import ProblemSpec, full_solve
-from .linalg import Overflow, SingularMatrix, SqrtNotConverged, op_norm
-from .parabolic import CauchySpec, build_MN, cauchy_solve
+from .linalg import NUMERICAL_ERRORS, Overflow, op_norm
+from .parabolic import build_MN, cauchy_solve
 
 __all__ = [
     "EstimateReport", "DecayFit", "ConvergenceRecord",
@@ -26,8 +26,7 @@ __all__ = [
     "layer_norm_sweep", "convergence_study", "time_derivatives",
 ]
 
-SOLVER_ERRORS = (Overflow, SingularMatrix, SqrtNotConverged,
-                 np.linalg.LinAlgError, ValueError)
+SOLVER_ERRORS = NUMERICAL_ERRORS + (ValueError,)
 
 
 class FitDegenerate(ArithmeticError):
@@ -261,8 +260,9 @@ def _sup_gap(t: np.ndarray, diff: np.ndarray, weights, delta: float,
     if not np.any(mask):
         raise ValueError("compact window is empty")
     sl = diff[mask]
-    return float(np.max(np.sqrt(np.maximum(
-        (np.abs(sl) ** 2 @ np.asarray(weights)).real, 0.0))))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.sqrt(np.maximum(
+            (np.abs(sl) ** 2 @ np.asarray(weights)).real, 0.0))))
 
 
 def convergence_study(base: ProblemSpec, u0: np.ndarray,
@@ -270,12 +270,13 @@ def convergence_study(base: ProblemSpec, u0: np.ndarray,
                       p: float = 2.0, floor_factor: float = 5.0) -> ConvergenceRecord:
     """Measure the vanishing-viscosity gap over a decreasing eps list.
 
-    The limit problem B w' + A w = f, w(0) = u0 takes base's pair, grid
-    and load, and each eps solves base with both boundary values set to
-    u0, so the two solves differ only by the eps term.  Gaps are
+    The limit B w' + A w = f, w(0) = u0 is base's own eps -> 0 limit
+    (cauchy_solve), and each eps solves base with both boundary values
+    set to u0, so the two solves differ only by the eps term.  Gaps are
     reported in the mixed norm and as a sup over the compact window
     [delta, T - delta]; a non-finite gap is an error row.  The floor is
-    the grid-halving difference at the smallest eps (nan when not
+    the grid-halving difference of the gap u - w at the smallest eps,
+    with both u and w solved again on the halved grid (nan when not
     finite), and gaps above floor_factor times it are flagged.  base
     needs lam = 0; an inadmissible p raises before any solve.
     """
@@ -290,10 +291,8 @@ def convergence_study(base: ProblemSpec, u0: np.ndarray,
         raise ValueError(f"floor_factor must be finite and >= 0, got {floor_factor}")
     check_p(p)
     w = base.pair.weights()
-    cauchy = CauchySpec(pair=base.pair, lam=0.0, T=base.T, u0=u0, f=base.f,
-                        n_t=base.n_t)
-    limit = cauchy_solve(cauchy)
-    u0 = cauchy.u0
+    limit = cauchy_solve(base, u0)
+    u0 = limit.values[0]  # u0 as a complex vector of length n
 
     def wired(eps: float, n_t: int) -> ProblemSpec:
         bc = dataclasses.replace(base.bc, f1=u0.copy(), f2=u0.copy())
@@ -314,13 +313,15 @@ def convergence_study(base: ProblemSpec, u0: np.ndarray,
             rows.append((np.nan, np.nan, f"error: {exc}"))
     x_gaps, sup_gaps, statuses = zip(*rows)
 
-    # discretization floor at the sharpest layer: the last solve, u,
-    # against the same problem on a halved grid
+    # discretization floor at the sharpest layer: the last gap, u - w,
+    # against the same gap on a halved grid
     floor = np.nan
     if u is not None:
         try:
-            fine = full_solve(wired(eps_arr[-1], 2 * (base.n_t - 1) + 1))
-            dd = u.values - fine.values[::2]
+            n_fine = 2 * (base.n_t - 1) + 1
+            fine = full_solve(wired(eps_arr[-1], n_fine))
+            fine_limit = cauchy_solve(dataclasses.replace(base, n_t=n_fine), u0)
+            dd = (u.values - limit.values) - (fine.values - fine_limit.values)[::2]
             floor = mixed_norm(GridFunction(u.t, dd), p=p, weights=w)
         except SOLVER_ERRORS:
             pass

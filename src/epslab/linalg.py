@@ -20,7 +20,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dgesv, zgesv
 
 __all__ = [
-    "SingularMatrix", "SqrtNotConverged", "Overflow",
+    "SingularMatrix", "SqrtNotConverged", "Overflow", "NUMERICAL_ERRORS",
     "SectorialityReport",
     "as_complex_matrix", "mat_solve", "check_solves", "inv", "sqrtm", "expm",
     "op_norm", "check_positivity",
@@ -45,6 +45,10 @@ class SqrtNotConverged(ArithmeticError):
 
 class Overflow(OverflowError):
     """A matrix exponential or a solution left the representable working range."""
+
+
+# every typed numerical failure of the package; SingularMatrix is a LinAlgError
+NUMERICAL_ERRORS = (Overflow, SqrtNotConverged, np.linalg.LinAlgError)
 
 
 def as_complex_matrix(M) -> np.ndarray:

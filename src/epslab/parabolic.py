@@ -1,9 +1,11 @@
 """First-order limit problem and the boundary-data propagators.
 
 The vanishing-viscosity limit of the two-point problem is the Cauchy
-problem B u' + (A + lam) u = f, u(0) = u0, integrated here with the
-exact propagator of the homogeneous part and midpoint quadrature of the
-load (second order, exact when f = 0).
+problem B u' + (A + lam) u = f, u(0) = u0.  It is described by the same
+elliptic.ProblemSpec as the two-point problem, with eps and the boundary
+data left out, and cauchy_solve integrates it with the exact propagator
+of the homogeneous part and midpoint quadrature of the load (second
+order, exact when f = 0).
 
 build_MN packages the solved boundary system of the elliptic problem
 into the two operator kernels M(t), N(t) with u_hom(t) = M(t) f1 +
@@ -12,49 +14,24 @@ structure that the measurement code in estimates quantifies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
-
 import numpy as np
 
-from .discretize import GridFunction, IntervalProblem, OperatorPair
-from .elliptic import (ProblemSpec, QSystem, _boundary_matrix, _orbit,
-                       compute_q_system)
+from .discretize import GridFunction
+from .elliptic import ProblemSpec, _boundary_matrix, _orbit, compute_q_system
 from .linalg import Overflow, expm, inv, mat_solve, op_norm
 
-__all__ = [
-    "CauchySpec", "cauchy_solve", "build_MN", "CAUCHY_STABILITY_CAP",
-]
+__all__ = ["cauchy_solve", "build_MN", "CAUCHY_STABILITY_CAP"]
 
 CAUCHY_STABILITY_CAP = 1e6
 
 
-@dataclass
-class CauchySpec(IntervalProblem):
-    """First-order problem B u' + (A + lam) u = f on (0, T), u(0) = u0.
+def cauchy_solve(spec: ProblemSpec, u0) -> GridFunction:
+    """Integrate the eps -> 0 limit of spec with the exact propagator.
 
-    B must be invertible.  The load f and the time grid work as in
-    IntervalProblem, as they do for ProblemSpec.
-    """
-    pair: OperatorPair
-    lam: complex
-    T: float
-    u0: np.ndarray
-    f: Union[None, str, Callable] = None
-    n_t: int = 201
-
-    def __post_init__(self):
-        self._init_interval(min_nodes=3)
-        self.u0 = np.atleast_1d(np.asarray(self.u0, dtype=np.complex128))
-        if self.u0.shape != (self.pair.n,):
-            raise ValueError(
-                f"u0 has length {len(self.u0)}, operator size is {self.pair.n}")
-        # the drift must be invertible for the problem to be well posed
-        inv(self.pair.B)
-
-
-def cauchy_solve(cspec: CauchySpec) -> GridFunction:
-    """Integrate the first-order problem with the exact propagator.
+    The limit is B w' + (A + lam) w = f on spec's time grid, w(0) = u0;
+    spec.eps and spec.bc do not enter.  B must be invertible: a singular
+    B raises SingularMatrix from the first solve, and a u0 whose length
+    is not spec.n raises ValueError.
 
     u_{i+1} = E u_i + c_i, E = exp(-h G), G = B^-1 (A + lam), with the
     forcing c_i = h E_half B^-1 f(t_i + h/2) formed for all steps by one
@@ -64,29 +41,32 @@ def cauchy_solve(cspec: CauchySpec) -> GridFunction:
     matrix-vector product per step.  Raises Overflow when exp(-T G)
     exceeds the stability cap or the orbit is not finite.
     """
-    G = mat_solve(cspec.pair.B, cspec.A_lam)
-    ET = expm(-cspec.T * G)
+    u0 = np.atleast_1d(np.asarray(u0, dtype=np.complex128))
+    if u0.shape != (spec.n,):
+        raise ValueError(f"u0 has length {len(u0)}, operator size is {spec.n}")
+    G = mat_solve(spec.pair.B, spec.A_lam)
+    ET = expm(-spec.T * G)
     if op_norm(ET) > CAUCHY_STABILITY_CAP:
         raise Overflow(
             f"limit propagator norm {op_norm(ET):.3e} exceeds {CAUCHY_STABILITY_CAP:.0e}")
-    t = cspec.t_grid()
+    t = spec.t_grid()
     h = t[1] - t[0]
     E = expm(-h * G)
     Eh = expm(-h * G / 2.0)
-    if cspec.f is None:
-        u = _orbit(E, cspec.u0, cspec.n_t)
+    if spec.f is None:
+        u = _orbit(E, u0, spec.n_t)
     else:
-        u = np.empty((cspec.n_t, cspec.n), dtype=np.complex128)
-        u[0] = cspec.u0
-        fmid = cspec.f_samples(t[:-1] + h / 2.0)
-        binv_f = mat_solve(cspec.pair.B, fmid.T).T
+        u = np.empty((spec.n_t, spec.n), dtype=np.complex128)
+        u[0] = u0
+        fmid = spec.f_samples(t[:-1] + h / 2.0)
+        binv_f = mat_solve(spec.pair.B, fmid.T).T
         c = h * (binv_f @ Eh.T)
-        for i in range(cspec.n_t - 1):
+        for i in range(spec.n_t - 1):
             u[i + 1] = E @ u[i] + c[i]
     return GridFunction(t, u, meta={"path": "cauchy"})
 
 
-def build_MN(spec: ProblemSpec, qsys: Optional[QSystem] = None):
+def build_MN(spec: ProblemSpec):
     """Boundary-data propagators of the homogeneous two-point problem.
 
     Returns callables M(t), N(t) mapping to n x n matrices with
@@ -97,8 +77,7 @@ def build_MN(spec: ProblemSpec, qsys: Optional[QSystem] = None):
 
     V1(t) = exp(-t G1), V2(t) = exp(-(T-t) G2).
     """
-    if qsys is None:
-        qsys = compute_q_system(spec)
+    qsys = compute_q_system(spec)
     n = spec.n
     X = inv(_boundary_matrix(qsys.G1, qsys.G2, qsys.E1, qsys.E2, spec.bc, spec.eps))
     X11, X12 = X[:n, :n], X[:n, n:]

@@ -324,7 +324,7 @@ def test_data_f0_is_none_or_a_config_error(tmp_path, capsys, f0, code):
             "config error: [data] f0 is no longer read; the load is [data] f\n")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_overflowing_norms_are_a_numerical_failure(tmp_path, capsys):
     # at p = 1e300 every mixed norm overflows to inf
     assert main(["--config", str(CONFIGS / "scalar_solve.ini"),
@@ -337,7 +337,7 @@ def test_overflowing_norms_are_a_numerical_failure(tmp_path, capsys):
     assert len(rows) == 15 and all(",error: " in row for row in rows)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_overflowing_convergence_gaps_are_error_rows(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", str(CONFIGS / "commuting_converge.ini"),

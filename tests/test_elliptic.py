@@ -75,7 +75,9 @@ class TestProblemSpec:
         s2 = dataclasses.replace(s, f=lambda ti: np.array([3.0 * ti]))
         np.testing.assert_allclose(s2.f_samples(t)[:, 0], 3 * t)
         assert not s.f_is_zero()
-        assert dataclasses.replace(s, f=None).f_is_zero()
+        s0 = dataclasses.replace(s, f=None)
+        assert s0.f_is_zero()
+        assert np.array_equal(s0.f_samples(t), np.zeros((3, 1)))
 
     def test_string_f_in_y(self):
         g = SpaceGrid.uniform_interior(3)
@@ -280,7 +282,7 @@ class TestHomogeneousSolution:
         spec = ProblemSpec(pair=make_pair("commuting", n_y=64), eps=eps,
                            lam=0.0, T=1.0, bc=dirichlet_neumann(64), n_t=1601)
         qsys = compute_q_system(spec)
-        u = homogeneous_solution(spec, qsys)
+        u = homogeneous_solution(spec)
         want = np.array([sexpm(-t * qsys.G1) @ qsys.g1
                          + sexpm(-(spec.T - t) * qsys.G2) @ qsys.h2
                          for t in u.t])

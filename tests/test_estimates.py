@@ -12,7 +12,7 @@ from epslab.estimates import (ConvergenceRecord, DecayFit, EstimateReport,
                               time_derivatives, uniformity_factors,
                               uniformity_sweep)
 from epslab.linalg import Overflow
-from epslab.parabolic import CauchySpec, cauchy_solve
+from epslab.parabolic import cauchy_solve
 from epslab.presets import (convergence_problem, decay_base,
                             dirichlet_neumann, make_wentzell_pair,
                             uniformity_base)
@@ -185,7 +185,7 @@ def test_sweep_records_an_overflowing_solve_as_an_error():
     assert all(np.isnan(r.ratio) for r in reps)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_report_with_an_overflowing_norm_is_an_error():
     # at p = 1e300 every mixed norm overflows to inf, which is no measurement
     base = uniformity_base("scalar", n_t=51)
@@ -293,8 +293,7 @@ def test_convergence_with_a_load_matches_its_two_solves():
     eps_list = [1e-1, 1e-2]
     rec = convergence_study(base, u0, eps_list, 0.1)
     assert rec.statuses == ("ok", "ok")
-    limit = cauchy_solve(CauchySpec(pair=base.pair, lam=0.0, T=base.T, u0=u0,
-                                    f=base.f, n_t=base.n_t))
+    limit = cauchy_solve(base, u0)
     bc = dataclasses.replace(base.bc, f1=u0, f2=u0)
     for eps, gap in zip(eps_list, rec.x_norm_gaps):
         u = full_solve(dataclasses.replace(base, eps=eps, bc=bc))
@@ -302,7 +301,21 @@ def test_convergence_with_a_load_matches_its_two_solves():
         assert gap == mixed_norm(diff, p=2.0, weights=base.pair.weights())
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_convergence_floor_includes_the_limit_solve_error():
+    # the split route solves u exactly up to roundoff, so the grid-halving
+    # difference of the gap u - w is that of the limit solve w alone
+    base, u0 = convergence_problem("commuting", n_t=101)
+    base = dataclasses.replace(base, f="100*exp(-64*(t-0.5)^2)")
+    rec = convergence_study(base, u0, [1e-1, 1e-2], 0.1)
+    w = cauchy_solve(base, u0)
+    w_fine = cauchy_solve(dataclasses.replace(base, n_t=201), u0)
+    own = mixed_norm(GridFunction(w.t, w.values - w_fine.values[::2]), p=2.0,
+                     weights=base.pair.weights())
+    assert own > 1e-4
+    assert rec.floor == pytest.approx(own, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
 def test_convergence_records_an_overflowing_gap_as_an_error():
     base, _ = convergence_problem("scalar", n_t=51)
     rec = convergence_study(base, np.array([1e308]), [1e-1, 1e-2], 0.1)

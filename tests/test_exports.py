@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +16,30 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(f"epslab.{name}")
     missing = [attr for attr in mod.__all__ if not hasattr(mod, attr)]
     assert missing == []
+
+
+def _traced_names():
+    """TARGETS and FAILING of bench/spans.py, read without importing bench."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "bench" / "spans.py").read_text())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name == "TARGETS":
+                found[name] = ast.literal_eval(node.value)
+            elif name == "FAILING":  # FAILING = frozenset({...})
+                found[name] = ast.literal_eval(node.value.args[0])
+    return found["TARGETS"], found["FAILING"]
+
+
+def test_traced_names_resolve():
+    targets, failing = _traced_names()
+    unresolved = []
+    for module, path in targets:
+        obj = importlib.import_module(f"epslab.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            unresolved.append(f"{module}.{path}")
+    assert unresolved == []
+    assert failing <= {f"{module}.{path}" for module, path in targets}

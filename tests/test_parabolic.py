@@ -2,64 +2,40 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from epslab.discretize import BoundaryData, OperatorPair, SpaceGrid
-from epslab.elliptic import ProblemSpec, compute_q_system, homogeneous_solution
+from epslab.discretize import BoundaryData, OperatorPair
+from epslab.elliptic import ProblemSpec, homogeneous_solution
 from epslab.linalg import Overflow, SingularMatrix
-from epslab.parabolic import CauchySpec, build_MN, cauchy_solve
+from epslab.parabolic import build_MN, cauchy_solve
 
 
 def scalar_pair(a=1.0, b=1.0):
     return OperatorPair(np.array([[a]]), np.array([[b]]), check_positive=False)
 
 
-# ---------------------------------------------------------------- CauchySpec
+def limit_spec(pair, lam, T, f=None, n_t=201):
+    """A ProblemSpec whose eps -> 0 limit is B u' + (A + lam) u = f on (0, T).
 
-
-def test_spec_validation():
-    pair = scalar_pair()
-    with pytest.raises(ValueError):
-        CauchySpec(pair, 0.0, -1.0, np.array([1.0]))
-    with pytest.raises(ValueError):
-        CauchySpec(pair, 0.0, 1.0, np.array([1.0]), n_t=2)
-    with pytest.raises(ValueError):
-        CauchySpec(pair, 0.0, 1.0, np.array([1.0, 2.0]))
-    with pytest.raises(SingularMatrix):
-        CauchySpec(scalar_pair(b=0.0), 0.0, 1.0, np.array([1.0]))
-
-
-@pytest.mark.parametrize("T", [np.nan, np.inf])
-def test_spec_rejects_a_non_finite_T(T):
-    with pytest.raises(ValueError, match="T must be finite and positive"):
-        CauchySpec(scalar_pair(), 0.0, T, np.array([1.0]))
-
-
-def test_f_samples_string_and_callable():
-    pair = scalar_pair()
-    cs = CauchySpec(pair, 0.0, 1.0, np.array([1.0]), f="t^2")
-    t = np.array([0.0, 0.5, 2.0])
-    assert np.allclose(cs.f_samples(t)[:, 0], t ** 2)
-    cs2 = CauchySpec(pair, 0.0, 1.0, np.array([1.0]),
-                     f=lambda t: np.array([np.sin(t)]))
-    assert np.allclose(cs2.f_samples(t)[:, 0], np.sin(t))
-    assert np.allclose(CauchySpec(pair, 0.0, 1.0, np.array([1.0])).f_samples(t), 0.0)
-
-
-def test_f_samples_string_sees_grid_nodes():
-    grid = SpaceGrid.uniform_interior(3)
-    A = np.eye(3)
-    pair = OperatorPair(A, np.eye(3), grid=grid, check_positive=False)
-    cs = CauchySpec(pair, 0.0, 1.0, np.ones(3), f="t+y")
-    got = cs.f_samples(np.array([2.0]))[0]
-    assert np.allclose(got, 2.0 + grid.nodes)
+    eps and the boundary data do not enter the limit.
+    """
+    zero = np.zeros(pair.n)
+    bc = BoundaryData((1.0, 0.0), (0.0, 1.0), zero, zero)
+    return ProblemSpec(pair=pair, eps=1.0, lam=lam, T=T, bc=bc, f=f, n_t=n_t)
 
 
 # --------------------------------------------------------------- cauchy_solve
 
 
+def test_solve_validation():
+    with pytest.raises(ValueError, match="u0 has length 2, operator size is 1"):
+        cauchy_solve(limit_spec(scalar_pair(), 0.0, 1.0), np.array([1.0, 2.0]))
+    with pytest.raises(SingularMatrix, match="zero matrix"):
+        cauchy_solve(limit_spec(scalar_pair(b=0.0), 0.0, 1.0), np.array([1.0]))
+
+
 def test_homogeneous_scalar_exact():
     # B u' + a u = 0, u(0)=1  ->  u = exp(-a t / b)
-    cs = CauchySpec(scalar_pair(a=2.0, b=1.0), 0.0, 1.5, np.array([1.0]), n_t=41)
-    u = cauchy_solve(cs)
+    u = cauchy_solve(limit_spec(scalar_pair(a=2.0, b=1.0), 0.0, 1.5, n_t=41),
+                     np.array([1.0]))
     exact = np.exp(-2.0 * u.t)
     assert np.max(np.abs(u.values[:, 0] - exact)) < 1e-10
 
@@ -70,8 +46,7 @@ def test_homogeneous_matrix_exact():
     B = 0.5 * np.eye(4) + 0.1 * A
     pair = OperatorPair(A, B, check_positive=False)
     u0 = rng.normal(size=4) + 0j
-    cs = CauchySpec(pair, 0.5, 1.0, u0, n_t=11)
-    u = cauchy_solve(cs)
+    u = cauchy_solve(limit_spec(pair, 0.5, 1.0, n_t=11), u0)
     from scipy.linalg import expm as sexpm
     G = np.linalg.solve(B, A + 0.5 * np.eye(4))
     for i in (3, 10):
@@ -80,9 +55,8 @@ def test_homogeneous_matrix_exact():
 
 def test_steady_state_constant_load():
     # u' + (a + lam) u = c: settles at c / (a + lam)
-    cs = CauchySpec(scalar_pair(a=1.0, b=1.0), 1.0, 12.0, np.array([3.0]),
-                    f="4", n_t=3001)
-    u = cauchy_solve(cs)
+    spec = limit_spec(scalar_pair(a=1.0, b=1.0), 1.0, 12.0, f="4", n_t=3001)
+    u = cauchy_solve(spec, np.array([3.0]))
     assert abs(u.values[-1, 0] - 2.0) < 1e-5
 
 
@@ -102,8 +76,7 @@ def test_second_order_in_time():
                     dense_output=True)
     errs = []
     for n_t in (21, 41, 81):
-        cs = CauchySpec(pair, 0.0, 1.0, u0, f=f, n_t=n_t)
-        u = cauchy_solve(cs)
+        u = cauchy_solve(limit_spec(pair, 0.0, 1.0, f=f, n_t=n_t), u0)
         errs.append(np.max(np.abs(u.values.real - ref.sol(u.t).T)))
     r1 = np.log2(errs[0] / errs[1])
     r2 = np.log2(errs[1] / errs[2])
@@ -112,9 +85,9 @@ def test_second_order_in_time():
 
 def test_unstable_drift_raises():
     # B < 0 makes the semigroup grow like exp(t/|b| * a)
-    cs = CauchySpec(scalar_pair(a=1.0, b=-1.0), 0.0, 20.0, np.array([1.0]))
+    spec = limit_spec(scalar_pair(a=1.0, b=-1.0), 0.0, 20.0)
     with pytest.raises(Overflow):
-        cauchy_solve(cs)
+        cauchy_solve(spec, np.array([1.0]))
 
 
 # ------------------------------------------------------------------ build_MN
@@ -130,9 +103,8 @@ def _spec(eps=0.25, b=1.0, bc=None, n_t=9):
 
 def test_mn_reproduce_homogeneous_solution():
     spec = _spec()
-    qsys = compute_q_system(spec)
-    u = homogeneous_solution(spec, qsys)
-    M, N = build_MN(spec, qsys)
+    u = homogeneous_solution(spec)
+    M, N = build_MN(spec)
     f1, f2 = spec.bc.data_for(1)
     for i, t in enumerate(u.t):
         want = u.values[i]
@@ -148,9 +120,8 @@ def test_mn_matrix_case():
     bc = BoundaryData((1.0, 0.0), (1.0, 1.0),
                       rng.normal(size=3), rng.normal(size=3))
     spec = ProblemSpec(pair=pair, eps=0.1, lam=1.0, T=1.0, bc=bc, n_t=7)
-    qsys = compute_q_system(spec)
-    u = homogeneous_solution(spec, qsys)
-    M, N = build_MN(spec, qsys)
+    u = homogeneous_solution(spec)
+    M, N = build_MN(spec)
     for i, t in enumerate(u.t):
         got = M(t) @ spec.bc.f1 + N(t) @ spec.bc.f2
         assert np.allclose(got, u.values[i], atol=1e-9)
