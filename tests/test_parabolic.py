@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from epslab.discretize import BoundaryData, OperatorPair
+from epslab.discretize import BoundaryData, OperatorPair, SpaceGrid
 from epslab.elliptic import ProblemSpec, homogeneous_solution
 from epslab.linalg import Overflow, SingularMatrix
 from epslab.parabolic import build_MN, cauchy_solve
@@ -20,6 +20,39 @@ def limit_spec(pair, lam, T, f=None, n_t=201):
     zero = np.zeros(pair.n)
     bc = BoundaryData((1.0, 0.0), (0.0, 1.0), zero, zero)
     return ProblemSpec(pair=pair, eps=1.0, lam=lam, T=T, bc=bc, f=f, n_t=n_t)
+
+
+# ----------------------------------------------------------- the limit spec
+
+
+def test_spec_validation():
+    pair = scalar_pair()
+    with pytest.raises(ValueError):
+        limit_spec(pair, 0.0, -1.0)
+    with pytest.raises(ValueError):
+        limit_spec(pair, 0.0, 1.0, n_t=2)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf])
+def test_spec_rejects_a_non_finite_T(T):
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        limit_spec(scalar_pair(), 0.0, T)
+
+
+def test_f_samples_string_and_callable():
+    pair = scalar_pair()
+    t = np.array([0.0, 0.5, 2.0])
+    assert np.allclose(limit_spec(pair, 0.0, 1.0, f="t^2").f_samples(t)[:, 0], t ** 2)
+    spec = limit_spec(pair, 0.0, 1.0, f=lambda t: np.array([np.sin(t)]))
+    assert np.allclose(spec.f_samples(t)[:, 0], np.sin(t))
+    assert np.allclose(limit_spec(pair, 0.0, 1.0).f_samples(t), 0.0)
+
+
+def test_f_samples_string_sees_grid_nodes():
+    grid = SpaceGrid.uniform_interior(3)
+    pair = OperatorPair(np.eye(3), np.eye(3), grid=grid, check_positive=False)
+    got = limit_spec(pair, 0.0, 1.0, f="t+y").f_samples(np.array([2.0]))[0]
+    assert np.allclose(got, 2.0 + grid.nodes)
 
 
 # --------------------------------------------------------------- cauchy_solve
