@@ -14,11 +14,14 @@ written in the anchored, decaying form
 and the boundary functionals give a 2n x 2n block system for (g1, h2).
 The factorization is exact when A and B commute; otherwise the residual
 of the quadratic is (RB - BR)/(4 eps) and the solvers fall back to a
-block-tridiagonal finite difference scheme (direct_solve), solved by one
-block Thomas pass whose first and last pivots are 2n x 2n blocks that
-absorb the two-node reach of the one-sided boundary derivatives.  The
-pass runs gesv in the data's dtype (float64 for real data) and checks
-the pivot guard once per solve, after the forward sweep.
+block-tridiagonal finite difference scheme (direct_solve).  Two 2n x 2n
+end pivots absorb the two-node reach of the one-sided boundary
+derivatives; the nodes between share one stencil and are solved by
+odd-even block cyclic reduction, which factors one block per distinct
+row class and level, O(log n_t) gesv calls in the data's dtype (float64
+for real data).  The pivot guard sees every factored block and its
+coupling columns, never the load, so a load that overflows surfaces as
+"solution overflowed" at the end.
 """
 from __future__ import annotations
 
@@ -228,25 +231,106 @@ def mode_derivatives(spec: ProblemSpec):
     return t, u, du, ddu
 
 
+def _guard_args(M: np.ndarray, lu: np.ndarray, coupling=None) -> tuple:
+    """check_solves' arguments for a block M factored into lu; only the
+    coupling columns of the right-hand side count, never the load."""
+    return (np.isfinite(M).all(), np.abs(M).sum(axis=1).max(),
+            coupling is None or np.isfinite(coupling).all(), np.abs(lu.diagonal()).min())
+
+
+def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray, gesv) -> np.ndarray:
+    """Solve L_i x_{i-1} + D_i x_i + U_i x_{i+1} = load_i by odd-even reduction.
+
+    Row i has class cls[i], and kinds[c] = (L, D, U) are the blocks of
+    class c, with None for the missing neighbour of an end row.  Each
+    level eliminates the odd rows: one gesv per distinct class among
+    them, with right-hand side [L | U | their loads], gives
+    x_j = y_j - alpha x_{j-1} - beta x_{j+1}.  The kept rows get new
+    blocks by GEMMs, and the class of a kept row becomes the triple of
+    the classes of its left neighbour, itself and its right neighbour.
+    Every factored block meets check_solves on its [L | U] columns, so
+    the guard does not see the load.  The caller holds the errstate.
+    """
+    n = load.shape[1]
+    levels = []
+    while len(cls) > 1:
+        m = len(cls)
+        y = np.empty_like(load)
+        elim, guard = {}, []
+        for c in np.unique(cls[1::2]):
+            rows = 2 * np.flatnonzero(cls[1::2] == c) + 1
+            L, D, U = kinds[c]
+            coupling = L if U is None else np.hstack([L, U])
+            lu, _, X, _ = gesv(D, np.hstack([coupling, load[rows].T]))
+            guard.append(_guard_args(D, lu, coupling))
+            k = coupling.shape[1]
+            y[rows] = X[:, k:].T
+            elim[c] = (rows, X[:, :n], None if U is None else X[:, n:k])
+        check_solves(*map(np.array, zip(*guard)))
+        keep = np.arange(0, m, 2)
+        left = np.where(keep > 0, cls[keep - 1], -1)
+        right = np.where(keep + 1 < m, cls[np.minimum(keep + 1, m - 1)], -1)
+        K = len(kinds) + 1
+        codes, new_cls = np.unique((left + 1) * K * K + cls[keep] * K + right + 1,
+                                   return_inverse=True)
+        new_kinds = []
+        for code in codes:
+            l, s, r = code // (K * K) - 1, code // K % K, code % K - 1
+            L, D, U = kinds[s]
+            if l >= 0:
+                _, alpha, beta = elim[l]
+                L, D = -L @ alpha, D - L @ beta
+            if r >= 0:
+                _, alpha, beta = elim[r]
+                D, U = D - U @ alpha, None if beta is None else -U @ beta
+            new_kinds.append((L, D, U))
+        new_load = load[keep]
+        for s in np.unique(cls[keep]):
+            L, _, U = kinds[s]
+            rows = keep[cls[keep] == s]
+            if L is not None:
+                new_load[rows // 2] -= y[rows - 1] @ L.T
+            if U is not None:
+                new_load[rows // 2] -= y[rows + 1] @ U.T
+        levels.append((m, y, elim))
+        kinds, cls, load = new_kinds, new_cls, new_load
+    _, D, _ = kinds[cls[0]]
+    lu, _, X, _ = gesv(D, load.T)
+    check_solves(*_guard_args(D, lu))
+    x = X.T
+    for m, y, elim in reversed(levels):
+        x_kept, x = x, np.empty((m, n), dtype=x.dtype)
+        x[0::2] = x_kept
+        for rows, alpha, beta in elim.values():
+            x[rows] = y[rows] - x[rows - 1] @ alpha.T
+            if beta is not None:
+                x[rows] -= x[rows + 1] @ beta.T
+    return x
+
+
 def direct_solve(spec: ProblemSpec) -> GridFunction:
     """Block-tridiagonal finite difference solve of the full problem.
 
     Interior rows are the standard O(h^2) stencil; the boundary rows use
-    one-sided O(h^2) derivatives, which reach two nodes in.  One block
-    Thomas pass solves the system: the first pivot is the 2n x 2n block
-    of rows 0 and 1 on (u_0, u_1), which both reach u_2; interior rows
-    pivot on single n x n blocks; the last pivot is the 2n x 2n block of
-    rows N-2 and N-1 on (u_{N-2}, u_{N-1}) once u_{N-3} is substituted.
-    Each pivot is factored and solved once by one LAPACK gesv, and no
-    off-diagonal block is inverted.  gesv runs in float64 when A + lam,
-    B, the load and the boundary data are all real, else in complex128;
-    the result is complex128 either way.  The two end pivots go through
-    mat_solve; the interior pivots meet the same guard (check_solves)
-    once per solve, after the forward sweep, and the first failing row
-    raises the error mat_solve would have raised for it.  Non-finite
-    load or boundary data raise mat_solve's ValueError up front; after
-    that, a pivot, rhs or back substitution that leaves the finite range
-    raises Overflow.
+    one-sided O(h^2) derivatives, which reach two nodes in.  Two 2n x 2n
+    pivots absorb them: rows 0 and 1 give (u_0, u_1) in terms of u_2,
+    rows N-2 and N-1 give (u_{N-2}, u_{N-1}) in terms of u_{N-3}.  The
+    nodes 2..N-3 left over share one stencil (lower, diag, upper) except
+    for the diagonal blocks of the two end rows, and odd-even block
+    cyclic reduction solves them (_cyclic_reduction): each level factors
+    one block per distinct row class by one LAPACK gesv, O(log n_t)
+    factorizations per solve, and no off-diagonal block is inverted.
+    gesv runs in float64 when A + lam, B, the load and the boundary data
+    are all real, else in complex128; the result is complex128 either
+    way.  The first pivot goes through mat_solve; the last pivot and
+    every block of the reduction meet the same guard (check_solves) on
+    the block and its coupling columns, level by level, and the first
+    failing factorization in reduction order raises the error mat_solve
+    would have raised for it.  No factored block depends on the load.
+    Non-finite load or boundary data raise mat_solve's ValueError up
+    front; after that, a block that leaves the finite range raises
+    Overflow, and so does a load that overflows anywhere, as "finite
+    difference solution overflowed to non-finite values".
     """
     t = spec.t_grid()
     h = t[1] - t[0]
@@ -269,56 +353,45 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     upper = -spec.eps / h**2 * eye + B / (2 * h)
     c_left = np.sqrt(spec.eps) * a1 / (2 * h)
     c_right = np.sqrt(spec.eps) * b1 / (2 * h)
+    gesv = GESV[dtype]
 
-    # W[i] = [Uhat_i | r_i]: u_i = r_i - Uhat_i u_{i+1} (u_2 for i = 0)
-    W = np.empty((N - 2, n, n + 1), dtype=dtype)
-    # rows 0 and 1: (a0 - 3c) u0 + 4c u1 - c u2 = f1, then the stencil
+    # rows 0 and 1: (a0 - 3c) u0 + 4c u1 - c u2 = f1, then the stencil;
+    # first[i] = [Uhat_i | r_i] with u_i = r_i - Uhat_i u_2
     P = np.block([[(a0 - 3 * c_left) * eye, 4 * c_left * eye], [lower, diag]])
     rhs = np.block([[-c_left * eye, f1[:, None]], [upper, fvals[1][:, None]]])
-    W[:2] = mat_solve(P, rhs).reshape(2, n, n + 1)
-    # row i: Z[i] = [diag | f_i] - lower W[i-1] = [S_i | c_i], and
-    # S_i W[i] = [upper | c_i]; Z keeps every pivot block for the guard
-    Z = np.empty_like(W)
-    Z[2:, :, :n] = diag
-    Z[2:, :, n] = fvals[2:N - 2]
-    E = np.empty((n, n + 1), dtype=dtype)
-    rhs = np.empty((n, n + 1), dtype=dtype)
-    rhs[:, :n] = upper
-    gesv = GESV[dtype]
-    pivots = np.empty((N - 2, n), dtype=dtype)   # diagonals of the LU factors
+    first = mat_solve(P, rhs).reshape(2, n, n + 1)
+    u = np.empty((N, n), dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(2, N - 2):
-            Zi = Z[i]
-            np.matmul(lower, W[i - 1], out=E)
-            np.subtract(Zi, E, out=Zi)
-            rhs[:, n] = Zi[:, n]
-            lu, _, W[i], _ = gesv(Zi[:, :n], rhs)
-            pivots[i] = lu.diagonal()
-        # rhs = [upper | c_i] and upper already passed as part of the first
-        # pivot's rhs, so only c_i needs the finiteness check
-        S = Z[2:, :, :n]
-        u = np.empty((N, n), dtype=dtype)
         try:
-            check_solves(np.isfinite(S).all(axis=(1, 2)), np.abs(S).sum(axis=2).max(axis=1),
-                         np.isfinite(Z[2:, :, n]).all(axis=1), np.abs(pivots[2:]).min(axis=1))
-            # rows N-2 and N-1 with u_{N-3} = r - Uhat u_{N-2} substituted; the
-            # last row is (b0 + 3c') u_{N-1} - 4c' u_{N-2} + c' u_{N-3} = f2;
-            # a non-finite entry here is left to mat_solve's check
-            Uhat, r = W[N - 3, :, :n], W[N - 3, :, n]
-            P = np.block([[diag - lower @ Uhat, upper],
-                          [-c_right * (4 * eye + Uhat), (b0 + 3 * c_right) * eye]])
-            rhs = np.concatenate([fvals[N - 2] - lower @ r, f2 - c_right * r])
-            u[N - 2:] = mat_solve(P, rhs).reshape(2, n)
+            # the stencil at N-2, then the last row
+            # c' u_{N-3} - 4c' u_{N-2} + (b0 + 3c') u_{N-1} = f2;
+            # last[i] = [V_i | s_i] with u_{N-2+i} = s_i - V_i u_{N-3}
+            P = np.block([[diag, upper], [-4 * c_right * eye, (b0 + 3 * c_right) * eye]])
+            coupling = np.vstack([lower, c_right * eye])
+            rhs = np.hstack([coupling, np.concatenate([fvals[N - 2], f2])[:, None]])
+            lu, _, X, _ = gesv(P, rhs)
+            check_solves(*_guard_args(P, lu, coupling))
+            last = X.reshape(2, n, n + 1)
+            D_first = diag - lower @ first[1, :, :n]
+            D_last = diag - upper @ last[0, :, :n]
+            load = fvals[2:N - 2].copy()
+            load[0] -= lower @ first[1, :, n]
+            load[-1] -= upper @ last[0, :, n]
+            m = N - 4
+            if m == 1:
+                kinds, cls = [(None, D_first - upper @ last[0, :, :n], None)], np.zeros(1, int)
+            else:
+                kinds = [(None, D_first, upper), (lower, diag, upper), (lower, D_last, None)]
+                cls = np.ones(m, int)
+                cls[0], cls[-1] = 0, 2
+            u[2:N - 2] = _cyclic_reduction(kinds, cls, load, gesv)
         except SingularMatrix:
             raise
         except ValueError as exc:
-            # the data are finite, so a non-finite pivot or rhs is overflow
+            # the data are finite, so a non-finite block is overflow
             raise Overflow("finite difference sweep overflowed to non-finite values") from exc
-    Uhat, r, Uu = W[:, :, :n], W[:, :, n], np.empty(n, dtype=dtype)
-    for i in range(N - 3, 0, -1):
-        np.matmul(Uhat[i], u[i + 1], out=Uu)
-        np.subtract(r[i], Uu, out=u[i])
-    u[0] = r[0] - Uhat[0] @ u[2]
+        u[:2] = first[:, :, n] - first[:, :, :n] @ u[2]
+        u[N - 2:] = last[:, :, n] - last[:, :, :n] @ u[N - 3]
     if not np.isfinite(u).all():
         raise Overflow("finite difference solution overflowed to non-finite values")
     return GridFunction(t, u, meta={"path": "direct"})

@@ -13,8 +13,11 @@ strings.  The grammar is a small calculator language:
 '^' binds tighter than unary minus, so -y^2 means -(y^2).  Functions:
 sin, cos, exp, sqrt, abs.  Constants pi and e are folded into literals
 at parse time.  Evaluation is elementwise over numpy arrays so sampled
-grids evaluate in one call.  parse rejects a syntax tree deeper than
-MAX_DEPTH nodes, so evaluating and rendering never exhaust the stack.
+grids evaluate in one call.  parse counts nesting levels as it reads
+(a parenthesis, call argument, unary minus or exponent opens one, at
+two stack frames at most) and stops past MAX_DEPTH of them; it also
+rejects a syntax tree deeper than MAX_DEPTH nodes, so parsing,
+evaluating and rendering never exhaust the stack.
 """
 from __future__ import annotations
 
@@ -147,71 +150,70 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self, depth: int = 1) -> Expr:
+        """Sums of products; depth is the nesting level of this expression.
+
+        Both precedence levels are loops here, so a nesting level (a
+        parenthesis or call) costs two frames: this one and factor's.
+        """
+        node = None
+        add_op = None
         while True:
+            prod = self.factor(depth)
             kind, text, _ = self.peek()
+            while kind == "op" and text in "*/":
+                self.advance()
+                prod = BinOp(text, prod, self.factor(depth))
+                kind, text, _ = self.peek()
+            node = prod if add_op is None else BinOp(add_op, node, prod)
             if kind == "op" and text in "+-":
                 self.advance()
-                node = BinOp(text, node, self.term())
+                add_op = text
             else:
                 return node
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.factor())
-            else:
-                return node
+    def factor(self, depth: int) -> Expr:
+        """'-' factor | atom ('^' factor)?, right associative.
 
-    def factor(self) -> Expr:
-        kind, text, _ = self.peek()
+        Parentheses, call arguments, unary minus and exponents each nest
+        one level deeper; past MAX_DEPTH levels parse stops.
+        """
+        kind, text, offset = self.advance()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression is deeper than {MAX_DEPTH} levels", offset)
         if kind == "op" and text == "-":
+            return Neg(self.factor(depth + 1))
+        if kind == "num":
+            node = Num(float(text))
+        elif kind == "name" and text in FUNCTION_NAMES:
+            if self.peek()[0] != "lpar":
+                raise ParseError(f"function {text!r} needs an argument list",
+                                 offset, ("'('",))
             self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
-        node = self.atom()
+            node = Call(text, self.closed(self.expr(depth + 1), "unclosed function argument"))
+        elif kind == "name" and text in CONSTANTS:
+            node = Num(CONSTANTS[text])
+        elif kind == "name" and text in self.allowed:
+            node = Var(text)
+        elif kind == "name":
+            raise UnknownVariable(text, offset, tuple(sorted(self.allowed)))
+        elif kind == "lpar":
+            node = self.closed(self.expr(depth + 1), "unclosed parenthesis")
+        else:
+            raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input",
+                             offset, _ATOM_EXPECTED)
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            # right associative; the exponent may carry a unary minus
-            return BinOp("^", node, self.factor())
+            # the exponent may carry a unary minus
+            return BinOp("^", node, self.factor(depth + 1))
         return node
 
-    def atom(self) -> Expr:
-        kind, text, offset = self.advance()
-        if kind == "num":
-            return Num(float(text))
-        if kind == "name":
-            nkind, _, _ = self.peek()
-            if text in FUNCTION_NAMES:
-                if nkind != "lpar":
-                    raise ParseError(f"function {text!r} needs an argument list",
-                                     offset, ("'('",))
-                self.advance()
-                arg = self.expr()
-                ckind, _, coff = self.advance()
-                if ckind != "rpar":
-                    raise ParseError("unclosed function argument", coff, ("')'",))
-                return Call(text, arg)
-            if text in CONSTANTS:
-                return Num(CONSTANTS[text])
-            if text in self.allowed:
-                return Var(text)
-            raise UnknownVariable(text, offset, tuple(sorted(self.allowed)))
-        if kind == "lpar":
-            node = self.expr()
-            ckind, _, coff = self.advance()
-            if ckind != "rpar":
-                raise ParseError("unclosed parenthesis", coff, ("')'",))
-            return node
-        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input",
-                         offset, _ATOM_EXPECTED)
+    def closed(self, node: Expr, message: str) -> Expr:
+        kind, _, offset = self.advance()
+        if kind != "rpar":
+            raise ParseError(message, offset, ("')'",))
+        return node
 
 
 def parse(src: str, allowed_vars=()) -> Expr:

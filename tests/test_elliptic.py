@@ -8,7 +8,7 @@ from epslab.elliptic import (
     ProblemSpec, QSystem, _boundary_matrix, _orbit, compute_q_system, direct_solve,
     full_solve, homogeneous_solution, mode_derivatives,
 )
-from epslab import elliptic
+from epslab import elliptic, linalg
 from epslab.linalg import Overflow, SingularMatrix, op_norm, sqrtm
 from epslab.multiplier import whole_line_solve
 from epslab.presets import dirichlet_neumann, make_pair, make_wentzell_pair
@@ -391,6 +391,50 @@ def test_direct_solve_matches_dense_assembly(make, args):
     u = direct_solve(spec).values
     ref = _dense_fd_solution(spec)
     assert np.abs(u - ref).max() <= rtol * np.abs(ref).max()
+
+
+_END_CONDITIONS = {
+    "robin-robin": ((1.0, 0.7), (0.4, 1.0)),
+    "dirichlet-neumann": ((1.0, 0.0), (0.0, 1.0)),
+    "neumann-dirichlet": ((0.0, 1.0), (1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("ends", sorted(_END_CONDITIONS))
+@pytest.mark.parametrize("lam", [3.0, 3 + 2j], ids=["float64", "complex128"])
+@pytest.mark.parametrize("n_t", [*range(5, 13), 33, 34, 35])
+def test_direct_solve_matches_dense_assembly_on_every_reduction_shape(n_t, lam, ends):
+    # n_t - 4 rows go through the cyclic reduction: 1 row needs no level,
+    # and odd, even and power-of-two counts eliminate or keep the last row
+    alpha, beta = _END_CONDITIONS[ends]
+    bc = BoundaryData(alpha=alpha, beta=beta, f1=np.ones(4), f2=0.5 * np.ones(4))
+    spec = ProblemSpec(pair=make_wentzell_pair(n_y=4), eps=1e-2, lam=lam, T=1.0, bc=bc,
+                       f="exp(-64*(t-0.5)^2)", n_t=n_t)
+    u = direct_solve(spec).values
+    ref = _dense_fd_solution(spec)
+    assert np.abs(u - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_direct_solve_factorizations_grow_with_log_n_t(monkeypatch):
+    # every LAPACK factorization goes through GESV or mat_solve; cyclic
+    # reduction needs a few per level, not one per time node
+    n_t = 801
+    bc = BoundaryData(alpha=(1.0, 0.7), beta=(0.4, 1.0), f1=np.ones(16), f2=0.5 * np.ones(16))
+    spec = ProblemSpec(pair=make_wentzell_pair(n_y=16), eps=1e-2, lam=3.0, T=1.0, bc=bc,
+                       f="exp(-64*(t-0.5)^2)", n_t=n_t)
+    count = [0]
+
+    def counting(solve):
+        def wrapped(*args, **kwargs):
+            count[0] += 1
+            return solve(*args, **kwargs)
+        return wrapped
+
+    for dtype, solve in list(linalg.GESV.items()):
+        monkeypatch.setitem(linalg.GESV, dtype, counting(solve))
+    monkeypatch.setattr(elliptic, "mat_solve", counting(elliptic.mat_solve))
+    direct_solve(spec)
+    assert 0 < count[0] <= 2 * int(np.ceil(np.log2(n_t))) + 4
 
 
 def _singular_interior_spec(f1, n_t, a1=1.0):

@@ -138,6 +138,27 @@ class TestDepth:
         with pytest.raises(ParseError):
             parse(src, allowed_vars=("t",))
 
+    @pytest.mark.parametrize("wrap", [("sin(", ")"), ("(", ")"), ("-", "")],
+                             ids=["calls", "parens", "negations"])
+    def test_nesting_limit_holds_from_a_deep_stack(self, wrap):
+        # the limit is MAX_DEPTH, not the interpreter's recursion limit:
+        # a caller already 200 frames down still gets the same answer
+        opening, closing = wrap
+
+        def parse_nested(levels, frames):
+            if frames:
+                return parse_nested(levels, frames - 1)
+            src = opening * levels + "t" + closing * levels
+            return parse(src, allowed_vars=("t",))
+
+        assert MAX_DEPTH == 200
+        node = parse_nested(MAX_DEPTH - 1, frames=200)
+        for _ in range(MAX_DEPTH - 1):
+            node = getattr(node, "operand", getattr(node, "arg", node))
+        assert node == Var("t")
+        with pytest.raises(ParseError, match=rf"deeper than {MAX_DEPTH} levels"):
+            parse_nested(MAX_DEPTH, frames=200)
+
     def test_limit_depth_evaluates_and_round_trips(self):
         node = parse("-" * (MAX_DEPTH - 1) + "t", allowed_vars=("t",))
         assert eval_expr(node, {"t": 2.0}) == (-1) ** (MAX_DEPTH - 1) * 2.0
