@@ -231,12 +231,18 @@ def _jsonable(obj):
     return obj
 
 
+def _write_text(path: Path, text: str) -> None:
+    # the directory appears with its first file, so a config error leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def _write(path: Path, header: str, lines: List[str]) -> None:
-    path.write_text("\n".join([header] + lines) + "\n")
+    _write_text(path, "\n".join([header] + lines) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
 
 
 def _report_row(rep: EstimateReport) -> str:
@@ -425,10 +431,9 @@ def run(config_path, out_dir, mode: Optional[str] = None,
              "preset": cfg.raw("scenario", "preset", "scalar")}
     header = f"# scenario={ident['scenario']} config_hash={ident['config_hash']}"
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     code = RUNNERS[mode](cfg, out, header, ident)
     if mode != "check":  # check writes no .dat files to plot
-        (out / "plot.py").write_text(PLOT_STUB)
+        _write_text(out / "plot.py", PLOT_STUB)
     return code
 
 

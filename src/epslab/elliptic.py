@@ -18,8 +18,8 @@ block-tridiagonal finite difference scheme (direct_solve).  Two 2n x 2n
 end pivots absorb the two-node reach of the one-sided boundary
 derivatives; the nodes between share one stencil and are solved by
 odd-even block cyclic reduction, which factors one block per distinct
-row class and level, O(log n_t) gesv calls in the data's dtype (float64
-for real data).  The pivot guard sees every factored block and its
+row class and level, O(log n_t) linalg.gesv calls in the data's dtype
+(float64 for real data).  gesv's pivot guard sees each block and its
 coupling columns, never the load, so a load that overflows surfaces as
 "solution overflowed" at the end.
 """
@@ -33,8 +33,7 @@ import numpy as np
 
 from . import exprparse
 from .discretize import BoundaryData, GridFunction, OperatorPair, SpaceGrid
-from .linalg import (GESV, Overflow, SingularMatrix, check_solves, expm, mat_solve,
-                     op_norm, sqrtm)
+from .linalg import Overflow, SingularMatrix, expm, gesv, mat_solve, op_norm, sqrtm
 from .multiplier import check_n_x, whole_line_solve
 
 __all__ = [
@@ -231,14 +230,7 @@ def mode_derivatives(spec: ProblemSpec):
     return t, u, du, ddu
 
 
-def _guard_args(M: np.ndarray, lu: np.ndarray, coupling=None) -> tuple:
-    """check_solves' arguments for a block M factored into lu; only the
-    coupling columns of the right-hand side count, never the load."""
-    return (np.isfinite(M).all(), np.abs(M).sum(axis=1).max(),
-            coupling is None or np.isfinite(coupling).all(), np.abs(lu.diagonal()).min())
-
-
-def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray, gesv) -> np.ndarray:
+def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray) -> np.ndarray:
     """Solve L_i x_{i-1} + D_i x_i + U_i x_{i+1} = load_i by odd-even reduction.
 
     Row i has class cls[i], and kinds[c] = (L, D, U) are the blocks of
@@ -248,25 +240,24 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray, gesv) -> n
     x_j = y_j - alpha x_{j-1} - beta x_{j+1}.  The kept rows get new
     blocks by GEMMs, and the class of a kept row becomes the triple of
     the classes of its left neighbour, itself and its right neighbour.
-    Every factored block meets check_solves on its [L | U] columns, so
-    the guard does not see the load.  The caller holds the errstate.
+    Each gesv guards its block and [L | U] columns, not the load, and
+    raises at once, so the first failing factorization in reduction
+    order raises.  The caller holds the errstate.
     """
     n = load.shape[1]
     levels = []
     while len(cls) > 1:
         m = len(cls)
         y = np.empty_like(load)
-        elim, guard = {}, []
+        elim = {}
         for c in np.unique(cls[1::2]):
             rows = 2 * np.flatnonzero(cls[1::2] == c) + 1
             L, D, U = kinds[c]
             coupling = L if U is None else np.hstack([L, U])
-            lu, _, X, _ = gesv(D, np.hstack([coupling, load[rows].T]))
-            guard.append(_guard_args(D, lu, coupling))
+            X = gesv(D, coupling, load[rows].T)
             k = coupling.shape[1]
             y[rows] = X[:, k:].T
             elim[c] = (rows, X[:, :n], None if U is None else X[:, n:k])
-        check_solves(*map(np.array, zip(*guard)))
         keep = np.arange(0, m, 2)
         left = np.where(keep > 0, cls[keep - 1], -1)
         right = np.where(keep + 1 < m, cls[np.minimum(keep + 1, m - 1)], -1)
@@ -295,9 +286,7 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray, gesv) -> n
         levels.append((m, y, elim))
         kinds, cls, load = new_kinds, new_cls, new_load
     _, D, _ = kinds[cls[0]]
-    lu, _, X, _ = gesv(D, load.T)
-    check_solves(*_guard_args(D, lu))
-    x = X.T
+    x = gesv(D, None, load.T).T
     for m, y, elim in reversed(levels):
         x_kept, x = x, np.empty((m, n), dtype=x.dtype)
         x[0::2] = x_kept
@@ -323,10 +312,10 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     gesv runs in float64 when A + lam, B, the load and the boundary data
     are all real, else in complex128; the result is complex128 either
     way.  The first pivot goes through mat_solve; the last pivot and
-    every block of the reduction meet the same guard (check_solves) on
-    the block and its coupling columns, level by level, and the first
-    failing factorization in reduction order raises the error mat_solve
-    would have raised for it.  No factored block depends on the load.
+    every block of the reduction go through linalg.gesv, whose guard
+    sees the block and its coupling columns, so the first failing
+    factorization in reduction order raises the error mat_solve would
+    have raised for it.  No factored block depends on the load.
     Non-finite load or boundary data raise mat_solve's ValueError up
     front; after that, a block that leaves the finite range raises
     Overflow, and so does a load that overflows anywhere, as "finite
@@ -353,7 +342,6 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     upper = -spec.eps / h**2 * eye + B / (2 * h)
     c_left = np.sqrt(spec.eps) * a1 / (2 * h)
     c_right = np.sqrt(spec.eps) * b1 / (2 * h)
-    gesv = GESV[dtype]
 
     # rows 0 and 1: (a0 - 3c) u0 + 4c u1 - c u2 = f1, then the stencil;
     # first[i] = [Uhat_i | r_i] with u_i = r_i - Uhat_i u_2
@@ -367,11 +355,8 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
             # c' u_{N-3} - 4c' u_{N-2} + (b0 + 3c') u_{N-1} = f2;
             # last[i] = [V_i | s_i] with u_{N-2+i} = s_i - V_i u_{N-3}
             P = np.block([[diag, upper], [-4 * c_right * eye, (b0 + 3 * c_right) * eye]])
-            coupling = np.vstack([lower, c_right * eye])
-            rhs = np.hstack([coupling, np.concatenate([fvals[N - 2], f2])[:, None]])
-            lu, _, X, _ = gesv(P, rhs)
-            check_solves(*_guard_args(P, lu, coupling))
-            last = X.reshape(2, n, n + 1)
+            last = gesv(P, np.vstack([lower, c_right * eye]),
+                        np.concatenate([fvals[N - 2], f2])[:, None]).reshape(2, n, n + 1)
             D_first = diag - lower @ first[1, :, :n]
             D_last = diag - upper @ last[0, :, :n]
             load = fvals[2:N - 2].copy()
@@ -384,7 +369,7 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
                 kinds = [(None, D_first, upper), (lower, diag, upper), (lower, D_last, None)]
                 cls = np.ones(m, int)
                 cls[0], cls[-1] = 0, 2
-            u[2:N - 2] = _cyclic_reduction(kinds, cls, load, gesv)
+            u[2:N - 2] = _cyclic_reduction(kinds, cls, load)
         except SingularMatrix:
             raise
         except ValueError as exc:

@@ -62,17 +62,15 @@ def time_derivatives(u: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
 class EstimateReport:
     """Weighted-derivative terms of one solve against its data norms.
 
-    lhs_terms carries the eps^(j/2) weighting, lhs_alt_terms the
-    eps^(j/2 - 1/p) variant and lhs_third_terms eps^(j/2 - 1/(2p));
-    au_norm enters every total unweighted.  ratio is lhs_total / rhs,
-    zero by convention when the data vanish.
+    lhs_terms carries the eps^(j/2) weighting and lhs_alt_terms the
+    eps^(j/2 - 1/p) variant; au_norm enters both totals unweighted.
+    ratio is lhs_total / rhs, zero by convention when the data vanish.
     """
     eps: float
     lam: complex
     p: float
     lhs_terms: Tuple[float, float, float]
     lhs_alt_terms: Tuple[float, float, float]
-    lhs_third_terms: Tuple[float, float, float]
     au_norm: float
     rhs: float
     ratio: float
@@ -86,15 +84,11 @@ class EstimateReport:
     def lhs_alt_total(self) -> float:
         return sum(self.lhs_alt_terms) + self.au_norm
 
-    @property
-    def lhs_third_total(self) -> float:
-        return sum(self.lhs_third_terms) + self.au_norm
-
 
 def _failed_report(eps: float, lam: complex, p: float, msg: str) -> EstimateReport:
     nan3 = (np.nan,) * 3
-    return EstimateReport(eps, lam, p, nan3, nan3, nan3, np.nan, np.nan,
-                          np.nan, status=f"error: {msg}")
+    return EstimateReport(eps, lam, p, nan3, nan3, np.nan, np.nan, np.nan,
+                          status=f"error: {msg}")
 
 
 def _data_norms(spec: ProblemSpec, p: float, weights: np.ndarray) -> float:
@@ -117,7 +111,7 @@ def coercive_report(spec: ProblemSpec, u: Optional[GridFunction] = None,
     """Measure every term of the two-sided a-priori bound on one solve.
 
     Left side: eps^(j/2) |lam|^(1-j/2) ||u^(j)||_X for j = 0, 1, 2 plus
-    ||Au||_X, with the two alternative eps-weight families alongside.
+    ||Au||_X, with the alternative eps^(j/2 - 1/p) weighting alongside.
     Right side: ||f||_X plus interpolation and plain norms of the
     boundary data.  Derivatives are O(h^2) finite differences.  Raises
     Overflow when a measured number is not finite.
@@ -133,20 +127,19 @@ def coercive_report(spec: ProblemSpec, u: Optional[GridFunction] = None,
     au = (spec.pair.A @ u.values.T).T
     au_norm = mixed_norm(GridFunction(t, au), p=p, weights=w)
     mod = abs(spec.lam)
-    main, alt, third = [], [], []
+    main, alt = [], []
     for j in range(3):
         lam_w = _lam_pow(mod, 1.0 - j / 2.0)
         main.append(spec.eps ** (j / 2.0) * lam_w * norms[j])
         alt.append(spec.eps ** (j / 2.0 - 1.0 / p) * lam_w * norms[j])
-        third.append(spec.eps ** (j / 2.0 - 1.0 / (2 * p)) * lam_w * norms[j])
     f_norm = mixed_norm(GridFunction(t, spec.f_samples(t)), p=p, weights=w)
     rhs = f_norm + _data_norms(spec, p, w)
     lhs_total = sum(main) + au_norm
     ratio = lhs_total / rhs if rhs > 0 else 0.0
-    if not np.isfinite(main + alt + third + [au_norm, rhs, ratio]).all():
+    if not np.isfinite(main + alt + [au_norm, rhs, ratio]).all():
         raise Overflow("coercive report overflowed to non-finite values")
     return EstimateReport(spec.eps, spec.lam, p, tuple(main), tuple(alt),
-                          tuple(third), au_norm, rhs, ratio)
+                          au_norm, rhs, ratio)
 
 
 def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],

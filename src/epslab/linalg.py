@@ -1,9 +1,9 @@
 """Dense matrix kernels shared by every solver in the package.
 
-Linear solves run one LAPACK gesv (LU with partial pivoting) in
-float64 when matrix and right-hand side are both real and in complex128
-otherwise, behind a pivot guard that check_solves states once for one
-solve or a whole sequence of them.  The rest of the operator calculus
+Every LU factorization of the package is one LAPACK gesv (partial
+pivoting) run by gesv, which states the pivot guard once; mat_solve
+adds shape checks and works in float64 when matrix and right-hand side
+are both real, in complex128 otherwise.  The rest of the operator calculus
 runs on explicit complex matrices: the principal matrix square root by
 the Schur method of Bjorck & Hammarling (scipy.linalg.sqrtm) behind a
 spectrum check, a capped matrix exponential, the spectral operator norm
@@ -22,7 +22,7 @@ from scipy.linalg.lapack import dgesv, zgesv
 __all__ = [
     "SingularMatrix", "SqrtNotConverged", "Overflow", "NUMERICAL_ERRORS",
     "SectorialityReport",
-    "as_complex_matrix", "mat_solve", "check_solves", "inv", "sqrtm", "expm",
+    "as_complex_matrix", "gesv", "mat_solve", "inv", "sqrtm", "expm",
     "op_norm", "check_positivity",
     "GESV", "DEFAULT_PIVOT_RTOL", "BRANCH_CUT_RTOL", "EXPM_NORM_CAP",
 ]
@@ -61,43 +61,43 @@ def as_complex_matrix(M) -> np.ndarray:
     return A
 
 
-def check_solves(finite, norm, finite_rhs, pivot=np.inf) -> None:
-    """Raise mat_solve's error for the first solve that fails its guard.
+def gesv(M: np.ndarray, coupling, load=None) -> np.ndarray:
+    """Solve M X = [coupling | load] by one LAPACK gesv behind the pivot guard.
 
-    Each argument is a scalar for one solve or holds one entry per solve,
-    in solve order: whether the matrix is finite, its inf-norm, whether
-    the rhs is finite, and the smallest |U_ii| of its LU factors.  A
-    solve fails on the first of: a non-finite matrix (ValueError), a
-    zero norm (SingularMatrix), a non-finite rhs (ValueError), and
-    pivot < DEFAULT_PIVOT_RTOL * norm (SingularMatrix).  The default
-    pivot lets a caller check the inputs before factoring.
+    M and the right-hand side share one dtype of GESV; coupling or load
+    may be None, and a lone coupling may be a vector.  The guard never
+    looks at the load and raises, in this order: ValueError for a
+    non-finite M, SingularMatrix for the zero (or empty) matrix,
+    ValueError for non-finite coupling, ValueError when gesv rejects an
+    argument, and SingularMatrix when the smallest |U_ii| of the LU
+    factors falls below DEFAULT_PIVOT_RTOL * ||M||_inf.  Neither input
+    is overwritten.
     """
-    ok = np.logical_and(finite, finite_rhs) & (norm != 0.0)
-    ok &= ~(pivot < DEFAULT_PIVOT_RTOL * norm)
-    if ok.all():
-        return
-    finite, norm, finite_rhs, pivot = np.broadcast_arrays(
-        finite, norm, finite_rhs, pivot)
-    k = np.unravel_index(np.argmin(ok), ok.shape)
-    if not finite[k]:
+    if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
-    if norm[k] == 0.0:
+    norm = np.abs(M).sum(axis=1).max(initial=0.0)
+    if norm == 0.0:
         raise SingularMatrix("zero matrix")
-    if not finite_rhs[k]:
+    if coupling is not None and not np.isfinite(coupling).all():
         raise ValueError("array must not contain infs or NaNs")
-    ratio = pivot[k] / norm[k]
-    raise SingularMatrix(f"pivot ratio {ratio:.3e} below {DEFAULT_PIVOT_RTOL:.0e}")
+    rhs = coupling
+    if load is not None:
+        rhs = load if coupling is None else np.hstack([coupling, load])
+    lu, _, x, info = GESV[M.dtype](M, rhs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gesv")
+    pivot = np.abs(np.diagonal(lu)).min()
+    if pivot < DEFAULT_PIVOT_RTOL * norm:
+        raise SingularMatrix(f"pivot ratio {pivot / norm:.3e} below {DEFAULT_PIVOT_RTOL:.0e}")
+    return x
 
 
 def mat_solve(M, rhs) -> np.ndarray:
-    """Solve M x = rhs by one LAPACK gesv; rhs may be a vector or matrix.
+    """Solve M x = rhs by gesv; rhs may be a vector or matrix.
 
     Works in float64 when M and rhs are both real and in complex128
     otherwise, and returns x in that dtype.  ValueError for a misshapen
-    M or rhs, then the check_solves guard: ValueError for non-finite
-    entries, SingularMatrix for the zero (or empty) matrix and when the
-    smallest LU pivot falls below DEFAULT_PIVOT_RTOL * ||M||_inf.
-    Neither input is overwritten.
+    M or rhs, then gesv's guard with rhs as the coupling columns.
     """
     A, b = np.asarray(M), np.asarray(rhs)
     complex_ = np.iscomplexobj(A) or np.iscomplexobj(b)
@@ -107,13 +107,7 @@ def mat_solve(M, rhs) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
         raise ValueError(f"rhs of shape {b.shape} does not match a {A.shape} matrix")
-    norm = np.abs(A).sum(axis=1).max(initial=0.0)
-    check_solves(np.isfinite(A).all(), norm, np.isfinite(b).all())
-    lu, _, x, info = GESV[dtype](A, b)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gesv")
-    check_solves(True, norm, True, np.abs(np.diagonal(lu)).min())
-    return x
+    return gesv(A, b)
 
 
 def inv(M) -> np.ndarray:
@@ -131,9 +125,10 @@ def sqrtm(M) -> np.ndarray:
     to zeros.
     """
     A = as_complex_matrix(M)
-    norm = np.linalg.norm(A, "fro")
-    if norm == 0.0:
+    scale = np.abs(A).max(initial=0.0)
+    if scale == 0.0:
         return np.zeros_like(A)
+    norm = scale * np.linalg.norm(A / scale, "fro")  # no overflow past 1e154
     T, Z = scipy.linalg.schur(A, output="complex")
     ev = np.diagonal(T)
     tol = BRANCH_CUT_RTOL * norm

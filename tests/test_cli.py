@@ -172,6 +172,14 @@ def test_missing_required_key(tmp_path, capsys):
     assert "[sweep] eps_list" in err
 
 
+def test_config_error_leaves_no_out_directory(tmp_path, capsys):
+    out = tmp_path / "o1" / "sub"
+    assert main(["sweep", "--config", str(CONFIGS / "wentzell_check.ini"),
+                 "--out", str(out)]) == 1
+    assert "missing required key [sweep] eps_list" in capsys.readouterr().err
+    assert not (tmp_path / "o1").exists()
+
+
 def test_bad_mode_and_missing_file(tmp_path):
     cfgp = write(tmp_path, "[scenario]\npreset = scalar\n")
     assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
@@ -210,6 +218,19 @@ def test_overflowing_finite_load_is_a_numerical_failure(tmp_path, capsys):
                  "--out", str(tmp_path / "out"), "--preset", "wentzell",
                  "--override", "data.f=1e308*exp(-10000*(t-0.5)^2)"]) == 2
     assert "numerical failure: Overflow" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("preset", ["scalar", "commuting"])
+def test_solve_at_huge_eps(tmp_path, preset):
+    # B^2 + 4 eps (A + lam) has entries near 1e300; the square root's
+    # branch-cut check must not overflow, and u stays at its data 1
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIGS / "scalar_solve.ini"), "--out", str(out),
+                 "--preset", preset, "--override", "solve.eps=1e300"]) == 0
+    u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=2)[:, 1:]
+    np.testing.assert_allclose(u[:, 0::2], 1.0, rtol=1e-12)
+    np.testing.assert_allclose(u[:, 1::2], 0.0, atol=1e-12)
 
 
 def test_overrides_and_preset_flag(tmp_path):

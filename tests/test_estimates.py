@@ -69,7 +69,7 @@ def test_time_derivatives_needs_four_nodes():
 
 
 def test_scalar_closed_form_terms():
-    # eps=1, lam=1: all three weight families coincide and every term has
+    # eps=1, lam=1: both weight families coincide and every term has
     # an integral oracle from the explicit solution
     spec = dn_spec(eps=1.0, a=1.0, lam=1.0, n_t=801)
     u, du, ddu = dn_closed_form(1.0, 1.0, 1.0)
@@ -78,20 +78,18 @@ def test_scalar_closed_form_terms():
     for got, ref in zip(rep.lhs_terms, want):
         assert abs(got - ref) < 1e-4 * ref
     assert abs(rep.au_norm - l2_quad(u)) < 1e-4 * l2_quad(u)
-    assert rep.lhs_terms == rep.lhs_alt_terms == rep.lhs_third_terms
+    assert rep.lhs_terms == rep.lhs_alt_terms
     assert rep.rhs > 0
     assert rep.ratio == rep.lhs_total / rep.rhs
     assert rep.status == "ok"
 
 
 def test_weight_families_scale_exactly():
-    # p=2, eps=0.25: alt = main * eps^(-1/2), third = main * eps^(-1/4)
+    # p=2, eps=0.25: alt = main * eps^(-1/2)
     spec = dn_spec(eps=0.25, a=1.0, lam=2.0, n_t=201)
     rep = coercive_report(spec)
     for j in range(3):
         assert np.isclose(rep.lhs_alt_terms[j], rep.lhs_terms[j] * 2.0,
-                          rtol=1e-12)
-        assert np.isclose(rep.lhs_third_terms[j], rep.lhs_terms[j] * np.sqrt(2.0),
                           rtol=1e-12)
 
 

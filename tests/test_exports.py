@@ -43,3 +43,25 @@ def test_traced_names_resolve():
             unresolved.append(f"{module}.{path}")
     assert unresolved == []
     assert failing <= {f"{module}.{path}" for module, path in targets}
+
+
+def _lapack_uses(tree) -> list:
+    """Imported or referenced names in tree that reach LAPACK or GESV."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    return [n for n in names if {"lapack", "GESV"} & set(n.split("."))]
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "linalg"])
+def test_lapack_only_in_linalg(name):
+    # every factorization goes through linalg.gesv, which holds the guard
+    source = Path(epslab.__file__).resolve().parent / f"{name}.py"
+    assert _lapack_uses(ast.parse(source.read_text())) == []

@@ -199,6 +199,12 @@ class TestSqrtm:
         with pytest.raises(SqrtNotConverged):
             sqrtm(M)
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_positive_scalar_is_off_the_cut(self):
+        # ||M||_F overflows past 1e154; the branch-cut tolerance must not
+        R = sqrtm([[8e300]])
+        np.testing.assert_allclose(R, [[np.sqrt(8e300)]], rtol=1e-14)
+
     def test_just_off_the_cut(self):
         A = np.array([[-1.0, -1e-3], [1e-3, -1.0]])  # eigenvalues -1 +- 1e-3 i
         R = sqrtm(A)
