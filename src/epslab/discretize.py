@@ -126,12 +126,11 @@ class GridFunction:
 
     def e_norms(self, weights=None) -> np.ndarray:
         """E-norm of each time slice."""
-        w = _e_weights(self.n, weights)
-        with np.errstate(over="ignore"):
-            return np.sqrt(np.sum(w * np.abs(self.values) ** 2, axis=1).real)
+        return e_norm(self.values, weights)
 
 
 COMMUTE_RTOL = 1e-10
+RESOLVENT_T_SAMPLES = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 
 class OperatorPair:
@@ -346,13 +345,12 @@ def check_condition_1(bc: BoundaryData) -> ConditionReport:
 
 
 def check_condition_2_1(pair: OperatorPair,
-                        t_samples: Sequence = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0),
                         bc: Optional[BoundaryData] = None) -> ConditionReport:
     """Smallness of B against A: ||B|| < sup_t ||A (A+t)^-1||.
 
-    The supremum is sampled on t_samples; samples where A+t is singular
-    are skipped (relevant when A has a kernel and 0 is a sample).  When a
-    BoundaryData is supplied its determinant d != 0 is recorded too.
+    The supremum is sampled at RESOLVENT_T_SAMPLES, skipping any t where
+    A+t is singular (relevant when A has a kernel).  When a BoundaryData
+    is supplied its determinant d != 0 is recorded too.
     """
     from .linalg import SingularMatrix
     norm_b = op_norm(pair.B)
@@ -360,7 +358,7 @@ def check_condition_2_1(pair: OperatorPair,
     sup = 0.0
     sup_at = None
     skipped = []
-    for t in t_samples:
+    for t in RESOLVENT_T_SAMPLES:
         try:
             value = op_norm(pair.A @ mat_solve(pair.A + float(t) * eye, eye))
         except SingularMatrix:
@@ -428,11 +426,15 @@ def _e_weights(n: int, weights=None) -> np.ndarray:
     return w
 
 
-def e_norm(v, weights=None) -> float:
-    """Weighted-ell2 norm standing in for the ground space E."""
+def e_norm(v, weights=None):
+    """Weighted-ell2 norm standing in for the ground space E, over the last axis.
+
+    A stack gives one norm per row; a norm past the float range is inf, silently.
+    """
     x = np.atleast_1d(np.asarray(v, dtype=np.complex128))
-    w = _e_weights(len(x), weights)
-    return float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
+    w = _e_weights(x.shape[-1], weights)
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum(w * np.abs(x) ** 2, axis=-1))
 
 
 def check_p(p: float) -> None:
@@ -447,10 +449,8 @@ def mixed_norm(u: GridFunction, p: float = 2.0, weights=None) -> float:
     slices = u.e_norms(weights)
     if p == np.inf:
         return float(slices.max())
-    wt = np.full(u.n_t, u.dt)
-    wt[0] = wt[-1] = u.dt / 2
     with np.errstate(over="ignore"):
-        return float(np.sum(wt * slices**p) ** (1.0 / p))
+        return float(np.trapezoid(slices**p, u.t) ** (1.0 / p))
 
 
 def kfunctional_norm(f, A, theta: float, p: float = 2.0, weights=None) -> float:

@@ -237,9 +237,9 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray) -> np.ndar
     class c, with None for the missing neighbour of an end row.  Each
     level eliminates the odd rows: one gesv per distinct class among
     them, with right-hand side [L | U | their loads], gives
-    x_j = y_j - alpha x_{j-1} - beta x_{j+1}.  The kept rows get new
-    blocks by GEMMs, and the class of a kept row becomes the triple of
-    the classes of its left neighbour, itself and its right neighbour.
+    x_j = y_j - alpha x_{j-1} - beta x_{j+1}.  A kept row's class becomes
+    the triple of the classes of its left neighbour, itself and its right
+    neighbour, and per triple GEMMs update its load and then its blocks.
     Each gesv guards its block and [L | U] columns, not the load, and
     raises at once, so the first failing factorization in reduction
     order raises.  The caller holds the errstate.
@@ -264,25 +264,20 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray) -> np.ndar
         K = len(kinds) + 1
         codes, new_cls = np.unique((left + 1) * K * K + cls[keep] * K + right + 1,
                                    return_inverse=True)
-        new_kinds = []
-        for code in codes:
+        new_kinds, new_load = [], load[keep]
+        for j, code in enumerate(codes):
             l, s, r = code // (K * K) - 1, code // K % K, code % K - 1
             L, D, U = kinds[s]
+            rows = keep[new_cls == j]
             if l >= 0:
                 _, alpha, beta = elim[l]
+                new_load[rows // 2] -= y[rows - 1] @ L.T
                 L, D = -L @ alpha, D - L @ beta
             if r >= 0:
                 _, alpha, beta = elim[r]
+                new_load[rows // 2] -= y[rows + 1] @ U.T
                 D, U = D - U @ alpha, None if beta is None else -U @ beta
             new_kinds.append((L, D, U))
-        new_load = load[keep]
-        for s in np.unique(cls[keep]):
-            L, _, U = kinds[s]
-            rows = keep[cls[keep] == s]
-            if L is not None:
-                new_load[rows // 2] -= y[rows - 1] @ L.T
-            if U is not None:
-                new_load[rows // 2] -= y[rows + 1] @ U.T
         levels.append((m, y, elim))
         kinds, cls, load = new_kinds, new_cls, new_load
     _, D, _ = kinds[cls[0]]
@@ -300,22 +295,21 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray) -> np.ndar
 def direct_solve(spec: ProblemSpec) -> GridFunction:
     """Block-tridiagonal finite difference solve of the full problem.
 
-    Interior rows are the standard O(h^2) stencil; the boundary rows use
-    one-sided O(h^2) derivatives, which reach two nodes in.  Two 2n x 2n
-    pivots absorb them: rows 0 and 1 give (u_0, u_1) in terms of u_2,
-    rows N-2 and N-1 give (u_{N-2}, u_{N-1}) in terms of u_{N-3}.  The
-    nodes 2..N-3 left over share one stencil (lower, diag, upper) except
-    for the diagonal blocks of the two end rows, and odd-even block
-    cyclic reduction solves them (_cyclic_reduction): each level factors
-    one block per distinct row class by one LAPACK gesv, O(log n_t)
-    factorizations per solve, and no off-diagonal block is inverted.
-    gesv runs in float64 when A + lam, B, the load and the boundary data
-    are all real, else in complex128; the result is complex128 either
-    way.  The first pivot goes through mat_solve; the last pivot and
-    every block of the reduction go through linalg.gesv, whose guard
-    sees the block and its coupling columns, so the first failing
-    factorization in reduction order raises the error mat_solve would
-    have raised for it.  No factored block depends on the load.
+    Interior rows are the standard O(h^2) stencil; the boundary rows are
+    spec.bc.apply of one-sided O(h^2) derivatives, which reach two nodes
+    in.  Two 2n x 2n pivots absorb them: rows 0 and 1 give (u_0, u_1) in
+    terms of u_2, rows N-2 and N-1 give (u_{N-2}, u_{N-1}) in terms of
+    u_{N-3}.  The nodes 2..N-3 left over share one stencil except for
+    the diagonal blocks of the two end rows (one row at n_t = 5), and
+    odd-even block cyclic reduction solves them (_cyclic_reduction):
+    each level factors one block per distinct row class by one gesv,
+    O(log n_t) in all.  gesv runs in float64 when A + lam, B, the load,
+    the boundary vectors and the two boundary rows are all real, else
+    in complex128; the result is complex128 either way.  The first pivot
+    goes through mat_solve; the last pivot and every block of the
+    reduction go through linalg.gesv, whose guard sees the block and its
+    coupling columns, so the first failing factorization in reduction
+    order raises.  No factored block depends on the load.
     Non-finite load or boundary data raise mat_solve's ValueError up
     front; after that, a block that leaves the finite range raises
     Overflow, and so does a load that overflows anywhere, as "finite
@@ -329,46 +323,41 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     f1, f2 = spec.bc.data_for(n)
     if not all(np.isfinite(x).all() for x in (fvals, f1, f2)):
         raise ValueError("array must not contain infs or NaNs")
-    (a0, a1), (b0, b1) = spec.bc.alpha, spec.bc.beta
-    data = (B, A_lam, fvals, f1, f2, spec.bc.alpha, spec.bc.beta)
-    dtype = np.dtype(np.complex128 if any(np.any(np.imag(x)) for x in data)
-                     else np.float64)
-    if dtype == np.float64:
-        B, A_lam, fvals, f1, f2 = B.real, A_lam.real, fvals.real, f1.real, f2.real
-        a0, a1, b0, b1 = a0.real, a1.real, b0.real, b1.real
-    eye = np.eye(n, dtype=dtype)
+    # L1 on (u_0, u_1, u_2) and L2 on (u_{N-3}, u_{N-2}, u_{N-1})
+    left = spec.bc.apply(1, np.array([1.0, 0.0, 0.0]),
+                         np.array([-3.0, 4.0, -1.0]) / (2 * h), spec.eps)
+    right = spec.bc.apply(2, np.array([0.0, 0.0, 1.0]),
+                          np.array([1.0, -4.0, 3.0]) / (2 * h), spec.eps)
+    data = (B, A_lam, fvals, f1, f2, left, right)
+    real = not any(np.any(np.imag(x)) for x in data)
+    if real:
+        B, A_lam, fvals, f1, f2, left, right = (x.real for x in data)
+    eye = np.eye(n, dtype=np.float64 if real else np.complex128)
     lower = -spec.eps / h**2 * eye - B / (2 * h)
     diag = 2 * spec.eps / h**2 * eye + A_lam
     upper = -spec.eps / h**2 * eye + B / (2 * h)
-    c_left = np.sqrt(spec.eps) * a1 / (2 * h)
-    c_right = np.sqrt(spec.eps) * b1 / (2 * h)
 
-    # rows 0 and 1: (a0 - 3c) u0 + 4c u1 - c u2 = f1, then the stencil;
-    # first[i] = [Uhat_i | r_i] with u_i = r_i - Uhat_i u_2
-    P = np.block([[(a0 - 3 * c_left) * eye, 4 * c_left * eye], [lower, diag]])
-    rhs = np.block([[-c_left * eye, f1[:, None]], [upper, fvals[1][:, None]]])
+    # rows 0 and 1, L1 then the stencil; first[i] = [Uhat_i | r_i] with
+    # u_i = r_i - Uhat_i u_2
+    P = np.block([[left[0] * eye, left[1] * eye], [lower, diag]])
+    rhs = np.block([[left[2] * eye, f1[:, None]], [upper, fvals[1][:, None]]])
     first = mat_solve(P, rhs).reshape(2, n, n + 1)
-    u = np.empty((N, n), dtype=dtype)
+    u = np.empty((N, n), dtype=eye.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            # the stencil at N-2, then the last row
-            # c' u_{N-3} - 4c' u_{N-2} + (b0 + 3c') u_{N-1} = f2;
-            # last[i] = [V_i | s_i] with u_{N-2+i} = s_i - V_i u_{N-3}
-            P = np.block([[diag, upper], [-4 * c_right * eye, (b0 + 3 * c_right) * eye]])
-            last = gesv(P, np.vstack([lower, c_right * eye]),
+            # the stencil at N-2, then L2; last[i] = [V_i | s_i] with
+            # u_{N-2+i} = s_i - V_i u_{N-3}
+            P = np.block([[diag, upper], [right[1] * eye, right[2] * eye]])
+            last = gesv(P, np.vstack([lower, right[0] * eye]),
                         np.concatenate([fvals[N - 2], f2])[:, None]).reshape(2, n, n + 1)
             D_first = diag - lower @ first[1, :, :n]
-            D_last = diag - upper @ last[0, :, :n]
+            D_last = (D_first if N == 5 else diag) - upper @ last[0, :, :n]
             load = fvals[2:N - 2].copy()
             load[0] -= lower @ first[1, :, n]
             load[-1] -= upper @ last[0, :, n]
-            m = N - 4
-            if m == 1:
-                kinds, cls = [(None, D_first - upper @ last[0, :, :n], None)], np.zeros(1, int)
-            else:
-                kinds = [(None, D_first, upper), (lower, diag, upper), (lower, D_last, None)]
-                cls = np.ones(m, int)
-                cls[0], cls[-1] = 0, 2
+            kinds = [(None, D_first, upper), (lower, diag, upper), (lower, D_last, None)]
+            cls = np.ones(N - 4, int)
+            cls[0], cls[-1] = 0, 2
             u[2:N - 2] = _cyclic_reduction(kinds, cls, load)
         except SingularMatrix:
             raise

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 SOLVER_ERRORS = NUMERICAL_ERRORS + (ValueError,)
+DECAY_N_SAMPLES = 25
+LAYER_N_T_SAMPLES = 9
+LAYER_T_FRAC = 0.5
 
 
 class FitDegenerate(ArithmeticError):
@@ -186,9 +189,8 @@ class DecayFit:
     n_samples: int
 
 
-def decay_fit(spec: ProblemSpec, window: Tuple[float, float] = (0.1, 0.6),
-              n_samples: int = 25) -> DecayFit:
-    """Fit ||M(t, eps)|| ~ C1 exp(-omega t / eps) over a t-window.
+def decay_fit(spec: ProblemSpec, window: Tuple[float, float] = (0.1, 0.6)) -> DecayFit:
+    """Fit ||M(t, eps)|| ~ C1 exp(-omega t / eps) at DECAY_N_SAMPLES t in a window.
 
     Requires lam = 0 (the limit regime).  residual is the fit RMS
     relative to the spread of the log-norm samples.  Raises
@@ -201,7 +203,7 @@ def decay_fit(spec: ProblemSpec, window: Tuple[float, float] = (0.1, 0.6),
     if not (0.0 < lo < hi <= 1.0):
         raise ValueError("window must satisfy 0 < lo < hi <= 1 (fractions of T)")
     M, _ = build_MN(spec)
-    ts = np.linspace(lo * spec.T, hi * spec.T, n_samples)
+    ts = np.linspace(lo * spec.T, hi * spec.T, DECAY_N_SAMPLES)
     norms = np.array([op_norm(M(t)) for t in ts])
     if np.any(norms <= 0.0):
         raise FitDegenerate("M underflows to zero on the fit window")
@@ -215,20 +217,19 @@ def decay_fit(spec: ProblemSpec, window: Tuple[float, float] = (0.1, 0.6),
     rel = float(np.sqrt(np.mean(resid ** 2))) / spread
     return DecayFit(omega=float(-coef[0]), C1=float(np.exp(coef[1])),
                     residual=rel, window=(lo * spec.T, hi * spec.T),
-                    n_samples=n_samples)
+                    n_samples=DECAY_N_SAMPLES)
 
 
-def layer_norm_sweep(spec: ProblemSpec, eps_list: Sequence[float],
-                     t_frac: float = 0.5, n_t_samples: int = 9) -> List[dict]:
-    """Track ||M(t_frac T)|| and sup_t ||N(t)|| as eps varies."""
+def layer_norm_sweep(spec: ProblemSpec, eps_list: Sequence[float]) -> List[dict]:
+    """Track ||M(LAYER_T_FRAC T)|| and max ||N|| over LAYER_N_T_SAMPLES t per eps."""
     rows = []
-    ts = np.linspace(0.0, spec.T, n_t_samples)
+    ts = np.linspace(0.0, spec.T, LAYER_N_T_SAMPLES)
     for eps in eps_list:
         sp = dataclasses.replace(spec, eps=eps)
         M, N = build_MN(sp)
         rows.append({
             "eps": eps,
-            "M_norm": op_norm(M(t_frac * sp.T)),
+            "M_norm": op_norm(M(LAYER_T_FRAC * sp.T)),
             "N_sup": max(op_norm(N(t)) for t in ts),
         })
     return rows
@@ -252,10 +253,7 @@ def _sup_gap(t: np.ndarray, diff: np.ndarray, weights, delta: float,
     mask = (t >= delta - 1e-12) & (t <= T - delta + 1e-12)
     if not np.any(mask):
         raise ValueError("compact window is empty")
-    sl = diff[mask]
-    with np.errstate(over="ignore"):
-        return float(np.max(np.sqrt(np.maximum(
-            (np.abs(sl) ** 2 @ np.asarray(weights)).real, 0.0))))
+    return float(np.max(e_norm(diff[mask], weights)))
 
 
 def convergence_study(base: ProblemSpec, u0: np.ndarray,

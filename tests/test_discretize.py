@@ -447,6 +447,14 @@ class TestNorms:
         w = np.array([0.25, 0.75])
         assert e_norm([2.0, 0.0], w) == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_e_norm_of_a_stack_and_past_the_float_range(self):
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        w = np.array([0.2, 0.3, 0.5])
+        np.testing.assert_array_equal(e_norm(v, w), [e_norm(row, w) for row in v])
+        assert e_norm([1e200, 1e200]) == np.inf
+
     def test_mixed_norm_of_one(self):
         u = GridFunction(np.linspace(0, 1, 11), np.ones((11, 4)))
         assert mixed_norm(u, 2.0) == pytest.approx(1.0, abs=1e-14)

@@ -65,3 +65,29 @@ def test_lapack_only_in_linalg(name):
     # every factorization goes through linalg.gesv, which holds the guard
     source = Path(epslab.__file__).resolve().parent / f"{name}.py"
     assert _lapack_uses(ast.parse(source.read_text())) == []
+
+
+# the numpy factorizations that linalg.gesv does not run, per module
+UNGUARDED = {"multiplier": ["np.linalg.inv", "np.linalg.solve"],
+             "discretize": ["np.linalg.det", "np.linalg.solve"]}
+
+
+def _unguarded_uses(tree) -> list:
+    """numpy or scipy linalg solve, inv and det named in tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("solve", "inv", "det"):
+            owner = ast.unparse(node.value)
+            if owner.endswith("linalg") and owner.split(".")[0] in ("np", "numpy", "scipy"):
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "scipy.linalg"):
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name in ("solve", "inv", "det")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_unguarded_factorizations_stay_where_stated(name):
+    # linalg's docstring names these as the LU factorizations gesv does not run
+    source = Path(epslab.__file__).resolve().parent / f"{name}.py"
+    assert _unguarded_uses(ast.parse(source.read_text())) == UNGUARDED.get(name, [])
