@@ -94,19 +94,62 @@ def _failed_report(eps: float, lam: complex, p: float, msg: str) -> EstimateRepo
                           status=f"error: {msg}")
 
 
-def _data_norms(spec: ProblemSpec, p: float, weights: np.ndarray) -> float:
-    """Boundary part of the data norm: sum_k ||f_k||_Ek + |lam|^(1-theta_k)||f_k||."""
-    f1, f2 = spec.bc.data_for(spec.n)
-    th1, th2 = spec.bc.theta(p)
-    mod = abs(spec.lam)
-    A = spec.pair.A
-    total = 0.0
-    for fk, th in ((f1, th1), (f2, th2)):
-        if e_norm(fk, weights) == 0.0:
-            continue
-        total += kfunctional_norm(fk, A, th, p=p, weights=weights)
-        total += _lam_pow(mod, 1.0 - th) * e_norm(fk, weights)
-    return total
+@dataclass(frozen=True)
+class _DataTerms:
+    """The terms of a coercive report that depend on neither eps nor lam.
+
+    loads is f sampled on the time grid and f_norm its ||f||_X.  ends
+    holds (||f_k||_Ek, theta_k, ||f_k||) for each end with nonzero data,
+    ||f_k||_Ek being the K-functional interpolation norm.
+    """
+    A: np.ndarray
+    weights: np.ndarray
+    loads: np.ndarray
+    f_norm: float
+    ends: Tuple[Tuple[float, float, float], ...]
+
+
+def _data_terms(spec: ProblemSpec, p: float) -> _DataTerms:
+    """Sample the load of spec and measure its data norms, once per sweep."""
+    A, w, t = spec.pair.A, spec.pair.weights(), spec.t_grid()
+    loads = spec.f_samples(t)
+    ends = []
+    for fk, th in zip(spec.bc.data_for(spec.n), spec.bc.theta(p)):
+        norm = e_norm(fk, w)
+        if norm != 0.0:
+            ends.append((kfunctional_norm(fk, A, th, p=p, weights=w), th, norm))
+    return _DataTerms(A, w, loads, mixed_norm(GridFunction(t, loads), p=p, weights=w),
+                      tuple(ends))
+
+
+def _measure(u: GridFunction, eps: float, lam: complex, p: float,
+             data: _DataTerms) -> EstimateReport:
+    """The coercive report of the solve u at (eps, lam); see coercive_report."""
+    w = data.weights
+    t = u.t
+    du, ddu = time_derivatives(u)
+    norms = [mixed_norm(u, p=p, weights=w),
+             mixed_norm(GridFunction(t, du), p=p, weights=w),
+             mixed_norm(GridFunction(t, ddu), p=p, weights=w)]
+    au = (data.A @ u.values.T).T
+    au_norm = mixed_norm(GridFunction(t, au), p=p, weights=w)
+    mod = abs(lam)
+    main, alt = [], []
+    for j in range(3):
+        lam_w = _lam_pow(mod, 1.0 - j / 2.0)
+        main.append(eps ** (j / 2.0) * lam_w * norms[j])
+        alt.append(eps ** (j / 2.0 - 1.0 / p) * lam_w * norms[j])
+    # boundary part of the data norm: sum_k ||f_k||_Ek + |lam|^(1-theta_k) ||f_k||
+    bdry = 0.0
+    for interp, th, norm in data.ends:
+        bdry += interp
+        bdry += _lam_pow(mod, 1.0 - th) * norm
+    rhs = data.f_norm + bdry
+    lhs_total = sum(main) + au_norm
+    ratio = lhs_total / rhs if rhs > 0 else 0.0
+    if not np.isfinite(main + alt + [au_norm, rhs, ratio]).all():
+        raise Overflow("coercive report overflowed to non-finite values")
+    return EstimateReport(eps, lam, p, tuple(main), tuple(alt), au_norm, rhs, ratio)
 
 
 def coercive_report(spec: ProblemSpec, u: Optional[GridFunction] = None,
@@ -121,28 +164,7 @@ def coercive_report(spec: ProblemSpec, u: Optional[GridFunction] = None,
     """
     if u is None:
         u = full_solve(spec)
-    w = spec.pair.weights()
-    t = u.t
-    du, ddu = time_derivatives(u)
-    norms = [mixed_norm(u, p=p, weights=w),
-             mixed_norm(GridFunction(t, du), p=p, weights=w),
-             mixed_norm(GridFunction(t, ddu), p=p, weights=w)]
-    au = (spec.pair.A @ u.values.T).T
-    au_norm = mixed_norm(GridFunction(t, au), p=p, weights=w)
-    mod = abs(spec.lam)
-    main, alt = [], []
-    for j in range(3):
-        lam_w = _lam_pow(mod, 1.0 - j / 2.0)
-        main.append(spec.eps ** (j / 2.0) * lam_w * norms[j])
-        alt.append(spec.eps ** (j / 2.0 - 1.0 / p) * lam_w * norms[j])
-    f_norm = mixed_norm(GridFunction(t, spec.f_samples(t)), p=p, weights=w)
-    rhs = f_norm + _data_norms(spec, p, w)
-    lhs_total = sum(main) + au_norm
-    ratio = lhs_total / rhs if rhs > 0 else 0.0
-    if not np.isfinite(main + alt + [au_norm, rhs, ratio]).all():
-        raise Overflow("coercive report overflowed to non-finite values")
-    return EstimateReport(spec.eps, spec.lam, p, tuple(main), tuple(alt),
-                          au_norm, rhs, ratio)
+    return _measure(u, spec.eps, spec.lam, p, _data_terms(spec, p))
 
 
 def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
@@ -150,16 +172,22 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
                      p: float = 2.0) -> List[EstimateReport]:
     """coercive_report over the (eps, lam) grid; failures become rows.
 
-    Cells run serially in input order, eps fastest within each lam.  An
-    inadmissible p raises before any cell runs.
+    Cells run in input order, eps fastest within each lam.  The load
+    samples and the data norms, which depend on neither eps nor lam, are
+    computed once per sweep.  An inadmissible p raises before any cell
+    runs.
     """
     base.bc.theta(p)
+    try:
+        data = _data_terms(base, p)
+    except SOLVER_ERRORS as exc:
+        return [_failed_report(eps, lam, p, str(exc)) for lam in lam_list for eps in eps_list]
     reports = []
     for lam in lam_list:
         for eps in eps_list:
             spec = dataclasses.replace(base, eps=eps, lam=lam)
             try:
-                reports.append(coercive_report(spec, p=p))
+                reports.append(_measure(full_solve(spec), spec.eps, spec.lam, p, data))
             except SOLVER_ERRORS as exc:
                 reports.append(_failed_report(eps, lam, p, str(exc)))
     return reports
