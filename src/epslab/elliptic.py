@@ -21,7 +21,9 @@ odd-even block cyclic reduction, which factors one block per distinct
 row class and level, O(log n_t) linalg.gesv calls in the data's dtype
 (float64 for real data).  gesv's pivot guard sees each block and its
 coupling columns, never the load, so a load that overflows surfaces as
-"solution overflowed" at the end.
+"solution overflowed" at the end.  direct_batch runs the scheme for
+several eps at once: the blocks carry a leading cell axis and each cell
+keeps its own gesv calls; direct_solve is its batch of one.
 """
 from __future__ import annotations
 
@@ -39,10 +41,17 @@ from .multiplier import check_n_x, whole_line_solve
 __all__ = [
     "ProblemSpec", "QSystem",
     "compute_q_system",
-    "homogeneous_solution", "direct_solve", "full_solve",
+    "homogeneous_solution", "direct_batch", "direct_solve", "full_solve",
 ]
 
 PROPAGATOR_CAP = 1e6
+
+
+def _positive_eps(eps) -> float:
+    eps = float(eps)
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    return eps
 
 
 @dataclass
@@ -68,9 +77,7 @@ class ProblemSpec:
     n_x: int = 1024
 
     def __post_init__(self):
-        self.eps = float(self.eps)
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        self.eps = _positive_eps(self.eps)
         self.lam = complex(self.lam)
         self.T = float(self.T)
         if not 0 < self.T < np.inf:
@@ -230,21 +237,54 @@ def mode_derivatives(spec: ProblemSpec):
     return t, u, du, ddu
 
 
-def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray) -> np.ndarray:
+def _gesv_cells(fails: list, M, coupling, load) -> np.ndarray:
+    """linalg.gesv of each live cell of the stacks M, coupling and load.
+
+    The leading axis runs over the cells; coupling or load may be None.
+    A cell whose gesv raises takes _sweep_error of it in fails, leaves
+    its result zero and gets no further gesv call.
+    """
+    k = sum(x.shape[2] for x in (coupling, load) if x is not None)
+    X = np.zeros(M.shape[:2] + (k,), dtype=M.dtype)
+    for i, fail in enumerate(fails):
+        if fail is None:
+            try:
+                X[i] = gesv(M[i], None if coupling is None else coupling[i],
+                            None if load is None else load[i])
+            except ValueError as exc:
+                fails[i] = _sweep_error(exc)
+    return X
+
+
+def _sweep_error(exc: ValueError) -> ValueError:
+    """What direct_solve raises for a failing factorization after the first pivot."""
+    if isinstance(exc, SingularMatrix):
+        return exc
+    # the data are finite, so a non-finite block is overflow
+    err = Overflow("finite difference sweep overflowed to non-finite values")
+    err.__cause__ = exc
+    return err
+
+
+def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
+                      fails: list) -> np.ndarray:
     """Solve L_i x_{i-1} + D_i x_i + U_i x_{i+1} = load_i by odd-even reduction.
 
-    Row i has class cls[i], and kinds[c] = (L, D, U) are the blocks of
-    class c, with None for the missing neighbour of an end row.  Each
-    level eliminates the odd rows: one gesv per distinct class among
-    them, with right-hand side [L | U | their loads], gives
-    x_j = y_j - alpha x_{j-1} - beta x_{j+1}.  A kept row's class becomes
-    the triple of the classes of its left neighbour, itself and its right
-    neighbour, and per triple GEMMs update its load and then its blocks.
-    Each gesv guards its block and [L | U] columns, not the load, and
-    raises at once, so the first failing factorization in reduction
-    order raises.  The caller holds the errstate.
+    The leading axis of load, (cells, rows, n), and of every block,
+    (cells, n, n), runs over the cells of a batch, which share the row
+    classes: row i has class cls[i], and kinds[c] = (L, D, U) are the
+    block stacks of class c, with None for the missing neighbour of an
+    end row.  Each level eliminates the odd rows: per distinct class
+    among them, one gesv per cell with right-hand side [L | U | their
+    loads] gives x_j = y_j - alpha x_{j-1} - beta x_{j+1}.  A kept row's
+    class becomes the triple of the classes of its left neighbour, itself
+    and its right neighbour, and per triple batched GEMMs update its load
+    and then its blocks.  Each gesv guards its block and [L | U] columns,
+    not the load; the first failing factorization of a cell in reduction
+    order goes to fails (_gesv_cells), and the cell's rows of the result
+    are then meaningless.  The caller holds the errstate.
     """
-    n = load.shape[1]
+    n = load.shape[2]
     levels = []
     while len(cls) > 1:
         m = len(cls)
@@ -253,43 +293,125 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray) -> np.ndar
         for c in np.unique(cls[1::2]):
             rows = 2 * np.flatnonzero(cls[1::2] == c) + 1
             L, D, U = kinds[c]
-            coupling = L if U is None else np.hstack([L, U])
-            X = gesv(D, coupling, load[rows].T)
-            k = coupling.shape[1]
-            y[rows] = X[:, k:].T
-            elim[c] = (rows, X[:, :n], None if U is None else X[:, n:k])
+            coupling = L if U is None else np.concatenate([L, U], axis=2)
+            X = _gesv_cells(fails, D, coupling, load[:, rows].mT)
+            k = coupling.shape[2]
+            y[:, rows] = X[:, :, k:].mT
+            elim[c] = (rows, X[:, :, :n], None if U is None else X[:, :, n:k])
         keep = np.arange(0, m, 2)
         left = np.where(keep > 0, cls[keep - 1], -1)
         right = np.where(keep + 1 < m, cls[np.minimum(keep + 1, m - 1)], -1)
         K = len(kinds) + 1
         codes, new_cls = np.unique((left + 1) * K * K + cls[keep] * K + right + 1,
                                    return_inverse=True)
-        new_kinds, new_load = [], load[keep]
+        new_kinds, new_load = [], load[:, keep]
         for j, code in enumerate(codes):
             l, s, r = code // (K * K) - 1, code // K % K, code % K - 1
             L, D, U = kinds[s]
             rows = keep[new_cls == j]
             if l >= 0:
                 _, alpha, beta = elim[l]
-                new_load[rows // 2] -= y[rows - 1] @ L.T
+                new_load[:, rows // 2] -= y[:, rows - 1] @ L.mT
                 L, D = -L @ alpha, D - L @ beta
             if r >= 0:
                 _, alpha, beta = elim[r]
-                new_load[rows // 2] -= y[rows + 1] @ U.T
+                new_load[:, rows // 2] -= y[:, rows + 1] @ U.mT
                 D, U = D - U @ alpha, None if beta is None else -U @ beta
             new_kinds.append((L, D, U))
         levels.append((m, y, elim))
         kinds, cls, load = new_kinds, new_cls, new_load
     _, D, _ = kinds[cls[0]]
-    x = gesv(D, None, load.T).T
+    x = _gesv_cells(fails, D, None, load.mT).mT
     for m, y, elim in reversed(levels):
-        x_kept, x = x, np.empty((m, n), dtype=x.dtype)
-        x[0::2] = x_kept
+        x_kept, x = x, np.empty((len(fails), m, n), dtype=x.dtype)
+        x[:, 0::2] = x_kept
         for rows, alpha, beta in elim.values():
-            x[rows] = y[rows] - x[rows - 1] @ alpha.T
+            x[:, rows] = y[:, rows] - x[:, rows - 1] @ alpha.mT
             if beta is not None:
-                x[rows] -= x[rows + 1] @ beta.T
+                x[:, rows] -= x[:, rows + 1] @ beta.mT
     return x
+
+
+def direct_batch(spec: ProblemSpec, eps_list, loads=None) -> list:
+    """direct_solve of spec at every eps of eps_list, as one batch.
+
+    The cells share everything but eps: the row classes of the cyclic
+    reduction, the load samples (loads, the load on spec.t_grid(), is
+    sampled here when None) and the float64/complex128 choice, float64
+    when A + lam, B, the load, the boundary vectors and every cell's two
+    boundary rows are real.  Blocks, end pivots, loads and the back
+    substitution are (cells, ...) stacks, and every factorization is one
+    mat_solve or linalg.gesv call per cell, with its own pivot guard.
+    Returns, per cell, its GridFunction or the exception a solo
+    direct_solve raises for it; a failed cell gets no further
+    factorization and leaves the other cells' numbers as they are.  An
+    eps that is not finite and positive raises ValueError.
+    """
+    eps = np.array([_positive_eps(e) for e in eps_list])
+    t = spec.t_grid()
+    h = t[1] - t[0]
+    n, N, cells = spec.n, spec.n_t, len(eps)
+    B, A_lam = spec.pair.B, spec.A_lam
+    fvals = spec.f_samples(t) if loads is None else loads
+    f1, f2 = spec.bc.data_for(n)
+    if not all(np.isfinite(x).all() for x in (fvals, f1, f2)):
+        return [ValueError("array must not contain infs or NaNs")] * cells
+    # L1 on (u_0, u_1, u_2) and L2 on (u_{N-3}, u_{N-2}, u_{N-1}), per cell
+    left = spec.bc.apply(1, np.array([1.0, 0.0, 0.0]),
+                         np.array([-3.0, 4.0, -1.0]) / (2 * h), eps[:, None])
+    right = spec.bc.apply(2, np.array([0.0, 0.0, 1.0]),
+                          np.array([1.0, -4.0, 3.0]) / (2 * h), eps[:, None])
+    data = (B, A_lam, fvals, f1, f2, left, right)
+    real = not any(np.any(np.imag(x)) for x in data)
+    if real:
+        B, A_lam, fvals, f1, f2, left, right = (x.real for x in data)
+    eye = np.eye(n, dtype=np.float64 if real else np.complex128)
+    s = eps[:, None, None]
+    lower = -s / h**2 * eye - B / (2 * h)
+    diag = 2 * s / h**2 * eye + A_lam
+    upper = -s / h**2 * eye + B / (2 * h)
+    left, right = left[:, :, None, None] * eye, right[:, :, None, None] * eye
+
+    def column(v):
+        return np.broadcast_to(v[:, None], (cells, len(v), 1))
+
+    # rows 0 and 1, L1 then the stencil; first[:, i] = [Uhat_i | r_i] with
+    # u_i = r_i - Uhat_i u_2
+    P = np.block([[left[:, 0], left[:, 1]], [lower, diag]])
+    rhs = np.block([[left[:, 2], column(f1)], [upper, column(fvals[1])]])
+    fails = [None] * cells
+    first = np.zeros(rhs.shape, dtype=eye.dtype)
+    for i in range(cells):
+        try:
+            first[i] = mat_solve(P[i], rhs[i])
+        except ValueError as exc:
+            fails[i] = exc
+    first = first.reshape(cells, 2, n, n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the stencil at N-2, then L2; last[:, i] = [V_i | s_i] with
+        # u_{N-2+i} = s_i - V_i u_{N-3}
+        P = np.block([[diag, upper], [right[:, 1], right[:, 2]]])
+        last = _gesv_cells(fails, P, np.concatenate([lower, right[:, 0]], axis=1),
+                           column(np.concatenate([fvals[N - 2], f2])))
+        last = last.reshape(cells, 2, n, n + 1)
+        D_first = diag - lower @ first[:, 1, :, :n]
+        D_last = (D_first if N == 5 else diag) - upper @ last[:, 0, :, :n]
+        load = np.repeat(fvals[None, 2:N - 2], cells, axis=0)
+        load[:, 0] -= np.matvec(lower, first[:, 1, :, n])
+        load[:, -1] -= np.matvec(upper, last[:, 0, :, n])
+        kinds = [(None, D_first, upper), (lower, diag, upper), (lower, D_last, None)]
+        cls = np.ones(N - 4, int)
+        cls[0], cls[-1] = 0, 2
+        u = np.empty((cells, N, n), dtype=eye.dtype)
+        u[:, 2:N - 2] = _cyclic_reduction(kinds, cls, load, fails)
+        u[:, :2] = first[..., n] - np.matvec(first[..., :n], u[:, None, 2])
+        u[:, N - 2:] = last[..., n] - np.matvec(last[..., :n], u[:, None, N - 3])
+    out = []
+    for fail, ui in zip(fails, u):
+        if fail is None and not np.isfinite(ui).all():
+            fail = Overflow("finite difference solution overflowed to non-finite values")
+        out.append(GridFunction(t, ui, meta={"path": "direct"}) if fail is None else fail)
+    return out
 
 
 def direct_solve(spec: ProblemSpec) -> GridFunction:
@@ -313,62 +435,13 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     Non-finite load or boundary data raise mat_solve's ValueError up
     front; after that, a block that leaves the finite range raises
     Overflow, and so does a load that overflows anywhere, as "finite
-    difference solution overflowed to non-finite values".
+    difference solution overflowed to non-finite values".  This is the
+    batch of one of direct_batch.
     """
-    t = spec.t_grid()
-    h = t[1] - t[0]
-    n, N = spec.n, spec.n_t
-    B, A_lam = spec.pair.B, spec.A_lam
-    fvals = spec.f_samples(t)
-    f1, f2 = spec.bc.data_for(n)
-    if not all(np.isfinite(x).all() for x in (fvals, f1, f2)):
-        raise ValueError("array must not contain infs or NaNs")
-    # L1 on (u_0, u_1, u_2) and L2 on (u_{N-3}, u_{N-2}, u_{N-1})
-    left = spec.bc.apply(1, np.array([1.0, 0.0, 0.0]),
-                         np.array([-3.0, 4.0, -1.0]) / (2 * h), spec.eps)
-    right = spec.bc.apply(2, np.array([0.0, 0.0, 1.0]),
-                          np.array([1.0, -4.0, 3.0]) / (2 * h), spec.eps)
-    data = (B, A_lam, fvals, f1, f2, left, right)
-    real = not any(np.any(np.imag(x)) for x in data)
-    if real:
-        B, A_lam, fvals, f1, f2, left, right = (x.real for x in data)
-    eye = np.eye(n, dtype=np.float64 if real else np.complex128)
-    lower = -spec.eps / h**2 * eye - B / (2 * h)
-    diag = 2 * spec.eps / h**2 * eye + A_lam
-    upper = -spec.eps / h**2 * eye + B / (2 * h)
-
-    # rows 0 and 1, L1 then the stencil; first[i] = [Uhat_i | r_i] with
-    # u_i = r_i - Uhat_i u_2
-    P = np.block([[left[0] * eye, left[1] * eye], [lower, diag]])
-    rhs = np.block([[left[2] * eye, f1[:, None]], [upper, fvals[1][:, None]]])
-    first = mat_solve(P, rhs).reshape(2, n, n + 1)
-    u = np.empty((N, n), dtype=eye.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            # the stencil at N-2, then L2; last[i] = [V_i | s_i] with
-            # u_{N-2+i} = s_i - V_i u_{N-3}
-            P = np.block([[diag, upper], [right[1] * eye, right[2] * eye]])
-            last = gesv(P, np.vstack([lower, right[0] * eye]),
-                        np.concatenate([fvals[N - 2], f2])[:, None]).reshape(2, n, n + 1)
-            D_first = diag - lower @ first[1, :, :n]
-            D_last = (D_first if N == 5 else diag) - upper @ last[0, :, :n]
-            load = fvals[2:N - 2].copy()
-            load[0] -= lower @ first[1, :, n]
-            load[-1] -= upper @ last[0, :, n]
-            kinds = [(None, D_first, upper), (lower, diag, upper), (lower, D_last, None)]
-            cls = np.ones(N - 4, int)
-            cls[0], cls[-1] = 0, 2
-            u[2:N - 2] = _cyclic_reduction(kinds, cls, load)
-        except SingularMatrix:
-            raise
-        except ValueError as exc:
-            # the data are finite, so a non-finite block is overflow
-            raise Overflow("finite difference sweep overflowed to non-finite values") from exc
-        u[:2] = first[:, :, n] - first[:, :, :n] @ u[2]
-        u[N - 2:] = last[:, :, n] - last[:, :, :n] @ u[N - 3]
-    if not np.isfinite(u).all():
-        raise Overflow("finite difference solution overflowed to non-finite values")
-    return GridFunction(t, u, meta={"path": "direct"})
+    u, = direct_batch(spec, [spec.eps])
+    if isinstance(u, Exception):
+        raise u
+    return u
 
 
 def full_solve(spec: ProblemSpec) -> GridFunction:

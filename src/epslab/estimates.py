@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .discretize import GridFunction, check_p, e_norm, kfunctional_norm, mixed_norm
-from .elliptic import ProblemSpec, full_solve
+from .elliptic import ProblemSpec, direct_batch, full_solve
 from .linalg import NUMERICAL_ERRORS, Overflow, op_norm
 from .parabolic import build_MN, cauchy_solve
 
@@ -172,10 +172,13 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
                      p: float = 2.0) -> List[EstimateReport]:
     """coercive_report over the (eps, lam) grid; failures become rows.
 
-    Cells run in input order, eps fastest within each lam.  The load
+    Rows come in input order, eps fastest within each lam.  The load
     samples and the data norms, which depend on neither eps nor lam, are
-    computed once per sweep.  An inadmissible p raises before any cell
-    runs.
+    computed once per sweep.  A non-commuting pair solves the cells of
+    one lam as one finite difference batch (direct_batch), and each cell
+    is measured right after its batch; a commuting pair solves and
+    measures cell by cell on the split route.  An inadmissible p raises
+    before any cell runs.
     """
     base.bc.theta(p)
     try:
@@ -184,13 +187,29 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
         return [_failed_report(eps, lam, p, str(exc)) for lam in lam_list for eps in eps_list]
     reports = []
     for lam in lam_list:
-        for eps in eps_list:
-            spec = dataclasses.replace(base, eps=eps, lam=lam)
+        for eps, u in _solutions(base, eps_list, lam, data.loads):
             try:
-                reports.append(_measure(full_solve(spec), spec.eps, spec.lam, p, data))
+                if isinstance(u, Exception):
+                    raise u
+                reports.append(_measure(u, float(eps), complex(lam), p, data))
             except SOLVER_ERRORS as exc:
                 reports.append(_failed_report(eps, lam, p, str(exc)))
     return reports
+
+
+def _solutions(base: ProblemSpec, eps_list: Sequence[float], lam: complex,
+               loads: np.ndarray):
+    """(eps, solution or the exception its solve raised) per cell of one lam."""
+    if not base.pair.commutes():
+        yield from zip(eps_list, direct_batch(dataclasses.replace(base, lam=lam),
+                                              eps_list, loads))
+        return
+    for eps in eps_list:
+        spec = dataclasses.replace(base, eps=eps, lam=lam)
+        try:
+            yield eps, full_solve(spec)
+        except SOLVER_ERRORS as exc:
+            yield eps, exc
 
 
 def uniformity_factors(reports: Sequence[EstimateReport]) -> dict:

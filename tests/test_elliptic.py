@@ -6,7 +6,7 @@ import pytest
 from epslab.discretize import BoundaryData, OperatorPair, SpaceGrid
 from epslab.elliptic import (
     ProblemSpec, QSystem, _boundary_matrix, _orbit, compute_q_system, direct_solve,
-    full_solve, homogeneous_solution, mode_derivatives,
+    direct_batch, full_solve, homogeneous_solution, mode_derivatives,
 )
 from epslab import elliptic, linalg
 from epslab.linalg import Overflow, SingularMatrix, op_norm, sqrtm
@@ -413,6 +413,23 @@ def test_direct_solve_matches_dense_assembly_on_every_reduction_shape(n_t, lam, 
     u = direct_solve(spec).values
     ref = _dense_fd_solution(spec)
     assert np.abs(u - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("ends", sorted(_END_CONDITIONS))
+@pytest.mark.parametrize("lam", [3.0, 3 + 2j], ids=["float64", "complex128"])
+@pytest.mark.parametrize("n_t", [*range(5, 13), 33, 34, 35])
+def test_direct_batch_matches_solo_on_every_reduction_shape(n_t, lam, ends):
+    alpha, beta = _END_CONDITIONS[ends]
+    bc = BoundaryData(alpha=alpha, beta=beta, f1=np.ones(4), f2=0.5 * np.ones(4))
+    spec = ProblemSpec(pair=make_wentzell_pair(n_y=4), eps=1e-2, lam=lam, T=1.0, bc=bc,
+                       f="exp(-64*(t-0.5)^2)", n_t=n_t)
+    eps_list = [1.0, 1e-2, 1e-4]
+    batch = direct_batch(spec, eps_list)
+    assert len(batch) == 3
+    for eps, u in zip(eps_list, batch):
+        solo = direct_solve(dataclasses.replace(spec, eps=eps)).values
+        assert u.meta == {"path": "direct"}
+        assert np.abs(u.values - solo).max() <= 1e-13 * np.abs(solo).max()
 
 
 def test_direct_solve_factorizations_grow_with_log_n_t(monkeypatch):

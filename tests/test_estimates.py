@@ -1,17 +1,21 @@
 import dataclasses
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate as si
 
+from epslab import estimates, linalg
+from epslab.cli import _build_spec, load_config
 from epslab.discretize import BoundaryData, GridFunction, OperatorPair, mixed_norm
-from epslab.elliptic import ProblemSpec, full_solve
+from epslab.elliptic import ProblemSpec, direct_solve, full_solve
 from epslab.estimates import (ConvergenceRecord, DecayFit, EstimateReport,
                               FitDegenerate, coercive_report,
                               convergence_study, decay_fit, layer_norm_sweep,
                               time_derivatives, uniformity_factors,
                               uniformity_sweep)
-from epslab.linalg import Overflow
+from epslab.linalg import Overflow, SingularMatrix
 from epslab.parabolic import cauchy_solve
 from epslab.presets import (convergence_problem, decay_base,
                             dirichlet_neumann, make_wentzell_pair,
@@ -181,6 +185,75 @@ def test_sweep_records_an_overflowing_solve_as_an_error():
     assert [r.status for r in reps] == [
         "error: finite difference solution overflowed to non-finite values"] * 2
     assert all(np.isnan(r.ratio) for r in reps)
+
+
+def _report_numbers(rep):
+    return (*rep.lhs_terms, *rep.lhs_alt_terms, rep.au_norm, rep.rhs, rep.ratio)
+
+
+def _counting_lapack(monkeypatch, counts):
+    """Count every LAPACK factorization, which runs through linalg.GESV."""
+    def counting(solve):
+        def wrapped(*args, **kwargs):
+            counts["lu"] += 1
+            return solve(*args, **kwargs)
+        return wrapped
+
+    for dtype, solve in list(linalg.GESV.items()):
+        monkeypatch.setitem(linalg.GESV, dtype, counting(solve))
+
+
+@pytest.mark.parametrize("eps_list", [[1e8, 1.0, 1e-2], [1.0, 1e8, 1e-2]])
+def test_failing_cell_leaves_the_rest_of_its_batch_alone(monkeypatch, eps_list):
+    # at eps = 1e8 the first 2n x 2n pivot of the wentzell FD solve fails
+    # the pivot guard; the two other cells of the same batch still solve,
+    # and the failed cell makes no factorization after its first pivot
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "scalar_solve.ini",
+                      preset="wentzell")
+    base = _build_spec(cfg, "wentzell", eps_list, lam=1.0)
+    counts = Counter()
+    _counting_lapack(monkeypatch, counts)
+    reps = uniformity_sweep(base, eps_list, [1.0])
+    batch = counts["lu"]
+    assert [r.eps for r in reps] == eps_list
+    for eps, rep in zip(eps_list, reps):
+        spec = dataclasses.replace(base, eps=eps)
+        if eps == 1e8:
+            before = counts["lu"]
+            with pytest.raises(SingularMatrix, match=r"^pivot ratio 4\.167e-14 below 1e-13$") as exc:
+                direct_solve(spec)
+            assert rep.status == "error: " + str(exc.value)
+            assert counts["lu"] == before + 1  # the first pivot, nothing after it
+            continue
+        solo = coercive_report(spec)
+        assert rep.status == solo.status == "ok"
+        for got, want in zip(_report_numbers(rep), _report_numbers(solo)):
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+    assert counts["lu"] - batch == batch > 0
+
+
+def test_wentzell_sweep_computes_its_data_terms_once(monkeypatch):
+    # 15 cells: the two boundary interpolation norms and the load samples
+    # are taken once per sweep, and the batched FD solve factors no more
+    # blocks per cell than a solo direct_solve may
+    base = uniformity_base("wentzell")
+    counts = Counter()
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(estimates, "kfunctional_norm",
+                        counting("kfunctional", estimates.kfunctional_norm))
+    monkeypatch.setattr(ProblemSpec, "f_samples", counting("load", ProblemSpec.f_samples))
+    _counting_lapack(monkeypatch, counts)
+    reps = uniformity_sweep(base, [1.0, 1e-1, 1e-2, 1e-3, 1e-4], [1.0, 10.0, 100.0])
+    assert len(reps) == 15 and all(r.status == "ok" for r in reps)
+    assert 0 < counts["kfunctional"] <= 2
+    assert counts["load"] == 1
+    assert 0 < counts["lu"] <= 15 * (2 * int(np.ceil(np.log2(base.n_t))) + 4)
 
 
 @pytest.mark.filterwarnings("error")
