@@ -212,6 +212,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _lam_key(lam: complex) -> str:
+    """lam as re+imj, each part in its shortest round-trip digits, no trailing .0."""
+    re_, im = (_fmt(x).removesuffix(".0") for x in (lam.real, lam.imag))
+    return f"{re_}{'' if im.startswith('-') else '+'}{im}j"
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -342,8 +348,7 @@ def _run_sweep(cfg: Config, out: Path, header: str, ident: dict) -> int:
     _write_json(out / "summary.json", {
         **ident, "p": p, "n_cells": len(reports),
         "n_failed": sum(r.status != "ok" for r in reports),
-        "uniformity": {f"{lam.real:g}{lam.imag:+g}j":
-                       {"max_ratio": mx, "factor": fac}
+        "uniformity": {_lam_key(lam): {"max_ratio": mx, "factor": fac}
                        for lam, (mx, fac) in factors.items()}})
     return 2 if any(r.status != "ok" for r in reports) else 0
 
@@ -446,7 +451,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="scenario file (INI format)")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="ignored; sweep cells run serially")
+                        help="ignored; a sweep solves the cells of each lambda "
+                             "as one batch in one process")
     parser.add_argument("--preset", choices=PRESET_NAMES,
                         help="override [scenario] preset")
     parser.add_argument("--override", action="append", default=[],

@@ -99,6 +99,17 @@ def test_sweep_outputs_and_schema(tmp_path):
     assert "1+0j" in summary["uniformity"]
 
 
+def test_sweep_keeps_one_uniformity_entry_per_lambda(tmp_path):
+    # the two lambdas agree to six significant digits; each keeps its entry
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIGS / "scalar_sweep.ini"), "--out", str(out),
+                 "--override", "sweep.lambda_list=[1,0] [1.0000001,0]",
+                 "--override", "sweep.eps_list=1 0.1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_cells"] == 4
+    assert sorted(summary["uniformity"]) == ["1+0j", "1.0000001+0j"]
+
+
 def test_sweep_on_zero_data_writes_empty_uniformity(tmp_path):
     # every ratio is 0 by convention, so no lam has a uniformity factor
     text = (CONFIGS / "scalar_sweep.ini").read_text()
