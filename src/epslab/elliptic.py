@@ -241,29 +241,24 @@ def _gesv_cells(fails: list, M, coupling, load) -> np.ndarray:
     """linalg.gesv of each live cell of the stacks M, coupling and load.
 
     The leading axis runs over the cells; coupling or load may be None.
-    A cell whose gesv raises takes _sweep_error of it in fails, leaves
-    its result zero and gets no further gesv call.
+    A cell whose gesv raises gets the error direct_solve raises for it in
+    fails, keeps a zero result and gets no further gesv call.
     """
     k = sum(x.shape[2] for x in (coupling, load) if x is not None)
     X = np.zeros(M.shape[:2] + (k,), dtype=M.dtype)
     for i, fail in enumerate(fails):
-        if fail is None:
-            try:
-                X[i] = gesv(M[i], None if coupling is None else coupling[i],
-                            None if load is None else load[i])
-            except ValueError as exc:
-                fails[i] = _sweep_error(exc)
+        if fail is not None:
+            continue
+        try:
+            X[i] = gesv(M[i], None if coupling is None else coupling[i],
+                        None if load is None else load[i])
+        except SingularMatrix as exc:
+            fails[i] = exc
+        except ValueError as exc:
+            # the data are finite, so a non-finite block is overflow
+            fails[i] = Overflow("finite difference sweep overflowed to non-finite values")
+            fails[i].__cause__ = exc
     return X
-
-
-def _sweep_error(exc: ValueError) -> ValueError:
-    """What direct_solve raises for a failing factorization after the first pivot."""
-    if isinstance(exc, SingularMatrix):
-        return exc
-    # the data are finite, so a non-finite block is overflow
-    err = Overflow("finite difference sweep overflowed to non-finite values")
-    err.__cause__ = exc
-    return err
 
 
 def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
@@ -281,8 +276,8 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
     and its right neighbour, and per triple batched GEMMs update its load
     and then its blocks.  Each gesv guards its block and [L | U] columns,
     not the load; the first failing factorization of a cell in reduction
-    order goes to fails (_gesv_cells), and the cell's rows of the result
-    are then meaningless.  The caller holds the errstate.
+    order goes to fails (_gesv_cells), and that cell's rows of the result
+    mean nothing.  The caller holds the errstate.
     """
     n = load.shape[2]
     levels = []
