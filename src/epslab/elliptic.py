@@ -392,15 +392,15 @@ def direct_batch(spec: ProblemSpec, eps_list, loads=None) -> list:
         D_first = diag - lower @ first[:, 1, :, :n]
         D_last = (D_first if N == 5 else diag) - upper @ last[:, 0, :, :n]
         load = np.repeat(fvals[None, 2:N - 2], cells, axis=0)
-        load[:, 0] -= np.matvec(lower, first[:, 1, :, n])
-        load[:, -1] -= np.matvec(upper, last[:, 0, :, n])
+        load[:, 0] -= (lower @ first[:, 1, :, n:])[..., 0]
+        load[:, -1] -= (upper @ last[:, 0, :, n:])[..., 0]
         kinds = [(None, D_first, upper), (lower, diag, upper), (lower, D_last, None)]
         cls = np.ones(N - 4, int)
         cls[0], cls[-1] = 0, 2
         u = np.empty((cells, N, n), dtype=eye.dtype)
         u[:, 2:N - 2] = _cyclic_reduction(kinds, cls, load, fails)
-        u[:, :2] = first[..., n] - np.matvec(first[..., :n], u[:, None, 2])
-        u[:, N - 2:] = last[..., n] - np.matvec(last[..., :n], u[:, None, N - 3])
+        u[:, :2] = first[..., n] - (first[..., :n] @ u[:, None, 2, :, None])[..., 0]
+        u[:, N - 2:] = last[..., n] - (last[..., :n] @ u[:, None, N - 3, :, None])[..., 0]
     out = []
     for fail, ui in zip(fails, u):
         if fail is None and not np.isfinite(ui).all():
