@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import exprparse
-from .linalg import (SectorialityReport, as_complex_matrix, check_positivity,
-                     mat_solve, op_norm)
+from .linalg import (SectorialityReport, SingularMatrix, as_complex_matrix,
+                     check_positivity, inv, mat_solve, op_norm)
 
 __all__ = [
     "NonPositiveCoefficient", "ConditionReport",
@@ -29,6 +29,7 @@ __all__ = [
     "build_wentzell_operator", "build_integral_operator",
     "check_condition_1", "check_condition_2_1", "check_condition_4_1",
     "e_norm", "check_p", "mixed_norm", "kfunctional_norm", "COMMUTE_RTOL",
+    "EIGENBASIS_RTOL", "EIGENBASIS_MIX",
 ]
 
 
@@ -130,6 +131,10 @@ class GridFunction:
 
 
 COMMUTE_RTOL = 1e-10
+# a joint eigenbasis is kept when it reproduces A and B to this relative
+# backward error; V is the eigenbasis of A + EIGENBASIS_MIX B
+EIGENBASIS_RTOL = 1e-10
+EIGENBASIS_MIX = 0.5 ** 0.5
 RESOLVENT_T_SAMPLES = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 
@@ -140,7 +145,8 @@ class OperatorPair:
     has a nontrivial kernel, as dynamic-boundary operators do).  The scan
     samples lam_samples, which the pair keeps for later scans.  A and B
     are fixed at construction and never reassigned, so the commutator
-    norm and the scale ||A|| ||B|| are computed once per pair.
+    norm, the scale ||A|| ||B|| and the joint eigenbasis are computed
+    once per pair, when first asked for.
     """
 
     def __init__(self, A, B, grid: Optional[SpaceGrid] = None,
@@ -187,6 +193,40 @@ class OperatorPair:
         if scale == 0.0:
             return True
         return self.commutator_norm <= COMMUTE_RTOL * scale
+
+    @cached_property
+    def joint_eigenbasis(self):
+        """(V, V^-1, a, b) with A = V diag(a) V^-1 and B = V diag(b) V^-1, or None.
+
+        Commuting diagonalizable matrices share an eigenbasis, and a
+        generic combination A + c B with c = EIGENBASIS_MIX has it as its
+        own (np.linalg.eig); V^-1 comes from linalg.inv.  a and b are the
+        diagonals of V^-1 A V and V^-1 B V.  The basis is kept only when
+
+            kappa_F(V) ||V^-1 M V - diag(m)||_F <= EIGENBASIS_RTOL ||M||_F
+
+        for M = A and M = B, which bounds the relative backward error of
+        the factorization; otherwise, and for a pair that does not
+        commute or a V that fails inv's pivot guard, it is None.  A
+        defective pair, such as A = B = [[2, 1], [0, 2]], has none.
+        """
+        if not self.commutes():
+            return None
+        _, V = np.linalg.eig(self.A + EIGENBASIS_MIX * self.B)
+        try:
+            Vinv = inv(V)
+        except SingularMatrix:
+            return None
+        kappa = np.linalg.norm(V) * np.linalg.norm(Vinv)
+        diagonals = []
+        for M in (self.A, self.B):
+            D = Vinv @ M @ V
+            m = np.diagonal(D).copy()
+            D[np.diag_indices_from(D)] = 0.0
+            if kappa * np.linalg.norm(D) > EIGENBASIS_RTOL * np.linalg.norm(M):
+                return None
+            diagonals.append(m)
+        return V, Vinv, *diagonals
 
 
 @dataclass(frozen=True)
@@ -352,7 +392,6 @@ def check_condition_2_1(pair: OperatorPair,
     A+t is singular (relevant when A has a kernel).  When a BoundaryData
     is supplied its determinant d != 0 is recorded too.
     """
-    from .linalg import SingularMatrix
     norm_b = op_norm(pair.B)
     eye = np.eye(pair.n)
     sup = 0.0

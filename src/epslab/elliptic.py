@@ -444,16 +444,23 @@ def full_solve(spec: ProblemSpec) -> GridFunction:
 
     Commuting pairs go through the split route: a whole-line Fourier
     multiplier handles the interior load, and the anchored semigroup
-    modes absorb the boundary mismatch.  Non-commuting pairs use the
-    finite difference scheme, recorded in meta["path"].
+    modes absorb the boundary mismatch.  Without a load (f None, or f
+    zero at every node where whole_line_solve samples it) the semigroup
+    modes alone solve the problem.  Non-commuting pairs, and loaded
+    commuting pairs without a joint eigenbasis (a defective pair), use
+    the finite difference scheme; the route is recorded in meta["path"].
     """
     if not spec.pair.commutes():
         return direct_solve(spec)
-    if spec.f_is_zero():
+    if spec.f is None:
         return homogeneous_solution(spec)
+    if spec.pair.joint_eigenbasis is None:
+        return direct_solve(spec)
 
-    t = spec.t_grid()
     line = whole_line_solve(spec)
+    if not line.uhat.any():
+        return homogeneous_solution(spec)
+    t = spec.t_grid()
     u1 = line.on_grid(t)
     du1 = line.on_grid(t[[0, -1]], derivative=1)
     l1 = spec.bc.apply(1, u1[0], du1[0], spec.eps)

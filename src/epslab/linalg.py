@@ -1,9 +1,9 @@
 """Dense matrix kernels shared by every solver in the package.
 
 Every LU factorization of the package is one LAPACK gesv (partial
-pivoting) run by gesv, which states the pivot guard once, but for three
-numpy calls: multiplier's batched symbol solve and resolvent inverse,
-and discretize.build_wentzell_operator's 2x2 solve.  mat_solve
+pivoting) run by gesv, which states the pivot guard once, but for two
+numpy calls: multiplier's resolvent inverse and
+discretize.build_wentzell_operator's 2x2 solve.  mat_solve
 adds shape checks and works in float64 when matrix and right-hand side
 are both real, in complex128 otherwise.  The rest of the operator calculus
 runs on explicit complex matrices: the principal matrix square root by

@@ -5,7 +5,10 @@ turns the equation into one algebraic system per frequency:
 
     (A + i xi B + (eps xi^2 + lam) I) u_hat(xi) = f_hat(xi).
 
-The solution symbol Phi(xi) is the inverse above; trig interpolation
+For a commuting pair with a joint eigenbasis A = V diag(a) V^-1,
+B = V diag(b) V^-1 every system is diagonal in that basis, so each
+frequency costs n divisions by a + i xi b + eps xi^2 + lam.  The
+solution symbol Phi(xi) is the inverse above; trig interpolation
 evaluates the solution and its derivatives exactly at equispaced points
 of the cell, which is what the boundary-correction route needs.  The
 module also measures the uniform multiplier bounds whose finiteness is
@@ -19,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import as_complex_matrix
+from .linalg import SingularMatrix, as_complex_matrix
 
 __all__ = [
     "AliasWarning", "LineGrid", "LineSolution", "check_n_x",
@@ -125,7 +128,9 @@ class LineSolution:
         k = (np.fft.fftfreq(n_x) * n_x).astype(np.int64)
         bins = np.zeros((P, n), dtype=np.complex128)
         np.add.at(bins, k % P, fac[:, None] * self.uhat)
-        vals = np.fft.ifft(bins, axis=0, norm="forward")
+        # in place: a second P n buffer per call (3.3 MB at n_t 801, n 16)
+        # made glibc trim and refault its heap around every solve
+        vals = np.fft.ifft(bins, axis=0, norm="forward", out=bins)
         l = np.arange(m) if h >= 0 else -np.arange(m)
         return vals[l % P] / n_x
 
@@ -138,13 +143,23 @@ def whole_line_solve(spec) -> LineSolution:
     """Solve the constant-coefficient problem on the periodic line.
 
     The load is spec's interior f, extended by zero outside [0, T], on
-    the periodic window [-8T, 8T) with spec.n_x nodes.  All frequencies
-    go through one batched solve with the symbol matrices; Phi itself is
-    never formed.
+    the periodic window [-8T, 8T) with spec.n_x nodes.  The pair's joint
+    eigenbasis (OperatorPair.joint_eigenbasis) diagonalizes every symbol,
+    so with d = a + i xi b + eps xi^2 + lam
+
+        uhat = ((fhat V^-T) / d) V^T,
+
+    two (n_x, n) x (n, n) products and one division; neither Phi nor a
+    symbol matrix is formed.  ValueError when the pair has no joint
+    eigenbasis, SingularMatrix when d vanishes at some frequency.
     Warns with AliasWarning when the top ALIAS_BAND_FRACTION of the
     frequency axis carries more than ALIAS_ENERGY_TOL of the load energy,
     a sign that n_x under-resolves f.
     """
+    basis = spec.pair.joint_eigenbasis
+    if basis is None:
+        raise ValueError("the whole-line route needs a commuting pair with a joint eigenbasis")
+    V, Vinv, a, b = basis
     grid = LineGrid.make(spec.n_x, 8.0 * spec.T)
     fvals = np.zeros((grid.n_x, spec.n), dtype=np.complex128)
     mask = (grid.x >= 0.0) & (grid.x <= spec.T)
@@ -164,8 +179,11 @@ def whole_line_solve(spec) -> LineSolution:
                 f"{alias:.2e} of the load energy; increase n_x",
                 AliasWarning, stacklevel=2)
 
-    M = _symbol(spec.pair.A, spec.pair.B, spec.eps, spec.lam, grid.xi)
-    uhat = np.linalg.solve(M, fhat[..., None])[..., 0]
+    xi = grid.xi[:, None]
+    d = a + 1j * xi * b + (spec.eps * xi**2 + spec.lam)
+    if not d.all():
+        raise SingularMatrix("the symbol is singular at some frequency")
+    uhat = ((fhat @ Vinv.T) / d) @ V.T
     return LineSolution(grid=grid, uhat=uhat, alias_energy=alias)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from epslab.discretize import (
-    BoundaryData, ConditionReport, GridFunction, NonPositiveCoefficient,
+    EIGENBASIS_MIX, BoundaryData, ConditionReport, GridFunction, NonPositiveCoefficient,
     OperatorPair, SpaceGrid, build_integral_operator, build_wentzell_operator,
     _as_coefficient, _one_sided_rows, check_condition_1, check_condition_2_1,
     check_condition_4_1, e_norm, kfunctional_norm, mixed_norm,
@@ -142,6 +142,32 @@ class TestOperatorPair:
             assert pair.commutator_norm == op_norm(A @ B - B @ A)
             assert not pair.commutes()
         assert len(calls) == 3  # ||AB - BA||, ||A||, ||B||
+
+    def test_joint_eigenbasis_diagonalizes_both(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        S = rng.normal(size=(4, 4)) + 4 * np.eye(4)
+        Sinv = np.linalg.inv(S)
+        A = S @ np.diag([1.0, 2.0, 3.0, 4.0]) @ Sinv
+        pair = OperatorPair(A, S @ np.diag([0.5, -1.0, 0.0, 2.0]) @ Sinv,
+                            check_positive=False)
+        V, Vinv, a, b = pair.joint_eigenbasis
+        np.testing.assert_allclose(V @ Vinv, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(V @ np.diag(a) @ Vinv, pair.A, atol=1e-11)
+        np.testing.assert_allclose(V @ np.diag(b) @ Vinv, pair.B, atol=1e-11)
+        monkeypatch.setattr("epslab.discretize.np.linalg.eig", None)
+        assert pair.joint_eigenbasis[0] is V  # computed once per pair
+
+    def test_no_joint_eigenbasis_without_commuting(self):
+        A = np.array([[2.0, 1.0], [0.0, 3.0]])
+        pair = OperatorPair(A, np.array([[0.0, 1.0], [1.0, 0.0]]), check_positive=False)
+        assert pair.joint_eigenbasis is None
+
+    def test_degenerate_combination_fails_the_residual_check(self):
+        # A + c B = (1 + c) I, so eig's basis need not diagonalize A or B
+        Q = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+        pair = OperatorPair(Q @ np.diag([1.0, 1.0 + EIGENBASIS_MIX]) @ Q.T,
+                            Q @ np.diag([1.0, 0.0]) @ Q.T)
+        assert pair.commutes() and pair.joint_eigenbasis is None
 
     def test_default_weights(self):
         pair = OperatorPair(np.eye(4), np.zeros((4, 4)))

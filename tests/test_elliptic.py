@@ -544,6 +544,28 @@ class TestFullSolve:
         assert u.meta["path"] == "multiplier+semigroup"
         assert u.meta["alias_energy"] <= 1e-6
 
+    def test_path_direct_for_a_commuting_pair_without_eigenbasis(self):
+        J = np.array([[2.0, 1.0], [0.0, 2.0]])
+        spec = ProblemSpec(pair=OperatorPair(J, J), eps=0.5, lam=1.0, T=1.0,
+                           bc=dn_bc(), f="exp(-64*(t-0.5)^2)", n_t=51)
+        u = full_solve(spec)
+        assert u.meta["path"] == "direct"
+        assert np.array_equal(u.values, direct_solve(spec).values)
+        assert full_solve(dataclasses.replace(spec, f=None)).meta["path"] == "semigroup"
+
+    def test_no_load_never_computes_the_eigenbasis(self):
+        spec = ProblemSpec(pair=commuting_pair(3, 1), eps=0.5, lam=1.0, T=1.0,
+                           bc=dn_bc(), n_t=51)
+        full_solve(spec)
+        assert "joint_eigenbasis" not in vars(spec.pair)
+
+    def test_load_zero_at_its_samples_takes_the_semigroup_path(self):
+        spec = ProblemSpec(pair=commuting_pair(3, 1), eps=0.5, lam=1.0, T=1.0,
+                           bc=dn_bc(), f="0*t", n_t=51)
+        u = full_solve(spec)
+        assert u.meta["path"] == "semigroup"
+        assert np.array_equal(u.values, full_solve(dataclasses.replace(spec, f=None)).values)
+
     def test_path_direct_for_noncommuting(self):
         A = np.array([[2.0, 0.5], [0.0, 3.0]])
         B = np.array([[0.3, 0.0], [0.2, 0.4]])

@@ -256,6 +256,22 @@ def test_wentzell_sweep_computes_its_data_terms_once(monkeypatch):
     assert 0 < counts["lu"] <= 15 * (2 * int(np.ceil(np.log2(base.n_t))) + 4)
 
 
+def test_commuting_sweep_samples_the_load_once_per_cell(monkeypatch):
+    # one hoisted sampling for the data norms, then whole_line_solve's own
+    # per cell; the zero-load test reuses the line samples
+    counts = Counter()
+    sample = ProblemSpec.f_samples
+
+    def counting(*args, **kwargs):
+        counts["load"] += 1
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(ProblemSpec, "f_samples", counting)
+    reps = uniformity_sweep(uniformity_base("commuting", n_t=51), [1, 0.1, 0.01], [1, 10])
+    assert [r.status for r in reps] == ["ok"] * 6
+    assert counts["load"] == 7
+
+
 @pytest.mark.filterwarnings("error")
 def test_report_with_an_overflowing_norm_is_an_error():
     # at p = 1e300 every mixed norm overflows to inf, which is no measurement

@@ -4,9 +4,9 @@ from scipy.integrate import quad
 
 from epslab.discretize import BoundaryData, OperatorPair
 from epslab.elliptic import ProblemSpec
-from epslab.linalg import op_norm
+from epslab.linalg import SingularMatrix, op_norm
 from epslab.multiplier import (
-    AliasWarning, LineGrid, multiplier_bound_scan, resolvent_symbol,
+    AliasWarning, LineGrid, _symbol, multiplier_bound_scan, resolvent_symbol,
     whole_line_solve,
 )
 from epslab.presets import make_pair
@@ -138,11 +138,65 @@ class TestWholeLineSolve:
             sol = whole_line_solve(spec)
         assert sol.alias_energy <= 1e-6
 
+    def test_singular_symbol_raises(self):
+        # A + lam = 0, so the symbol vanishes at xi = 0
+        with pytest.raises(SingularMatrix):
+            whole_line_solve(line_spec(a=1.0, lam=-1.0))
+
     def test_zero_load(self):
         spec = line_spec(f=None)
         sol = whole_line_solve(spec)
         assert np.abs(sol.uhat).max() == 0.0
         assert sol.alias_energy == 0.0
+
+
+def symbol_solve(spec):
+    """uhat by one dense solve of the symbol matrix per frequency."""
+    sol = whole_line_solve(spec)
+    x = sol.grid.x
+    fvals = np.zeros((len(x), spec.n), dtype=complex)
+    m = (x >= 0) & (x <= spec.T)
+    fvals[m] = spec.f_samples(x[m])
+    M = _symbol(spec.pair.A, spec.pair.B, spec.eps, spec.lam, sol.grid.xi)
+    return sol.uhat, np.linalg.solve(M, np.fft.fft(fvals, axis=0)[..., None])[..., 0]
+
+
+def random_orthogonal(n, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    return q * np.sign(np.diagonal(r))
+
+
+class TestJointEigenbasis:
+    # the diagonal solve in the pair's joint eigenbasis against dense
+    # solves of the symbol, on pairs that no preset builds
+    @pytest.mark.parametrize("eps, lam", [(1e-2, 3.0), (1e-4, 1.0 + 2.0j)])
+    def test_rotated_diagonal_pair(self, eps, lam):
+        Q = random_orthogonal(6, 5)
+        rng = np.random.default_rng(6)
+        A = Q @ np.diag(rng.uniform(1.0, 4.0, 6)) @ Q.T
+        B = Q @ np.diag(rng.uniform(-1.0, 1.0, 6)) @ Q.T
+        spec = ProblemSpec(pair=OperatorPair(A, B), eps=eps, lam=lam, T=1.0,
+                           bc=dn_bc(), f="exp(-64*(t-0.5)^2)*(1+y)", n_t=101)
+        got, want = symbol_solve(spec)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_identity_with_a_non_diagonal_drift(self):
+        G = np.random.default_rng(7).normal(size=(5, 5))
+        pair = OperatorPair(np.eye(5), (G + G.T) / 4)
+        assert np.abs(pair.B - np.diag(np.diagonal(pair.B))).max() > 0.1
+        spec = ProblemSpec(pair=pair, eps=1e-2, lam=2.0, T=1.0, bc=dn_bc(),
+                           f="exp(-64*(t-0.5)^2)*(1+y)", n_t=101)
+        got, want = symbol_solve(spec)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_defective_pair_has_no_line_solve(self):
+        J = np.array([[2.0, 1.0], [0.0, 2.0]])
+        pair = OperatorPair(J, J)
+        assert pair.commutes() and pair.joint_eigenbasis is None
+        spec = ProblemSpec(pair=pair, eps=1e-2, lam=1.0, T=1.0, bc=dn_bc(),
+                           f="exp(-64*(t-0.5)^2)", n_t=101)
+        with pytest.raises(ValueError, match="joint eigenbasis"):
+            whole_line_solve(spec)
 
 
 def dense_on_grid(sol, points, derivative=0):
