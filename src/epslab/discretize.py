@@ -221,12 +221,14 @@ class OperatorPair:
         diagonals = []
         for M in (self.A, self.B):
             D = Vinv @ M @ V
-            m = np.diagonal(D).copy()
-            D[np.diag_indices_from(D)] = 0.0
-            if kappa * np.linalg.norm(D) > EIGENBASIS_RTOL * np.linalg.norm(M):
+            m = np.diagonal(D)
+            if kappa * np.linalg.norm(D - np.diag(m)) > EIGENBASIS_RTOL * np.linalg.norm(M):
                 return None
             diagonals.append(m)
-        return V, Vinv, *diagonals
+        basis = (V, Vinv, *diagonals)
+        for x in basis:  # every caller shares these arrays
+            x.flags.writeable = False
+        return basis
 
 
 @dataclass(frozen=True)

@@ -186,11 +186,11 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
     except SOLVER_ERRORS as exc:
         return [_failed_report(eps, lam, p, str(exc)) for lam in lam_list for eps in eps_list]
     if base.pair.commutes():
-        # the split route samples the load on its own grid.  Its one
-        # multi-megabyte temporary, LineSolution.on_grid's folded FFT
-        # buffer, is transformed in place, so an array held from cell to
-        # cell does not make glibc trim and refault its heap around each
-        # solve: about 1 minor page fault per sweep-split run either way
+        # the split route samples the load on its own grid, so the hoisted
+        # samples are dropped.  Its one multi-megabyte temporary, on_grid's
+        # folded FFT buffer, is transformed in place, so an array held from
+        # cell to cell does not make glibc trim and refault the heap around
+        # each solve: about 1 minor page fault per sweep-split run either way
         data = dataclasses.replace(data, loads=None)
         return [_cell_report(_solve_or_error(dataclasses.replace(base, eps=eps, lam=lam)),
                              eps, lam, p, data)
