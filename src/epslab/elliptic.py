@@ -114,11 +114,6 @@ class ProblemSpec:
         rows = [np.asarray(self.f(float(ti)), dtype=np.complex128).reshape(n) for ti in t]
         return np.stack(rows)
 
-    def f_is_zero(self) -> bool:
-        if self.f is None:
-            return True
-        return bool(np.max(np.abs(self.f_samples(self.t_grid()))) == 0.0)
-
 
 @dataclass(frozen=True)
 class QSystem:
@@ -223,8 +218,8 @@ def _propagate_modes(spec: ProblemSpec, qsys: QSystem):
 def homogeneous_solution(spec: ProblemSpec) -> GridFunction:
     """Solve the problem with f = 0 via the anchored semigroup modes."""
     t, x, w = _propagate_modes(spec, compute_q_system(spec))
-    u = x + w
-    return GridFunction(t, u, meta={"path": "semigroup"})
+    x += w
+    return GridFunction(t, x, meta={"path": "semigroup"})
 
 
 def mode_derivatives(spec: ProblemSpec):
@@ -457,18 +452,27 @@ def full_solve(spec: ProblemSpec) -> GridFunction:
     if spec.pair.joint_eigenbasis is None:
         return direct_solve(spec)
 
-    line = whole_line_solve(spec)
-    if not line.uhat.any():
-        return homogeneous_solution(spec)
     t = spec.t_grid()
-    u1 = line.on_grid(t)
-    du1 = line.on_grid(t[[0, -1]], derivative=1)
+    line = _line_part(spec, t)
+    if line is None:
+        return homogeneous_solution(spec)
+    u1, du1, alias = line
     l1 = spec.bc.apply(1, u1[0], du1[0], spec.eps)
     l2 = spec.bc.apply(2, u1[-1], du1[-1], spec.eps)
     f1, f2 = spec.bc.data_for(spec.n)
     bc2 = dataclasses.replace(spec.bc, f1=f1 - l1, f2=f2 - l2)
     spec2 = dataclasses.replace(spec, bc=bc2, f=None)
-    u2 = homogeneous_solution(spec2)
-    return GridFunction(t, u1 + u2.values, meta={
-        "path": "multiplier+semigroup", "alias_energy": line.alias_energy})
+    u1 += homogeneous_solution(spec2).values
+    return GridFunction(t, u1, meta={"path": "multiplier+semigroup", "alias_energy": alias})
+
+
+def _line_part(spec: ProblemSpec, t: np.ndarray):
+    """(u1 on t, u1' at t[0] and t[-1], alias energy) of the whole-line
+    solve, or None when its load transform is zero.  The line solution's
+    coefficients are freed on return, before the semigroup part runs."""
+    line = whole_line_solve(spec)
+    if not line.uhat.any():
+        return None
+    return (line.on_grid(t), line.at_points(t[[0, -1]], derivative=1),
+            line.alias_energy)
 

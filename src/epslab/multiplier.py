@@ -8,11 +8,15 @@ turns the equation into one algebraic system per frequency:
 For a commuting pair with a joint eigenbasis A = V diag(a) V^-1,
 B = V diag(b) V^-1 every system is diagonal in that basis, so each
 frequency costs n divisions by a + i xi b + eps xi^2 + lam.  The
-solution symbol Phi(xi) is the inverse above; trig interpolation
-evaluates the solution and its derivatives exactly at equispaced points
-of the cell, which is what the boundary-correction route needs.  The
-module also measures the uniform multiplier bounds whose finiteness is
-the quantitative content of the coercive estimates.
+solution symbol Phi(xi) is the inverse above.  Trig interpolation
+evaluates the solution and its derivatives exactly: at m equispaced
+points whose step divides the cell length by a chirp-z (zoom)
+transform, whose FFTs have a power-of-two length >= n_x + m - 1
+whatever the step, and at a few arbitrary points, such as the two ends
+of the time interval that the boundary correction needs, by the direct
+sum over the n_x frequencies.  The module also measures the uniform
+multiplier bounds whose finiteness is the quantitative content of the
+coercive estimates.
 """
 from __future__ import annotations
 
@@ -103,13 +107,19 @@ class LineSolution:
         Then every p_l lies on the periodic grid of P = L / |h| points
         from p0, and with integer wavenumbers k (xi_k = 2 pi k / L)
 
-            u(p_l) = 1/n_x sum_k coef_k exp(+-2 pi i k l / P),
+            u(p_l) = 1/n_x sum_k coef_k W^(k l),   W = exp(+-2 pi i / P),
             coef_k = (i xi_k)^d exp(i (p0 - x0) xi_k) uhat_k,
 
-        with the sign of h, so the coefficients fold into the bins k mod P
-        and one inverse FFT of length P gives the values.
-        A single point uses P = 1.  The folded array holds P n values:
-        on the time grid, P = 16 (n_t - 1).
+        with the sign of h.  The sum is a chirp-z (zoom) transform
+        (Bluestein): with k l = (k^2 + l^2 - (l - k)^2) / 2 it is a
+        pre-chirp W^(k^2/2), a linear convolution with the conjugate
+        chirp W^(-q^2/2) and a post-chirp W^(l^2/2).  The convolution
+        takes one forward and one inverse FFT, along the points, of the
+        power-of-two length Lf >= n_x + m - 1.  Each chirp phase is
+        pi (q^2 mod 2P) / P with q^2 reduced in integers, so it stays
+        exact however large q^2 grows.  The work array holds Lf n values
+        whatever P is: 2048 n on a time grid of 801 nodes with n_x 1024.
+        A single point uses P = 1.
         """
         pts = np.atleast_1d(np.asarray(points, dtype=float))
         m = len(pts)
@@ -123,20 +133,58 @@ class LineSolution:
         P = round(L / abs(h)) if h else 1
         if m > 1 and abs(P * abs(h) - L) > 1e-9 * L:
             raise ValueError(f"on_grid needs a step that divides the window length {L}")
+        half = n_x // 2
+        Lf = 1 << (n_x + m - 2).bit_length()
+        # chirp[q] = W^(q^2 / 2) for every |k|, l and |l - k| that occurs
+        chirp = _chirp(m + half, P if h >= 0 else -P)
+        # the conjugate chirp at l - k mod Lf, for 1 - n_x/2 <= l - k < m + n_x/2
+        kernel = np.zeros(Lf, dtype=np.complex128)
+        kernel[:m + half] = chirp.conj()
+        kernel[Lf - half + 1:] = kernel[half - 1:0:-1]
+        np.fft.fft(kernel, out=kernel)
         xi = self.grid.xi
         fac = (1j * xi) ** derivative * np.exp(1j * (pts[0] - self.grid.x[0]) * xi)
-        k = (np.fft.fftfreq(n_x) * n_x).astype(np.int64)
-        bins = np.zeros((P, n), dtype=np.complex128)
-        np.add.at(bins, k % P, fac[:, None] * self.uhat)
-        # in place: a second P n buffer per call (3.3 MB at n_t 801, n 16)
-        # made glibc trim and refault its heap around every solve
-        vals = np.fft.ifft(bins, axis=0, norm="forward", out=bins)
-        l = np.arange(m) if h >= 0 else -np.arange(m)
-        return vals[l % P] / n_x
+        fac[:half] *= chirp[:half]          # k = 0 .. n_x/2 - 1
+        fac[half:] *= chirp[half:0:-1]      # k = -n_x/2 .. -1
+        chirp = chirp[:m] / n_x
+        # k >= 0 sits at row k and k < 0 at row Lf + k.  Every product is
+        # taken in place and without a broadcast (which allocates numpy's
+        # iteration buffer), so the work array is the one large temporary
+        buf = np.zeros((Lf, n), dtype=np.complex128)
+        np.einsum("kj,k->kj", self.uhat[:half], fac[:half], out=buf[:half])
+        np.einsum("kj,k->kj", self.uhat[half:], fac[half:], out=buf[Lf - half:])
+        np.fft.fft(buf, axis=0, out=buf)
+        for j in range(n):
+            buf[:, j] *= kernel
+        np.fft.ifft(buf, axis=0, out=buf)
+        for j in range(n):
+            buf[:m, j] *= chirp
+        # the values are the first m rows; no view of buf exists, so it
+        # shrinks in place and hands the other Lf - m rows back
+        buf.resize((m, n), refcheck=False)
+        return buf
+
+    def at_points(self, points, derivative: int = 0) -> np.ndarray:
+        """Values of d^derivative u / dx^derivative at any few points: the
+        direct sum, one (m, n_x) phase matrix times uhat."""
+        pts = np.atleast_1d(np.asarray(points, dtype=float))
+        xi = self.grid.xi
+        phase = np.exp(1j * np.outer(pts - self.grid.x[0], xi)) * (1j * xi) ** derivative
+        return phase @ self.uhat / self.grid.n_x
 
     def nodal_values(self, derivative: int = 0) -> np.ndarray:
         fac = (1j * self.grid.xi) ** derivative
         return np.fft.ifft(fac[:, None] * self.uhat, axis=0)
+
+
+def _chirp(count: int, P: int) -> np.ndarray:
+    """exp(+-i pi q^2 / |P|) for q < count, with the sign of P.
+
+    q^2 is reduced mod 2|P| in integers first, so every phase lies in
+    [0, 2 pi) and is exact to a few ulps however large q is.
+    """
+    q = np.arange(count, dtype=np.int64)
+    return np.exp(1j * (np.pi / P) * (q * q % (2 * abs(P))))
 
 
 def whole_line_solve(spec) -> LineSolution:
@@ -161,29 +209,34 @@ def whole_line_solve(spec) -> LineSolution:
         raise ValueError("the whole-line route needs a commuting pair with a joint eigenbasis")
     V, Vinv, a, b = basis
     grid = LineGrid.make(spec.n_x, 8.0 * spec.T)
-    fvals = np.zeros((grid.n_x, spec.n), dtype=np.complex128)
+    fhat = np.zeros((grid.n_x, spec.n), dtype=np.complex128)
     mask = (grid.x >= 0.0) & (grid.x <= spec.T)
     if spec.f is not None and np.any(mask):
-        fvals[mask] = spec.f_samples(grid.x[mask])
-    fhat = np.fft.fft(fvals, axis=0)
+        fhat[mask] = spec.f_samples(grid.x[mask])
+    np.fft.fft(fhat, axis=0, out=fhat)
 
-    total = float(np.sum(np.abs(fhat) ** 2))
+    total = np.vdot(fhat, fhat).real
     alias = 0.0
     if total > 0:
         cut = (1.0 - ALIAS_BAND_FRACTION) * np.max(np.abs(grid.xi))
-        band = np.abs(grid.xi) >= cut
-        alias = float(np.sum(np.abs(fhat[band]) ** 2) / total)
+        top = fhat[np.abs(grid.xi) >= cut]
+        alias = float(np.vdot(top, top).real / total)
         if alias > ALIAS_ENERGY_TOL:
             warnings.warn(
                 f"top {ALIAS_BAND_FRACTION:.0%} of the frequency band holds "
                 f"{alias:.2e} of the load energy; increase n_x",
                 AliasWarning, stacklevel=2)
 
-    xi = grid.xi[:, None]
-    d = a + 1j * xi * b + (spec.eps * xi**2 + spec.lam)
+    # w is the load in the eigenbasis; fhat's buffer then holds d and
+    # uhat.  d = [i xi, 1, eps xi^2 + lam] @ [b; a; 1], one small GEMM
+    w = fhat @ Vinv.T
+    xi = grid.xi
+    terms = np.stack([1j * xi, np.ones_like(xi), spec.eps * xi**2 + spec.lam], axis=1)
+    d = np.matmul(terms, np.stack([b, a, np.ones_like(a)]), out=fhat)
     if not d.all():
         raise SingularMatrix("the symbol is singular at some frequency")
-    uhat = ((fhat @ Vinv.T) / d) @ V.T
+    w /= d
+    uhat = np.matmul(w, V.T, out=fhat)
     return LineSolution(grid=grid, uhat=uhat, alias_energy=alias)
 
 

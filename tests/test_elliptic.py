@@ -74,9 +74,7 @@ class TestProblemSpec:
         np.testing.assert_allclose(s.f_samples(t)[:, 0], t**2)
         s2 = dataclasses.replace(s, f=lambda ti: np.array([3.0 * ti]))
         np.testing.assert_allclose(s2.f_samples(t)[:, 0], 3 * t)
-        assert not s.f_is_zero()
         s0 = dataclasses.replace(s, f=None)
-        assert s0.f_is_zero()
         assert np.array_equal(s0.f_samples(t), np.zeros((3, 1)))
 
     def test_string_f_in_y(self):

@@ -91,3 +91,16 @@ def test_unguarded_factorizations_stay_where_stated(name):
     # linalg's docstring names these as the LU factorizations gesv does not run
     source = Path(epslab.__file__).resolve().parent / f"{name}.py"
     assert _unguarded_uses(ast.parse(source.read_text())) == UNGUARDED.get(name, [])
+
+
+# process-wide allocator and thread-pool settings: the package measures
+# its speed as it is deployed and sets none of them
+FORBIDDEN_SETTINGS = ("mallopt", "MALLOC_", "OPENBLAS_NUM_THREADS",
+                      "OMP_NUM_THREADS", "threadpoolctl")
+
+
+def test_no_allocator_or_thread_settings_in_the_package():
+    root = Path(epslab.__file__).resolve().parent
+    found = [f"{path.name}: {word}" for path in sorted(root.rglob("*.py"))
+             for word in FORBIDDEN_SETTINGS if word in path.read_text()]
+    assert found == []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -6,8 +8,8 @@ from epslab.discretize import BoundaryData, OperatorPair
 from epslab.elliptic import ProblemSpec
 from epslab.linalg import SingularMatrix, op_norm
 from epslab.multiplier import (
-    AliasWarning, LineGrid, _symbol, multiplier_bound_scan, resolvent_symbol,
-    whole_line_solve,
+    AliasWarning, LineGrid, _chirp, _symbol, multiplier_bound_scan,
+    resolvent_symbol, whole_line_solve,
 )
 from epslab.presets import make_pair
 
@@ -231,6 +233,64 @@ class TestOnGrid:
                 assert got.shape == want.shape
                 rel = np.abs(got - want).max() / np.abs(want).max()
                 assert rel <= 1e-12, (len(pts), d, rel)
+
+    @pytest.mark.parametrize("derivative", [0, 1, 2])
+    @pytest.mark.parametrize("start,stop", [(0.25, 1.25), (1.25, 0.25)])
+    def test_matches_dense_where_the_chirp_phases_are_large(self, start, stop, derivative):
+        # 4001 points a step L / 64000 apart: q^2 reaches 2.5e7 against 2P = 128000
+        spec = ProblemSpec(pair=make_pair("commuting", n_y=4), eps=1e-2, lam=3.0,
+                           T=1.0, bc=dn_bc(), f="exp(-64*(t-0.5)^2)", n_t=101,
+                           n_x=2048)
+        sol = whole_line_solve(spec)
+        pts = np.linspace(start, stop, 4001)
+        got = sol.on_grid(pts, derivative=derivative)
+        want = np.concatenate([dense_on_grid(sol, part, derivative)
+                               for part in np.array_split(pts, 8)])
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        assert rel <= 1e-12, rel
+
+    def test_chirp_phases_are_reduced_in_integers(self):
+        # exp(i pi q^2 / P) has period P in q for even P; a float phase
+        # pi q^2 / P near q = 2P is off by about 1e-10 rad here
+        P = 64000
+        c = _chirp(3 * P, P)
+        assert np.array_equal(c[P:], np.tile(c[:P], 2))
+        assert np.array_equal(_chirp(P, -P), c[:P].conj())
+
+    @staticmethod
+    def _peak_bytes(call) -> int:
+        call()      # first calls set up FFT plans
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_the_step(self):
+        # the old folded transform took a P = L / h sized buffer: 8.0 MiB here
+        sol = whole_line_solve(line_spec())
+        peak = self._peak_bytes(lambda: sol.on_grid([0.5, 0.5 + 2.0**-14]))
+        assert peak < 2**20, peak
+
+    def test_time_grid_memory_stays_below_the_folded_buffer(self):
+        spec = ProblemSpec(pair=make_pair("commuting", n_y=16), eps=1e-2, lam=3.0,
+                           T=1.0, bc=dn_bc(), f="exp(-64*(t-0.5)^2)", n_t=801,
+                           n_x=1024)
+        sol = whole_line_solve(spec)
+        peak = self._peak_bytes(lambda: sol.on_grid(spec.t_grid()))
+        # the folded buffer alone held P n = 12800 x 16 complex values
+        assert peak < 12800 * 16 * 16, peak
+
+    def test_at_points_is_the_direct_sum_at_any_points(self):
+        sol = whole_line_solve(line_spec(n_x=256))
+        pts = np.array([0.0, 0.1, 0.35, 1.0])
+        for d in (0, 1, 2):
+            want = dense_on_grid(sol, pts, d)
+            rel = np.abs(sol.at_points(pts, derivative=d) - want).max() / np.abs(want).max()
+            assert rel <= 1e-14, (d, rel)
+        np.testing.assert_allclose(sol.at_points([0.0, 1.0], derivative=1),
+                                   sol.on_grid([0.0, 1.0], derivative=1), rtol=1e-12)
 
     def test_rejects_points_that_are_not_equispaced(self):
         sol = whole_line_solve(line_spec(n_x=256))
