@@ -228,7 +228,8 @@ def whole_line_solve(spec) -> LineSolution:
                 AliasWarning, stacklevel=2)
 
     # w is the load in the eigenbasis; fhat's buffer then holds d and
-    # uhat.  d = [i xi, 1, eps xi^2 + lam] @ [b; a; 1], one small GEMM
+    # uhat.  d = [i xi, 1, eps xi^2 + lam] @ [b; a; 1] is one small GEMM,
+    # with none of the (n_x, n) temporaries a broadcast sum would make
     w = fhat @ Vinv.T
     xi = grid.xi
     terms = np.stack([1j * xi, np.ones_like(xi), spec.eps * xi**2 + spec.lam], axis=1)
