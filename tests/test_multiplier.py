@@ -268,7 +268,7 @@ class TestOnGrid:
             tracemalloc.stop()
 
     def test_memory_does_not_grow_with_the_step(self):
-        # the old folded transform took a P = L / h sized buffer: 8.0 MiB here
+        # the folded transform took a P = L / h sized buffer: 4.2 MB here
         sol = whole_line_solve(line_spec())
         peak = self._peak_bytes(lambda: sol.on_grid([0.5, 0.5 + 2.0**-14]))
         assert peak < 2**20, peak
