@@ -6,8 +6,8 @@ The package studies the two-point operator boundary value problem
 
 with boundary functionals that mix values and scaled first derivatives at
 the endpoints, for dense matrix realizations of the operator pair (A, B).
-It provides solvers (semigroup representation, Fourier multiplier on the
-whole line, finite differences), weighted-norm estimate reports, boundary
+It provides solvers (per mode in a joint eigenbasis, finite differences,
+semigroup and Fourier references), weighted-norm estimate reports, boundary
 layer measurements, and the vanishing-viscosity comparison against the
 first-order Cauchy problem B u' + (A + lam) u = f.
 """

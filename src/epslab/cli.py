@@ -194,10 +194,9 @@ def _build_spec(cfg: Config, preset: str, eps_list: Sequence[float],
     T = cfg.get("scenario", "T", REAL, 1.0)
     f = cfg.getexpr("data", "f")
     n_t = cfg.get("grid", "n_t", INT, 201)
-    n_x = cfg.get("grid", "n_x", INT, 1024)
     try:
         spec = ProblemSpec(pair=pair, eps=eps_list[0], lam=lam, T=T, bc=bc,
-                           f=f, n_t=n_t, n_x=n_x)
+                           f=f, n_t=n_t)
         for eps in eps_list[1:]:
             dataclasses.replace(spec, eps=eps)
         return spec

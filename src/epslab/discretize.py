@@ -29,7 +29,7 @@ __all__ = [
     "build_wentzell_operator", "build_integral_operator",
     "check_condition_1", "check_condition_2_1", "check_condition_4_1",
     "e_norm", "check_p", "mixed_norm", "kfunctional_norm", "COMMUTE_RTOL",
-    "EIGENBASIS_RTOL", "EIGENBASIS_MIX",
+    "EIGENBASIS_RTOL",
 ]
 
 
@@ -132,9 +132,8 @@ class GridFunction:
 
 COMMUTE_RTOL = 1e-10
 # a joint eigenbasis is kept when it reproduces A and B to this relative
-# backward error; V is the eigenbasis of A + EIGENBASIS_MIX B
+# backward error; eigenvalues of A this close share one eigenspace
 EIGENBASIS_RTOL = 1e-10
-EIGENBASIS_MIX = 0.5 ** 0.5
 RESOLVENT_T_SAMPLES = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 
@@ -188,7 +187,7 @@ class OperatorPair:
         return op_norm(self.A) * op_norm(self.B)
 
     def commutes(self) -> bool:
-        """||AB - BA|| <= COMMUTE_RTOL ||A|| ||B||: the split route is exact."""
+        """||AB - BA|| <= COMMUTE_RTOL ||A|| ||B||: the pair may have a joint eigenbasis."""
         scale = self._norm_product
         if scale == 0.0:
             return True
@@ -198,9 +197,9 @@ class OperatorPair:
     def joint_eigenbasis(self):
         """(V, V^-1, a, b) with A = V diag(a) V^-1 and B = V diag(b) V^-1, or None.
 
-        Commuting diagonalizable matrices share an eigenbasis, and a
-        generic combination A + c B with c = EIGENBASIS_MIX has it as its
-        own (np.linalg.eig); V^-1 comes from linalg.inv.  a and b are the
+        Commuting diagonalizable matrices share an eigenbasis: V is A's
+        (np.linalg.eig), turned within each of A's eigenspaces by B's
+        eigenbasis there, and V^-1 comes from linalg.inv.  a and b are the
         diagonals of V^-1 A V and V^-1 B V.  The basis is kept only when
 
             kappa_F(V) ||V^-1 M V - diag(m)||_F <= EIGENBASIS_RTOL ||M||_F
@@ -212,8 +211,13 @@ class OperatorPair:
         """
         if not self.commutes():
             return None
-        _, V = np.linalg.eig(self.A + EIGENBASIS_MIX * self.B)
+        w, V = np.linalg.eig(self.A)
         try:
+            Bv = inv(V) @ self.B @ V
+            tol = EIGENBASIS_RTOL * np.linalg.norm(self.A)
+            for space in {tuple(np.flatnonzero(np.abs(w - x) <= tol)) for x in w}:
+                if len(space) > 1:
+                    V[:, space] = V[:, space] @ np.linalg.eig(Bv[np.ix_(space, space)])[1]
             Vinv = inv(V)
         except SingularMatrix:
             return None

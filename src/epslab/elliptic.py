@@ -1,7 +1,9 @@
 """Two-point solvers for -eps u'' + B u' + (A + lam) u = f on (0, T).
 
-The solution calculus factors the quadratic pencil through the square
-root R = (B^2 + 4 eps (A+lam))^(1/2):
+In a joint eigenbasis the problem splits into n scalar ones, which
+full_solve solves exactly but for the load quadrature (_mode_solve).
+The solution calculus, kept as a reference, factors the quadratic
+pencil through the square root R = (B^2 + 4 eps (A+lam))^(1/2):
 
     Q1 = (B + R) / (2 eps),   Q2 = (B - R) / (2 eps).
 
@@ -13,7 +15,7 @@ written in the anchored, decaying form
 
 and the boundary functionals give a 2n x 2n block system for (g1, h2).
 The factorization is exact when A and B commute; otherwise the residual
-of the quadratic is (RB - BR)/(4 eps) and the solvers fall back to a
+of the quadratic is (RB - BR)/(4 eps).  Pairs with no eigenbasis go to a
 block-tridiagonal finite difference scheme (direct_solve).  Two 2n x 2n
 end pivots absorb the two-node reach of the one-sided boundary
 derivatives; the nodes between share one stencil and are solved by
@@ -27,16 +29,17 @@ keeps its own gesv calls; direct_solve is its batch of one.
 """
 from __future__ import annotations
 
-import dataclasses
+import functools
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable, Union
 
 import numpy as np
 
 from . import exprparse
 from .discretize import BoundaryData, GridFunction, OperatorPair, SpaceGrid
-from .linalg import Overflow, SingularMatrix, expm, gesv, mat_solve, op_norm, sqrtm
-from .multiplier import check_n_x, whole_line_solve
+from .linalg import (BRANCH_CUT_RTOL, DEFAULT_PIVOT_RTOL, Overflow, SingularMatrix,
+                     SqrtNotConverged, expm, gesv, mat_solve, op_norm, sqrtm)
 
 __all__ = [
     "ProblemSpec", "QSystem",
@@ -62,9 +65,7 @@ class ProblemSpec:
     grid needs n_t >= 5 nodes.  f is None (zero load), a callable
     t -> vector of length pair.n, or an expression string in t and y;
     expressions see y at the pair's grid nodes, or at uniform interior
-    nodes without a grid.  n_x, a power of two >= 4, only matters for
-    the Fourier route, whose periodic window is [-8T, 8T).  The same
-    spec describes the eps -> 0 limit that parabolic.cauchy_solve
+    nodes without a grid.  The same spec describes the eps -> 0 limit that parabolic.cauchy_solve
     integrates, in which eps and bc do not enter.
     """
     pair: OperatorPair
@@ -74,7 +75,6 @@ class ProblemSpec:
     bc: BoundaryData
     f: Union[None, str, Callable] = None
     n_t: int = 201
-    n_x: int = 1024
 
     def __post_init__(self):
         self.eps = _positive_eps(self.eps)
@@ -86,7 +86,6 @@ class ProblemSpec:
             raise ValueError("need at least 5 time nodes")
         self._f_expr = (exprparse.parse(self.f, allowed_vars=("t", "y"))
                         if isinstance(self.f, str) else None)
-        check_n_x(self.n_x)
         self.bc.data_for(self.pair.n)  # shape check up front
 
     @property
@@ -171,27 +170,29 @@ def compute_q_system(spec: ProblemSpec) -> QSystem:
 
 
 def _orbit(P: np.ndarray, start: np.ndarray, n_t: int,
-           backward: bool = False) -> np.ndarray:
+           backward: bool = False, out=None) -> np.ndarray:
     """n_t states of the step x -> P x from start, sampled by block doubling.
 
     Row 0 is start.  With the first k rows filled, the next
     m = min(k, n_t - k) rows are rows[:m] @ (P^k)^T, one GEMM, and P^k
     is then squared: about log2(n_t) GEMMs plus as many n x n
-    squarings, O(n_t n^2) flops in all.  backward=True anchors start at
+    squarings, O(n_t n^2) flops in all; a vector P acts elementwise, and
+    out, if given, takes the states.  backward=True anchors start at
     the last row: the orbit is filled forward and returned as a reversed
     view, so no GEMM works on negative strides.  Raises Overflow when a
     state is not finite.
     """
-    x = np.empty((n_t, len(start)), dtype=np.complex128)
+    step = np.matmul if P.ndim == 2 else np.multiply
+    x = np.empty((n_t, len(start)), dtype=np.complex128) if out is None else out
     x[0] = start
     Pk, k = P, 1
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n_t:
             m = min(k, n_t - k)
-            np.matmul(x[:m], Pk.T, out=x[k:k + m])
+            step(x[:m], Pk.T, out=x[k:k + m])
             k += m
             if k < n_t:
-                Pk = Pk @ Pk
+                Pk = step(Pk, Pk)
     if not np.isfinite(x).all():
         raise Overflow("semigroup orbit left the representable range")
     return x[::-1] if backward else x
@@ -404,7 +405,7 @@ def direct_batch(spec: ProblemSpec, eps_list, loads=None) -> list:
     return out
 
 
-def direct_solve(spec: ProblemSpec) -> GridFunction:
+def direct_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     """Block-tridiagonal finite difference solve of the full problem.
 
     Interior rows are the standard O(h^2) stencil; the boundary rows are
@@ -426,53 +427,160 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     front; after that, a block that leaves the finite range raises
     Overflow, and so does a load that overflows anywhere, as "finite
     difference solution overflowed to non-finite values".  This is the
-    batch of one of direct_batch.
+    batch of one of direct_batch, which takes loads.
     """
-    u, = direct_batch(spec, [spec.eps])
+    u, = direct_batch(spec, [spec.eps], loads)
     if isinstance(u, Exception):
         raise u
     return u
 
 
-def full_solve(spec: ProblemSpec) -> GridFunction:
-    """Dispatching solver for the full inhomogeneous problem.
-
-    Commuting pairs go through the split route: a whole-line Fourier
-    multiplier handles the interior load, and the anchored semigroup
-    modes absorb the boundary mismatch.  Without a load (f None, or f
-    zero at every node where whole_line_solve samples it) the semigroup
-    modes alone solve the problem.  Non-commuting pairs, and loaded
-    commuting pairs without a joint eigenbasis (a defective pair), use
-    the finite difference scheme; the route is recorded in meta["path"].
-    """
-    if not spec.pair.commutes():
-        return direct_solve(spec)
-    if spec.f is None:
-        return homogeneous_solution(spec)
+def full_solve(spec: ProblemSpec, loads=None) -> GridFunction:
+    """Solve the full problem: the modes route for a pair with a joint
+    eigenbasis, direct_solve for any other; meta["path"] names the route.
+    loads, the load on spec.t_grid(), is sampled when None."""
     if spec.pair.joint_eigenbasis is None:
-        return direct_solve(spec)
-
-    t = spec.t_grid()
-    line = _line_part(spec, t)
-    if line is None:
-        return homogeneous_solution(spec)
-    u1, du1, alias = line
-    l1 = spec.bc.apply(1, u1[0], du1[0], spec.eps)
-    l2 = spec.bc.apply(2, u1[-1], du1[-1], spec.eps)
-    f1, f2 = spec.bc.data_for(spec.n)
-    bc2 = dataclasses.replace(spec.bc, f1=f1 - l1, f2=f2 - l2)
-    spec2 = dataclasses.replace(spec, bc=bc2, f=None)
-    u1 += homogeneous_solution(spec2).values
-    return GridFunction(t, u1, meta={"path": "multiplier+semigroup", "alias_energy": alias})
+        return direct_solve(spec, loads)
+    return _mode_solve(spec, loads)
 
 
-def _line_part(spec: ProblemSpec, t: np.ndarray):
-    """(u1 on t, u1' at t[0] and t[-1], alias energy) of the whole-line
-    solve, or None when its load transform is zero.  The line solution's
-    coefficients are freed on return, before the semigroup part runs."""
-    line = whole_line_solve(spec)
-    if not line.uhat.any():
-        return None
-    return (line.on_grid(t), line.at_points(t[[0, -1]], derivative=1),
-            line.alias_energy)
+# nodes of the load interpolant per step; a 4-node cubic was off by
+# 1.6e-10 at eps = 1e-2
+STENCIL_WIDTH = 6
 
+
+def _phi(z: np.ndarray, k_max: int) -> np.ndarray:
+    """phi_0(z) .. phi_k_max(z) in rows: phi_0 = e^z and phi_(k+1)(z) =
+    (phi_k(z) - 1/k!) / z.  Below |z| = 2, where that would lose up to
+    k_max! / 2^k_max, 20 terms of sum_j z^j / (j + k_max)! give phi_k_max
+    and the rest follow downward."""
+    out = np.empty((k_max + 1, len(z)), dtype=np.complex128)
+    out[0] = np.exp(z)
+    for k in range(k_max):
+        out[k + 1] = (out[k] - 1.0 / factorial(k)) / z
+    small = np.abs(z) < 2.0
+    zs = z[small]
+    out[k_max, small] = zs[:, None] ** np.arange(20) @ [1 / factorial(j + k_max) for j in range(20)]
+    for k in range(k_max - 1, 0, -1):
+        out[k, small] = zs * out[k + 1, small] + 1.0 / factorial(k)
+    return out
+
+
+@functools.cache
+def _lagrange(offsets: tuple) -> np.ndarray:
+    """D[m, i] = m! c_im, sum_m c_im theta^m being the Lagrange polynomial
+    of offsets[i]: integer roots and denominators, one rounding each.
+    Shared, so read-only."""
+    D = np.empty((len(offsets), len(offsets)))
+    for i, o in enumerate(offsets):
+        others = np.delete(offsets, i)
+        D[:, i] = np.polynomial.polynomial.polyfromroots(others) / np.prod(o - others)
+    D *= np.array([factorial(m) for m in range(len(offsets))])[:, None]
+    D.flags.writeable = False
+    return D
+
+
+def _increments(F, z, h: float, out, step) -> None:
+    """out[k] = int_0^h e^(z (h - s)/h) p_k(s) ds, p_k interpolating the
+    columns of F at the min(STENCIL_WIDTH, len(F)) nodes o_i h from t_k
+    nearest step k.  As int_0^h e^(z (h - s)/h) (s/h)^m ds is
+    h m! phi_(m+1)(z), node i weighs h sum_m D[m, i] phi_(m+1)(z).  step
+    is scratch."""
+    N, width = len(F), min(STENCIL_WIDTH, len(F))
+    shift = np.clip(np.arange(N - 1) - width // 2 + 1, 0, N - width) - np.arange(N - 1)
+    phi = _phi(z, width)[1:]
+    for sh in np.unique(shift):
+        k = np.flatnonzero(shift == sh)
+        lo, hi = k[0] + sh, k[-1] + 1 + sh
+        w = h * (_lagrange(tuple(range(sh, sh + width))).T @ phi)
+        run = np.multiply(F[lo:hi], w[0], out=out[k[0]:k[-1] + 1])
+        for i in range(1, width):
+            run += np.multiply(F[lo + i:hi + i], w[i], out=step[:len(run)])
+
+
+def _scan(P, x, step) -> None:
+    """x_k += P x_(k-1) in place, in order, elementwise, by doubling: after
+    the pass of stride d each row sums its last 2d terms.  step is scratch."""
+    d = 1
+    while d < len(x):
+        x[d:] += np.multiply(x[:-d], P, out=step[d:])
+        d, P = 2 * d, P * P
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _mode_solve(spec: ProblemSpec, loads=None) -> GridFunction:
+    """Solve a pair with a joint eigenbasis mode by mode ("modes").
+
+    Mode a, b of the basis solves -eps u'' + b u' + c u = f, c = a + lam,
+    as u = (x + y)/s + alpha e^(r- t) + beta e^(r+ (t - T)).  Here s is
+    (b^2 + 4 eps c)^(1/2), and r-, r+ are the roots of eps r^2 - b r - c,
+    the larger by modulus as (b +- s)/(2 eps) and the other as
+    -2c/(b +- s), so neither cancels.  x' = r- x + f from x(0) = 0 and
+    y' = r+ y - f from y(T) = 0 are scanned forward and backward, each
+    step adding the exact integral of the load's interpolant
+    (_increments), and alpha, beta solve each mode's 2 x 2 boundary
+    system by Cramer's rule on rows scaled to unit max-norm.  Raises
+    SqrtNotConverged when some b^2 + 4 eps c lies within
+    BRANCH_CUT_RTOL max|b^2 + 4 eps c| of (-inf, 0], ValueError for
+    non-finite data, SingularMatrix for a scaled determinant below
+    DEFAULT_PIVOT_RTOL and Overflow for a solution that is not finite.
+    """
+    V, Vinv, a, b = spec.pair.joint_eigenbasis
+    eps, t, n, N = spec.eps, spec.t_grid(), spec.n, spec.n_t
+    h, c = t[1] - t[0], a + spec.lam
+    m = b * b + 4.0 * eps * c
+    tol = BRANCH_CUT_RTOL * np.abs(m).max()
+    on_cut = (np.abs(m.imag) <= tol) & (m.real <= tol)
+    if on_cut.any():
+        raise SqrtNotConverged(
+            f"b^2 + 4 eps (a + lam) = {complex(m[on_cut][0]):.3e} on the branch cut (-inf, 0]")
+    s = np.sqrt(m)
+    plus = (b.conj() * s).real >= 0
+    q = np.where(plus, b + s, b - s)
+    large, small = q / (2.0 * eps), -2.0 * c / q
+    r_minus, r_plus = np.where(plus, small, large), np.where(plus, large, small)
+    f1, f2 = (Vinv @ f for f in spec.bc.data_for(n))
+    if loads is None and spec.f is not None:
+        loads = spec.f_samples(t)
+    if not all(np.isfinite(x).all() for x in (f1, f2, () if loads is None else loads)):
+        raise ValueError("array must not contain infs or NaNs")
+    loaded = loads is not None and loads.any()
+    # one workspace, so that a solve makes few large allocations and a
+    # sweep reuses its heap instead of refaulting it: E holds
+    # [e^(r- t) | e^(r+ (T - t))]; with a load, x runs forward in xy's first
+    # n columns and y backward in its last n, and FV holds the load in the
+    # basis both ways
+    E, *xy_FV = np.empty((3 if loaded else 1, N, 2 * n), dtype=np.complex128)
+    # L1 and L2 of e^(r t) per unit value at their ends, r = r-, r+
+    (a0, a1), (b0, b1) = spec.bc.alpha, spec.bc.beta
+    L1 = a0 + np.sqrt(eps) * a1 * np.stack([r_minus, r_plus])
+    L2 = b0 + np.sqrt(eps) * b1 * np.stack([r_minus, r_plus])
+    z = np.concatenate([r_minus, -r_plus]) * h   # both decay if Re r- < 0 < Re r+
+    P = np.exp(z)
+    if loaded:
+        xy, FV = xy_FV
+        FV[:, n:] = np.matmul(loads, Vinv.T, out=FV[:, :n])[::-1]
+        xy[0] = 0.0
+        _increments(FV, z, h, xy[1:], E)
+        _scan(P, xy, E)
+        xy /= np.tile(s, 2)
+        # (x + y)/s is y(0)/s and r+ y(0)/s at 0, x(T)/s and r- x(T)/s at T
+        f1 = f1 - L1[1] * xy[-1, n:]
+        f2 = f2 - L2[0] * xy[-1, :n]
+    _orbit(P, np.ones(2 * n), N, out=E)
+    S = np.array([[L1[0], L1[1] * E[-1, n:]], [L2[0] * E[-1, :n], L2[1]]])
+    scale = np.abs(S).max(axis=1)
+    (S11, S12), (S21, S22) = S / scale[:, None]
+    f1, f2 = f1 / scale[0], f2 / scale[1]
+    det = S11 * S22 - S12 * S21
+    if not np.all(np.abs(det) >= DEFAULT_PIVOT_RTOL):
+        raise SingularMatrix(f"mode boundary system has scaled determinant "
+                             f"{np.abs(det).min():.3e} below {DEFAULT_PIVOT_RTOL:.0e}")
+    E *= np.concatenate([f1 * S22 - S12 * f2, S11 * f2 - S21 * f1]) / np.tile(det, 2)
+    if loaded:
+        E += xy
+    E[:, :n] += E[::-1, n:]
+    u = E[:, :n] @ V.T
+    if not np.isfinite(u).all():
+        raise Overflow("mode solution overflowed to non-finite values")
+    return GridFunction(t, u, meta={"path": "modes"})

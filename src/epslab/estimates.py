@@ -162,9 +162,10 @@ def coercive_report(spec: ProblemSpec, u: Optional[GridFunction] = None,
     boundary data.  Derivatives are O(h^2) finite differences.  Raises
     Overflow when a measured number is not finite.
     """
+    data = _data_terms(spec, p)
     if u is None:
-        u = full_solve(spec)
-    return _measure(u, spec.eps, spec.lam, p, _data_terms(spec, p))
+        u = full_solve(spec, data.loads)
+    return _measure(u, spec.eps, spec.lam, p, data)
 
 
 def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
@@ -174,23 +175,21 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
 
     Rows come in input order, eps fastest within each lam.  The load
     samples and the data norms, which depend on neither eps nor lam, are
-    computed once per sweep.  A non-commuting pair solves the cells of
-    one lam as one finite difference batch (direct_batch), and each cell
-    is measured right after its batch; a commuting pair solves and
-    measures cell by cell on the split route.  An inadmissible p raises
-    before any cell runs.
+    computed once per sweep, and every solve takes those samples.  A
+    pair with a joint eigenbasis solves and measures cell by cell on the
+    modes route; any other pair solves the cells of one lam as one
+    finite difference batch (direct_batch), and each cell is measured
+    right after its batch.  An inadmissible p raises before any cell
+    runs.
     """
     base.bc.theta(p)
     try:
         data = _data_terms(base, p)
     except SOLVER_ERRORS as exc:
         return [_failed_report(eps, lam, p, str(exc)) for lam in lam_list for eps in eps_list]
-    if base.pair.commutes():
-        # the split route samples the load on its own grid, so the hoisted
-        # samples are dropped and no array is held from cell to cell
-        data = dataclasses.replace(data, loads=None)
-        return [_cell_report(_solve_or_error(dataclasses.replace(base, eps=eps, lam=lam)),
-                             eps, lam, p, data)
+    if base.pair.joint_eigenbasis is not None:
+        return [_cell_report(_solve_or_error(dataclasses.replace(base, eps=eps, lam=lam),
+                                             data.loads), eps, lam, p, data)
                 for lam in lam_list for eps in eps_list]
     reports = []
     for lam in lam_list:
@@ -199,9 +198,9 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
     return reports
 
 
-def _solve_or_error(spec: ProblemSpec):
+def _solve_or_error(spec: ProblemSpec, loads):
     try:
-        return full_solve(spec)
+        return full_solve(spec, loads)
     except SOLVER_ERRORS as exc:
         return exc
 

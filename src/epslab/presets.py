@@ -2,8 +2,8 @@
 
 Three families cover the measurement surface: a scalar pair with every
 closed form available, a commuting diagonal family that exercises the
-multiplier route at matrix scale, and a non-commuting pair built from a
-second-order coefficient operator plus an integral drift, which forces
+mode-by-mode route at matrix scale, and a non-commuting pair built from
+a second-order coefficient operator plus an integral drift, which forces
 the finite-difference route.  The scenario builders wire the boundary
 and load data used by the sweeps so tests and the CLI agree on what
 "the scalar preset" means.
@@ -40,8 +40,8 @@ def make_commuting_pair(n_y: int = 8, a: str = "1+2*y", b0: float = 0.3,
                         b1: float = 0.1,
                         check_positive: bool = True) -> OperatorPair:
     """Diagonal multiplication operator A and the polynomial drift
-    B = b0 I + b1 A; they commute by construction, so the semigroup and
-    multiplier routes are both exact for this family."""
+    B = b0 I + b1 A; they commute by construction and share the standard
+    basis, so full_solve takes the modes route for this family."""
     grid = SpaceGrid.uniform_interior(n_y)
     A = np.diag(np.asarray(_as_coefficient(a, ("y",))(y=grid.nodes), dtype=complex))
     B = b0 * np.eye(n_y) + b1 * A
@@ -96,13 +96,11 @@ def neumann_dirichlet(n: int, f1: complex = 1.0, f2: complex = 1.0) -> BoundaryD
 
 
 def uniformity_base(preset: str = "scalar", eps: float = 1.0,
-                    lam: complex = 1.0, n_t: int = 201,
-                    n_x: int = 1024) -> ProblemSpec:
+                    lam: complex = 1.0, n_t: int = 201) -> ProblemSpec:
     """Template cell for the coercive-ratio sweep.
 
     Carries an interior load alongside the boundary data so the ratio
-    has an eps-independent anchor on both sides; the load decays fast
-    enough at the interval ends for the whole-line route.
+    has an eps-independent anchor on both sides.
     """
     pair = make_pair(preset)
     n = pair.n
@@ -111,7 +109,7 @@ def uniformity_base(preset: str = "scalar", eps: float = 1.0,
     else:
         f = "exp(-64*(t-0.5)^2)"
     return ProblemSpec(pair=pair, eps=eps, lam=lam, T=1.0,
-                       bc=dirichlet_neumann(n), f=f, n_t=n_t, n_x=n_x)
+                       bc=dirichlet_neumann(n), f=f, n_t=n_t)
 
 
 def decay_base(eps: float = 0.05, b: float = -0.5, n_t: int = 101) -> ProblemSpec:
@@ -150,10 +148,10 @@ def convergence_problem(preset: str = "scalar",
 
 
 def cross_validation_spec(eps: float = 0.1, lam: complex = 1.0,
-                          n_t: int = 400, n_x: int = 1024) -> ProblemSpec:
+                          n_t: int = 400) -> ProblemSpec:
     """Commuting-pair scenario with a compact interior bump at mid-interval,
-    used to compare the split route against the finite-difference one."""
+    used to compare the modes route against the finite-difference one."""
     pair = make_commuting_pair()
     return ProblemSpec(pair=pair, eps=eps, lam=lam, T=2.0,
                        bc=dirichlet_neumann(pair.n), f="exp(-16*(t-1)^2)*(1+0.2*y)",
-                       n_t=n_t, n_x=n_x)
+                       n_t=n_t)

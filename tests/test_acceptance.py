@@ -63,12 +63,12 @@ def test_01_scalar_closed_form_oracle():
 
 
 def test_02_solver_cross_validation():
-    with criterion(2, "split route vs finite differences", limit=30.0):
-        spec = cross_validation_spec(n_t=400, n_x=1024)
-        u_split = full_solve(spec)
+    with criterion(2, "mode route vs finite differences", limit=30.0):
+        spec = cross_validation_spec(n_t=400)
+        u_modes = full_solve(spec)
         u_fd = direct_solve(spec)
-        assert u_split.meta["path"] == "multiplier+semigroup"
-        diff = GridFunction(u_fd.t, u_split.values - u_fd.values)
+        assert u_modes.meta["path"] == "modes"
+        diff = GridFunction(u_fd.t, u_modes.values - u_fd.values)
         assert mixed_norm(diff) / mixed_norm(u_fd) <= 1e-3
 
         # semidiscrete manufactured solution on the non-commuting pair:

@@ -80,7 +80,7 @@ def test_solve_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mode"] == "solve"
     assert summary["eps"] == 0.25
-    assert summary["path"] == "semigroup"
+    assert summary["path"] == "modes"
 
 
 def test_sweep_outputs_and_schema(tmp_path):
@@ -274,8 +274,7 @@ def test_config_hash_tracks_content(tmp_path):
     assert len(config_hash(c1, "solve")) == 16
 
 
-@pytest.mark.parametrize("override", ["grid.n_x=1000", "sweep.eps_list=1 0",
-                                      "sweep.eps_list=1 inf"])
+@pytest.mark.parametrize("override", ["sweep.eps_list=1 0", "sweep.eps_list=1 inf"])
 def test_invalid_spec_is_config_error(tmp_path, capsys, override):
     cfgp = write(tmp_path, SWEEP_MINI)
     assert main(["--config", str(cfgp), "--out", str(tmp_path / "out"),
@@ -421,13 +420,16 @@ def test_boundary_order_follows_coefficients(tmp_path):
     assert (out / "summary.json").is_file()
 
 
-def test_stale_order_keys_are_ignored(tmp_path):
-    # the orders come from alpha and beta; old m1/m2 keys change nothing
+@pytest.mark.parametrize("overrides", [("boundary.m1=1", "boundary.m2=0"), ("grid.n_x=1000",)],
+                         ids=["order", "n_x"])
+def test_stale_keys_are_ignored(tmp_path, overrides):
+    # the orders come from alpha and beta, and no route reads n_x: the old
+    # keys change nothing
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     cfgp = write(tmp_path, SOLVE_MINI)
     assert main(["--config", str(cfgp), "--out", str(out1)]) == 0
     assert main(["--config", str(cfgp), "--out", str(out2),
-                 "--override", "boundary.m1=1", "--override", "boundary.m2=0"]) == 0
+                 *(arg for item in overrides for arg in ("--override", item))]) == 0
     assert ((out1 / "solution.csv").read_text().splitlines()[1:]
             == (out2 / "solution.csv").read_text().splitlines()[1:])
 
@@ -444,8 +446,6 @@ def test_wentzell_takes_constant_coefficients(tmp_path, override):
      "invalid literal for int() with base 10: 'x'"),
     ("scalar_solve", "scenario.T=x", "[scenario] T: expected a real "
      "number: could not convert string to float: 'x'"),
-    ("scalar_solve", "grid.n_x=x", "[grid] n_x: expected an integer: "
-     "invalid literal for int() with base 10: 'x'"),
     ("scalar_solve", "solve.lambda=[1", "[solve] lambda: expected a real or [re, im] "
      "pair: unterminated complex pair '[1'"),
     ("scalar_sweep", "sweep.eps_list=1 x", "[sweep] eps_list: expected space-separated "
@@ -461,7 +461,7 @@ def test_wentzell_takes_constant_coefficients(tmp_path, override):
      "invalid literal for int() with base 10: 'x'"),
     ("commuting_sweep", "operators.b0=x", "[operators] b0: expected a real number: "
      "could not convert string to float: 'x'"),
-], ids=["int", "real", "n_x", "complex", "reals", "complexes", "required", "vector",
+], ids=["int", "real", "complex", "reals", "complexes", "required", "vector",
         "vector-length", "preset-int", "preset-real"])
 def test_config_read_errors_name_the_key(tmp_path, capsys, config, override, message):
     assert main(["--config", str(CONFIGS / f"{config}.ini"), "--out", str(tmp_path / "out"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from epslab.discretize import (
-    EIGENBASIS_MIX, BoundaryData, ConditionReport, GridFunction, NonPositiveCoefficient,
+    BoundaryData, ConditionReport, GridFunction, NonPositiveCoefficient,
     OperatorPair, SpaceGrid, build_integral_operator, build_wentzell_operator,
     _as_coefficient, _one_sided_rows, check_condition_1, check_condition_2_1,
     check_condition_4_1, e_norm, kfunctional_norm, mixed_norm,
@@ -162,12 +162,22 @@ class TestOperatorPair:
         pair = OperatorPair(A, np.array([[0.0, 1.0], [1.0, 0.0]]), check_positive=False)
         assert pair.joint_eigenbasis is None
 
-    def test_degenerate_combination_fails_the_residual_check(self):
-        # A + c B = (1 + c) I, so eig's basis need not diagonalize A or B
-        Q = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
-        pair = OperatorPair(Q @ np.diag([1.0, 1.0 + EIGENBASIS_MIX]) @ Q.T,
-                            Q @ np.diag([1.0, 0.0]) @ Q.T)
-        assert pair.commutes() and pair.joint_eigenbasis is None
+    @pytest.mark.parametrize("a, b", [
+        ([1.0, 1.0 + 0.5 ** 0.5], [1.0, 0.0]),   # A + B / sqrt(2) = (1 + 1/sqrt(2)) I
+        ([2.0, 2.0, 3.0], [1.0, -1.0, 1.0]),     # A's repeated eigenvalue, split by B
+    ], ids=["degenerate-combination", "repeated-eigenvalue"])
+    def test_degenerate_pairs_get_a_basis(self, a, b):
+        Q, _ = np.linalg.qr(np.random.default_rng(len(a)).normal(size=(len(a), len(a))))
+        pair = OperatorPair(Q @ np.diag(a) @ Q.T, Q @ np.diag(b) @ Q.T)
+        V, Vinv, a_got, b_got = pair.joint_eigenbasis
+        np.testing.assert_allclose(V @ np.diag(a_got) @ Vinv, pair.A, atol=1e-12)
+        np.testing.assert_allclose(V @ np.diag(b_got) @ Vinv, pair.B, atol=1e-12)
+        np.testing.assert_allclose(sorted(zip(a_got.real, b_got.real)), sorted(zip(a, b)),
+                                   atol=1e-12)
+
+    def test_defective_pair_has_no_basis(self):
+        J = np.array([[2.0, 1.0], [0.0, 2.0]])
+        assert OperatorPair(J, J).joint_eigenbasis is None
 
     def test_default_weights(self):
         pair = OperatorPair(np.eye(4), np.zeros((4, 4)))

@@ -34,7 +34,7 @@ def commuting_pair(n=6, seed=0):
 class TestProblemSpec:
     def test_defaults(self):
         s = ProblemSpec(pair=scalar_pair(), eps=0.5, lam=1.0, T=2.0, bc=dn_bc())
-        assert whole_line_solve(s).grid.halfwidth == 16.0
+        assert whole_line_solve(s, 1024).grid.halfwidth == 16.0
         assert s.n == 1
         np.testing.assert_allclose(s.t_grid()[[0, -1]], [0.0, 2.0])
 
@@ -56,10 +56,6 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(pair=scalar_pair(), eps=0.5, lam=0.0, T=1.0, bc=dn_bc(),
                         n_t=4)
-        for bad in (1000, 2, 0):
-            with pytest.raises(ValueError, match="power of two"):
-                ProblemSpec(pair=scalar_pair(), eps=0.5, lam=0.0, T=1.0,
-                            bc=dn_bc(), n_x=bad)
 
     def test_boundary_dimension_checked(self):
         bad = BoundaryData(alpha=(1.0, 0.0), beta=(0.0, 1.0),
@@ -530,17 +526,18 @@ def test_direct_solve_last_pivot_overflow_raises_without_warning():
 
 
 class TestFullSolve:
-    def test_path_semigroup_when_f_zero(self):
+    def test_path_modes_without_a_load(self):
         spec = ProblemSpec(pair=commuting_pair(3, 1), eps=0.5, lam=1.0, T=1.0,
                            bc=dn_bc(), n_t=51)
-        assert full_solve(spec).meta["path"] == "semigroup"
+        u = full_solve(spec)
+        assert u.meta["path"] == "modes"
+        ref = homogeneous_solution(spec).values
+        assert np.abs(u.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    def test_path_multiplier_for_commuting_load(self):
+    def test_path_modes_for_commuting_load(self):
         spec = ProblemSpec(pair=commuting_pair(3, 1), eps=0.5, lam=1.0, T=1.0,
                            bc=dn_bc(), f="exp(-64*(t-0.5)^2)", n_t=51)
-        u = full_solve(spec)
-        assert u.meta["path"] == "multiplier+semigroup"
-        assert u.meta["alias_energy"] <= 1e-6
+        assert full_solve(spec).meta["path"] == "modes"
 
     def test_path_direct_for_a_commuting_pair_without_eigenbasis(self):
         J = np.array([[2.0, 1.0], [0.0, 2.0]])
@@ -549,19 +546,12 @@ class TestFullSolve:
         u = full_solve(spec)
         assert u.meta["path"] == "direct"
         assert np.array_equal(u.values, direct_solve(spec).values)
-        assert full_solve(dataclasses.replace(spec, f=None)).meta["path"] == "semigroup"
+        assert full_solve(dataclasses.replace(spec, f=None)).meta["path"] == "direct"
 
-    def test_no_load_never_computes_the_eigenbasis(self):
-        spec = ProblemSpec(pair=commuting_pair(3, 1), eps=0.5, lam=1.0, T=1.0,
-                           bc=dn_bc(), n_t=51)
-        full_solve(spec)
-        assert "joint_eigenbasis" not in vars(spec.pair)
-
-    def test_load_zero_at_its_samples_takes_the_semigroup_path(self):
+    def test_load_zero_at_its_samples_is_no_load(self):
         spec = ProblemSpec(pair=commuting_pair(3, 1), eps=0.5, lam=1.0, T=1.0,
                            bc=dn_bc(), f="0*t", n_t=51)
         u = full_solve(spec)
-        assert u.meta["path"] == "semigroup"
         assert np.array_equal(u.values, full_solve(dataclasses.replace(spec, f=None)).values)
 
     def test_path_direct_for_noncommuting(self):
@@ -579,9 +569,9 @@ class TestFullSolve:
         bc = BoundaryData(alpha=(1.0, 0.5), beta=(0.3, 1.0),
                           f1=0.8, f2=-0.4)
         spec = ProblemSpec(pair=pair, eps=0.2, lam=0.5, T=2.0, bc=bc,
-                           f="exp(-16*(t-1)^2)", n_t=801, n_x=2048)
+                           f="exp(-16*(t-1)^2)", n_t=801)
         u = full_solve(spec)
-        assert u.meta["path"] == "multiplier+semigroup"
+        assert u.meta["path"] == "modes"
         ud = direct_solve(spec)
         assert np.abs(u.values - ud.values).max() <= 1e-5
 
@@ -590,7 +580,7 @@ class TestFullSolve:
         bc = BoundaryData(alpha=(2.0, 0.0), beta=(0.5, 1.0),
                           f1=np.linspace(1, 2, 4), f2=np.linspace(0, 1, 4))
         spec = ProblemSpec(pair=pair, eps=0.3, lam=1.0, T=1.0, bc=bc,
-                           f="sin(3*t)*exp(-16*(t-0.5)^2)", n_t=801, n_x=2048)
+                           f="sin(3*t)*exp(-16*(t-0.5)^2)", n_t=801)
         u = full_solve(spec)
         h = u.dt
         du0 = (-3 * u.values[0] + 4 * u.values[1] - u.values[2]) / (2 * h)
@@ -601,3 +591,75 @@ class TestFullSolve:
         l2 = bc.beta[0] * u.values[-1] + se * bc.beta[1] * duT
         np.testing.assert_allclose(l1, f1, atol=5e-5)
         np.testing.assert_allclose(l2, f2, atol=5e-5)
+
+
+ROBIN = BoundaryData(alpha=(1.0, 0.7), beta=(0.4, 1.0), f1=0.8, f2=-0.4)
+COMMUTING_LOADS = {"one": "1", "sin": "sin(3*t)", "bump": "exp(-64*(t-0.5)^2)*(1+0.2*y)"}
+
+
+def _constant_load_closed_form(a, b, eps, lam, bc, T, t):
+    """u of -eps u'' + b u' + (a + lam) u = 1 with bc: 1/(a + lam) plus
+    the two exponentials, from numpy's roots and a dense 2 x 2 solve."""
+    c = a + lam
+    r_minus, r_plus = sorted(np.roots([eps, -b, -c]), key=lambda r: r.real)
+    se = np.sqrt(eps)
+    (a0, a1), (b0, b1) = bc.alpha, bc.beta
+    S = [[a0 + se * a1 * r_minus, (a0 + se * a1 * r_plus) * np.exp(-r_plus * T)],
+         [(b0 + se * b1 * r_minus) * np.exp(r_minus * T), b0 + se * b1 * r_plus]]
+    f1, f2 = bc.data_for(1)
+    alpha, beta = np.linalg.solve(S, [f1[0] - a0 / c, f2[0] - b0 / c])
+    return 1.0 / c + alpha * np.exp(r_minus * t) + beta * np.exp(r_plus * (t - T))
+
+
+class TestModeSolve:
+    @pytest.mark.parametrize("bc", [dn_bc(1.0, 0.5), ROBIN], ids=["dirichlet-neumann", "robin"])
+    @pytest.mark.parametrize("eps, lam, n_t", [(1e-2, 1.0, 201), (1e-4, 3 + 2j, 801),
+                                               (0.3, 1.0, 5)])
+    def test_scalar_constant_load_matches_closed_form(self, bc, eps, lam, n_t):
+        spec = ProblemSpec(pair=scalar_pair(1.3, 0.7), eps=eps, lam=lam, T=1.0, bc=bc,
+                           f="1", n_t=n_t)
+        u = full_solve(spec)
+        want = _constant_load_closed_form(1.3, 0.7, eps, lam, bc, 1.0, u.t)
+        assert np.abs(u.values[:, 0] - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("lam", [1.0, 3 + 2j])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    @pytest.mark.parametrize("load", sorted(COMMUTING_LOADS))
+    def test_commuting_matches_itself_on_a_grid_eight_times_finer(self, load, eps, lam):
+        spec = ProblemSpec(pair=make_pair("commuting"), eps=eps, lam=lam, T=1.0,
+                           bc=dirichlet_neumann(8), f=COMMUTING_LOADS[load], n_t=801)
+        u = full_solve(spec).values
+        fine = full_solve(dataclasses.replace(spec, n_t=6401)).values[::8]
+        assert np.abs(u - fine).max() <= 1e-12 * np.abs(fine).max()
+
+    @pytest.mark.parametrize("bc", [dirichlet_neumann(8), ROBIN], ids=["dirichlet-neumann", "robin"])
+    def test_bump_matches_the_fourier_reference(self, bc):
+        # the whole-line solve on its own grid, plus the semigroup modes
+        # for the boundary data it leaves over
+        spec = ProblemSpec(pair=make_pair("commuting"), eps=1e-2, lam=1.0, T=1.0, bc=bc,
+                           f=COMMUTING_LOADS["bump"], n_t=401)
+        t = spec.t_grid()
+        line = whole_line_solve(spec, 2048)
+        u1, du1 = line.on_grid(t), line.on_grid(t[[0, -1]], derivative=1)
+        f1, f2 = bc.data_for(8)
+        rest = dataclasses.replace(bc, f1=f1 - bc.apply(1, u1[0], du1[0], spec.eps),
+                                   f2=f2 - bc.apply(2, u1[-1], du1[-1], spec.eps))
+        want = u1 + homogeneous_solution(dataclasses.replace(spec, bc=rest, f=None)).values
+        u = full_solve(spec).values
+        assert np.abs(u - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_t", [5, 6, 7, 12])
+    def test_loads_of_degree_below_the_stencil_width_are_exact_at_any_n_t(self, n_t):
+        # the interpolant of a quartic is the quartic itself, so every grid
+        # reads the same exact solution
+        spec = ProblemSpec(pair=make_pair("commuting", n_y=4), eps=1e-2, lam=3 + 2j, T=1.0,
+                           bc=ROBIN, f="(1+y)*(t^4-t+0.5)", n_t=n_t)
+        u = full_solve(spec)
+        fine = full_solve(dataclasses.replace(spec, n_t=4 * (n_t - 1) + 1)).values[::4]
+        assert np.abs(u.values - fine).max() <= 1e-12 * np.abs(fine).max()
+
+    def test_branch_cut_is_a_sqrt_failure(self):
+        spec = ProblemSpec(pair=scalar_pair(1.0, 0.0), eps=1.0, lam=-5.0, T=1.0, bc=dn_bc(),
+                           n_t=51)
+        with pytest.raises(linalg.SqrtNotConverged, match="branch cut"):
+            full_solve(spec)

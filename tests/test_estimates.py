@@ -256,9 +256,8 @@ def test_wentzell_sweep_computes_its_data_terms_once(monkeypatch):
     assert 0 < counts["lu"] <= 15 * (2 * int(np.ceil(np.log2(base.n_t))) + 4)
 
 
-def test_commuting_sweep_samples_the_load_once_per_cell(monkeypatch):
-    # one hoisted sampling for the data norms, then whole_line_solve's own
-    # per cell; the zero-load test reuses the line samples
+def test_commuting_sweep_samples_the_load_once(monkeypatch):
+    # the hoisted samples serve the data norms and every cell's solve
     counts = Counter()
     sample = ProblemSpec.f_samples
 
@@ -269,7 +268,7 @@ def test_commuting_sweep_samples_the_load_once_per_cell(monkeypatch):
     monkeypatch.setattr(ProblemSpec, "f_samples", counting)
     reps = uniformity_sweep(uniformity_base("commuting", n_t=51), [1, 0.1, 0.01], [1, 10])
     assert [r.status for r in reps] == ["ok"] * 6
-    assert counts["load"] == 7
+    assert counts["load"] == 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -389,17 +388,24 @@ def test_convergence_with_a_load_matches_its_two_solves():
 
 
 def test_convergence_floor_includes_the_limit_solve_error():
-    # the split route solves u exactly up to roundoff, so the grid-halving
-    # difference of the gap u - w is that of the limit solve w alone
+    # the floor is ||(u - u_fine) - (w - w_fine)||, so it differs from the
+    # limit solve's own grid-halving difference by at most u's
     base, u0 = convergence_problem("commuting", n_t=101)
     base = dataclasses.replace(base, f="100*exp(-64*(t-0.5)^2)")
     rec = convergence_study(base, u0, [1e-1, 1e-2], 0.1)
     w = cauchy_solve(base, u0)
     w_fine = cauchy_solve(dataclasses.replace(base, n_t=201), u0)
-    own = mixed_norm(GridFunction(w.t, w.values - w_fine.values[::2]), p=2.0,
-                     weights=base.pair.weights())
-    assert own > 1e-4
-    assert rec.floor == pytest.approx(own, rel=1e-9)
+    bc = dataclasses.replace(base.bc, f1=u0, f2=u0)
+    u = full_solve(dataclasses.replace(base, eps=1e-2, bc=bc))
+    u_fine = full_solve(dataclasses.replace(base, eps=1e-2, bc=bc, n_t=201))
+
+    def halving(coarse, fine):
+        return mixed_norm(GridFunction(coarse.t, coarse.values - fine.values[::2]), p=2.0,
+                          weights=base.pair.weights())
+
+    own, solve = halving(w, w_fine), halving(u, u_fine)
+    assert own > 1e-4 and solve < 1e-3 * own
+    assert abs(rec.floor - own) <= solve
 
 
 @pytest.mark.filterwarnings("error")

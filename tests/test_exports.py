@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -43,6 +44,30 @@ def test_traced_names_resolve():
             unresolved.append(f"{module}.{path}")
     assert unresolved == []
     assert failing <= {f"{module}.{path}" for module, path in targets}
+
+
+def _traced(module: str, attr: str):
+    obj = importlib.import_module(f"epslab.{module}")
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj.__init__ if isinstance(obj, type) else obj
+
+
+def test_tracer_installs_on_every_target():
+    # bench/run.py --trace 1 installs this tracer; a traced name missing
+    # from src/ makes install raise AttributeError
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        wrapped = [hasattr(_traced(*target), "__wrapped__") for target in spans.TARGETS]
+    finally:
+        tracer.uninstall()
+    assert all(wrapped)
+    assert not any(hasattr(_traced(*target), "__wrapped__") for target in spans.TARGETS)
 
 
 def _lapack_uses(tree) -> list:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,8 +6,7 @@ from epslab.discretize import BoundaryData, OperatorPair
 from epslab.elliptic import ProblemSpec
 from epslab.linalg import SingularMatrix, op_norm
 from epslab.multiplier import (
-    AliasWarning, LineGrid, _chirp, _symbol, multiplier_bound_scan,
-    resolvent_symbol, whole_line_solve,
+    LineGrid, _symbol, multiplier_bound_scan, resolvent_symbol, whole_line_solve,
 )
 from epslab.presets import make_pair
 
@@ -19,11 +16,15 @@ def dn_bc():
                         f1=0.0, f2=0.0)
 
 
-def line_spec(a=1.0, b=0.0, eps=0.01, lam=3.0, f="exp(-64*(t-0.5)^2)",
-              n_x=1024):
+def line_spec(a=1.0, b=0.0, eps=0.01, lam=3.0, f="exp(-64*(t-0.5)^2)"):
     pair = OperatorPair([[a]], [[b]])
     return ProblemSpec(pair=pair, eps=eps, lam=lam, T=1.0, bc=dn_bc(),
-                       f=f, n_t=101, n_x=n_x)
+                       f=f, n_t=101)
+
+
+def nodal_values(sol, derivative=0):
+    """The solution's derivative at the nodes of its own grid, by one FFT."""
+    return np.fft.ifft((1j * sol.grid.xi[:, None]) ** derivative * sol.uhat, axis=0)
 
 
 class TestLineGrid:
@@ -51,7 +52,7 @@ class TestWholeLineSolve:
         # u = G * f with the explicit two-rate exponential kernel
         eps, a, lam = 0.01, 1.0, 3.0
         spec = line_spec(a=a, b=b, eps=eps, lam=lam)
-        sol = whole_line_solve(spec)
+        sol = whole_line_solve(spec, 1024)
         R = np.sqrt(b * b + 4 * eps * (a + lam))
         mu_m = (b - R) / (2 * eps)
         mu_p = (b + R) / (2 * eps)
@@ -72,11 +73,9 @@ class TestWholeLineSolve:
 
     def test_resubstitution_residual(self):
         spec = line_spec(a=1.0, b=0.5, eps=0.05, lam=1.0)
-        sol = whole_line_solve(spec)
+        sol = whole_line_solve(spec, 1024)
         x = sol.grid.x
-        u = sol.nodal_values()
-        du = sol.nodal_values(1)
-        ddu = sol.nodal_values(2)
+        u, du, ddu = (nodal_values(sol, d) for d in (0, 1, 2))
         fv = np.zeros_like(u)
         m = (x >= 0) & (x <= spec.T)
         fv[m] = spec.f_samples(x[m])
@@ -85,14 +84,16 @@ class TestWholeLineSolve:
 
     def test_interpolation_matches_nodal_values(self):
         spec = line_spec()
-        sol = whole_line_solve(spec)
-        got = sol.on_grid(sol.grid.x)
-        np.testing.assert_allclose(got, sol.nodal_values(), atol=1e-10)
+        sol = whole_line_solve(spec, 1024)
+        for d in (0, 1, 2):
+            want = nodal_values(sol, d)
+            got = sol.on_grid(sol.grid.x, derivative=d)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_parseval(self):
         spec = line_spec()
-        sol = whole_line_solve(spec)
-        u = sol.nodal_values()
+        sol = whole_line_solve(spec, 1024)
+        u = nodal_values(sol)
         lhs = np.sum(np.abs(u) ** 2)
         rhs = np.sum(np.abs(sol.uhat) ** 2) / sol.grid.n_x
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -106,12 +107,12 @@ class TestWholeLineSolve:
 
         def make(f):
             return ProblemSpec(pair=pair, eps=0.05, lam=2.0, T=4.0, bc=dn_bc(),
-                               f=f, n_t=101, n_x=2048)
+                               f=f, n_t=101)
 
-        base = whole_line_solve(make("exp(-32*(t-1.0)^2)"))
-        moved = whole_line_solve(make(f"exp(-32*(t-1.0-{shift})^2)"))
-        u0 = base.nodal_values()
-        u1 = moved.nodal_values()
+        base = whole_line_solve(make("exp(-32*(t-1.0)^2)"), 2048)
+        moved = whole_line_solve(make(f"exp(-32*(t-1.0-{shift})^2)"), 2048)
+        u0 = nodal_values(base)
+        u1 = nodal_values(moved)
         np.testing.assert_allclose(np.roll(u0, shift_cells, axis=0), u1, atol=1e-9)
 
     def test_matrix_load_decouples_on_diagonal(self):
@@ -119,42 +120,27 @@ class TestWholeLineSolve:
         pair = OperatorPair(A, np.zeros((2, 2)))
         spec = ProblemSpec(pair=pair, eps=0.01, lam=3.0, T=1.0, bc=dn_bc(),
                            f=lambda t: np.array([np.exp(-64 * (t - 0.5) ** 2), 0.0]),
-                           n_t=101, n_x=1024)
-        sol = whole_line_solve(spec)
-        u = sol.nodal_values()
+                           n_t=101)
+        sol = whole_line_solve(spec, 1024)
+        u = nodal_values(sol)
         assert np.abs(u[:, 1]).max() <= 1e-12
-        scalar = whole_line_solve(line_spec(a=1.0, b=0.0))
-        np.testing.assert_allclose(u[:, 0], scalar.nodal_values()[:, 0], atol=1e-12)
-
-    def test_alias_warning_fires_for_rough_load(self):
-        spec = line_spec(f="exp(-40000*(t-0.5)^2)", n_x=64)
-        with pytest.warns(AliasWarning):
-            sol = whole_line_solve(spec)
-        assert sol.alias_energy > 1e-6
-
-    def test_no_warning_for_smooth_load(self):
-        import warnings
-        spec = line_spec()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", AliasWarning)
-            sol = whole_line_solve(spec)
-        assert sol.alias_energy <= 1e-6
+        scalar = whole_line_solve(line_spec(a=1.0, b=0.0), 1024)
+        np.testing.assert_allclose(u[:, 0], nodal_values(scalar)[:, 0], atol=1e-12)
 
     def test_singular_symbol_raises(self):
         # A + lam = 0, so the symbol vanishes at xi = 0
         with pytest.raises(SingularMatrix):
-            whole_line_solve(line_spec(a=1.0, lam=-1.0))
+            whole_line_solve(line_spec(a=1.0, lam=-1.0), 1024)
 
     def test_zero_load(self):
         spec = line_spec(f=None)
-        sol = whole_line_solve(spec)
+        sol = whole_line_solve(spec, 1024)
         assert np.abs(sol.uhat).max() == 0.0
-        assert sol.alias_energy == 0.0
 
 
 def symbol_solve(spec):
     """uhat by one dense solve of the symbol matrix per frequency."""
-    sol = whole_line_solve(spec)
+    sol = whole_line_solve(spec, 1024)
     x = sol.grid.x
     fvals = np.zeros((len(x), spec.n), dtype=complex)
     m = (x >= 0) & (x <= spec.T)
@@ -198,106 +184,7 @@ class TestJointEigenbasis:
         spec = ProblemSpec(pair=pair, eps=1e-2, lam=1.0, T=1.0, bc=dn_bc(),
                            f="exp(-64*(t-0.5)^2)", n_t=101)
         with pytest.raises(ValueError, match="joint eigenbasis"):
-            whole_line_solve(spec)
-
-
-def dense_on_grid(sol, points, derivative=0):
-    """The m x n_x phase-matrix evaluation that on_grid replaced."""
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    fac = (1j * sol.grid.xi) ** derivative
-    coef = fac[:, None] * sol.uhat
-    phase = np.exp(1j * np.outer(pts - sol.grid.x[0], sol.grid.xi))
-    return (phase @ coef) / sol.grid.n_x
-
-
-class TestOnGrid:
-    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4])
-    @pytest.mark.parametrize("n_x", [256, 1024, 2048])
-    @pytest.mark.parametrize("preset,kwargs", [("scalar", {}),
-                                               ("commuting", {"n_y": 16})])
-    def test_matches_dense_phase_matrix(self, preset, kwargs, n_x, eps):
-        import warnings
-        spec = ProblemSpec(pair=make_pair(preset, **kwargs), eps=eps, lam=3.0,
-                           T=1.0, bc=dn_bc(), f="exp(-64*(t-0.5)^2)",
-                           n_t=101, n_x=n_x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AliasWarning)
-            sol = whole_line_solve(spec)
-        point_sets = [np.linspace(0.0, 1.0, m) for m in (5, 201, 801)]
-        point_sets += [np.linspace(-3.5, 3.5, 29), [0.0, 1.0], [0.3],
-                       np.linspace(1.0, 0.0, 201), sol.grid.x]
-        for pts in point_sets:
-            for d in (0, 1, 2):
-                got = sol.on_grid(pts, derivative=d)
-                want = dense_on_grid(sol, pts, d)
-                assert got.shape == want.shape
-                rel = np.abs(got - want).max() / np.abs(want).max()
-                assert rel <= 1e-12, (len(pts), d, rel)
-
-    @pytest.mark.parametrize("derivative", [0, 1, 2])
-    @pytest.mark.parametrize("start,stop", [(0.25, 1.25), (1.25, 0.25)])
-    def test_matches_dense_where_the_chirp_phases_are_large(self, start, stop, derivative):
-        # 4001 points a step L / 64000 apart: q^2 reaches 2.5e7 against 2P = 128000
-        spec = ProblemSpec(pair=make_pair("commuting", n_y=4), eps=1e-2, lam=3.0,
-                           T=1.0, bc=dn_bc(), f="exp(-64*(t-0.5)^2)", n_t=101,
-                           n_x=2048)
-        sol = whole_line_solve(spec)
-        pts = np.linspace(start, stop, 4001)
-        got = sol.on_grid(pts, derivative=derivative)
-        want = np.concatenate([dense_on_grid(sol, part, derivative)
-                               for part in np.array_split(pts, 8)])
-        rel = np.abs(got - want).max() / np.abs(want).max()
-        assert rel <= 1e-12, rel
-
-    def test_chirp_phases_are_reduced_in_integers(self):
-        # exp(i pi q^2 / P) has period P in q for even P; a float phase
-        # pi q^2 / P near q = 2P is off by about 1e-10 rad here
-        P = 64000
-        c = _chirp(3 * P, P)
-        assert np.array_equal(c[P:], np.tile(c[:P], 2))
-        assert np.array_equal(_chirp(P, -P), c[:P].conj())
-
-    @staticmethod
-    def _peak_bytes(call) -> int:
-        call()      # first calls set up FFT plans
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    def test_memory_does_not_grow_with_the_step(self):
-        # the folded transform took a P = L / h sized buffer: 4.2 MB here
-        sol = whole_line_solve(line_spec())
-        peak = self._peak_bytes(lambda: sol.on_grid([0.5, 0.5 + 2.0**-14]))
-        assert peak < 2**20, peak
-
-    def test_time_grid_memory_stays_below_the_folded_buffer(self):
-        spec = ProblemSpec(pair=make_pair("commuting", n_y=16), eps=1e-2, lam=3.0,
-                           T=1.0, bc=dn_bc(), f="exp(-64*(t-0.5)^2)", n_t=801,
-                           n_x=1024)
-        sol = whole_line_solve(spec)
-        peak = self._peak_bytes(lambda: sol.on_grid(spec.t_grid()))
-        # the folded buffer alone held P n = 12800 x 16 complex values
-        assert peak < 12800 * 16 * 16, peak
-
-    def test_at_points_is_the_direct_sum_at_any_points(self):
-        sol = whole_line_solve(line_spec(n_x=256))
-        pts = np.array([0.0, 0.1, 0.35, 1.0])
-        for d in (0, 1, 2):
-            want = dense_on_grid(sol, pts, d)
-            rel = np.abs(sol.at_points(pts, derivative=d) - want).max() / np.abs(want).max()
-            assert rel <= 1e-14, (d, rel)
-        np.testing.assert_allclose(sol.at_points([0.0, 1.0], derivative=1),
-                                   sol.on_grid([0.0, 1.0], derivative=1), rtol=1e-12)
-
-    def test_rejects_points_that_are_not_equispaced(self):
-        sol = whole_line_solve(line_spec(n_x=256))
-        for pts in ([0.0, 0.1, 0.3], [0.0, 1.0, 0.0], np.geomspace(0.1, 1.0, 9),
-                    [0.0, 0.3, 0.6]):
-            with pytest.raises(ValueError):
-                sol.on_grid(pts)
+            whole_line_solve(spec, 1024)
 
 
 class TestResolventSymbol:
