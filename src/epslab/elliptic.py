@@ -460,7 +460,8 @@ def _phi(z: np.ndarray, k_max: int) -> np.ndarray:
         out[k + 1] = (out[k] - 1.0 / factorial(k)) / z
     small = np.abs(z) < 2.0
     zs = z[small]
-    out[k_max, small] = zs[:, None] ** np.arange(20) @ [1 / factorial(j + k_max) for j in range(20)]
+    taylor = [1.0 / factorial(j + k_max) for j in range(20)]
+    out[k_max, small] = zs[:, None] ** np.arange(20) @ taylor
     for k in range(k_max - 1, 0, -1):
         out[k, small] = zs * out[k + 1, small] + 1.0 / factorial(k)
     return out

@@ -632,7 +632,8 @@ class TestModeSolve:
         fine = full_solve(dataclasses.replace(spec, n_t=6401)).values[::8]
         assert np.abs(u - fine).max() <= 1e-12 * np.abs(fine).max()
 
-    @pytest.mark.parametrize("bc", [dirichlet_neumann(8), ROBIN], ids=["dirichlet-neumann", "robin"])
+    @pytest.mark.parametrize("bc", [dirichlet_neumann(8), ROBIN],
+                             ids=["dirichlet-neumann", "robin"])
     def test_bump_matches_the_fourier_reference(self, bc):
         # the whole-line solve on its own grid, plus the semigroup modes
         # for the boundary data it leaves over

@@ -8,7 +8,6 @@ from epslab.linalg import SingularMatrix, op_norm
 from epslab.multiplier import (
     LineGrid, _symbol, multiplier_bound_scan, resolvent_symbol, whole_line_solve,
 )
-from epslab.presets import make_pair
 
 
 def dn_bc():
