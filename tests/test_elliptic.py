@@ -664,3 +664,74 @@ class TestModeSolve:
                            n_t=51)
         with pytest.raises(linalg.SqrtNotConverged, match="branch cut"):
             full_solve(spec)
+
+    @pytest.mark.parametrize("eps, lam", [(1e-6, 1.0), (1e-2, 3 + 2j)])
+    def test_negative_drift_constant_load_matches_closed_form(self, eps, lam):
+        # b < 0 takes q = b - s; b + s would cancel to 1e-5 |b| at eps = 1e-6
+        spec = ProblemSpec(pair=scalar_pair(1.3, -0.7), eps=eps, lam=lam, T=1.0, bc=ROBIN,
+                           f="1", n_t=201)
+        u = full_solve(spec)
+        want = _constant_load_closed_form(1.3, -0.7, eps, lam, ROBIN, 1.0, u.t)
+        assert np.abs(u.values[:, 0] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_degenerate_pair_is_solved_in_its_rotated_basis(self):
+        # A + B / sqrt(2) = (1 + 1/sqrt(2)) I: the rotated pair takes the modes
+        # route and returns the diagonal pair's solution, rotated
+        Q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(2, 2)))
+        a, b = np.array([1.0, 1.0 + 0.5 ** 0.5]), np.array([1.0, 0.0])
+        bc = BoundaryData(alpha=(1.0, 0.7), beta=(0.4, 1.0), f1=np.array([0.8, -0.3]),
+                          f2=np.array([-0.4, 0.2]))
+        diag = ProblemSpec(pair=OperatorPair(np.diag(a), np.diag(b)), eps=1e-2, lam=1.0,
+                           T=1.0, bc=bc, n_t=401)
+        t = diag.t_grid()
+        loads = np.stack([np.exp(-64 * (t - 0.5) ** 2), np.sin(3 * t)], axis=1)
+        rotated = dataclasses.replace(
+            diag, pair=OperatorPair(Q @ np.diag(a) @ Q.T, Q @ np.diag(b) @ Q.T),
+            bc=dataclasses.replace(bc, f1=Q @ bc.f1, f2=Q @ bc.f2))
+        u = full_solve(rotated, loads @ Q.T)
+        assert u.meta["path"] == "modes"
+        want = full_solve(diag, loads).values @ Q.T
+        assert np.abs(u.values - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("pair, path", [(make_pair("commuting", n_y=4), "modes"),
+                                            (OperatorPair([[2.0, 0.5], [0.0, 3.0]],
+                                                          [[0.3, 0.0], [0.2, 0.4]]), "direct")],
+                             ids=["modes", "direct"])
+    def test_given_loads_are_the_sampled_loads(self, pair, path):
+        spec = ProblemSpec(pair=pair, eps=1e-2, lam=1.0, T=1.0, bc=ROBIN,
+                           f="exp(-64*(t-0.5)^2)", n_t=101)
+        u = full_solve(spec)
+        assert u.meta["path"] == path
+        loads = spec.f_samples(spec.t_grid())
+        assert np.array_equal(full_solve(spec, loads).values, u.values)
+        no_f = full_solve(dataclasses.replace(spec, f=None), loads)
+        assert np.array_equal(no_f.values, u.values)
+
+    def test_load_and_boundary_data_superpose(self):
+        spec = ProblemSpec(pair=make_pair("commuting", n_y=4), eps=1e-3, lam=3 + 2j, T=1.0,
+                           bc=ROBIN, f=COMMUTING_LOADS["bump"], n_t=401)
+        homogeneous = dataclasses.replace(spec, bc=dataclasses.replace(ROBIN, f1=0.0, f2=0.0))
+        u = full_solve(spec).values
+        parts = full_solve(homogeneous).values + full_solve(dataclasses.replace(spec, f=None)).values
+        assert np.abs(u - parts).max() <= 1e-13 * np.abs(u).max()
+
+    def test_singular_boundary_system_raises(self):
+        # u(0) = 0 and beta0 u(T) + sqrt(eps) u'(T) = 0 with beta0 chosen so
+        # that a combination of the two exponentials meets both: the
+        # homogeneous problem has a nonzero solution
+        eps, a, b, lam, T = 0.3, 1.0, 0.5, 1.0, 1.0
+        r_minus, r_plus = sorted(np.roots([eps, -b, -(a + lam)]).real)
+        k = np.exp((r_minus - r_plus) * T)
+        beta0 = np.sqrt(eps) * (k * r_minus - r_plus) / (1.0 - k)
+        bc = BoundaryData(alpha=(1.0, 0.0), beta=(beta0, 1.0), f1=1.0, f2=0.0)
+        spec = ProblemSpec(pair=scalar_pair(a, b), eps=eps, lam=lam, T=T, bc=bc, n_t=51)
+        with pytest.raises(SingularMatrix, match="scaled determinant"):
+            full_solve(spec)
+
+    def test_rejects_non_finite_loads(self):
+        spec = ProblemSpec(pair=make_pair("commuting", n_y=4), eps=1e-2, lam=1.0, T=1.0,
+                           bc=ROBIN, n_t=51)
+        loads = np.ones((51, 4))
+        loads[17, 2] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            full_solve(spec, loads)

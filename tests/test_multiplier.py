@@ -89,6 +89,15 @@ class TestWholeLineSolve:
             got = sol.on_grid(sol.grid.x, derivative=d)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_interpolation_takes_points_in_any_order(self):
+        # nodes shuffled and repeated, no two steps alike
+        sol = whole_line_solve(line_spec(), 256)
+        idx = np.random.default_rng(5).choice(256, size=40)
+        for d in (0, 1, 2):
+            want = nodal_values(sol, d)[idx]
+            got = sol.on_grid(sol.grid.x[idx], derivative=d)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_parseval(self):
         spec = line_spec()
         sol = whole_line_solve(spec, 1024)
