@@ -26,8 +26,8 @@ import numpy as np
 
 from .discretize import (SpaceGrid, BoundaryData, check_condition_1,
                          check_condition_2_1, check_condition_4_1)
-from .elliptic import ProblemSpec, full_solve
-from .estimates import (EstimateReport, coercive_report, convergence_study,
+from .elliptic import ProblemSpec
+from .estimates import (EstimateReport, convergence_study, solve_and_report,
                         uniformity_factors, uniformity_sweep)
 from .exprparse import EvalError, ParseError
 from .linalg import NUMERICAL_ERRORS, check_positivity
@@ -306,8 +306,7 @@ def _run_solve(cfg: Config, out: Path, header: str, ident: dict) -> int:
                                 cfg.get("scenario", "eps", REAL, 0.1))],
                        lam=cfg.get("solve", "lambda", COMPLEX,
                                    cfg.get("scenario", "lambda", COMPLEX, 1.0)))
-    u = full_solve(spec)
-    rep = coercive_report(spec, u, p=cfg.get("scenario", "p", REAL, 2.0))
+    u, rep = solve_and_report(spec, p=cfg.get("scenario", "p", REAL, 2.0))
     cols = ["t"]
     for j in range(u.n):
         cols += [f"u{j}_re", f"u{j}_im"]

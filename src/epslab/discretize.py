@@ -206,7 +206,7 @@ class OperatorPair:
 
         for M = A and M = B, which bounds the relative backward error of
         the factorization; otherwise, and for a pair that does not
-        commute or a V that fails inv's pivot guard, it is None.  A
+        commute or a V that fails inv's rcond guard, it is None.  A
         defective pair, such as A = B = [[2, 1], [0, 2]], has none.
         """
         if not self.commutes():
@@ -323,8 +323,9 @@ def build_wentzell_operator(grid: SpaceGrid, a, b) -> np.ndarray:
     on the interior and, in the two end rows, the one-sided O(h^2) rows of
     a u'' + b u' = 0.  A is its Schur complement on the interior: the end
     rows give the boundary values (u_0, u_{n+1}) = S u_interior with
-    S = -C^-1 R through one 2x2 solve, and A = L_II + L_IB S.  Constants
-    are reproduced exactly in the kernel.
+    S = -C^-1 R through one 2x2 mat_solve, and A = L_II + L_IB S; a C
+    that mat_solve refuses raises ValueError.  Constants are reproduced
+    exactly in the kernel.
     """
     n = grid.n
     if n < 2:
@@ -348,9 +349,10 @@ def build_wentzell_operator(grid: SpaceGrid, a, b) -> np.ndarray:
     L[-1, -4:] = _one_sided_rows(a_all[-1], -b_all[-1], h)[::-1]
     ends, inner = [0, n + 1], slice(1, n + 1)
     C, R = L[ends][:, ends], L[ends, inner]
-    if abs(np.linalg.det(C)) < 1e-12 * (np.abs(C).max() ** 2 + 1e-300):
-        raise ValueError("degenerate boundary elimination (singular 2x2 system)")
-    S = -np.linalg.solve(C, R)
+    try:
+        S = -mat_solve(C, R)
+    except SingularMatrix as exc:
+        raise ValueError("degenerate boundary elimination (singular 2x2 system)") from exc
     return L[inner, inner] + L[inner][:, ends] @ S
 
 

@@ -19,13 +19,15 @@ of the quadratic is (RB - BR)/(4 eps).  Pairs with no eigenbasis go to a
 block-tridiagonal finite difference scheme (direct_solve).  Two 2n x 2n
 end pivots absorb the two-node reach of the one-sided boundary
 derivatives; the nodes between share one stencil and are solved by
-odd-even block cyclic reduction, which factors one block per distinct
-row class and level, O(log n_t) linalg.gesv calls in the data's dtype
-(float64 for real data).  gesv's pivot guard sees each block and its
-coupling columns, never the load, so a load that overflows surfaces as
-"solution overflowed" at the end.  direct_batch runs the scheme for
-several eps at once: the blocks carry a leading cell axis and each cell
-keeps its own gesv calls; direct_solve is its batch of one.
+odd-even block cyclic reduction, which inverts one block per distinct
+row class and level, O(log n_t) linalg.solve_cells calls in the data's
+dtype (float64 for real data).  The rcond guard of solve_cells sees
+each block and its coupling columns, never the load, so a load that
+overflows the sweep surfaces as "solution overflowed" at the end.
+direct_batch runs the scheme for several eps at once: the blocks carry
+a leading cell axis, each solve_cells call inverts the stack of the
+cells that have not failed, and a cell's failure is its own;
+direct_solve is its batch of one.
 """
 from __future__ import annotations
 
@@ -38,8 +40,8 @@ import numpy as np
 
 from . import exprparse
 from .discretize import BoundaryData, GridFunction, OperatorPair, SpaceGrid
-from .linalg import (BRANCH_CUT_RTOL, DEFAULT_PIVOT_RTOL, Overflow, SingularMatrix,
-                     SqrtNotConverged, expm, gesv, mat_solve, op_norm, sqrtm)
+from .linalg import (BRANCH_CUT_RTOL, MIN_RCOND, Overflow, SingularMatrix,
+                     SqrtNotConverged, expm, mat_solve, op_norm, solve_cells, sqrtm)
 
 __all__ = [
     "ProblemSpec", "QSystem",
@@ -233,24 +235,19 @@ def mode_derivatives(spec: ProblemSpec):
     return t, u, du, ddu
 
 
-def _gesv_cells(fails: list, M, coupling, load) -> np.ndarray:
-    """linalg.gesv of each live cell of the stacks M, coupling and load.
+def _solve_live(fails: list, M, coupling, load) -> np.ndarray:
+    """linalg.solve_cells of the stacks M, coupling and load, skipping
+    every cell that has failed already.
 
     The leading axis runs over the cells; coupling or load may be None.
-    A cell whose gesv raises gets the error direct_solve raises for it in
-    fails, keeps a zero result and gets no further gesv call.
+    A cell that fails here gets the error direct_solve raises for it in
+    fails and a zero result, and no later call inverts its blocks.
     """
-    k = sum(x.shape[2] for x in (coupling, load) if x is not None)
-    X = np.zeros(M.shape[:2] + (k,), dtype=M.dtype)
-    for i, fail in enumerate(fails):
-        if fail is not None:
-            continue
-        try:
-            X[i] = gesv(M[i], None if coupling is None else coupling[i],
-                        None if load is None else load[i])
-        except SingularMatrix as exc:
+    X, errors = solve_cells(M, coupling, load, skip=[f is not None for f in fails])
+    for i, exc in enumerate(errors):
+        if isinstance(exc, SingularMatrix):
             fails[i] = exc
-        except ValueError as exc:
+        elif exc is not None:
             # the data are finite, so a non-finite block is overflow
             fails[i] = Overflow("finite difference sweep overflowed to non-finite values")
             fails[i].__cause__ = exc
@@ -266,14 +263,14 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
     classes: row i has class cls[i], and kinds[c] = (L, D, U) are the
     block stacks of class c, with None for the missing neighbour of an
     end row.  Each level eliminates the odd rows: per distinct class
-    among them, one gesv per cell with right-hand side [L | U | their
+    among them, one solve_cells stack with right-hand side [L | U | their
     loads] gives x_j = y_j - alpha x_{j-1} - beta x_{j+1}.  A kept row's
     class becomes the triple of the classes of its left neighbour, itself
     and its right neighbour, and per triple batched GEMMs update its load
-    and then its blocks.  Each gesv guards its block and [L | U] columns,
-    not the load; the first failing factorization of a cell in reduction
-    order goes to fails (_gesv_cells), and that cell's rows of the result
-    mean nothing.  The caller holds the errstate.
+    and then its blocks.  The guard sees each block and its [L | U]
+    columns, not the load; the first failing inverse of a cell in
+    reduction order goes to fails (_solve_live), and that cell's rows of
+    the result mean nothing.  The caller holds the errstate.
     """
     n = load.shape[2]
     levels = []
@@ -285,7 +282,7 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
             rows = 2 * np.flatnonzero(cls[1::2] == c) + 1
             L, D, U = kinds[c]
             coupling = L if U is None else np.concatenate([L, U], axis=2)
-            X = _gesv_cells(fails, D, coupling, load[:, rows].mT)
+            X = _solve_live(fails, D, coupling, load[:, rows].mT)
             k = coupling.shape[2]
             y[:, rows] = X[:, :, k:].mT
             elim[c] = (rows, X[:, :, :n], None if U is None else X[:, :, n:k])
@@ -312,7 +309,7 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
         levels.append((m, y, elim))
         kinds, cls, load = new_kinds, new_cls, new_load
     _, D, _ = kinds[cls[0]]
-    x = _gesv_cells(fails, D, None, load.mT).mT
+    x = _solve_live(fails, D, None, load.mT).mT
     for m, y, elim in reversed(levels):
         x_kept, x = x, np.empty((len(fails), m, n), dtype=x.dtype)
         x[:, 0::2] = x_kept
@@ -332,8 +329,8 @@ def direct_batch(spec: ProblemSpec, eps_list, loads=None) -> list:
     when A + lam, B, the load, the boundary vectors and every cell's two
     boundary rows are real.  Blocks, end pivots, loads and the back
     substitution are (cells, ...) stacks, and every factorization is one
-    mat_solve or linalg.gesv call per cell, with its own pivot guard.
-    Returns, per cell, its GridFunction or the exception a solo
+    linalg.solve_cells call over the stack, whose guard judges each cell
+    apart.  Returns, per cell, its GridFunction or the exception a solo
     direct_solve raises for it; a failed cell gets no further
     factorization and leaves the other cells' numbers as they are.  An
     eps that is not finite and positive raises ValueError.
@@ -366,23 +363,17 @@ def direct_batch(spec: ProblemSpec, eps_list, loads=None) -> list:
     def column(v):
         return np.broadcast_to(v[:, None], (cells, len(v), 1))
 
-    # rows 0 and 1, L1 then the stencil; first[:, i] = [Uhat_i | r_i] with
-    # u_i = r_i - Uhat_i u_2
-    P = np.block([[left[:, 0], left[:, 1]], [lower, diag]])
-    rhs = np.block([[left[:, 2], column(f1)], [upper, column(fvals[1])]])
-    fails = [None] * cells
-    first = np.zeros(rhs.shape, dtype=eye.dtype)
-    for i in range(cells):
-        try:
-            first[i] = mat_solve(P[i], rhs[i])
-        except ValueError as exc:
-            fails[i] = exc
-    first = first.reshape(cells, 2, n, n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
+        # rows 0 and 1, L1 then the stencil; first[:, i] = [Uhat_i | r_i]
+        # with u_i = r_i - Uhat_i u_2
+        P = np.block([[left[:, 0], left[:, 1]], [lower, diag]])
+        rhs = np.block([[left[:, 2], column(f1)], [upper, column(fvals[1])]])
+        first, fails = solve_cells(P, rhs)
+        first = first.reshape(cells, 2, n, n + 1)
         # the stencil at N-2, then L2; last[:, i] = [V_i | s_i] with
         # u_{N-2+i} = s_i - V_i u_{N-3}
         P = np.block([[diag, upper], [right[:, 1], right[:, 2]]])
-        last = _gesv_cells(fails, P, np.concatenate([lower, right[:, 0]], axis=1),
+        last = _solve_live(fails, P, np.concatenate([lower, right[:, 0]], axis=1),
                            column(np.concatenate([fvals[N - 2], f2])))
         last = last.reshape(cells, 2, n, n + 1)
         D_first = diag - lower @ first[:, 1, :, :n]
@@ -415,15 +406,15 @@ def direct_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     u_{N-3}.  The nodes 2..N-3 left over share one stencil except for
     the diagonal blocks of the two end rows (one row at n_t = 5), and
     odd-even block cyclic reduction solves them (_cyclic_reduction):
-    each level factors one block per distinct row class by one gesv,
-    O(log n_t) in all.  gesv runs in float64 when A + lam, B, the load,
-    the boundary vectors and the two boundary rows are all real, else
-    in complex128; the result is complex128 either way.  The first pivot
-    goes through mat_solve; the last pivot and every block of the
-    reduction go through linalg.gesv, whose guard sees the block and its
-    coupling columns, so the first failing factorization in reduction
-    order raises.  No factored block depends on the load.
-    Non-finite load or boundary data raise mat_solve's ValueError up
+    each level inverts one block per distinct row class, O(log n_t) in
+    all.  The solve runs in float64 when A + lam, B, the load, the
+    boundary vectors and the two boundary rows are all real, else in
+    complex128; the result is complex128 either way.  Both pivots and
+    every block of the reduction go through linalg.solve_cells, whose
+    rcond guard sees the block and its coupling columns, so the first
+    failing inverse raises: the first pivot's, then the last pivot's,
+    then in reduction order.  No inverted block depends on the load.
+    Non-finite load or boundary data raise ValueError up
     front; after that, a block that leaves the finite range raises
     Overflow, and so does a load that overflows anywhere, as "finite
     difference solution overflowed to non-finite values".  This is the
@@ -524,7 +515,7 @@ def _mode_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     SqrtNotConverged when some b^2 + 4 eps c lies within
     BRANCH_CUT_RTOL max|b^2 + 4 eps c| of (-inf, 0], ValueError for
     non-finite data, SingularMatrix for a scaled determinant below
-    DEFAULT_PIVOT_RTOL and Overflow for a solution that is not finite.
+    MIN_RCOND and Overflow for a solution that is not finite.
     """
     V, Vinv, a, b = spec.pair.joint_eigenbasis
     eps, t, n, N = spec.eps, spec.t_grid(), spec.n, spec.n_t
@@ -574,9 +565,9 @@ def _mode_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     (S11, S12), (S21, S22) = S / scale[:, None]
     f1, f2 = f1 / scale[0], f2 / scale[1]
     det = S11 * S22 - S12 * S21
-    if not np.all(np.abs(det) >= DEFAULT_PIVOT_RTOL):
+    if not np.all(np.abs(det) >= MIN_RCOND):
         raise SingularMatrix(f"mode boundary system has scaled determinant "
-                             f"{np.abs(det).min():.3e} below {DEFAULT_PIVOT_RTOL:.0e}")
+                             f"{np.abs(det).min():.3e} below {MIN_RCOND:.0e}")
     E *= np.concatenate([f1 * S22 - S12 * f2, S11 * f2 - S21 * f1]) / np.tile(det, 2)
     if loaded:
         E += xy

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .parabolic import build_MN, cauchy_solve
 
 __all__ = [
     "EstimateReport", "DecayFit", "ConvergenceRecord",
-    "FitDegenerate", "coercive_report", "uniformity_sweep",
+    "FitDegenerate", "coercive_report", "solve_and_report", "uniformity_sweep",
     "uniformity_factors", "decay_fit",
     "layer_norm_sweep", "convergence_study", "time_derivatives",
 ]
@@ -122,6 +122,9 @@ def _data_terms(spec: ProblemSpec, p: float) -> _DataTerms:
                       tuple(ends))
 
 
+# a huge but finite solution overflows here; the Overflow below is the
+# only signal
+@np.errstate(over="ignore", invalid="ignore")
 def _measure(u: GridFunction, eps: float, lam: complex, p: float,
              data: _DataTerms) -> EstimateReport:
     """The coercive report of the solve u at (eps, lam); see coercive_report."""
@@ -152,9 +155,8 @@ def _measure(u: GridFunction, eps: float, lam: complex, p: float,
     return EstimateReport(eps, lam, p, tuple(main), tuple(alt), au_norm, rhs, ratio)
 
 
-def coercive_report(spec: ProblemSpec, u: Optional[GridFunction] = None,
-                    p: float = 2.0) -> EstimateReport:
-    """Measure every term of the two-sided a-priori bound on one solve.
+def coercive_report(spec: ProblemSpec, p: float = 2.0) -> EstimateReport:
+    """Measure every term of the two-sided a-priori bound on the solve of spec.
 
     Left side: eps^(j/2) |lam|^(1-j/2) ||u^(j)||_X for j = 0, 1, 2 plus
     ||Au||_X, with the alternative eps^(j/2 - 1/p) weighting alongside.
@@ -162,10 +164,15 @@ def coercive_report(spec: ProblemSpec, u: Optional[GridFunction] = None,
     boundary data.  Derivatives are O(h^2) finite differences.  Raises
     Overflow when a measured number is not finite.
     """
+    return solve_and_report(spec, p)[1]
+
+
+def solve_and_report(spec: ProblemSpec,
+                     p: float = 2.0) -> Tuple[GridFunction, EstimateReport]:
+    """full_solve of spec and its coercive_report, from one sampling of the load."""
     data = _data_terms(spec, p)
-    if u is None:
-        u = full_solve(spec, data.loads)
-    return _measure(u, spec.eps, spec.lam, p, data)
+    u = full_solve(spec, data.loads)
+    return u, _measure(u, spec.eps, spec.lam, p, data)
 
 
 def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from epslab.cli import Config, ConfigError, _preset_kwargs, load_config, main, run
+from epslab.elliptic import ProblemSpec
 from epslab.presets import make_commuting_pair, make_pair
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -222,9 +223,10 @@ n_t = 51
     assert "error" in rows[1]
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_finite_load_is_a_numerical_failure(tmp_path, capsys):
-    # the wentzell solve goes through direct_solve, whose sweep overflows
-    # on this finite load
+    # the wentzell solve goes through direct_solve; on this finite load
+    # its solution or its coercive report overflows, with no warning
     assert main(["--config", str(write(tmp_path, SOLVE_MINI)),
                  "--out", str(tmp_path / "out"), "--preset", "wentzell",
                  "--override", "data.f=1e308*exp(-10000*(t-0.5)^2)"]) == 2
@@ -474,6 +476,39 @@ def test_shipped_configs_parse():
                  "commuting_converge", "wentzell_check"):
         cfg = load_config(CONFIGS / f"{name}.ini")
         assert cfg.raw("scenario", "mode") in ("solve", "sweep", "converge", "check")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("config", [
+    CONFIGS / "scalar_solve.ini", CONFIGS / "scalar_sweep.ini",
+    CONFIGS / "commuting_sweep.ini", CONFIGS / "wentzell_check.ini",
+    GOLDEN / "sweep-split.ini", GOLDEN / "sweep-fd.ini",
+], ids=lambda p: p.stem)
+def test_solve_sweep_and_check_never_load_scipy(tmp_path, config):
+    # only converge mode reaches linalg.expm, the one kernel of these
+    # runs that would import scipy; a fresh process shows what a run loads
+    code = ("import sys\nfrom epslab.cli import main\n"
+            f"rc = main(['--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(rc, 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+def test_solve_mode_samples_the_load_once(tmp_path, monkeypatch):
+    # the solve and its coercive report share one sampling of the load
+    calls, sample = [], ProblemSpec.f_samples
+
+    def counting(self, t):
+        calls.append(len(t))
+        return sample(self, t)
+
+    monkeypatch.setattr(ProblemSpec, "f_samples", counting)
+    assert main(["--config", str(CONFIGS / "scalar_solve.ini"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_module_entry_point(tmp_path):

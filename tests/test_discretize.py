@@ -376,7 +376,7 @@ def _row_by_row_wentzell(g, a, b):
             C[1, 0] += coef
         else:
             R[1, jdx - 1] += coef
-    S = -np.linalg.solve(C, R)
+    S = -mat_solve(C, R)
     A = np.zeros((n, n))
     for j in range(1, n + 1):
         aj, bj = a_all[j], b_all[j]

@@ -8,7 +8,7 @@ from epslab.elliptic import (
     ProblemSpec, QSystem, _boundary_matrix, _orbit, compute_q_system, direct_solve,
     direct_batch, full_solve, homogeneous_solution, mode_derivatives,
 )
-from epslab import elliptic, linalg
+from epslab import linalg
 from epslab.linalg import Overflow, SingularMatrix, op_norm, sqrtm
 from epslab.multiplier import whole_line_solve
 from epslab.presets import dirichlet_neumann, make_pair, make_wentzell_pair
@@ -427,23 +427,20 @@ def test_direct_batch_matches_solo_on_every_reduction_shape(n_t, lam, ends):
 
 
 def test_direct_solve_factorizations_grow_with_log_n_t(monkeypatch):
-    # every LAPACK factorization goes through GESV or mat_solve; cyclic
-    # reduction needs a few per level, not one per time node
+    # every factorization is an inverse through linalg.INV, one per cell
+    # of its stack; cyclic reduction needs a few per level, not one per
+    # time node
     n_t = 801
     bc = BoundaryData(alpha=(1.0, 0.7), beta=(0.4, 1.0), f1=np.ones(16), f2=0.5 * np.ones(16))
     spec = ProblemSpec(pair=make_wentzell_pair(n_y=16), eps=1e-2, lam=3.0, T=1.0, bc=bc,
                        f="exp(-64*(t-0.5)^2)", n_t=n_t)
-    count = [0]
+    count, INV = [0], linalg.INV
 
-    def counting(solve):
-        def wrapped(*args, **kwargs):
-            count[0] += 1
-            return solve(*args, **kwargs)
-        return wrapped
+    def counting(M):
+        count[0] += len(M)
+        return INV(M)
 
-    for dtype, solve in list(linalg.GESV.items()):
-        monkeypatch.setitem(linalg.GESV, dtype, counting(solve))
-    monkeypatch.setattr(elliptic, "mat_solve", counting(elliptic.mat_solve))
+    monkeypatch.setattr(linalg, "INV", counting)
     direct_solve(spec)
     assert 0 < count[0] <= 2 * int(np.ceil(np.log2(n_t))) + 4
 
@@ -458,23 +455,21 @@ def _singular_interior_spec(f1, n_t, a1=1.0):
 
 
 @pytest.mark.parametrize("f1", [1.0, 1j], ids=["float64", "complex128"])
-@pytest.mark.parametrize("a1, ratio", [(1.0, r"0\.000e\+00"), (1.0 + 2.0**-50, r"\d\.\d{3}e-16")])
-def test_direct_solve_interior_pivot_guard(monkeypatch, f1, a1, ratio):
-    # only the first pivot goes through mat_solve: the guard after the
-    # sweep raises the error mat_solve would raise for the failing row,
-    # before the last pivot is formed
-    calls, mat_solve = [], elliptic.mat_solve
+@pytest.mark.parametrize("a1, rcond", [(1.0, r"0\.000e\+00"), (1.0 + 2.0**-50, r"\d\.\d{3}e-16")])
+def test_direct_solve_interior_pivot_guard(monkeypatch, f1, a1, rcond):
+    # the failing interior row raises the error mat_solve would raise for
+    # its block, and every inverse up to it runs in the data's dtype
+    dtypes, INV = [], linalg.INV
 
-    def recording(M, rhs):
-        x = mat_solve(M, rhs)
-        calls.append(x.dtype)
-        return x
+    def recording(M):
+        dtypes.append(M.dtype)
+        return INV(M)
 
-    monkeypatch.setattr(elliptic, "mat_solve", recording)
+    monkeypatch.setattr(linalg, "INV", recording)
     spec = _singular_interior_spec(f1, n_t=41, a1=a1)
-    with pytest.raises(SingularMatrix, match=rf"^pivot ratio {ratio} below 1e-13$"):
+    with pytest.raises(SingularMatrix, match=rf"^rcond {rcond} below 1e-13$"):
         direct_solve(spec)
-    assert calls == [np.dtype(np.float64 if f1 == 1.0 else np.complex128)]
+    assert set(dtypes) == {np.dtype(np.float64 if f1 == 1.0 else np.complex128)}
 
 
 def test_direct_solve_rejects_non_finite_load():
@@ -496,33 +491,50 @@ def test_direct_solve_rejects_non_finite_load():
         direct_solve(spec)
 
 
-def _overflowing_load_spec(lam, t_load=0.95):
-    # a finite load of 1e308 at t_load; at t = 0.95, the node N-2, every
-    # pivot and its rhs stay finite, and the back substitution overflows;
-    # earlier nodes overflow an interior rhs or the last pivot
-    bc = BoundaryData(alpha=(1.0, 0.5), beta=(1.0, 1.0), f1=np.ones(4), f2=np.ones(4))
+def _load_spec(lam, size, t_load=None, data=1.0):
+    # a finite load of size at the node t_load alone, or at every node
+    # when t_load is None, and boundary data data
+    bc = BoundaryData(alpha=(1.0, 0.5), beta=(1.0, 1.0), f1=np.full(4, data),
+                      f2=np.full(4, data))
 
     def load(t):
-        return np.full(4, 1e308 if abs(t - t_load) < 1e-12 else 0.0)
+        return np.full(4, size if t_load is None or abs(t - t_load) < 1e-12 else 0.0)
 
     spec = ProblemSpec(pair=make_wentzell_pair(n_y=4), eps=1e-2, lam=lam, T=1.0,
                        bc=bc, f=load, n_t=21)
     return spec
 
 
+def _assert_scaled_unit_solve(lam, t_load):
+    # by linearity the solution is 1e308 times the unit-load solve with
+    # zero data, plus the O(1) part of the data: max|u| is about 9e306,
+    # and 2.3e307 at t = 0.05, so nothing overflows
+    u = direct_solve(_load_spec(lam, 1e308, t_load)).values
+    unit = direct_solve(_load_spec(lam, 1.0, t_load, data=0.0)).values
+    assert np.abs(u - 1e308 * unit).max() <= 1e-12 * np.abs(u).max()
+
+
 @pytest.mark.parametrize("t_load", [0.05, 0.5, 0.90, 0.95])
 @pytest.mark.parametrize("lam", [3.0, 3 + 2j], ids=["float64", "complex128"])
-def test_direct_solve_raises_when_the_solution_overflows(lam, t_load):
-    with pytest.raises(Overflow, match="non-finite"):
-        direct_solve(_overflowing_load_spec(lam, t_load))
+def test_direct_solve_of_a_1e308_load_is_its_scaled_unit_solve(lam, t_load):
+    _assert_scaled_unit_solve(lam, t_load)
 
 
 @pytest.mark.filterwarnings("error")
-def test_direct_solve_last_pivot_overflow_raises_without_warning():
-    # a 1e308 load at t = 0.90 overflows in the last pivot's assembly;
-    # that runs under the sweep's errstate, so the error is the only signal
+def test_direct_solve_last_pivot_load_of_1e308_solves_without_warning():
+    # a 1e308 load at t = 0.90 enters the last pivot's right-hand side
+    _assert_scaled_unit_solve(3 + 2j, 0.90)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [0.1, 0.1 + 0.05j], ids=["float64", "complex128"])
+def test_direct_solve_raises_when_the_solution_overflows(lam):
+    # 1e308 at every node: the unit-load solve exceeds 1.8, so the true
+    # solution is past the largest float64; the error is the only signal
+    unit = direct_solve(_load_spec(lam, 1.0, data=0.0)).values
+    assert np.abs(unit).max() > np.finfo(float).max / 1e308
     with pytest.raises(Overflow, match="non-finite"):
-        direct_solve(_overflowing_load_spec(3 + 2j, t_load=0.90))
+        direct_solve(_load_spec(lam, 1e308))
 
 
 class TestFullSolve:

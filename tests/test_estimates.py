@@ -171,9 +171,11 @@ def test_sweep_records_failures():
     assert list(factors) == [1.0]
 
 
+@pytest.mark.filterwarnings("error")
 def test_sweep_records_an_overflowing_solve_as_an_error():
-    # the load 1e308 at t = 0.95 overflows the finite difference back
-    # substitution; the cell is an error row, not an ok row holding nan
+    # the load 1e308 at t = 0.95 gives a solution near 9e306, whose
+    # second derivative overflows; the cell is an error row, not an ok
+    # row holding nan, and no warning is printed
     bc = BoundaryData(alpha=(1.0, 0.5), beta=(1.0, 1.0), f1=np.ones(4), f2=np.ones(4))
 
     def load(t):
@@ -183,7 +185,7 @@ def test_sweep_records_an_overflowing_solve_as_an_error():
                        bc=bc, f=load, n_t=21)
     reps = uniformity_sweep(base, [1e-2], [3.0, 3 + 2j])
     assert [r.status for r in reps] == [
-        "error: finite difference solution overflowed to non-finite values"] * 2
+        "error: coercive report overflowed to non-finite values"] * 2
     assert all(np.isnan(r.ratio) for r in reps)
 
 
@@ -191,28 +193,28 @@ def _report_numbers(rep):
     return (*rep.lhs_terms, *rep.lhs_alt_terms, rep.au_norm, rep.rhs, rep.ratio)
 
 
-def _counting_lapack(monkeypatch, counts):
-    """Count every LAPACK factorization, which runs through linalg.GESV."""
-    def counting(solve):
-        def wrapped(*args, **kwargs):
-            counts["lu"] += 1
-            return solve(*args, **kwargs)
-        return wrapped
+def _counting_factorizations(monkeypatch, counts):
+    """Count every factorized matrix: each is inverted through linalg.INV,
+    one per cell of its stack."""
+    INV = linalg.INV
 
-    for dtype, solve in list(linalg.GESV.items()):
-        monkeypatch.setitem(linalg.GESV, dtype, counting(solve))
+    def counting(M):
+        counts["lu"] += len(M)
+        return INV(M)
+
+    monkeypatch.setattr(linalg, "INV", counting)
 
 
 @pytest.mark.parametrize("eps_list", [[1e8, 1.0, 1e-2], [1.0, 1e8, 1e-2]])
 def test_failing_cell_leaves_the_rest_of_its_batch_alone(monkeypatch, eps_list):
     # at eps = 1e8 the first 2n x 2n pivot of the wentzell FD solve fails
-    # the pivot guard; the two other cells of the same batch still solve,
+    # the rcond guard; the two other cells of the same batch still solve,
     # and the failed cell makes no factorization after its first pivot
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "scalar_solve.ini",
                       preset="wentzell")
     base = _build_spec(cfg, "wentzell", eps_list, lam=1.0)
     counts = Counter()
-    _counting_lapack(monkeypatch, counts)
+    _counting_factorizations(monkeypatch, counts)
     reps = uniformity_sweep(base, eps_list, [1.0])
     batch = counts["lu"]
     assert [r.eps for r in reps] == eps_list
@@ -220,7 +222,7 @@ def test_failing_cell_leaves_the_rest_of_its_batch_alone(monkeypatch, eps_list):
         spec = dataclasses.replace(base, eps=eps)
         if eps == 1e8:
             before = counts["lu"]
-            with pytest.raises(SingularMatrix, match=r"^pivot ratio 4\.167e-14 below 1e-13$") as exc:
+            with pytest.raises(SingularMatrix, match=r"^rcond 2\.083e-14 below 1e-13$") as exc:
                 direct_solve(spec)
             assert rep.status == "error: " + str(exc.value)
             assert counts["lu"] == before + 1  # the first pivot, nothing after it
@@ -248,7 +250,7 @@ def test_wentzell_sweep_computes_its_data_terms_once(monkeypatch):
     monkeypatch.setattr(estimates, "kfunctional_norm",
                         counting("kfunctional", estimates.kfunctional_norm))
     monkeypatch.setattr(ProblemSpec, "f_samples", counting("load", ProblemSpec.f_samples))
-    _counting_lapack(monkeypatch, counts)
+    _counting_factorizations(monkeypatch, counts)
     reps = uniformity_sweep(base, [1.0, 1e-1, 1e-2, 1e-3, 1e-4], [1.0, 10.0, 100.0])
     assert len(reps) == 15 and all(r.status == "ok" for r in reps)
     assert 0 < counts["kfunctional"] <= 2

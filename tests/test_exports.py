@@ -70,31 +70,38 @@ def test_tracer_installs_on_every_target():
     assert not any(hasattr(_traced(*target), "__wrapped__") for target in spans.TARGETS)
 
 
-def _lapack_uses(tree) -> list:
-    """Imported or referenced names in tree that reach LAPACK or GESV."""
-    names = []
+def _scipy_imports(tree, in_functions_ok: bool) -> list:
+    """scipy imports in tree, but for those inside a function body when
+    in_functions_ok."""
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)}
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names += [a.name for a in node.names]
+            modules = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names += [f"{node.module}.{a.name}" for a in node.names]
-        elif isinstance(node, ast.Name):
-            names.append(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.append(node.attr)
-    return [n for n in names if {"lapack", "GESV"} & set(n.split("."))]
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] == "scipy" for m in modules) and not (
+                in_functions_ok and id(node) in inside):
+            found.append(ast.unparse(node))
+    return found
 
 
-@pytest.mark.parametrize("name", [m for m in MODULES if m != "linalg"])
-def test_lapack_only_in_linalg(name):
-    # every factorization goes through linalg.gesv, which holds the guard
+@pytest.mark.parametrize("name", MODULES)
+def test_scipy_imported_only_inside_linalg_functions(name):
+    # every factorization goes through linalg.solve_cells, which holds the
+    # guard, and only linalg.sqrtm and linalg.expm need scipy: they import
+    # it when called, so solve, sweep and check runs never load it
     source = Path(epslab.__file__).resolve().parent / f"{name}.py"
-    assert _lapack_uses(ast.parse(source.read_text())) == []
+    assert _scipy_imports(ast.parse(source.read_text()), name == "linalg") == []
 
 
-# the numpy factorizations that linalg.gesv does not run, per module
-UNGUARDED = {"multiplier": ["np.linalg.inv"],
-             "discretize": ["np.linalg.det", "np.linalg.solve"]}
+# the numpy factorizations that linalg.solve_cells does not guard, per
+# module; linalg's own is INV, the inverse its guard wraps
+UNGUARDED = {"multiplier": ["np.linalg.inv"], "linalg": ["np.linalg.inv"]}
 
 
 def _unguarded_uses(tree) -> list:
@@ -113,7 +120,7 @@ def _unguarded_uses(tree) -> list:
 
 @pytest.mark.parametrize("name", MODULES)
 def test_unguarded_factorizations_stay_where_stated(name):
-    # linalg's docstring names these as the LU factorizations gesv does not run
+    # linalg's docstring names these as the factorizations outside its guard
     source = Path(epslab.__file__).resolve().parent / f"{name}.py"
     assert _unguarded_uses(ast.parse(source.read_text())) == UNGUARDED.get(name, [])
 
