@@ -21,7 +21,7 @@ import numpy as np
 
 from . import exprparse
 from .linalg import (SectorialityReport, SingularMatrix, as_complex_matrix,
-                     check_positivity, inv, mat_solve, op_norm)
+                     check_positivity, inv, mat_solve, op_norm, solve_cells)
 
 __all__ = [
     "NonPositiveCoefficient", "ConditionReport",
@@ -396,22 +396,21 @@ def check_condition_2_1(pair: OperatorPair,
                         bc: Optional[BoundaryData] = None) -> ConditionReport:
     """Smallness of B against A: ||B|| < sup_t ||A (A+t)^-1||.
 
-    The supremum is sampled at RESOLVENT_T_SAMPLES, skipping any t where
-    A+t is singular (relevant when A has a kernel).  When a BoundaryData
-    is supplied its determinant d != 0 is recorded too.
+    The supremum is sampled at RESOLVENT_T_SAMPLES, whose resolvents are
+    one solve_cells stack, skipping any t where A+t is singular
+    (relevant when A has a kernel).  When a BoundaryData is supplied
+    its determinant d != 0 is recorded too.
     """
     norm_b = op_norm(pair.B)
-    eye = np.eye(pair.n)
-    sup = 0.0
-    sup_at = None
-    skipped = []
-    for t in RESOLVENT_T_SAMPLES:
-        try:
-            value = op_norm(pair.A @ mat_solve(pair.A + float(t) * eye, eye))
-        except SingularMatrix:
+    ts = np.array(RESOLVENT_T_SAMPLES, dtype=float)
+    resolvents, errors = solve_cells(pair.A + ts[:, None, None] * np.eye(pair.n))
+    sup, sup_at, skipped = 0.0, None, []
+    for t, R, error in zip(ts, resolvents, errors):
+        if isinstance(error, SingularMatrix):
             skipped.append(float(t))
-            continue
-        if value > sup:
+        elif error is not None:
+            raise error
+        elif (value := op_norm(pair.A @ R)) > sup:
             sup, sup_at = value, float(t)
     passed = norm_b < sup
     details = {"norm_B": norm_b, "sup_resolvent_ratio": sup,

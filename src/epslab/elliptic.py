@@ -1,7 +1,9 @@
 """Two-point solvers for -eps u'' + B u' + (A + lam) u = f on (0, T).
 
-In a joint eigenbasis the problem splits into n scalar ones, which
-full_solve solves exactly but for the load quadrature (_mode_solve).
+solve_batch solves one spec at several eps and is the one place that
+picks a route; full_solve is its batch of one.  In a joint eigenbasis
+the problem splits into n scalar ones, solved exactly but for the load
+quadrature (_mode_solve).
 The solution calculus, kept as a reference, factors the quadratic
 pencil through the square root R = (B^2 + 4 eps (A+lam))^(1/2):
 
@@ -16,14 +18,15 @@ written in the anchored, decaying form
 and the boundary functionals give a 2n x 2n block system for (g1, h2).
 The factorization is exact when A and B commute; otherwise the residual
 of the quadratic is (RB - BR)/(4 eps).  Pairs with no eigenbasis go to a
-block-tridiagonal finite difference scheme (direct_solve).  Two 2n x 2n
+block-tridiagonal finite difference scheme (direct_batch).  Two 2n x 2n
 end pivots absorb the two-node reach of the one-sided boundary
 derivatives; the nodes between share one stencil and are solved by
 odd-even block cyclic reduction, which inverts one block per distinct
 row class and level, O(log n_t) linalg.solve_cells calls in the data's
 dtype (float64 for real data).  The rcond guard of solve_cells sees
-each block and its coupling columns, never the load, so a load that
-overflows the sweep surfaces as "solution overflowed" at the end.
+each block and its coupling columns, never the load; the load and
+boundary vectors are scaled by a power of two, so only a solution past
+the float64 range surfaces, as "solution overflowed" at the end.
 direct_batch runs the scheme for several eps at once: the blocks carry
 a leading cell axis, each solve_cells call inverts the stack of the
 cells that have not failed, and a cell's failure is its own;
@@ -40,16 +43,17 @@ import numpy as np
 
 from . import exprparse
 from .discretize import BoundaryData, GridFunction, OperatorPair, SpaceGrid
-from .linalg import (BRANCH_CUT_RTOL, MIN_RCOND, Overflow, SingularMatrix,
+from .linalg import (BRANCH_CUT_RTOL, MIN_RCOND, NUMERICAL_ERRORS, Overflow, SingularMatrix,
                      SqrtNotConverged, expm, mat_solve, op_norm, solve_cells, sqrtm)
 
 __all__ = [
-    "ProblemSpec", "QSystem",
+    "ProblemSpec", "QSystem", "SOLVER_ERRORS",
     "compute_q_system",
-    "homogeneous_solution", "direct_batch", "direct_solve", "full_solve",
+    "homogeneous_solution", "direct_batch", "direct_solve", "full_solve", "solve_batch",
 ]
 
 PROPAGATOR_CAP = 1e6
+SOLVER_ERRORS = NUMERICAL_ERRORS + (ValueError,)
 
 
 def _positive_eps(eps) -> float:
@@ -344,6 +348,13 @@ def direct_batch(spec: ProblemSpec, eps_list, loads=None) -> list:
     f1, f2 = spec.bc.data_for(n)
     if not all(np.isfinite(x).all() for x in (fvals, f1, f2)):
         return [ValueError("array must not contain infs or NaNs")] * cells
+    # u is linear in the data: solve for the data over 2^(e-1), e the
+    # exponent of their largest component, so that a load near the
+    # float64 limit keeps the sweep finite; powers of two scale exactly
+    top = max(np.abs(part).max(initial=0.0)
+              for x in (fvals, f1, f2) for part in (x.real, x.imag))
+    scale = np.ldexp(1.0, int(np.frexp(top)[1]) - 1)
+    fvals, f1, f2 = fvals / scale, f1 / scale, f2 / scale
     # L1 on (u_0, u_1, u_2) and L2 on (u_{N-3}, u_{N-2}, u_{N-1}), per cell
     left = spec.bc.apply(1, np.array([1.0, 0.0, 0.0]),
                          np.array([-3.0, 4.0, -1.0]) / (2 * h), eps[:, None])
@@ -388,6 +399,7 @@ def direct_batch(spec: ProblemSpec, eps_list, loads=None) -> list:
         u[:, 2:N - 2] = _cyclic_reduction(kinds, cls, load, fails)
         u[:, :2] = first[..., n] - (first[..., :n] @ u[:, None, 2, :, None])[..., 0]
         u[:, N - 2:] = last[..., n] - (last[..., :n] @ u[:, None, N - 3, :, None])[..., 0]
+        u *= scale
     out = []
     for fail, ui in zip(fails, u):
         if fail is None and not np.isfinite(ui).all():
@@ -416,23 +428,42 @@ def direct_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     then in reduction order.  No inverted block depends on the load.
     Non-finite load or boundary data raise ValueError up
     front; after that, a block that leaves the finite range raises
-    Overflow, and so does a load that overflows anywhere, as "finite
+    Overflow, and so does a solution past the float64 range, as "finite
     difference solution overflowed to non-finite values".  This is the
     batch of one of direct_batch, which takes loads.
     """
-    u, = direct_batch(spec, [spec.eps], loads)
+    return _solo(direct_batch(spec, [spec.eps], loads))
+
+
+def full_solve(spec: ProblemSpec, loads=None) -> GridFunction:
+    """Solve the full problem: solve_batch's batch of one, failure raised."""
+    return _solo(solve_batch(spec, [spec.eps], loads))
+
+
+def _solo(cells: list) -> GridFunction:
+    u, = cells
     if isinstance(u, Exception):
         raise u
     return u
 
 
-def full_solve(spec: ProblemSpec, loads=None) -> GridFunction:
-    """Solve the full problem: the modes route for a pair with a joint
-    eigenbasis, direct_solve for any other; meta["path"] names the route.
-    loads, the load on spec.t_grid(), is sampled when None."""
+def solve_batch(spec: ProblemSpec, eps_list, loads=None) -> list:
+    """spec at every eps of eps_list: per eps, its GridFunction, whose
+    meta["path"] names the route, or the SOLVER_ERRORS its solve raised.
+    A pair without a joint eigenbasis is one direct_batch, any other is
+    solved eps by eps on the modes route.  loads is sampled when None;
+    an eps that is not finite and positive raises ValueError."""
     if spec.pair.joint_eigenbasis is None:
-        return direct_solve(spec, loads)
-    return _mode_solve(spec, loads)
+        return direct_batch(spec, eps_list, loads)
+    if loads is None and spec.f is not None:
+        loads = spec.f_samples(spec.t_grid())
+    out = []
+    for eps in [_positive_eps(e) for e in eps_list]:
+        try:
+            out.append(_mode_solve(spec, eps, loads))
+        except SOLVER_ERRORS as exc:
+            out.append(exc)
+    return out
 
 
 # nodes of the load interpolant per step; a 4-node cubic was off by
@@ -500,8 +531,8 @@ def _scan(P, x, step) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _mode_solve(spec: ProblemSpec, loads=None) -> GridFunction:
-    """Solve a pair with a joint eigenbasis mode by mode ("modes").
+def _mode_solve(spec: ProblemSpec, eps: float, loads) -> GridFunction:
+    """Solve a pair with a joint eigenbasis at eps mode by mode ("modes").
 
     Mode a, b of the basis solves -eps u'' + b u' + c u = f, c = a + lam,
     as u = (x + y)/s + alpha e^(r- t) + beta e^(r+ (t - T)).  Here s is
@@ -518,7 +549,7 @@ def _mode_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     MIN_RCOND and Overflow for a solution that is not finite.
     """
     V, Vinv, a, b = spec.pair.joint_eigenbasis
-    eps, t, n, N = spec.eps, spec.t_grid(), spec.n, spec.n_t
+    t, n, N = spec.t_grid(), spec.n, spec.n_t
     h, c = t[1] - t[0], a + spec.lam
     m = b * b + 4.0 * eps * c
     tol = BRANCH_CUT_RTOL * np.abs(m).max()
@@ -532,8 +563,6 @@ def _mode_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     large, small = q / (2.0 * eps), -2.0 * c / q
     r_minus, r_plus = np.where(plus, small, large), np.where(plus, large, small)
     f1, f2 = (Vinv @ f for f in spec.bc.data_for(n))
-    if loads is None and spec.f is not None:
-        loads = spec.f_samples(t)
     if not all(np.isfinite(x).all() for x in (f1, f2, () if loads is None else loads)):
         raise ValueError("array must not contain infs or NaNs")
     loaded = loads is not None and loads.any()
@@ -544,9 +573,7 @@ def _mode_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     # basis both ways
     E, *xy_FV = np.empty((3 if loaded else 1, N, 2 * n), dtype=np.complex128)
     # L1 and L2 of e^(r t) per unit value at their ends, r = r-, r+
-    (a0, a1), (b0, b1) = spec.bc.alpha, spec.bc.beta
-    L1 = a0 + np.sqrt(eps) * a1 * np.stack([r_minus, r_plus])
-    L2 = b0 + np.sqrt(eps) * b1 * np.stack([r_minus, r_plus])
+    L1, L2 = (spec.bc.apply(k, 1.0, np.stack([r_minus, r_plus]), eps) for k in (1, 2))
     z = np.concatenate([r_minus, -r_plus]) * h   # both decay if Re r- < 0 < Re r+
     P = np.exp(z)
     if loaded:

@@ -15,8 +15,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .discretize import GridFunction, check_p, e_norm, kfunctional_norm, mixed_norm
-from .elliptic import ProblemSpec, direct_batch, full_solve
-from .linalg import NUMERICAL_ERRORS, Overflow, op_norm
+from .elliptic import SOLVER_ERRORS, ProblemSpec, full_solve, solve_batch
+from .linalg import Overflow, op_norm
 from .parabolic import build_MN, cauchy_solve
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "layer_norm_sweep", "convergence_study", "time_derivatives",
 ]
 
-SOLVER_ERRORS = NUMERICAL_ERRORS + (ValueError,)
 DECAY_N_SAMPLES = 25
 LAYER_N_T_SAMPLES = 9
 LAYER_T_FRAC = 0.5
@@ -182,34 +181,18 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
 
     Rows come in input order, eps fastest within each lam.  The load
     samples and the data norms, which depend on neither eps nor lam, are
-    computed once per sweep, and every solve takes those samples.  A
-    pair with a joint eigenbasis solves and measures cell by cell on the
-    modes route; any other pair solves the cells of one lam as one
-    finite difference batch (direct_batch), and each cell is measured
-    right after its batch.  An inadmissible p raises before any cell
-    runs.
+    computed once per sweep, and every solve takes those samples.  The
+    cells of one lam are one elliptic.solve_batch, and each cell is
+    measured right after its batch.  An inadmissible p raises before any
+    cell runs.
     """
     base.bc.theta(p)
     try:
         data = _data_terms(base, p)
     except SOLVER_ERRORS as exc:
         return [_failed_report(eps, lam, p, str(exc)) for lam in lam_list for eps in eps_list]
-    if base.pair.joint_eigenbasis is not None:
-        return [_cell_report(_solve_or_error(dataclasses.replace(base, eps=eps, lam=lam),
-                                             data.loads), eps, lam, p, data)
-                for lam in lam_list for eps in eps_list]
-    reports = []
-    for lam in lam_list:
-        reports += [_cell_report(u, eps, lam, p, data) for eps, u in zip(
-            eps_list, direct_batch(dataclasses.replace(base, lam=lam), eps_list, data.loads))]
-    return reports
-
-
-def _solve_or_error(spec: ProblemSpec, loads):
-    try:
-        return full_solve(spec, loads)
-    except SOLVER_ERRORS as exc:
-        return exc
+    return [_cell_report(u, eps, lam, p, data) for lam in lam_list for eps, u in zip(
+        eps_list, solve_batch(dataclasses.replace(base, lam=lam), eps_list, data.loads))]
 
 
 def _cell_report(u, eps, lam, p: float, data: _DataTerms) -> EstimateReport:

@@ -1,22 +1,24 @@
 """Dense matrix kernels shared by every solver in the package.
 
-Every dense solve of the package runs through solve_cells, which
-inverts its matrices by numpy's LAPACK (np.linalg.inv, called through
-the name INV) and states the guard once: a matrix whose reciprocal
-1-norm condition number rcond = 1/(||M||_1 ||M^-1||_1) falls below
-MIN_RCOND is refused, and the right-hand sides are one GEMM with the
-inverse.  The rcond is exact, not estimated, and M is not equilibrated.
-solve_cells takes a stack of matrices, inverts it in one call and
-reports a failure per matrix; mat_solve and inv are its one-matrix
-forms, and mat_solve adds shape checks and works in float64 when matrix
-and right-hand side are both real, in complex128 otherwise.  The one
-numpy factorization outside the guard is multiplier's resolvent
-inverse.  The rest of the operator calculus runs on explicit complex
-matrices: the principal matrix square root by the Schur method of
-Bjorck & Hammarling (scipy.linalg.sqrtm) behind a spectrum check, a
-capped matrix exponential (scipy.linalg.expm), the spectral operator
-norm from the SVD, and the resolvent-bound scan used to certify that an
-operator behaves like a positive one.  scipy is imported inside sqrtm
+Every dense solve of the package but two runs through solve_cells,
+which inverts its matrices by numpy's LAPACK (np.linalg.inv, called
+through the name INV) and states the guard once: a matrix whose
+reciprocal 1-norm condition number rcond = 1/(||M||_1 ||M^-1||_1) falls
+below MIN_RCOND is refused, and the right-hand sides are one GEMM with
+the inverse.  The rcond is exact, not estimated, and M is not
+equilibrated.  solve_cells takes a stack of matrices, inverts it in one
+call and reports a failure per matrix; mat_solve and inv are its
+one-matrix forms, and mat_solve adds shape checks and works in float64
+when matrix and right-hand side are both real, in complex128 otherwise.
+The two outside the guard are multiplier's resolvent inverse and
+elliptic._mode_solve's n 2 x 2 boundary systems, solved by Cramer's
+rule behind a scaled-determinant guard of its own.  The rest of the
+operator calculus runs on explicit complex matrices: the principal
+matrix square root by the Schur method of Bjorck & Hammarling
+(scipy.linalg.sqrtm) behind a spectrum check, a capped matrix
+exponential (scipy.linalg.expm), the spectral operator norm from the
+SVD, and the resolvent-bound scan used to certify that an operator
+behaves like a positive one.  scipy is imported inside sqrtm
 and expm only, so a run that calls neither never loads it.
 """
 from __future__ import annotations

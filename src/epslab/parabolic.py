@@ -52,7 +52,6 @@ def cauchy_solve(spec: ProblemSpec, u0) -> GridFunction:
     t = spec.t_grid()
     h = t[1] - t[0]
     E = expm(-h * G)
-    Eh = expm(-h * G / 2.0)
     if spec.f is None:
         u = _orbit(E, u0, spec.n_t)
     else:
@@ -60,7 +59,7 @@ def cauchy_solve(spec: ProblemSpec, u0) -> GridFunction:
         u[0] = u0
         fmid = spec.f_samples(t[:-1] + h / 2.0)
         binv_f = mat_solve(spec.pair.B, fmid.T).T
-        c = h * (binv_f @ Eh.T)
+        c = h * (binv_f @ expm(-h * G / 2.0).T)
         for i in range(spec.n_t - 1):
             u[i + 1] = E @ u[i] + c[i]
     return GridFunction(t, u, meta={"path": "cauchy"})

@@ -452,6 +452,16 @@ class TestConditions:
         pair = OperatorPair([[1.0]], [[1.5]])
         assert not check_condition_2_1(pair).passed
 
+    def test_condition_2_1_all_zero_scan_has_no_maximizer(self):
+        # A = 0: the shift t = 0 is singular and skipped, every other
+        # ratio is 0, and the strict comparison records no sup_at_t
+        pair = OperatorPair(np.zeros((2, 2)), np.zeros((2, 2)), check_positive=False)
+        rep = check_condition_2_1(pair)
+        assert rep.details["skipped_t"] == [0.0]
+        assert rep.details["sup_resolvent_ratio"] == 0.0
+        assert rep.details["sup_at_t"] is None
+        assert not rep.passed
+
     def test_condition_2_1_skips_singular_shift(self):
         g = SpaceGrid.uniform_interior(8)
         A = build_wentzell_operator(g, 1.0, 0.0)

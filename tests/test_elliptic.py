@@ -6,7 +6,7 @@ import pytest
 from epslab.discretize import BoundaryData, OperatorPair, SpaceGrid
 from epslab.elliptic import (
     ProblemSpec, QSystem, _boundary_matrix, _orbit, compute_q_system, direct_solve,
-    direct_batch, full_solve, homogeneous_solution, mode_derivatives,
+    direct_batch, full_solve, homogeneous_solution, mode_derivatives, solve_batch,
 )
 from epslab import linalg
 from epslab.linalg import Overflow, SingularMatrix, op_norm, sqrtm
@@ -535,6 +535,43 @@ def test_direct_solve_raises_when_the_solution_overflows(lam):
     assert np.abs(unit).max() > np.finfo(float).max / 1e308
     with pytest.raises(Overflow, match="non-finite"):
         direct_solve(_load_spec(lam, 1e308))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [3.0, 3 + 2j], ids=["float64", "complex128"])
+def test_direct_solve_of_1e308_at_every_node_is_its_scaled_unit_solve(lam):
+    # the true max|u| is 3.3e307 (2.8e307 for the complex lam); the data
+    # enter the sweep scaled by a power of two, so no intermediate overflows
+    unit = direct_solve(_load_spec(lam, 1.0, data=0.0)).values
+    u = direct_solve(_load_spec(lam, 1e308, data=0.0)).values
+    assert 2.5e307 < np.abs(u).max() < 3.5e307
+    assert np.abs(u - 1e308 * unit).max() <= 1e-15 * 1e308
+    # and that scaling is exact: a power-of-two load is its unit solve, bit for bit
+    assert np.array_equal(direct_solve(_load_spec(lam, 2.0 ** 1000, data=0.0)).values,
+                          2.0 ** 1000 * unit)
+
+
+def test_solve_batch_returns_a_failed_modes_cell_as_its_value():
+    # at lam = -5+1j the modes of eps = 1e-6 grow past float64 over (0, 1)
+    pair = OperatorPair([[1.0]], [[0.005]], check_positive=False)
+    spec = ProblemSpec(pair=pair, eps=1.0, lam=-5 + 1j, T=1.0, bc=dn_bc(), f="1", n_t=51)
+    eps_list = [1e-2, 1e-6, 1.0]
+    cells = solve_batch(spec, eps_list)
+    assert isinstance(cells[1], Overflow)
+    assert str(cells[1]) == "semigroup orbit left the representable range"
+    with pytest.raises(Overflow, match=str(cells[1])):
+        full_solve(dataclasses.replace(spec, eps=1e-6))
+    for eps, u in zip(eps_list[::2], cells[::2]):
+        assert u.meta == {"path": "modes"}
+        assert np.array_equal(u.values, full_solve(dataclasses.replace(spec, eps=eps)).values)
+
+
+@pytest.mark.parametrize("pair", [commuting_pair(3, 1), make_wentzell_pair(n_y=4)],
+                         ids=["modes", "direct"])
+def test_solve_batch_raises_for_an_inadmissible_eps(pair):
+    spec = ProblemSpec(pair=pair, eps=1.0, lam=1.0, T=1.0, bc=dn_bc(), n_t=21)
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        solve_batch(spec, [1.0, -1.0])
 
 
 class TestFullSolve:

@@ -273,6 +273,20 @@ def test_commuting_sweep_samples_the_load_once(monkeypatch):
     assert counts["load"] == 1
 
 
+def test_modes_sweep_records_each_failed_cell_as_its_row():
+    # at lam = -5+1j the orbit of the eps = 1e-6 cell overflows on the
+    # modes route; that cell is an error row and its neighbours are
+    # their solo reports
+    pair = OperatorPair(np.array([[1.0]]), np.array([[0.005]]), check_positive=False)
+    base = dataclasses.replace(uniformity_base("scalar", n_t=51), pair=pair, f="1")
+    eps_list = [1e-2, 1e-6, 1.0]
+    reps = uniformity_sweep(base, eps_list, [-5 + 1j])
+    assert [r.status for r in reps] == [
+        "ok", "error: semigroup orbit left the representable range", "ok"]
+    for eps, rep in zip(eps_list[::2], reps[::2]):
+        assert rep == coercive_report(dataclasses.replace(base, eps=eps, lam=-5 + 1j))
+
+
 @pytest.mark.filterwarnings("error")
 def test_report_with_an_overflowing_norm_is_an_error():
     # at p = 1e300 every mixed norm overflows to inf, which is no measurement

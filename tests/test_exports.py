@@ -125,6 +125,20 @@ def test_unguarded_factorizations_stay_where_stated(name):
     assert _unguarded_uses(ast.parse(source.read_text())) == UNGUARDED.get(name, [])
 
 
+def test_estimates_leaves_the_route_choice_to_solve_batch():
+    # elliptic.solve_batch alone picks the modes or the finite difference route
+    source = Path(epslab.__file__).resolve().parent / "estimates.py"
+    names = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name for a in node.names}
+    assert names & {"joint_eigenbasis", "direct_batch"} == set()
+
+
 # process-wide allocator and thread-pool settings: the package measures
 # its speed as it is deployed and sets none of them
 FORBIDDEN_SETTINGS = ("mallopt", "MALLOC_", "OPENBLAS_NUM_THREADS",

@@ -5,6 +5,7 @@ from scipy.integrate import solve_ivp
 from epslab.discretize import BoundaryData, OperatorPair, SpaceGrid
 from epslab.elliptic import ProblemSpec, homogeneous_solution
 from epslab.linalg import Overflow, SingularMatrix
+from epslab import parabolic
 from epslab.parabolic import build_MN, cauchy_solve
 
 
@@ -114,6 +115,17 @@ def test_second_order_in_time():
     r1 = np.log2(errs[0] / errs[1])
     r2 = np.log2(errs[1] / errs[2])
     assert r1 > 1.9 and r2 > 1.9
+
+
+def test_only_a_load_takes_the_half_step_exponential(monkeypatch):
+    # exp(-T G) for the stability cap and the step exp(-h G) always;
+    # exp(-h G / 2) only for the midpoint forcing of a load
+    calls, expm = [], parabolic.expm
+    monkeypatch.setattr(parabolic, "expm", lambda M: calls.append(M) or expm(M))
+    cauchy_solve(limit_spec(scalar_pair(), 1.0, 1.0), np.array([1.0]))
+    assert len(calls) == 2
+    cauchy_solve(limit_spec(scalar_pair(), 1.0, 1.0, f="1"), np.array([1.0]))
+    assert len(calls) == 5
 
 
 def test_unstable_drift_raises():
