@@ -1,9 +1,9 @@
 """Two-point solvers for -eps u'' + B u' + (A + lam) u = f on (0, T).
 
-solve_batch solves one spec at several eps and is the one place that
-picks a route; full_solve is its batch of one.  In a joint eigenbasis
-the problem splits into n scalar ones, solved exactly but for the load
-quadrature (_mode_solve).
+solve_batch solves one spec at several (eps, lam) cells and is the one
+place that picks a route; full_solve is its batch of one.  In a joint
+eigenbasis the problem splits into n scalar ones, solved exactly but for
+the load quadrature (_mode_solve).
 The solution calculus, kept as a reference, factors the quadratic
 pencil through the square root R = (B^2 + 4 eps (A+lam))^(1/2):
 
@@ -27,10 +27,10 @@ dtype (float64 for real data).  The rcond guard of solve_cells sees
 each block and its coupling columns, never the load; the load and
 boundary vectors are scaled by a power of two, so only a solution past
 the float64 range surfaces, as "solution overflowed" at the end.
-direct_batch runs the scheme for several eps at once: the blocks carry
-a leading cell axis, each solve_cells call inverts the stack of the
-cells that have not failed, and a cell's failure is its own;
-direct_solve is its batch of one.
+direct_batch runs the scheme for several (eps, lam) cells at once: the
+blocks carry a leading cell axis, each solve_cells call inverts the
+stack of the cells that have not failed, and a cell's failure is its
+own; direct_solve is its batch of one.
 """
 from __future__ import annotations
 
@@ -258,6 +258,22 @@ def _solve_live(fails: list, M, coupling, load) -> np.ndarray:
     return X
 
 
+def _rows(index: np.ndarray):
+    """index as a slice when it is an increasing arithmetic progression,
+    so that indexing by it makes views and not copies, else index itself."""
+    step = index[1] - index[0] if len(index) > 1 else 1
+    if step > 0 and (np.diff(index) == step).all():
+        return slice(int(index[0]), int(index[-1]) + 1, int(step))
+    return index
+
+
+def _shifted(rows, by: int):
+    """rows moved on by `by` places; a slice stays a slice."""
+    if isinstance(rows, slice):
+        return slice(rows.start + by, rows.stop + by, rows.step)
+    return rows + by
+
+
 def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
                       fails: list) -> np.ndarray:
     """Solve L_i x_{i-1} + D_i x_i + U_i x_{i+1} = load_i by odd-even reduction.
@@ -271,10 +287,12 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
     loads] gives x_j = y_j - alpha x_{j-1} - beta x_{j+1}.  A kept row's
     class becomes the triple of the classes of its left neighbour, itself
     and its right neighbour, and per triple batched GEMMs update its load
-    and then its blocks.  The guard sees each block and its [L | U]
-    columns, not the load; the first failing inverse of a cell in
-    reduction order goes to fails (_solve_live), and that cell's rows of
-    the result mean nothing.  The caller holds the errstate.
+    and then its blocks.  The rows of a class are indexed by a slice
+    whenever they are evenly spaced (_rows), which with a first, an
+    interior and a last class they all are.  The guard sees each block
+    and its [L | U] columns, not the load; the first failing inverse of a
+    cell in reduction order goes to fails (_solve_live), and that cell's
+    rows of the result mean nothing.  The caller holds the errstate.
     """
     n = load.shape[2]
     levels = []
@@ -283,7 +301,7 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
         y = np.empty_like(load)
         elim = {}
         for c in np.unique(cls[1::2]):
-            rows = 2 * np.flatnonzero(cls[1::2] == c) + 1
+            rows = _rows(2 * np.flatnonzero(cls[1::2] == c) + 1)
             L, D, U = kinds[c]
             coupling = L if U is None else np.concatenate([L, U], axis=2)
             X = _solve_live(fails, D, coupling, load[:, rows].mT)
@@ -296,18 +314,19 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
         K = len(kinds) + 1
         codes, new_cls = np.unique((left + 1) * K * K + cls[keep] * K + right + 1,
                                    return_inverse=True)
-        new_kinds, new_load = [], load[:, keep]
+        new_kinds, new_load = [], load[:, ::2].copy()
         for j, code in enumerate(codes):
             l, s, r = code // (K * K) - 1, code // K % K, code % K - 1
             L, D, U = kinds[s]
-            rows = keep[new_cls == j]
+            kept = np.flatnonzero(new_cls == j)
+            rows, half = _rows(2 * kept), _rows(kept)
             if l >= 0:
                 _, alpha, beta = elim[l]
-                new_load[:, rows // 2] -= y[:, rows - 1] @ L.mT
+                new_load[:, half] -= y[:, _shifted(rows, -1)] @ L.mT
                 L, D = -L @ alpha, D - L @ beta
             if r >= 0:
                 _, alpha, beta = elim[r]
-                new_load[:, rows // 2] -= y[:, rows + 1] @ U.mT
+                new_load[:, half] -= y[:, _shifted(rows, 1)] @ U.mT
                 D, U = D - U @ alpha, None if beta is None else -U @ beta
             new_kinds.append((L, D, U))
         levels.append((m, y, elim))
@@ -318,32 +337,47 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
         x_kept, x = x, np.empty((len(fails), m, n), dtype=x.dtype)
         x[:, 0::2] = x_kept
         for rows, alpha, beta in elim.values():
-            x[:, rows] = y[:, rows] - x[:, rows - 1] @ alpha.mT
+            x[:, rows] = y[:, rows] - x[:, _shifted(rows, -1)] @ alpha.mT
             if beta is not None:
-                x[:, rows] -= x[:, rows + 1] @ beta.mT
+                x[:, rows] -= x[:, _shifted(rows, 1)] @ beta.mT
     return x
 
 
-def direct_batch(spec: ProblemSpec, eps_list, loads=None) -> list:
+def _cell_lams(spec: ProblemSpec, lams, cells: int) -> list:
+    """lams as one complex lam per cell; spec.lam for every cell when None."""
+    if lams is None:
+        return [spec.lam] * cells
+    lams = [complex(lam) for lam in lams]
+    if len(lams) != cells:
+        raise ValueError(f"{len(lams)} lams for {cells} eps")
+    return lams
+
+
+def direct_batch(spec: ProblemSpec, eps_list, loads=None, lams=None) -> list:
     """direct_solve of spec at every eps of eps_list, as one batch.
 
-    The cells share everything but eps: the row classes of the cyclic
-    reduction, the load samples (loads, the load on spec.t_grid(), is
-    sampled here when None) and the float64/complex128 choice, float64
-    when A + lam, B, the load, the boundary vectors and every cell's two
-    boundary rows are real.  Blocks, end pivots, loads and the back
+    Cell i solves at eps_list[i] and lams[i], or at spec.lam for every
+    cell when lams is None.  The cells share everything else: the row
+    classes of the cyclic reduction, the load samples (loads, the load on
+    spec.t_grid(), is sampled here when None) and the float64/complex128
+    choice, float64 only when every cell is real: its A + lam, B, the
+    load, the boundary vectors and its two boundary rows.  A real cell
+    batched with a complex one so runs in complex128, within roundoff of
+    its solo solve.  Blocks, end pivots, loads and the back
     substitution are (cells, ...) stacks, and every factorization is one
     linalg.solve_cells call over the stack, whose guard judges each cell
     apart.  Returns, per cell, its GridFunction or the exception a solo
     direct_solve raises for it; a failed cell gets no further
     factorization and leaves the other cells' numbers as they are.  An
-    eps that is not finite and positive raises ValueError.
+    eps that is not finite and positive, or a lams of another length than
+    eps_list, raises ValueError.
     """
     eps = np.array([_positive_eps(e) for e in eps_list])
     t = spec.t_grid()
     h = t[1] - t[0]
     n, N, cells = spec.n, spec.n_t, len(eps)
-    B, A_lam = spec.pair.B, spec.A_lam
+    lam = np.array(_cell_lams(spec, lams, cells))
+    B, A_lam = spec.pair.B, spec.pair.A + lam[:, None, None] * np.eye(n)
     fvals = spec.f_samples(t) if loads is None else loads
     f1, f2 = spec.bc.data_for(n)
     if not all(np.isfinite(x).all() for x in (fvals, f1, f2)):
@@ -447,20 +481,24 @@ def _solo(cells: list) -> GridFunction:
     return u
 
 
-def solve_batch(spec: ProblemSpec, eps_list, loads=None) -> list:
-    """spec at every eps of eps_list: per eps, its GridFunction, whose
+def solve_batch(spec: ProblemSpec, eps_list, loads=None, lams=None) -> list:
+    """spec at every cell (eps_list[i], lams[i]), lam being spec.lam for
+    every cell when lams is None: per cell, its GridFunction, whose
     meta["path"] names the route, or the SOLVER_ERRORS its solve raised.
-    A pair without a joint eigenbasis is one direct_batch, any other is
-    solved eps by eps on the modes route.  loads is sampled when None;
-    an eps that is not finite and positive raises ValueError."""
+    A pair without a joint eigenbasis is one direct_batch over all the
+    cells, whatever their lam; any other is solved cell by cell on the
+    modes route.  loads is sampled when None; an eps that is not finite
+    and positive, or a lams of another length, raises ValueError."""
     if spec.pair.joint_eigenbasis is None:
-        return direct_batch(spec, eps_list, loads)
+        return direct_batch(spec, eps_list, loads, lams)
+    eps_list = [_positive_eps(e) for e in eps_list]
+    lams = _cell_lams(spec, lams, len(eps_list))
     if loads is None and spec.f is not None:
         loads = spec.f_samples(spec.t_grid())
     out = []
-    for eps in [_positive_eps(e) for e in eps_list]:
+    for eps, lam in zip(eps_list, lams):
         try:
-            out.append(_mode_solve(spec, eps, loads))
+            out.append(_mode_solve(spec, eps, lam, loads))
         except SOLVER_ERRORS as exc:
             out.append(exc)
     return out
@@ -531,8 +569,8 @@ def _scan(P, x, step) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _mode_solve(spec: ProblemSpec, eps: float, loads) -> GridFunction:
-    """Solve a pair with a joint eigenbasis at eps mode by mode ("modes").
+def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, loads) -> GridFunction:
+    """Solve a pair with a joint eigenbasis at eps and lam mode by mode ("modes").
 
     Mode a, b of the basis solves -eps u'' + b u' + c u = f, c = a + lam,
     as u = (x + y)/s + alpha e^(r- t) + beta e^(r+ (t - T)).  Here s is
@@ -550,7 +588,7 @@ def _mode_solve(spec: ProblemSpec, eps: float, loads) -> GridFunction:
     """
     V, Vinv, a, b = spec.pair.joint_eigenbasis
     t, n, N = spec.t_grid(), spec.n, spec.n_t
-    h, c = t[1] - t[0], a + spec.lam
+    h, c = t[1] - t[0], a + lam
     m = b * b + 4.0 * eps * c
     tol = BRANCH_CUT_RTOL * np.abs(m).max()
     on_cut = (np.abs(m.imag) <= tol) & (m.real <= tol)

@@ -43,21 +43,31 @@ def _lam_pow(mod: float, e: float) -> float:
     return mod ** e
 
 
-def time_derivatives(u: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
-    """First and second t-derivatives, O(h^2), one-sided at the ends."""
-    v = u.values
+def _derivative(u: GridFunction, order: int, out: np.ndarray) -> np.ndarray:
+    """The first or second t-derivative of u into out, O(h^2), one-sided
+    at the ends; the interior stencil runs in place in out."""
+    v, h = u.values, u.dt
     if u.n_t < 4:
         raise ValueError("need at least 4 time nodes for derivatives")
-    h = u.dt
-    du = np.empty_like(v)
-    ddu = np.empty_like(v)
-    du[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-    du[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-    du[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-    ddu[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2
-    ddu[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
-    ddu[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
-    return du, ddu
+    inner = out[1:-1]
+    if order == 1:
+        np.subtract(v[2:], v[:-2], out=inner)
+        inner /= 2 * h
+        out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+        out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+    else:
+        np.subtract(v[2:], np.multiply(2, v[1:-1], out=inner), out=inner)
+        inner += v[:-2]
+        inner /= h**2
+        out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
+        out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
+    return out
+
+
+def time_derivatives(u: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
+    """First and second t-derivatives, O(h^2), one-sided at the ends."""
+    return (_derivative(u, 1, np.empty_like(u.values)),
+            _derivative(u, 2, np.empty_like(u.values)))
 
 
 @dataclass(frozen=True)
@@ -126,15 +136,19 @@ def _data_terms(spec: ProblemSpec, p: float) -> _DataTerms:
 @np.errstate(over="ignore", invalid="ignore")
 def _measure(u: GridFunction, eps: float, lam: complex, p: float,
              data: _DataTerms) -> EstimateReport:
-    """The coercive report of the solve u at (eps, lam); see coercive_report."""
+    """The coercive report of the solve u at (eps, lam); see coercive_report.
+
+    One scratch array of u's shape holds u', then u'', then Au, each
+    measured by mixed_norm before the next overwrites it.
+    """
     w = data.weights
-    t = u.t
-    du, ddu = time_derivatives(u)
-    norms = [mixed_norm(u, p=p, weights=w),
-             mixed_norm(GridFunction(t, du), p=p, weights=w),
-             mixed_norm(GridFunction(t, ddu), p=p, weights=w)]
-    au = (data.A @ u.values.T).T
-    au_norm = mixed_norm(GridFunction(t, au), p=p, weights=w)
+    scratch = GridFunction(u.t, np.empty_like(u.values))
+    norms = [mixed_norm(u, p=p, weights=w)]
+    for order in (1, 2):
+        _derivative(u, order, scratch.values)
+        norms.append(mixed_norm(scratch, p=p, weights=w))
+    np.matmul(u.values, data.A.T, out=scratch.values)
+    au_norm = mixed_norm(scratch, p=p, weights=w)
     mod = abs(lam)
     main, alt = [], []
     for j in range(3):
@@ -182,17 +196,22 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
     Rows come in input order, eps fastest within each lam.  The load
     samples and the data norms, which depend on neither eps nor lam, are
     computed once per sweep, and every solve takes those samples.  The
-    cells of one lam are one elliptic.solve_batch, and each cell is
-    measured right after its batch.  An inadmissible p raises before any
-    cell runs.
+    whole grid is one elliptic.solve_batch, so the sweep holds every
+    cell's solution at once, and the cells are measured after it.  An
+    empty eps or lam list gives no rows; an inadmissible p raises before
+    any cell runs.
     """
     base.bc.theta(p)
+    cells = [(eps, lam) for lam in lam_list for eps in eps_list]
+    if not cells:
+        return []
     try:
         data = _data_terms(base, p)
     except SOLVER_ERRORS as exc:
-        return [_failed_report(eps, lam, p, str(exc)) for lam in lam_list for eps in eps_list]
-    return [_cell_report(u, eps, lam, p, data) for lam in lam_list for eps, u in zip(
-        eps_list, solve_batch(dataclasses.replace(base, lam=lam), eps_list, data.loads))]
+        return [_failed_report(eps, lam, p, str(exc)) for eps, lam in cells]
+    eps_col, lam_col = zip(*cells)
+    return [_cell_report(u, eps, lam, p, data) for (eps, lam), u in zip(
+        cells, solve_batch(base, eps_col, data.loads, lam_col))]
 
 
 def _cell_report(u, eps, lam, p: float, data: _DataTerms) -> EstimateReport:

@@ -501,6 +501,28 @@ class TestNorms:
         np.testing.assert_array_equal(e_norm(v, w), [e_norm(row, w) for row in v])
         assert e_norm([1e200, 1e200]) == np.inf
 
+    @pytest.mark.parametrize("n", [1, 3, 16, 17, 64, 257])
+    def test_e_norm_within_4_ulp_of_extended_precision(self, n):
+        ext = np.longdouble
+        if np.finfo(ext).eps >= np.finfo(float).eps:
+            pytest.skip("long double is no wider than float64 here")
+        rng = np.random.default_rng(n)
+        for scale in (1e-150, 1.0, 1e150):
+            v = scale * (rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n)))
+            w = rng.uniform(0.1, 2.0, n)
+            ref = np.sqrt((w.astype(ext) * (v.real.astype(ext) ** 2
+                                             + v.imag.astype(ext) ** 2)).sum(axis=-1))
+            err = np.abs(e_norm(v, w).astype(ext) - ref) / np.spacing(ref.astype(float))
+            assert err.max() <= 4
+
+    def test_e_norm_of_a_view_is_that_of_its_copy(self):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((60, 40)) + 1j * rng.standard_normal((60, 40))
+        w = rng.uniform(0.1, 2.0, 20)
+        for view in (v[::3, ::2], v[10:30, 3:23], v.T[5:25, 10:30], v[7, ::2]):
+            assert not view.flags.c_contiguous
+            np.testing.assert_array_equal(e_norm(view, w), e_norm(view.copy(), w))
+
     def test_mixed_norm_of_one(self):
         u = GridFunction(np.linspace(0, 1, 11), np.ones((11, 4)))
         assert mixed_norm(u, 2.0) == pytest.approx(1.0, abs=1e-14)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -18,8 +19,8 @@ from epslab.estimates import (ConvergenceRecord, DecayFit, EstimateReport,
 from epslab.linalg import Overflow, SingularMatrix
 from epslab.parabolic import cauchy_solve
 from epslab.presets import (convergence_problem, decay_base,
-                            dirichlet_neumann, make_wentzell_pair,
-                            uniformity_base)
+                            dirichlet_neumann, make_commuting_pair,
+                            make_wentzell_pair, uniformity_base)
 
 
 def l2_quad(fn, T=1.0):
@@ -67,6 +68,25 @@ def test_time_derivatives_needs_four_nodes():
     t = np.linspace(0, 1, 3)
     with pytest.raises(ValueError):
         time_derivatives(GridFunction(t, np.zeros((3, 1))))
+
+
+def test_measure_peaks_below_one_and_a_half_solutions():
+    # one scratch array holds u', u'' and Au in turn, and no norm makes a
+    # temporary of the solution's size
+    spec = ProblemSpec(pair=make_commuting_pair(n_y=16), eps=1e-2, lam=1.0, T=1.0,
+                       bc=dirichlet_neumann(16), f="exp(-64*(t-0.5)^2)*(1+0.2*y)", n_t=801)
+    data = estimates._data_terms(spec, 2.0)
+    u = full_solve(spec, data.loads)
+    want = estimates._measure(u, spec.eps, spec.lam, 2.0, data)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = estimates._measure(u, spec.eps, spec.lam, 2.0, data)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 1.5 * u.values.nbytes
 
 
 # ------------------------------------------------------- coercive_report
@@ -285,6 +305,49 @@ def test_modes_sweep_records_each_failed_cell_as_its_row():
         "ok", "error: semigroup orbit left the representable range", "ok"]
     for eps, rep in zip(eps_list[::2], reps[::2]):
         assert rep == coercive_report(dataclasses.replace(base, eps=eps, lam=-5 + 1j))
+
+
+@pytest.mark.parametrize("preset", ["wentzell", "commuting"])
+def test_sweep_is_one_solve_batch(monkeypatch, preset):
+    # the whole eps x lam grid goes to the solver at once, complex lam included
+    calls = []
+    solve_batch = estimates.solve_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_batch(*args, **kwargs)
+
+    monkeypatch.setattr(estimates, "solve_batch", counting)
+    reps = uniformity_sweep(uniformity_base(preset, n_t=51), [1.0, 1e-2], [1.0, 10.0, 3 + 2j])
+    assert [r.status for r in reps] == ["ok"] * 6
+    assert len(calls) == 1
+
+
+def test_mixed_lam_wentzell_sweep_matches_its_solo_reports():
+    # lam = 3+2j makes the batch complex128: those cells are their solo
+    # reports bit for bit.  The lam = 1 cells, which solve in float64
+    # alone, run in complex128 here, and the two arithmetics of one real
+    # FD system differ by its roundoff, measured at up to 4e-12 of a term
+    # at n_t 201 (eps 0.1) and 6e-11 at n_t 801 (eps 1)
+    base = uniformity_base("wentzell")
+    eps_list, lam_list = [1.0, 1e-2, 1e-4], [1.0, 3 + 2j]
+    reps = uniformity_sweep(base, eps_list, lam_list)
+    cells = [(eps, lam) for lam in lam_list for eps in eps_list]
+    assert [(r.eps, r.lam) for r in reps] == cells
+    for (eps, lam), rep in zip(cells, reps):
+        solo = coercive_report(dataclasses.replace(base, eps=eps, lam=lam))
+        assert rep.status == solo.status == "ok"
+        if lam.imag:
+            assert rep == solo
+        for got, want in zip(_report_numbers(rep), _report_numbers(solo)):
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("preset", ["wentzell", "commuting"])
+def test_sweep_of_an_empty_list_has_no_rows(preset):
+    base = uniformity_base(preset, n_t=51)
+    assert uniformity_sweep(base, [], [1.0, 10.0]) == []
+    assert uniformity_sweep(base, [1.0, 1e-2], []) == []
 
 
 @pytest.mark.filterwarnings("error")

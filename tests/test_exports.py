@@ -139,6 +139,19 @@ def test_estimates_leaves_the_route_choice_to_solve_batch():
     assert names & {"joint_eigenbasis", "direct_batch"} == set()
 
 
+def test_estimates_sweeps_by_one_solve_batch_call():
+    # a sweep hands its whole eps x lam grid to one solve_batch and never
+    # rebuilds its spec per lam
+    source = Path(epslab.__file__).resolve().parent / "estimates.py"
+    calls = [node for node in ast.walk(ast.parse(source.read_text()))
+             if isinstance(node, ast.Call)]
+    callees = [ast.unparse(node.func) for node in calls]
+    assert [c for c in callees if c.split(".")[-1] == "solve_batch"] == ["solve_batch"]
+    assert [ast.unparse(node) for node, callee in zip(calls, callees)
+            if callee.split(".")[-1] == "replace"
+            and any(k.arg == "lam" for k in node.keywords)] == []
+
+
 # process-wide allocator and thread-pool settings: the package measures
 # its speed as it is deployed and sets none of them
 FORBIDDEN_SETTINGS = ("mallopt", "MALLOC_", "OPENBLAS_NUM_THREADS",
