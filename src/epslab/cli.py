@@ -449,7 +449,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="scenario file (INI format)")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="ignored; a sweep solves the cells of each lambda "
+                        help="ignored; a sweep solves its whole eps x lambda grid "
                              "as one batch in one process")
     parser.add_argument("--preset", choices=PRESET_NAMES,
                         help="override [scenario] preset")

@@ -1,9 +1,9 @@
 """Two-point solvers for -eps u'' + B u' + (A + lam) u = f on (0, T).
 
-solve_batch solves one spec at several (eps, lam) cells and is the one
-place that picks a route; full_solve is its batch of one.  In a joint
-eigenbasis the problem splits into n scalar ones, solved exactly but for
-the load quadrature (_mode_solve).
+solve_batch solves one spec at a sequence of (eps, lam) cells and is the
+one place that picks a route; full_solve is its batch of one.  In a
+joint eigenbasis the problem splits into n scalar ones, solved exactly
+but for the load quadrature (_modes_batch, one _mode_solve per cell).
 The solution calculus, kept as a reference, factors the quadratic
 pencil through the square root R = (B^2 + 4 eps (A+lam))^(1/2):
 
@@ -258,20 +258,16 @@ def _solve_live(fails: list, M, coupling, load) -> np.ndarray:
     return X
 
 
-def _rows(index: np.ndarray):
-    """index as a slice when it is an increasing arithmetic progression,
-    so that indexing by it makes views and not copies, else index itself."""
+def _rows(index: np.ndarray) -> slice:
+    """The increasing, evenly spaced row indices index as a slice, so that
+    indexing by it makes views and not copies."""
     step = index[1] - index[0] if len(index) > 1 else 1
-    if step > 0 and (np.diff(index) == step).all():
-        return slice(int(index[0]), int(index[-1]) + 1, int(step))
-    return index
+    return slice(int(index[0]), int(index[-1]) + 1, int(step))
 
 
-def _shifted(rows, by: int):
-    """rows moved on by `by` places; a slice stays a slice."""
-    if isinstance(rows, slice):
-        return slice(rows.start + by, rows.stop + by, rows.step)
-    return rows + by
+def _shifted(rows: slice, by: int) -> slice:
+    """rows moved on by `by` places."""
+    return slice(rows.start + by, rows.stop + by, rows.step)
 
 
 def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
@@ -288,8 +284,8 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
     class becomes the triple of the classes of its left neighbour, itself
     and its right neighbour, and per triple batched GEMMs update its load
     and then its blocks.  The rows of a class are indexed by a slice
-    whenever they are evenly spaced (_rows), which with a first, an
-    interior and a last class they all are.  The guard sees each block
+    (_rows): with a first, an interior and a last class at the start,
+    every class's rows are evenly spaced.  The guard sees each block
     and its [L | U] columns, not the load; the first failing inverse of a
     cell in reduction order goes to fails (_solve_live), and that cell's
     rows of the result mean nothing.  The caller holds the errstate.
@@ -343,45 +339,33 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
     return x
 
 
-def _cell_lams(spec: ProblemSpec, lams, cells: int) -> list:
-    """lams as one complex lam per cell; spec.lam for every cell when None."""
-    if lams is None:
-        return [spec.lam] * cells
-    lams = [complex(lam) for lam in lams]
-    if len(lams) != cells:
-        raise ValueError(f"{len(lams)} lams for {cells} eps")
-    return lams
+def direct_batch(spec: ProblemSpec, cells, loads=None) -> list:
+    """direct_solve of spec at every (eps, lam) pair of cells, as one batch.
 
-
-def direct_batch(spec: ProblemSpec, eps_list, loads=None, lams=None) -> list:
-    """direct_solve of spec at every eps of eps_list, as one batch.
-
-    Cell i solves at eps_list[i] and lams[i], or at spec.lam for every
-    cell when lams is None.  The cells share everything else: the row
-    classes of the cyclic reduction, the load samples (loads, the load on
-    spec.t_grid(), is sampled here when None) and the float64/complex128
-    choice, float64 only when every cell is real: its A + lam, B, the
-    load, the boundary vectors and its two boundary rows.  A real cell
-    batched with a complex one so runs in complex128, within roundoff of
-    its solo solve.  Blocks, end pivots, loads and the back
-    substitution are (cells, ...) stacks, and every factorization is one
+    The cells share everything else: the row classes of the cyclic
+    reduction, the load samples (loads, the load on spec.t_grid(), is
+    sampled here when None) and the float64/complex128 choice, float64
+    only when every cell is real: its A + lam, B, the load, the boundary
+    vectors and its two boundary rows.  A real cell batched with a
+    complex one so runs in complex128, within roundoff of its solo
+    solve.  Blocks, end pivots, loads and the back substitution are
+    (cells, ...) stacks, and every factorization is one
     linalg.solve_cells call over the stack, whose guard judges each cell
     apart.  Returns, per cell, its GridFunction or the exception a solo
     direct_solve raises for it; a failed cell gets no further
     factorization and leaves the other cells' numbers as they are.  An
-    eps that is not finite and positive, or a lams of another length than
-    eps_list, raises ValueError.
+    eps that is not finite and positive raises ValueError.
     """
-    eps = np.array([_positive_eps(e) for e in eps_list])
+    eps = np.array([_positive_eps(e) for e, _ in cells])
+    lam = np.array([complex(z) for _, z in cells])
     t = spec.t_grid()
     h = t[1] - t[0]
-    n, N, cells = spec.n, spec.n_t, len(eps)
-    lam = np.array(_cell_lams(spec, lams, cells))
+    n, N, n_cells = spec.n, spec.n_t, len(eps)
     B, A_lam = spec.pair.B, spec.pair.A + lam[:, None, None] * np.eye(n)
     fvals = spec.f_samples(t) if loads is None else loads
     f1, f2 = spec.bc.data_for(n)
     if not all(np.isfinite(x).all() for x in (fvals, f1, f2)):
-        return [ValueError("array must not contain infs or NaNs")] * cells
+        return [ValueError("array must not contain infs or NaNs")] * n_cells
     # u is linear in the data: solve for the data over 2^(e-1), e the
     # exponent of their largest component, so that a load near the
     # float64 limit keeps the sweep finite; powers of two scale exactly
@@ -406,7 +390,7 @@ def direct_batch(spec: ProblemSpec, eps_list, loads=None, lams=None) -> list:
     left, right = left[:, :, None, None] * eye, right[:, :, None, None] * eye
 
     def column(v):
-        return np.broadcast_to(v[:, None], (cells, len(v), 1))
+        return np.broadcast_to(v[:, None], (n_cells, len(v), 1))
 
     with np.errstate(over="ignore", invalid="ignore"):
         # rows 0 and 1, L1 then the stencil; first[:, i] = [Uhat_i | r_i]
@@ -414,22 +398,22 @@ def direct_batch(spec: ProblemSpec, eps_list, loads=None, lams=None) -> list:
         P = np.block([[left[:, 0], left[:, 1]], [lower, diag]])
         rhs = np.block([[left[:, 2], column(f1)], [upper, column(fvals[1])]])
         first, fails = solve_cells(P, rhs)
-        first = first.reshape(cells, 2, n, n + 1)
+        first = first.reshape(n_cells, 2, n, n + 1)
         # the stencil at N-2, then L2; last[:, i] = [V_i | s_i] with
         # u_{N-2+i} = s_i - V_i u_{N-3}
         P = np.block([[diag, upper], [right[:, 1], right[:, 2]]])
         last = _solve_live(fails, P, np.concatenate([lower, right[:, 0]], axis=1),
                            column(np.concatenate([fvals[N - 2], f2])))
-        last = last.reshape(cells, 2, n, n + 1)
+        last = last.reshape(n_cells, 2, n, n + 1)
         D_first = diag - lower @ first[:, 1, :, :n]
         D_last = (D_first if N == 5 else diag) - upper @ last[:, 0, :, :n]
-        load = np.repeat(fvals[None, 2:N - 2], cells, axis=0)
+        load = np.repeat(fvals[None, 2:N - 2], n_cells, axis=0)
         load[:, 0] -= (lower @ first[:, 1, :, n:])[..., 0]
         load[:, -1] -= (upper @ last[:, 0, :, n:])[..., 0]
         kinds = [(None, D_first, upper), (lower, diag, upper), (lower, D_last, None)]
         cls = np.ones(N - 4, int)
         cls[0], cls[-1] = 0, 2
-        u = np.empty((cells, N, n), dtype=eye.dtype)
+        u = np.empty((n_cells, N, n), dtype=eye.dtype)
         u[:, 2:N - 2] = _cyclic_reduction(kinds, cls, load, fails)
         u[:, :2] = first[..., n] - (first[..., :n] @ u[:, None, 2, :, None])[..., 0]
         u[:, N - 2:] = last[..., n] - (last[..., :n] @ u[:, None, N - 3, :, None])[..., 0]
@@ -466,12 +450,12 @@ def direct_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     difference solution overflowed to non-finite values".  This is the
     batch of one of direct_batch, which takes loads.
     """
-    return _solo(direct_batch(spec, [spec.eps], loads))
+    return _solo(direct_batch(spec, [(spec.eps, spec.lam)], loads))
 
 
 def full_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     """Solve the full problem: solve_batch's batch of one, failure raised."""
-    return _solo(solve_batch(spec, [spec.eps], loads))
+    return _solo(solve_batch(spec, [(spec.eps, spec.lam)], loads))
 
 
 def _solo(cells: list) -> GridFunction:
@@ -481,24 +465,38 @@ def _solo(cells: list) -> GridFunction:
     return u
 
 
-def solve_batch(spec: ProblemSpec, eps_list, loads=None, lams=None) -> list:
-    """spec at every cell (eps_list[i], lams[i]), lam being spec.lam for
-    every cell when lams is None: per cell, its GridFunction, whose
-    meta["path"] names the route, or the SOLVER_ERRORS its solve raised.
-    A pair without a joint eigenbasis is one direct_batch over all the
-    cells, whatever their lam; any other is solved cell by cell on the
-    modes route.  loads is sampled when None; an eps that is not finite
-    and positive, or a lams of another length, raises ValueError."""
-    if spec.pair.joint_eigenbasis is None:
-        return direct_batch(spec, eps_list, loads, lams)
-    eps_list = [_positive_eps(e) for e in eps_list]
-    lams = _cell_lams(spec, lams, len(eps_list))
+def solve_batch(spec: ProblemSpec, cells, loads=None) -> list:
+    """spec at every (eps, lam) pair of cells: per cell, its GridFunction,
+    whose meta["path"] names the route, or the SOLVER_ERRORS its solve
+    raised.  A pair without a joint eigenbasis is one direct_batch over
+    all the cells, any other one _modes_batch.  loads is sampled when
+    None; an eps that is not finite and positive raises ValueError."""
+    batch = direct_batch if spec.pair.joint_eigenbasis is None else _modes_batch
+    return batch(spec, cells, loads)
+
+
+def _modes_batch(spec: ProblemSpec, cells, loads=None) -> list:
+    """solve_batch on the modes route.  Once per batch it checks every
+    eps, samples the load when loads is None and takes the boundary
+    vectors and the load (FV, None without one) into the basis; non-finite
+    data make every cell direct_batch's ValueError.  Then each cell is
+    one _mode_solve, and its failure is its value."""
+    cells = [(_positive_eps(eps), complex(lam)) for eps, lam in cells]
+    Vinv, n = spec.pair.joint_eigenbasis[1], spec.n
     if loads is None and spec.f is not None:
         loads = spec.f_samples(spec.t_grid())
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1, f2 = (Vinv @ f for f in spec.bc.data_for(n))
+        if not all(np.isfinite(x).all() for x in (f1, f2, () if loads is None else loads)):
+            return [ValueError("array must not contain infs or NaNs")] * len(cells)
+        FV = None
+        if loads is not None and loads.any():
+            FV = np.empty((spec.n_t, 2 * n), dtype=np.complex128)
+            FV[:, n:] = np.matmul(loads, Vinv.T, out=FV[:, :n])[::-1]
     out = []
-    for eps, lam in zip(eps_list, lams):
+    for eps, lam in cells:
         try:
-            out.append(_mode_solve(spec, eps, lam, loads))
+            out.append(_mode_solve(spec, eps, lam, f1, f2, FV))
         except SOLVER_ERRORS as exc:
             out.append(exc)
     return out
@@ -569,8 +567,11 @@ def _scan(P, x, step) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, loads) -> GridFunction:
+def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, f1, f2, FV) -> GridFunction:
     """Solve a pair with a joint eigenbasis at eps and lam mode by mode ("modes").
+
+    f1, f2 and FV, the load forward and then reversed, are the data in
+    the basis (_modes_batch), shared by the cells and only read.
 
     Mode a, b of the basis solves -eps u'' + b u' + c u = f, c = a + lam,
     as u = (x + y)/s + alpha e^(r- t) + beta e^(r+ (t - T)).  Here s is
@@ -582,11 +583,11 @@ def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, loads) -> GridFunct
     (_increments), and alpha, beta solve each mode's 2 x 2 boundary
     system by Cramer's rule on rows scaled to unit max-norm.  Raises
     SqrtNotConverged when some b^2 + 4 eps c lies within
-    BRANCH_CUT_RTOL max|b^2 + 4 eps c| of (-inf, 0], ValueError for
-    non-finite data, SingularMatrix for a scaled determinant below
-    MIN_RCOND and Overflow for a solution that is not finite.
+    BRANCH_CUT_RTOL max|b^2 + 4 eps c| of (-inf, 0], SingularMatrix for
+    a scaled determinant below MIN_RCOND and Overflow for a solution
+    that is not finite.
     """
-    V, Vinv, a, b = spec.pair.joint_eigenbasis
+    V, _, a, b = spec.pair.joint_eigenbasis
     t, n, N = spec.t_grid(), spec.n, spec.n_t
     h, c = t[1] - t[0], a + lam
     m = b * b + 4.0 * eps * c
@@ -600,23 +601,17 @@ def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, loads) -> GridFunct
     q = np.where(plus, b + s, b - s)
     large, small = q / (2.0 * eps), -2.0 * c / q
     r_minus, r_plus = np.where(plus, small, large), np.where(plus, large, small)
-    f1, f2 = (Vinv @ f for f in spec.bc.data_for(n))
-    if not all(np.isfinite(x).all() for x in (f1, f2, () if loads is None else loads)):
-        raise ValueError("array must not contain infs or NaNs")
-    loaded = loads is not None and loads.any()
     # one workspace, so that a solve makes few large allocations and a
     # sweep reuses its heap instead of refaulting it: E holds
     # [e^(r- t) | e^(r+ (T - t))]; with a load, x runs forward in xy's first
-    # n columns and y backward in its last n, and FV holds the load in the
-    # basis both ways
-    E, *xy_FV = np.empty((3 if loaded else 1, N, 2 * n), dtype=np.complex128)
+    # n columns and y backward in its last n
+    E, *xy = np.empty((1 if FV is None else 2, N, 2 * n), dtype=np.complex128)
     # L1 and L2 of e^(r t) per unit value at their ends, r = r-, r+
     L1, L2 = (spec.bc.apply(k, 1.0, np.stack([r_minus, r_plus]), eps) for k in (1, 2))
     z = np.concatenate([r_minus, -r_plus]) * h   # both decay if Re r- < 0 < Re r+
     P = np.exp(z)
-    if loaded:
-        xy, FV = xy_FV
-        FV[:, n:] = np.matmul(loads, Vinv.T, out=FV[:, :n])[::-1]
+    if FV is not None:
+        xy, = xy
         xy[0] = 0.0
         _increments(FV, z, h, xy[1:], E)
         _scan(P, xy, E)
@@ -634,7 +629,7 @@ def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, loads) -> GridFunct
         raise SingularMatrix(f"mode boundary system has scaled determinant "
                              f"{np.abs(det).min():.3e} below {MIN_RCOND:.0e}")
     E *= np.concatenate([f1 * S22 - S12 * f2, S11 * f2 - S21 * f1]) / np.tile(det, 2)
-    if loaded:
+    if FV is not None:
         E += xy
     E[:, :n] += E[::-1, n:]
     u = E[:, :n] @ V.T

@@ -209,9 +209,8 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
         data = _data_terms(base, p)
     except SOLVER_ERRORS as exc:
         return [_failed_report(eps, lam, p, str(exc)) for eps, lam in cells]
-    eps_col, lam_col = zip(*cells)
     return [_cell_report(u, eps, lam, p, data) for (eps, lam), u in zip(
-        cells, solve_batch(base, eps_col, data.loads, lam_col))]
+        cells, solve_batch(base, cells, data.loads))]
 
 
 def _cell_report(u, eps, lam, p: float, data: _DataTerms) -> EstimateReport:

@@ -8,10 +8,10 @@ from epslab.elliptic import (
     ProblemSpec, QSystem, _boundary_matrix, _orbit, compute_q_system, direct_solve,
     direct_batch, full_solve, homogeneous_solution, mode_derivatives, solve_batch,
 )
-from epslab import linalg
+from epslab import elliptic, linalg
 from epslab.linalg import Overflow, SingularMatrix, op_norm, sqrtm
 from epslab.multiplier import whole_line_solve
-from epslab.presets import dirichlet_neumann, make_pair, make_wentzell_pair
+from epslab.presets import dirichlet_neumann, make_pair, make_wentzell_pair, uniformity_base
 
 
 def scalar_pair(a=1.0, b=0.0):
@@ -418,12 +418,34 @@ def test_direct_batch_matches_solo_on_every_reduction_shape(n_t, lam, ends):
     spec = ProblemSpec(pair=make_wentzell_pair(n_y=4), eps=1e-2, lam=lam, T=1.0, bc=bc,
                        f="exp(-64*(t-0.5)^2)", n_t=n_t)
     eps_list = [1.0, 1e-2, 1e-4]
-    batch = direct_batch(spec, eps_list)
+    batch = direct_batch(spec, [(eps, spec.lam) for eps in eps_list])
     assert len(batch) == 3
     for eps, u in zip(eps_list, batch):
         solo = direct_solve(dataclasses.replace(spec, eps=eps)).values
         assert u.meta == {"path": "direct"}
         assert np.abs(u.values - solo).max() <= 1e-13 * np.abs(solo).max()
+
+
+def test_cyclic_reduction_rows_are_evenly_spaced(monkeypatch):
+    # _rows makes a slice of every row class; that is right only because
+    # the first, interior and last classes keep every class's rows evenly
+    # spaced at every level, which this records for each n_t
+    seen, rows = [], elliptic._rows
+
+    def recording(index):
+        seen.append(index.copy())
+        return rows(index)
+
+    monkeypatch.setattr(elliptic, "_rows", recording)
+    bc = BoundaryData(alpha=(1.0, 0.7), beta=(0.4, 1.0), f1=np.ones(2), f2=0.5 * np.ones(2))
+    for n_t in range(5, 131):
+        spec = ProblemSpec(pair=make_wentzell_pair(n_y=2), eps=1e-2, lam=3.0, T=1.0, bc=bc,
+                           f="1", n_t=n_t)
+        direct_solve(spec)
+    assert len(seen) > 1000
+    for index in seen:
+        steps = np.diff(index)
+        assert len(index) > 0 and (steps > 0).all() and (steps == steps[:1]).all()
 
 
 def test_direct_solve_factorizations_grow_with_log_n_t(monkeypatch):
@@ -556,7 +578,7 @@ def test_solve_batch_returns_a_failed_modes_cell_as_its_value():
     pair = OperatorPair([[1.0]], [[0.005]], check_positive=False)
     spec = ProblemSpec(pair=pair, eps=1.0, lam=-5 + 1j, T=1.0, bc=dn_bc(), f="1", n_t=51)
     eps_list = [1e-2, 1e-6, 1.0]
-    cells = solve_batch(spec, eps_list)
+    cells = solve_batch(spec, [(eps, spec.lam) for eps in eps_list])
     assert isinstance(cells[1], Overflow)
     assert str(cells[1]) == "semigroup orbit left the representable range"
     with pytest.raises(Overflow, match=str(cells[1])):
@@ -571,7 +593,31 @@ def test_solve_batch_returns_a_failed_modes_cell_as_its_value():
 def test_solve_batch_raises_for_an_inadmissible_eps(pair):
     spec = ProblemSpec(pair=pair, eps=1.0, lam=1.0, T=1.0, bc=dn_bc(), n_t=21)
     with pytest.raises(ValueError, match="eps must be finite and positive"):
-        solve_batch(spec, [1.0, -1.0])
+        solve_batch(spec, [(1.0, 1.0), (-1.0, 1.0)])
+
+
+@pytest.mark.parametrize("preset", ["commuting", "wentzell"])
+def test_solve_batch_of_a_non_finite_load_fails_every_cell(preset):
+    spec = uniformity_base(preset, n_t=51)
+    loads = spec.f_samples(spec.t_grid())
+    loads[7, 0] = np.nan
+    cells = solve_batch(spec, [(1.0, 1.0), (1e-2, 3 + 2j), (1e-4, 10.0)], loads)
+    assert [type(c) for c in cells] == [ValueError] * 3
+    assert {str(c) for c in cells} == {"array must not contain infs or NaNs"}
+
+
+@pytest.mark.parametrize("n_t", [51, 201])
+def test_modes_batch_cells_are_their_solo_solves(n_t):
+    # the batch takes the data into the basis once; each cell's numbers
+    # stay those of its own full_solve, bit for bit
+    spec = uniformity_base("commuting", n_t=n_t)
+    cells = [(eps, lam) for lam in [1.0, 3 + 2j, 10.0, 100.0] for eps in [1.0, 1e-2, 1e-4]]
+    batch = solve_batch(spec, cells)
+    assert len(batch) == len(cells)
+    for (eps, lam), u in zip(cells, batch):
+        solo = full_solve(dataclasses.replace(spec, eps=eps, lam=lam))
+        assert u.meta == solo.meta == {"path": "modes"}
+        assert np.array_equal(u.values, solo.values)
 
 
 class TestFullSolve:

@@ -343,6 +343,38 @@ def test_mixed_lam_wentzell_sweep_matches_its_solo_reports():
             assert got == pytest.approx(want, rel=1e-10, abs=0)
 
 
+def test_modes_sweep_reads_the_boundary_data_once_per_batch(monkeypatch):
+    # the boundary data go into the eigenbasis once per sweep, not per cell
+    base = uniformity_base("commuting", n_t=51)
+    calls, data_for = [0], BoundaryData.data_for
+
+    def counting(self, n):
+        calls[0] += 1
+        return data_for(self, n)
+
+    monkeypatch.setattr(BoundaryData, "data_for", counting)
+    counts = []
+    for eps_list, lam_list in [([1.0], [1.0]), ([1.0, 0.3, 0.1, 1e-2, 1e-3], [1.0, 10.0, 3 + 2j])]:
+        calls[0] = 0
+        reps = uniformity_sweep(base, eps_list, lam_list)
+        assert [r.status for r in reps] == ["ok"] * len(eps_list) * len(lam_list)
+        counts.append(calls[0])
+    assert counts[1] == counts[0]
+
+
+@pytest.mark.parametrize("preset", ["wentzell", "commuting"])
+def test_sweep_of_an_undefined_load_is_all_error_rows(preset):
+    def load(t):
+        raise ValueError(f"load undefined at t = {t:g}")
+
+    base = dataclasses.replace(uniformity_base(preset, n_t=51), f=load)
+    reps = uniformity_sweep(base, [1.0, 1e-2], [1.0, 3 + 2j])
+    assert [(r.eps, r.lam) for r in reps] == [(1.0, 1.0), (1e-2, 1.0), (1.0, 3 + 2j),
+                                              (1e-2, 3 + 2j)]
+    assert [r.status for r in reps] == ["error: load undefined at t = 0"] * 4
+    assert all(np.isnan(r.ratio) for r in reps)
+
+
 @pytest.mark.parametrize("preset", ["wentzell", "commuting"])
 def test_sweep_of_an_empty_list_has_no_rows(preset):
     base = uniformity_base(preset, n_t=51)

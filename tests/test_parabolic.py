@@ -135,6 +135,13 @@ def test_unstable_drift_raises():
         cauchy_solve(spec, np.array([1.0]))
 
 
+def test_unstable_drift_past_the_stability_cap_raises():
+    # at T = 15 the limit propagator e^15 is finite but above the cap
+    spec = limit_spec(scalar_pair(a=1.0, b=-1.0), 0.0, 15.0)
+    with pytest.raises(Overflow, match=r"^limit propagator norm 3\.269e\+06 exceeds 1e\+06$"):
+        cauchy_solve(spec, np.array([1.0]))
+
+
 # ------------------------------------------------------------------ build_MN
 
 
