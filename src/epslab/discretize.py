@@ -56,6 +56,11 @@ def _as_coefficient(fn, variables: tuple) -> Callable:
     return lambda **kw: np.broadcast_to(sample(**kw), np.shape(kw[variables[0]]))
 
 
+def _working_dtype(x) -> type:
+    """complex128 for complex x, float64 for anything real."""
+    return np.complex128 if np.iscomplexobj(x) else np.float64
+
+
 @dataclass(frozen=True)
 class SpaceGrid:
     """Interior nodes of [0, 1] with quadrature weights summing to one."""
@@ -91,14 +96,20 @@ class SpaceGrid:
 
 @dataclass
 class GridFunction:
-    """Vector-valued function sampled on a uniform time grid."""
+    """Vector-valued function sampled on a uniform time grid.
+
+    The package's dtype rule: real data give a float64 solve, a float64
+    GridFunction and a float64 measurement; anything else runs in
+    complex128.  So values are kept as float64 when they arrive real and
+    as complex128 when they arrive complex.
+    """
     t: np.ndarray
     values: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
-        self.values = np.asarray(self.values, dtype=np.complex128)
+        self.values = np.asarray(self.values, dtype=_working_dtype(self.values))
         if self.t.ndim != 1 or len(self.t) < 3:
             raise ValueError("time grid must be 1-d with at least 3 nodes")
         steps = np.diff(self.t)
@@ -461,8 +472,8 @@ def check_condition_4_1(grid: SpaceGrid, a, b, kernel) -> ConditionReport:
                  "weight_mass": weight_mass, "weight_finite": weight_finite})
 
 
-# floats of a row that e_norm's einsum sums in one accumulator: 16
-# complex components, so one pass up to n = 16
+# floats of a row that e_norm's einsum sums in one accumulator: 32 real
+# or 16 complex components, so one pass up to n = 32 or n = 16
 E_NORM_CHUNK = 32
 
 
@@ -481,19 +492,22 @@ def e_norm(v, weights=None):
     """Weighted-ell2 norm standing in for the ground space E, over the last axis.
 
     A stack gives one norm per row; a norm past the float range is inf,
-    silently.  np.einsum sums w (re^2 + im^2) over the float64 view of v,
-    copied first only when v is not C-contiguous, in one pass per
-    E_NORM_CHUNK floats of a row.  einsum accumulates them one by one,
-    so the chunks bound the rounding error at every n: within 4 ulp.
+    silently.  A real v is summed as float64, w x^2, and a complex one as
+    complex128, w (re^2 + im^2) over its float64 view; v is copied first
+    only when it is not C-contiguous or not of that dtype.  np.einsum
+    sums one pass per E_NORM_CHUNK floats of a row and accumulates them
+    one by one, so the chunks bound the rounding error at every n:
+    within 4 ulp.
     """
-    x = np.ascontiguousarray(np.atleast_1d(np.asarray(v, dtype=np.complex128)))
-    w2 = np.repeat(_e_weights(x.shape[-1], weights), 2)
-    re_im = x.view(np.float64)
+    x = np.atleast_1d(v)
+    x = np.ascontiguousarray(x, dtype=_working_dtype(x))
+    floats = x.view(np.float64)
+    w = np.repeat(_e_weights(x.shape[-1], weights), x.itemsize // floats.itemsize)
     total = np.zeros(x.shape[:-1])
     with np.errstate(over="ignore"):
-        for i in range(0, len(w2), E_NORM_CHUNK):
-            part = re_im[..., i:i + E_NORM_CHUNK]
-            total += np.einsum("...j,...j,j->...", part, part, w2[i:i + E_NORM_CHUNK])
+        for i in range(0, len(w), E_NORM_CHUNK):
+            part = floats[..., i:i + E_NORM_CHUNK]
+            total += np.einsum("...j,...j,j->...", part, part, w[i:i + E_NORM_CHUNK])
         return np.sqrt(total)
 
 

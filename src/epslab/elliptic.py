@@ -4,6 +4,9 @@ solve_batch solves one spec at a sequence of (eps, lam) cells and is the
 one place that picks a route; full_solve is its batch of one.  In a
 joint eigenbasis the problem splits into n scalar ones, solved exactly
 but for the load quadrature (_modes_batch, one _mode_solve per cell).
+Both routes keep the package's dtype rule: real data give a float64
+solve and a float64 GridFunction, anything else complex128.  The data
+are judged real by value, and the same code runs in either dtype.
 The solution calculus, kept as a reference, factors the quadratic
 pencil through the square root R = (B^2 + 4 eps (A+lam))^(1/2):
 
@@ -54,6 +57,12 @@ __all__ = [
 
 PROPAGATOR_CAP = 1e6
 SOLVER_ERRORS = NUMERICAL_ERRORS + (ValueError,)
+
+
+def _real(data) -> bool:
+    """Whether every array of data has a zero imaginary part, judged by
+    value: a batch runs in float64 exactly when its data are real."""
+    return not any(np.any(np.imag(x)) for x in data)
 
 
 def _positive_eps(eps) -> float:
@@ -346,15 +355,16 @@ def direct_batch(spec: ProblemSpec, cells, loads=None) -> list:
     reduction, the load samples (loads, the load on spec.t_grid(), is
     sampled here when None) and the float64/complex128 choice, float64
     only when every cell is real: its A + lam, B, the load, the boundary
-    vectors and its two boundary rows.  A real cell batched with a
-    complex one so runs in complex128, within roundoff of its solo
-    solve.  Blocks, end pivots, loads and the back substitution are
-    (cells, ...) stacks, and every factorization is one
-    linalg.solve_cells call over the stack, whose guard judges each cell
-    apart.  Returns, per cell, its GridFunction or the exception a solo
-    direct_solve raises for it; a failed cell gets no further
-    factorization and leaves the other cells' numbers as they are.  An
-    eps that is not finite and positive raises ValueError.
+    vectors and its two boundary rows.  The solutions keep that dtype,
+    so a real cell batched with a complex one runs and returns in
+    complex128, within roundoff of its float64 solo solve.  Blocks, end
+    pivots, loads and the back substitution are (cells, ...) stacks, and
+    every factorization is one linalg.solve_cells call over the stack,
+    whose guard judges each cell apart.  Returns, per cell, its
+    GridFunction or the exception a solo direct_solve raises for it; a
+    failed cell gets no further factorization and leaves the other
+    cells' numbers as they are.  An eps that is not finite and positive
+    raises ValueError.
     """
     eps = np.array([_positive_eps(e) for e, _ in cells])
     lam = np.array([complex(z) for _, z in cells])
@@ -379,7 +389,7 @@ def direct_batch(spec: ProblemSpec, cells, loads=None) -> list:
     right = spec.bc.apply(2, np.array([0.0, 0.0, 1.0]),
                           np.array([1.0, -4.0, 3.0]) / (2 * h), eps[:, None])
     data = (B, A_lam, fvals, f1, f2, left, right)
-    real = not any(np.any(np.imag(x)) for x in data)
+    real = _real(data)
     if real:
         B, A_lam, fvals, f1, f2, left, right = (x.real for x in data)
     eye = np.eye(n, dtype=np.float64 if real else np.complex128)
@@ -439,7 +449,7 @@ def direct_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     each level inverts one block per distinct row class, O(log n_t) in
     all.  The solve runs in float64 when A + lam, B, the load, the
     boundary vectors and the two boundary rows are all real, else in
-    complex128; the result is complex128 either way.  Both pivots and
+    complex128, and the result keeps that dtype.  Both pivots and
     every block of the reduction go through linalg.solve_cells, whose
     rcond guard sees the block and its coupling columns, so the first
     failing inverse raises: the first pivot's, then the last pivot's,
@@ -479,24 +489,31 @@ def _modes_batch(spec: ProblemSpec, cells, loads=None) -> list:
     """solve_batch on the modes route.  Once per batch it checks every
     eps, samples the load when loads is None and takes the boundary
     vectors and the load (FV, None without one) into the basis; non-finite
-    data make every cell direct_batch's ValueError.  Then each cell is
+    data make every cell direct_batch's ValueError.  When V, V^-1, a, b,
+    the boundary vectors and coefficients and the load are all real, the
+    basis, f1, f2 and FV are float64, else complex128.  Then each cell is
     one _mode_solve, and its failure is its value."""
     cells = [(_positive_eps(eps), complex(lam)) for eps, lam in cells]
-    Vinv, n = spec.pair.joint_eigenbasis[1], spec.n
+    basis, n = spec.pair.joint_eigenbasis, spec.n
     if loads is None and spec.f is not None:
         loads = spec.f_samples(spec.t_grid())
     with np.errstate(over="ignore", invalid="ignore"):
-        f1, f2 = (Vinv @ f for f in spec.bc.data_for(n))
+        f1, f2 = (basis[1] @ f for f in spec.bc.data_for(n))
         if not all(np.isfinite(x).all() for x in (f1, f2, () if loads is None else loads)):
             return [ValueError("array must not contain infs or NaNs")] * len(cells)
+        data = (*basis, f1, f2, spec.bc.alpha, spec.bc.beta, () if loads is None else loads)
+        if _real(data):
+            basis, f1, f2 = [x.real.copy() for x in basis], f1.real, f2.real
+            loads = None if loads is None else loads.real.copy()
+        V, Vinv, a, b = basis
         FV = None
         if loads is not None and loads.any():
-            FV = np.empty((spec.n_t, 2 * n), dtype=np.complex128)
+            FV = np.empty((spec.n_t, 2 * n), dtype=f1.dtype)
             FV[:, n:] = np.matmul(loads, Vinv.T, out=FV[:, :n])[::-1]
     out = []
     for eps, lam in cells:
         try:
-            out.append(_mode_solve(spec, eps, lam, f1, f2, FV))
+            out.append(_mode_solve(spec, eps, lam, (V, a, b), f1, f2, FV))
         except SOLVER_ERRORS as exc:
             out.append(exc)
     return out
@@ -511,8 +528,8 @@ def _phi(z: np.ndarray, k_max: int) -> np.ndarray:
     """phi_0(z) .. phi_k_max(z) in rows: phi_0 = e^z and phi_(k+1)(z) =
     (phi_k(z) - 1/k!) / z.  Below |z| = 2, where that would lose up to
     k_max! / 2^k_max, 20 terms of sum_j z^j / (j + k_max)! give phi_k_max
-    and the rest follow downward."""
-    out = np.empty((k_max + 1, len(z)), dtype=np.complex128)
+    and the rest follow downward, in z's dtype."""
+    out = np.empty((k_max + 1, len(z)), dtype=z.dtype)
     out[0] = np.exp(z)
     for k in range(k_max):
         out[k + 1] = (out[k] - 1.0 / factorial(k)) / z
@@ -567,11 +584,17 @@ def _scan(P, x, step) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, f1, f2, FV) -> GridFunction:
+def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, basis, f1, f2,
+                FV) -> GridFunction:
     """Solve a pair with a joint eigenbasis at eps and lam mode by mode ("modes").
 
-    f1, f2 and FV, the load forward and then reversed, are the data in
-    the basis (_modes_batch), shared by the cells and only read.
+    basis is (V, a, b) of the pair's joint eigenbasis; it and f1, f2
+    and FV, the load forward and then reversed, are the data in the
+    basis (_modes_batch), shared by the cells and only read.  They are
+    float64 when the batch's data are real, and a cell of such a batch
+    with a real lam runs in float64 from the roots to the solution:
+    past the branch-cut check every b^2 + 4 eps c is then > 0, so every
+    root is real.  Any other cell runs in complex128.
 
     Mode a, b of the basis solves -eps u'' + b u' + c u = f, c = a + lam,
     as u = (x + y)/s + alpha e^(r- t) + beta e^(r+ (t - T)).  Here s is
@@ -587,9 +610,9 @@ def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, f1, f2, FV) -> Grid
     a scaled determinant below MIN_RCOND and Overflow for a solution
     that is not finite.
     """
-    V, _, a, b = spec.pair.joint_eigenbasis
+    V, a, b = basis
     t, n, N = spec.t_grid(), spec.n, spec.n_t
-    h, c = t[1] - t[0], a + lam
+    h, c = t[1] - t[0], a + (lam.real if lam.imag == 0 else lam)
     m = b * b + 4.0 * eps * c
     tol = BRANCH_CUT_RTOL * np.abs(m).max()
     on_cut = (np.abs(m.imag) <= tol) & (m.real <= tol)
@@ -605,9 +628,11 @@ def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, f1, f2, FV) -> Grid
     # sweep reuses its heap instead of refaulting it: E holds
     # [e^(r- t) | e^(r+ (T - t))]; with a load, x runs forward in xy's first
     # n columns and y backward in its last n
-    E, *xy = np.empty((1 if FV is None else 2, N, 2 * n), dtype=np.complex128)
-    # L1 and L2 of e^(r t) per unit value at their ends, r = r-, r+
-    L1, L2 = (spec.bc.apply(k, 1.0, np.stack([r_minus, r_plus]), eps) for k in (1, 2))
+    E, *xy = np.empty((1 if FV is None else 2, N, 2 * n), dtype=s.dtype)
+    # L1 and L2 of e^(r t) per unit value at their ends, r = r-, r+; the
+    # boundary coefficients are real when s is
+    L = np.stack([spec.bc.apply(k, 1.0, np.stack([r_minus, r_plus]), eps) for k in (1, 2)])
+    L1, L2 = L.real if s.dtype == np.float64 else L
     z = np.concatenate([r_minus, -r_plus]) * h   # both decay if Re r- < 0 < Re r+
     P = np.exp(z)
     if FV is not None:

@@ -107,9 +107,10 @@ def _failed_report(eps: float, lam: complex, p: float, msg: str) -> EstimateRepo
 class _DataTerms:
     """The terms of a coercive report that depend on neither eps nor lam.
 
-    loads is f sampled on the time grid and f_norm its ||f||_X.  ends
-    holds (||f_k||_Ek, theta_k, ||f_k||) for each end with nonzero data,
-    ||f_k||_Ek being the K-functional interpolation norm.
+    A is the pair's A, float64 when it is real.  loads is f sampled on
+    the time grid and f_norm its ||f||_X.  ends holds (||f_k||_Ek,
+    theta_k, ||f_k||) for each end with nonzero data, ||f_k||_Ek being
+    the K-functional interpolation norm.
     """
     A: np.ndarray
     weights: np.ndarray
@@ -127,6 +128,8 @@ def _data_terms(spec: ProblemSpec, p: float) -> _DataTerms:
         norm = e_norm(fk, w)
         if norm != 0.0:
             ends.append((kfunctional_norm(fk, A, th, p=p, weights=w), th, norm))
+    if not A.imag.any():
+        A = A.real.copy()
     return _DataTerms(A, w, loads, mixed_norm(GridFunction(t, loads), p=p, weights=w),
                       tuple(ends))
 
@@ -139,10 +142,11 @@ def _measure(u: GridFunction, eps: float, lam: complex, p: float,
     """The coercive report of the solve u at (eps, lam); see coercive_report.
 
     One scratch array of u's shape holds u', then u'', then Au, each
-    measured by mixed_norm before the next overwrites it.
+    measured by mixed_norm before the next overwrites it; it is float64
+    when u and A are real, so a real solve is measured in float64.
     """
     w = data.weights
-    scratch = GridFunction(u.t, np.empty_like(u.values))
+    scratch = GridFunction(u.t, np.empty(u.values.shape, np.result_type(u.values, data.A)))
     norms = [mixed_norm(u, p=p, weights=w)]
     for order in (1, 2):
         _derivative(u, order, scratch.values)

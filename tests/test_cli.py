@@ -6,11 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from epslab import estimates
 from epslab.cli import Config, ConfigError, _preset_kwargs, load_config, main, run
-from epslab.elliptic import ProblemSpec
+from epslab.discretize import GridFunction
+from epslab.elliptic import ProblemSpec, solve_batch
 from epslab.presets import make_commuting_pair, make_pair
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SWEEP_MINI = """
 [scenario]
@@ -519,3 +522,23 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "out" / "summary.json").is_file()
+
+
+SHIPPED_SWEEPS = sorted(CONFIGS.glob("*sweep*.ini")) + sorted(GOLDEN.glob("sweep-*.ini"))
+
+
+@pytest.mark.parametrize("ini", SHIPPED_SWEEPS, ids=lambda p: p.stem)
+def test_shipped_sweeps_solve_every_cell_in_float64(tmp_path, ini, monkeypatch):
+    # every shipped sweep has real data; a silent fall back to complex128
+    # would fail here, not only show as a slower benchmark
+    solved = []
+
+    def recording(*args, **kwargs):
+        cells = solve_batch(*args, **kwargs)
+        solved.extend(cells)
+        return cells
+
+    monkeypatch.setattr(estimates, "solve_batch", recording)
+    assert main(["--config", str(ini), "--out", str(tmp_path)]) == 0
+    assert solved and all(isinstance(u, GridFunction) for u in solved)
+    assert {u.values.dtype for u in solved} == {np.dtype(np.float64)}

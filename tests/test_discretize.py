@@ -101,6 +101,15 @@ class TestGridFunction:
         u = GridFunction(t, vals)
         np.testing.assert_allclose(u.e_norms(), t, atol=1e-15)
 
+    def test_real_values_stay_float64_and_complex_ones_complex128(self):
+        t = np.linspace(0, 1, 5)
+        for vals, dtype in [(np.ones((5, 2), np.float32), np.float64),
+                            (np.ones((5, 2), int), np.float64),
+                            (np.ones((5, 2)), np.float64),
+                            (np.ones((5, 2), np.complex64), np.complex128),
+                            (np.ones((5, 2)) + 0j, np.complex128)]:
+            assert GridFunction(t, vals).values.dtype == dtype
+
 
 class TestOperatorPair:
     def test_accepts_positive_scalar(self):
@@ -522,6 +531,22 @@ class TestNorms:
         for view in (v[::3, ::2], v[10:30, 3:23], v.T[5:25, 10:30], v[7, ::2]):
             assert not view.flags.c_contiguous
             np.testing.assert_array_equal(e_norm(view, w), e_norm(view.copy(), w))
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 32, 33, 64])
+    def test_norms_of_a_real_array_are_those_of_its_complex_copy(self, n):
+        # n straddles the E_NORM_CHUNK passes of both dtypes: 32 real or
+        # 16 complex components
+        rng = np.random.default_rng(n)
+        t, w = np.linspace(0, 1, 201), rng.uniform(0.1, 2.0, n)
+        for scale in (1e-150, 1.0, 1e150):
+            v = scale * rng.standard_normal((201, n))
+            real, cplx = GridFunction(t, v), GridFunction(t, v.astype(complex))
+            assert (real.values.dtype, cplx.values.dtype) == (np.float64, np.complex128)
+            want = e_norm(cplx.values, w)
+            assert np.all(np.abs(e_norm(v, w) - want) <= 4 * np.spacing(want))
+            for p in (1.0, 2.0, np.inf):
+                want = mixed_norm(cplx, p, w)
+                assert abs(mixed_norm(real, p, w) - want) <= 4 * np.spacing(want)
 
     def test_mixed_norm_of_one(self):
         u = GridFunction(np.linspace(0, 1, 11), np.ones((11, 4)))

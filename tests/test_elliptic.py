@@ -620,6 +620,69 @@ def test_modes_batch_cells_are_their_solo_solves(n_t):
         assert np.array_equal(u.values, solo.values)
 
 
+def _data_times_1j(spec):
+    """spec with its boundary vectors multiplied by 1j."""
+    return dataclasses.replace(spec, bc=dataclasses.replace(
+        spec.bc, f1=1j * spec.bc.f1, f2=1j * spec.bc.f2))
+
+
+ROUTES = [("commuting", "modes"), ("scalar", "modes"), ("wentzell", "direct")]
+
+
+@pytest.mark.parametrize("lam", [1.0, 100.0])
+@pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4])
+@pytest.mark.parametrize("preset, path", ROUTES)
+def test_real_solve_is_its_solve_with_data_times_1j_over_1j(preset, path, eps, lam):
+    # u is linear in the data: the copy with load and boundary data times
+    # 1j is forced onto complex128, and its solution over 1j must be the
+    # float64 one
+    spec = uniformity_base(preset)
+    loads = spec.f_samples(spec.t_grid())
+    u, = solve_batch(spec, [(eps, lam)], loads)
+    u1j, = solve_batch(_data_times_1j(spec), [(eps, lam)], 1j * loads)
+    assert u.meta == u1j.meta == {"path": path}
+    assert (u.values.dtype, u1j.values.dtype) == (np.float64, np.complex128)
+    assert np.abs(u1j.values / 1j - u.values).max() <= 1e-12 * np.abs(u.values).max()
+
+
+@pytest.mark.parametrize("preset, path", ROUTES)
+def test_real_cells_solve_in_float64_and_the_rest_in_complex128(preset, path):
+    spec = uniformity_base(preset, n_t=51)
+    real, = solve_batch(spec, [(1e-2, 3.0)])
+    complex_lam, = solve_batch(spec, [(1e-2, 3 + 2j)])
+    complex_bc, = solve_batch(_data_times_1j(spec), [(1e-2, 3.0)])
+    assert real.meta == complex_lam.meta == complex_bc.meta == {"path": path}
+    assert real.values.dtype == np.float64
+    assert complex_lam.values.dtype == complex_bc.values.dtype == np.complex128
+    # the modes route picks the dtype per cell, the FD route per batch
+    mixed = solve_batch(spec, [(1e-2, 3.0), (1e-2, 3 + 2j)])
+    assert mixed[0].values.dtype == (np.float64 if path == "modes" else np.complex128)
+
+
+def test_an_oscillatory_modes_cell_solves_in_complex128():
+    # b^2 + 4 eps (a + lam) = -0.16 + 0.04j: both roots are mostly imaginary
+    pair = OperatorPair([[1.0]], [[0.005]], check_positive=False)
+    spec = ProblemSpec(pair=pair, eps=1e-2, lam=-5 + 1j, T=1.0, bc=dn_bc(), f="1", n_t=51)
+    u = full_solve(spec)
+    assert u.meta == {"path": "modes"} and u.values.dtype == np.complex128
+    # with real data and a real lam a negative b^2 + 4 eps (a + lam) lies on
+    # the branch cut and raises, so float64 cells only ever see real roots
+    with pytest.raises(linalg.SqrtNotConverged, match="branch cut"):
+        full_solve(dataclasses.replace(spec, lam=-5.0))
+
+
+def test_a_real_fd_cell_batched_with_a_complex_one_is_its_solo_solve():
+    # the batch runs in complex128, and the real cell within roundoff of
+    # its float64 solo solve (measured at 1.5e-13 of max|u| at eps 1e-4)
+    spec = uniformity_base("wentzell", n_t=201)
+    for eps in (1.0, 1e-2, 1e-4):
+        real, cplx = direct_batch(spec, [(eps, 3.0), (eps, 3 + 2j)])
+        solo, = direct_batch(spec, [(eps, 3.0)])
+        assert (real.values.dtype, cplx.values.dtype, solo.values.dtype) == (
+            np.complex128, np.complex128, np.float64)
+        assert np.abs(real.values - solo.values).max() <= 1e-12 * np.abs(solo.values).max()
+
+
 class TestFullSolve:
     def test_path_modes_without_a_load(self):
         spec = ProblemSpec(pair=commuting_pair(3, 1), eps=0.5, lam=1.0, T=1.0,

@@ -254,6 +254,20 @@ def test_failing_cell_leaves_the_rest_of_its_batch_alone(monkeypatch, eps_list):
     assert counts["lu"] - batch == batch > 0
 
 
+@pytest.mark.parametrize("preset", ["commuting", "scalar", "wentzell"])
+def test_measure_of_a_real_solve_is_that_of_its_complex_copy(preset):
+    spec = uniformity_base(preset, eps=1e-2, lam=10.0)
+    data = estimates._data_terms(spec, 2.0)
+    assert data.A.dtype == np.float64
+    u = full_solve(spec, data.loads)
+    assert u.values.dtype == np.float64
+    copy = GridFunction(u.t, u.values.astype(complex))
+    rep = estimates._measure(u, spec.eps, spec.lam, 2.0, data)
+    want = estimates._measure(copy, spec.eps, spec.lam, 2.0, data)
+    for got, ref in zip(_report_numbers(rep), _report_numbers(want)):
+        assert got == pytest.approx(ref, rel=1e-14, abs=0)
+
+
 def test_wentzell_sweep_computes_its_data_terms_once(monkeypatch):
     # 15 cells: the two boundary interpolation norms and the load samples
     # are taken once per sweep, and the batched FD solve factors no more
