@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import exprparse
-from .linalg import (SectorialityReport, SingularMatrix, as_complex_matrix,
-                     check_positivity, inv, mat_solve, op_norm, solve_cells)
+from .linalg import (SectorialityReport, SingularMatrix, _kind, as_complex_matrix, as_matrix,
+                     check_positivity, inv, mat_solve, narrow, op_norm, solve_cells)
 
 __all__ = [
     "NonPositiveCoefficient", "ConditionReport",
@@ -54,11 +54,6 @@ def _as_coefficient(fn, variables: tuple) -> Callable:
         value = float(fn)
         sample = lambda **kw: value
     return lambda **kw: np.broadcast_to(sample(**kw), np.shape(kw[variables[0]]))
-
-
-def _working_dtype(x) -> type:
-    """complex128 for complex x, float64 for anything real."""
-    return np.complex128 if np.iscomplexobj(x) else np.float64
 
 
 @dataclass(frozen=True)
@@ -98,10 +93,9 @@ class SpaceGrid:
 class GridFunction:
     """Vector-valued function sampled on a uniform time grid.
 
-    The package's dtype rule: real data give a float64 solve, a float64
-    GridFunction and a float64 measurement; anything else runs in
-    complex128.  So values are kept as float64 when they arrive real and
-    as complex128 when they arrive complex.
+    Values are kept as float64 when they arrive real-typed and as
+    complex128 when they arrive complex-typed; the dtype rule itself is
+    linalg.narrow's.
     """
     t: np.ndarray
     values: np.ndarray
@@ -109,7 +103,7 @@ class GridFunction:
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
-        self.values = np.asarray(self.values, dtype=_working_dtype(self.values))
+        self.values = np.asarray(self.values, dtype=_kind(self.values))
         if self.t.ndim != 1 or len(self.t) < 3:
             raise ValueError("time grid must be 1-d with at least 3 nodes")
         steps = np.diff(self.t)
@@ -151,8 +145,9 @@ RESOLVENT_T_SAMPLES = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
 class OperatorPair:
     """Matrix pair (A, B); A is certified positive at construction.
 
-    Pass check_positive=False to skip the resolvent scan (needed when A
-    has a nontrivial kernel, as dynamic-boundary operators do).  The scan
+    A and B are narrowed (linalg.narrow).  Pass check_positive=False to
+    skip the resolvent scan (needed when A has a nontrivial kernel, as
+    dynamic-boundary operators do).  The scan
     samples lam_samples, which the pair keeps for later scans.  A and B
     are fixed at construction and never reassigned, so the commutator
     norm, the scale ||A|| ||B|| and the joint eigenbasis are computed
@@ -162,8 +157,8 @@ class OperatorPair:
     def __init__(self, A, B, grid: Optional[SpaceGrid] = None,
                  check_positive: bool = True,
                  lam_samples: Sequence = (0.0, 1.0, 10.0, 100.0, 1000.0)):
-        self.A = as_complex_matrix(A)
-        self.B = as_complex_matrix(B)
+        self.A = as_matrix(narrow(A))
+        self.B = as_matrix(narrow(B))
         if self.A.shape != self.B.shape:
             raise ValueError(f"A and B shapes differ: {self.A.shape} vs {self.B.shape}")
         if grid is not None and grid.n != self.A.shape[0]:
@@ -228,7 +223,9 @@ class OperatorPair:
             tol = EIGENBASIS_RTOL * np.linalg.norm(self.A)
             for space in {tuple(np.flatnonzero(np.abs(w - x) <= tol)) for x in w}:
                 if len(space) > 1:
-                    V[:, space] = V[:, space] @ np.linalg.eig(Bv[np.ix_(space, space)])[1]
+                    W = np.linalg.eig(Bv[np.ix_(space, space)])[1]
+                    V = V.astype(np.result_type(V, W), copy=False)
+                    V[:, space] = V[:, space] @ W
             Vinv = inv(V)
         except SingularMatrix:
             return None
@@ -257,6 +254,7 @@ class BoundaryData:
     is nonzero, else 0 (value condition).  The determinant
     d = alpha0*beta1 - beta0*alpha1 must be nonzero: two value conditions,
     two pure derivative conditions or an end without coefficients fail.
+    The coefficients are narrowed together, f1 and f2 by data_for.
     """
     alpha: tuple
     beta: tuple
@@ -264,12 +262,11 @@ class BoundaryData:
     f2: np.ndarray
 
     def __post_init__(self):
-        alpha = tuple(complex(c) for c in self.alpha)
-        beta = tuple(complex(c) for c in self.beta)
-        if len(alpha) != 2 or len(beta) != 2:
+        if len(self.alpha) != 2 or len(self.beta) != 2:
             raise ValueError("alpha and beta must each have two coefficients")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        coeffs = narrow([complex(c) for c in (*self.alpha, *self.beta)])
+        object.__setattr__(self, "alpha", tuple(coeffs[:2]))
+        object.__setattr__(self, "beta", tuple(coeffs[2:]))
         object.__setattr__(self, "f1", np.atleast_1d(np.asarray(self.f1, dtype=np.complex128)))
         object.__setattr__(self, "f2", np.atleast_1d(np.asarray(self.f2, dtype=np.complex128)))
         if self.f1.ndim != 1 or self.f2.ndim != 1:
@@ -303,15 +300,12 @@ class BoundaryData:
         return th
 
     def data_for(self, n: int) -> tuple:
-        """Boundary vectors broadcast to dimension n."""
+        """Boundary vectors broadcast to dimension n, each narrowed apart."""
         out = []
         for f in (self.f1, self.f2):
-            if len(f) == n:
-                out.append(f.copy())
-            elif len(f) == 1:
-                out.append(np.full(n, f[0], dtype=np.complex128))
-            else:
+            if len(f) not in (1, n):
                 raise ValueError(f"boundary vector of length {len(f)} does not fit dimension {n}")
+            out.append(np.broadcast_to(narrow(f), n).copy())
         return tuple(out)
 
 
@@ -443,14 +437,13 @@ def check_condition_4_1(grid: SpaceGrid, a, b, kernel) -> ConditionReport:
     b_fn = _as_coefficient(b, ("y",))
     k_fn = _as_coefficient(kernel, ("y", "tau"))
     full = np.linspace(0.0, 1.0, grid.n + 2)
-    a_all = np.asarray(a_fn(y=full), dtype=complex)
-    b_all = np.asarray(b_fn(y=full), dtype=complex)
+    a_all, b_all = narrow(a_fn(y=full)), narrow(b_fn(y=full))
     Y = grid.nodes[:, None]
     Tau = grid.nodes[None, :]
     K = np.asarray(k_fn(y=Y + 0 * Tau, tau=Tau + 0 * Y), dtype=complex)
 
-    a_positive = bool(np.all(a_all.real > 0) and np.all(a_all.imag == 0))
-    b_real = bool(np.all(b_all.imag == 0))
+    a_positive = bool(a_all.dtype == np.float64 and np.all(a_all > 0))
+    b_real = b_all.dtype == np.float64
     k_finite = bool(np.all(np.isfinite(K)))
 
     # integrability of the density exp(-int_{1/2}^x b/a dt)
@@ -500,7 +493,7 @@ def e_norm(v, weights=None):
     within 4 ulp.
     """
     x = np.atleast_1d(v)
-    x = np.ascontiguousarray(x, dtype=_working_dtype(x))
+    x = np.ascontiguousarray(x, dtype=_kind(x))
     floats = x.view(np.float64)
     w = np.repeat(_e_weights(x.shape[-1], weights), x.itemsize // floats.itemsize)
     total = np.zeros(x.shape[:-1])

@@ -4,9 +4,8 @@ solve_batch solves one spec at a sequence of (eps, lam) cells and is the
 one place that picks a route; full_solve is its batch of one.  In a
 joint eigenbasis the problem splits into n scalar ones, solved exactly
 but for the load quadrature (_modes_batch, one _mode_solve per cell).
-Both routes keep the package's dtype rule: real data give a float64
-solve and a float64 GridFunction, anything else complex128.  The data
-are judged real by value, and the same code runs in either dtype.
+Both routes solve in the dtype their data promote to (linalg.narrow),
+and the same code runs in either.
 The solution calculus, kept as a reference, factors the quadratic
 pencil through the square root R = (B^2 + 4 eps (A+lam))^(1/2):
 
@@ -25,9 +24,9 @@ block-tridiagonal finite difference scheme (direct_batch).  Two 2n x 2n
 end pivots absorb the two-node reach of the one-sided boundary
 derivatives; the nodes between share one stencil and are solved by
 odd-even block cyclic reduction, which inverts one block per distinct
-row class and level, O(log n_t) linalg.solve_cells calls in the data's
-dtype (float64 for real data).  The rcond guard of solve_cells sees
-each block and its coupling columns, never the load; the load and
+row class and level, O(log n_t) linalg.solve_cells calls.  The rcond
+guard of solve_cells sees each block and its coupling columns, never
+the load; the load and
 boundary vectors are scaled by a power of two, so only a solution past
 the float64 range surfaces, as "solution overflowed" at the end.
 direct_batch runs the scheme for several (eps, lam) cells at once: the
@@ -47,7 +46,7 @@ import numpy as np
 from . import exprparse
 from .discretize import BoundaryData, GridFunction, OperatorPair, SpaceGrid
 from .linalg import (BRANCH_CUT_RTOL, MIN_RCOND, NUMERICAL_ERRORS, Overflow, SingularMatrix,
-                     SqrtNotConverged, expm, mat_solve, op_norm, solve_cells, sqrtm)
+                     SqrtNotConverged, expm, mat_solve, narrow, op_norm, solve_cells, sqrtm)
 
 __all__ = [
     "ProblemSpec", "QSystem", "SOLVER_ERRORS",
@@ -57,12 +56,6 @@ __all__ = [
 
 PROPAGATOR_CAP = 1e6
 SOLVER_ERRORS = NUMERICAL_ERRORS + (ValueError,)
-
-
-def _real(data) -> bool:
-    """Whether every array of data has a zero imaginary part, judged by
-    value: a batch runs in float64 exactly when its data are real."""
-    return not any(np.any(np.imag(x)) for x in data)
 
 
 def _positive_eps(eps) -> float:
@@ -109,24 +102,24 @@ class ProblemSpec:
 
     @property
     def A_lam(self) -> np.ndarray:
-        return self.pair.A + self.lam * np.eye(self.n)
+        """A + lam, lam narrowed (linalg.narrow)."""
+        return self.pair.A + narrow(self.lam) * np.eye(self.n)
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_t)
 
     def f_samples(self, t) -> np.ndarray:
-        """Sample the interior load on time nodes t; shape (len(t), n)."""
+        """The interior load on time nodes t, narrowed; shape (len(t), n)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         n = self.n
         if self.f is None:
-            return np.zeros((len(t), n), dtype=np.complex128)
+            return np.zeros((len(t), n))
         if self._f_expr is not None:
             grid = self.pair.grid or SpaceGrid.uniform_interior(n)
             vals = exprparse.eval_expr(
                 self._f_expr, {"t": t[:, None], "y": grid.nodes[None, :]})
-            return np.broadcast_to(np.asarray(vals, dtype=np.complex128), (len(t), n)).copy()
-        rows = [np.asarray(self.f(float(ti)), dtype=np.complex128).reshape(n) for ti in t]
-        return np.stack(rows)
+            return np.broadcast_to(narrow(vals), (len(t), n)).copy()
+        return narrow(np.stack([np.asarray(self.f(float(ti))).reshape(n) for ti in t]))
 
 
 @dataclass(frozen=True)
@@ -198,7 +191,7 @@ def _orbit(P: np.ndarray, start: np.ndarray, n_t: int,
     state is not finite.
     """
     step = np.matmul if P.ndim == 2 else np.multiply
-    x = np.empty((n_t, len(start)), dtype=np.complex128) if out is None else out
+    x = np.empty((n_t, len(start)), np.result_type(P, start)) if out is None else out
     x[0] = start
     Pk, k = P, 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -352,30 +345,24 @@ def direct_batch(spec: ProblemSpec, cells, loads=None) -> list:
     """direct_solve of spec at every (eps, lam) pair of cells, as one batch.
 
     The cells share everything else: the row classes of the cyclic
-    reduction, the load samples (loads, the load on spec.t_grid(), is
-    sampled here when None) and the float64/complex128 choice, float64
-    only when every cell is real: its A + lam, B, the load, the boundary
-    vectors and its two boundary rows.  The solutions keep that dtype,
-    so a real cell batched with a complex one runs and returns in
-    complex128, within roundoff of its float64 solo solve.  Blocks, end
-    pivots, loads and the back substitution are (cells, ...) stacks, and
-    every factorization is one linalg.solve_cells call over the stack,
-    whose guard judges each cell apart.  Returns, per cell, its
-    GridFunction or the exception a solo direct_solve raises for it; a
-    failed cell gets no further factorization and leaves the other
-    cells' numbers as they are.  An eps that is not finite and positive
-    raises ValueError.
+    reduction, the load samples (_batch_data) and one dtype, the
+    promotion of every cell's data, so a real cell batched with a
+    complex one runs and returns in complex128, within roundoff of its
+    float64 solo solve.  Blocks, end pivots, loads and the back
+    substitution are (cells, ...) stacks, and every factorization is one
+    linalg.solve_cells call over the stack, whose guard judges each cell
+    apart.  Returns, per cell, its GridFunction or the exception a solo
+    direct_solve raises for it; a failed cell gets no further
+    factorization and leaves the other cells' numbers as they are.
     """
-    eps = np.array([_positive_eps(e) for e, _ in cells])
-    lam = np.array([complex(z) for _, z in cells])
+    eps, lam, fvals, f1, f2, finite = _batch_data(spec, cells, loads)
+    if not finite:
+        return [ValueError("array must not contain infs or NaNs")] * len(cells)
     t = spec.t_grid()
     h = t[1] - t[0]
-    n, N, n_cells = spec.n, spec.n_t, len(eps)
-    B, A_lam = spec.pair.B, spec.pair.A + lam[:, None, None] * np.eye(n)
-    fvals = spec.f_samples(t) if loads is None else loads
-    f1, f2 = spec.bc.data_for(n)
-    if not all(np.isfinite(x).all() for x in (fvals, f1, f2)):
-        return [ValueError("array must not contain infs or NaNs")] * n_cells
+    n, N, n_cells = spec.n, spec.n_t, len(cells)
+    B, A_lam = spec.pair.B, spec.pair.A + np.array(lam)[:, None, None] * np.eye(n)
+    fvals = np.zeros((N, n)) if fvals is None else fvals
     # u is linear in the data: solve for the data over 2^(e-1), e the
     # exponent of their largest component, so that a load near the
     # float64 limit keeps the sweep finite; powers of two scale exactly
@@ -388,11 +375,8 @@ def direct_batch(spec: ProblemSpec, cells, loads=None) -> list:
                          np.array([-3.0, 4.0, -1.0]) / (2 * h), eps[:, None])
     right = spec.bc.apply(2, np.array([0.0, 0.0, 1.0]),
                           np.array([1.0, -4.0, 3.0]) / (2 * h), eps[:, None])
-    data = (B, A_lam, fvals, f1, f2, left, right)
-    real = _real(data)
-    if real:
-        B, A_lam, fvals, f1, f2, left, right = (x.real for x in data)
-    eye = np.eye(n, dtype=np.float64 if real else np.complex128)
+    dtype = np.result_type(B, A_lam, fvals, f1, f2, left, right)
+    eye = np.eye(n, dtype=dtype)
     s = eps[:, None, None]
     lower = -s / h**2 * eye - B / (2 * h)
     diag = 2 * s / h**2 * eye + A_lam
@@ -417,13 +401,13 @@ def direct_batch(spec: ProblemSpec, cells, loads=None) -> list:
         last = last.reshape(n_cells, 2, n, n + 1)
         D_first = diag - lower @ first[:, 1, :, :n]
         D_last = (D_first if N == 5 else diag) - upper @ last[:, 0, :, :n]
-        load = np.repeat(fvals[None, 2:N - 2], n_cells, axis=0)
+        load = np.repeat(fvals[None, 2:N - 2], n_cells, axis=0).astype(dtype, copy=False)
         load[:, 0] -= (lower @ first[:, 1, :, n:])[..., 0]
         load[:, -1] -= (upper @ last[:, 0, :, n:])[..., 0]
         kinds = [(None, D_first, upper), (lower, diag, upper), (lower, D_last, None)]
         cls = np.ones(N - 4, int)
         cls[0], cls[-1] = 0, 2
-        u = np.empty((n_cells, N, n), dtype=eye.dtype)
+        u = np.empty((n_cells, N, n), dtype)
         u[:, 2:N - 2] = _cyclic_reduction(kinds, cls, load, fails)
         u[:, :2] = first[..., n] - (first[..., :n] @ u[:, None, 2, :, None])[..., 0]
         u[:, N - 2:] = last[..., n] - (last[..., :n] @ u[:, None, N - 3, :, None])[..., 0]
@@ -447,9 +431,7 @@ def direct_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     the diagonal blocks of the two end rows (one row at n_t = 5), and
     odd-even block cyclic reduction solves them (_cyclic_reduction):
     each level inverts one block per distinct row class, O(log n_t) in
-    all.  The solve runs in float64 when A + lam, B, the load, the
-    boundary vectors and the two boundary rows are all real, else in
-    complex128, and the result keeps that dtype.  Both pivots and
+    all, in the dtype the data promote to.  Both pivots and
     every block of the reduction go through linalg.solve_cells, whose
     rcond guard sees the block and its coupling columns, so the first
     failing inverse raises: the first pivot's, then the last pivot's,
@@ -485,35 +467,40 @@ def solve_batch(spec: ProblemSpec, cells, loads=None) -> list:
     return batch(spec, cells, loads)
 
 
-def _modes_batch(spec: ProblemSpec, cells, loads=None) -> list:
-    """solve_batch on the modes route.  Once per batch it checks every
-    eps, samples the load when loads is None and takes the boundary
-    vectors and the load (FV, None without one) into the basis; non-finite
-    data make every cell direct_batch's ValueError.  When V, V^-1, a, b,
-    the boundary vectors and coefficients and the load are all real, the
-    basis, f1, f2 and FV are float64, else complex128.  Then each cell is
-    one _mode_solve, and its failure is its value."""
-    cells = [(_positive_eps(eps), complex(lam)) for eps, lam in cells]
-    basis, n = spec.pair.joint_eigenbasis, spec.n
+def _batch_data(spec: ProblemSpec, cells, loads) -> tuple:
+    """(eps, lam, loads, f1, f2, finite), once per batch: each cell's eps,
+    checked (ValueError), and the list of its lam, narrowed; the load on
+    spec.t_grid(), sampled when None (None for a spec without one); the
+    boundary vectors; and whether loads, f1 and f2 are finite."""
+    eps = np.array([_positive_eps(e) for e, _ in cells])
+    lam = [narrow(complex(z)) for _, z in cells]
     if loads is None and spec.f is not None:
         loads = spec.f_samples(spec.t_grid())
+    f1, f2 = spec.bc.data_for(spec.n)
+    finite = all(np.isfinite(x).all() for x in (f1, f2, () if loads is None else loads))
+    return eps, lam, loads, f1, f2, finite
+
+
+def _modes_batch(spec: ProblemSpec, cells, loads=None) -> list:
+    """solve_batch on the modes route.  Once per batch it takes the
+    boundary vectors and the load (FV, None without one) of _batch_data
+    into the basis; non-finite data make every cell direct_batch's
+    ValueError.  Then each cell is one _mode_solve, and its failure is
+    its value."""
+    eps, lam, loads, f1, f2, finite = _batch_data(spec, cells, loads)
+    if not finite:
+        return [ValueError("array must not contain infs or NaNs")] * len(cells)
+    (V, Vinv, a, b), n = spec.pair.joint_eigenbasis, spec.n
     with np.errstate(over="ignore", invalid="ignore"):
-        f1, f2 = (basis[1] @ f for f in spec.bc.data_for(n))
-        if not all(np.isfinite(x).all() for x in (f1, f2, () if loads is None else loads)):
-            return [ValueError("array must not contain infs or NaNs")] * len(cells)
-        data = (*basis, f1, f2, spec.bc.alpha, spec.bc.beta, () if loads is None else loads)
-        if _real(data):
-            basis, f1, f2 = [x.real.copy() for x in basis], f1.real, f2.real
-            loads = None if loads is None else loads.real.copy()
-        V, Vinv, a, b = basis
+        f1, f2 = Vinv @ f1, Vinv @ f2
         FV = None
         if loads is not None and loads.any():
-            FV = np.empty((spec.n_t, 2 * n), dtype=f1.dtype)
+            FV = np.empty((spec.n_t, 2 * n), np.result_type(loads, Vinv))
             FV[:, n:] = np.matmul(loads, Vinv.T, out=FV[:, :n])[::-1]
     out = []
-    for eps, lam in cells:
+    for cell in zip(eps, lam):
         try:
-            out.append(_mode_solve(spec, eps, lam, (V, a, b), f1, f2, FV))
+            out.append(_mode_solve(spec, *cell, (V, a, b), f1, f2, FV))
         except SOLVER_ERRORS as exc:
             out.append(exc)
     return out
@@ -590,11 +577,9 @@ def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, basis, f1, f2,
 
     basis is (V, a, b) of the pair's joint eigenbasis; it and f1, f2
     and FV, the load forward and then reversed, are the data in the
-    basis (_modes_batch), shared by the cells and only read.  They are
-    float64 when the batch's data are real, and a cell of such a batch
-    with a real lam runs in float64 from the roots to the solution:
-    past the branch-cut check every b^2 + 4 eps c is then > 0, so every
-    root is real.  Any other cell runs in complex128.
+    basis (_modes_batch), shared by the cells and only read.  The cell
+    runs in the dtype they and lam promote to; with real data past the
+    branch-cut check every b^2 + 4 eps c is > 0, so every root is real.
 
     Mode a, b of the basis solves -eps u'' + b u' + c u = f, c = a + lam,
     as u = (x + y)/s + alpha e^(r- t) + beta e^(r+ (t - T)).  Here s is
@@ -612,7 +597,7 @@ def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, basis, f1, f2,
     """
     V, a, b = basis
     t, n, N = spec.t_grid(), spec.n, spec.n_t
-    h, c = t[1] - t[0], a + (lam.real if lam.imag == 0 else lam)
+    h, c = t[1] - t[0], a + lam
     m = b * b + 4.0 * eps * c
     tol = BRANCH_CUT_RTOL * np.abs(m).max()
     on_cut = (np.abs(m.imag) <= tol) & (m.real <= tol)
@@ -624,15 +609,14 @@ def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, basis, f1, f2,
     q = np.where(plus, b + s, b - s)
     large, small = q / (2.0 * eps), -2.0 * c / q
     r_minus, r_plus = np.where(plus, small, large), np.where(plus, large, small)
+    # L1 and L2 of e^(r t) per unit value at their ends, r = r-, r+
+    L1, L2 = np.stack([spec.bc.apply(k, 1.0, np.stack([r_minus, r_plus]), eps) for k in (1, 2)])
     # one workspace, so that a solve makes few large allocations and a
     # sweep reuses its heap instead of refaulting it: E holds
     # [e^(r- t) | e^(r+ (T - t))]; with a load, x runs forward in xy's first
     # n columns and y backward in its last n
-    E, *xy = np.empty((1 if FV is None else 2, N, 2 * n), dtype=s.dtype)
-    # L1 and L2 of e^(r t) per unit value at their ends, r = r-, r+; the
-    # boundary coefficients are real when s is
-    L = np.stack([spec.bc.apply(k, 1.0, np.stack([r_minus, r_plus]), eps) for k in (1, 2)])
-    L1, L2 = L.real if s.dtype == np.float64 else L
+    dtype = np.result_type(L1, f1, f2, *(() if FV is None else (FV,)))
+    E, *xy = np.empty((1 if FV is None else 2, N, 2 * n), dtype)
     z = np.concatenate([r_minus, -r_plus]) * h   # both decay if Re r- < 0 < Re r+
     P = np.exp(z)
     if FV is not None:

@@ -107,10 +107,10 @@ def _failed_report(eps: float, lam: complex, p: float, msg: str) -> EstimateRepo
 class _DataTerms:
     """The terms of a coercive report that depend on neither eps nor lam.
 
-    A is the pair's A, float64 when it is real.  loads is f sampled on
-    the time grid and f_norm its ||f||_X.  ends holds (||f_k||_Ek,
-    theta_k, ||f_k||) for each end with nonzero data, ||f_k||_Ek being
-    the K-functional interpolation norm.
+    A is the pair's A.  loads is f sampled on the time grid and f_norm
+    its ||f||_X.  ends holds (||f_k||_Ek, theta_k, ||f_k||) for each end
+    with nonzero data, ||f_k||_Ek being the K-functional interpolation
+    norm.
     """
     A: np.ndarray
     weights: np.ndarray
@@ -128,8 +128,6 @@ def _data_terms(spec: ProblemSpec, p: float) -> _DataTerms:
         norm = e_norm(fk, w)
         if norm != 0.0:
             ends.append((kfunctional_norm(fk, A, th, p=p, weights=w), th, norm))
-    if not A.imag.any():
-        A = A.real.copy()
     return _DataTerms(A, w, loads, mixed_norm(GridFunction(t, loads), p=p, weights=w),
                       tuple(ends))
 
@@ -141,9 +139,9 @@ def _measure(u: GridFunction, eps: float, lam: complex, p: float,
              data: _DataTerms) -> EstimateReport:
     """The coercive report of the solve u at (eps, lam); see coercive_report.
 
-    One scratch array of u's shape holds u', then u'', then Au, each
-    measured by mixed_norm before the next overwrites it; it is float64
-    when u and A are real, so a real solve is measured in float64.
+    One scratch array of u's shape and of u's and A's promoted dtype
+    holds u', then u'', then Au, each measured by mixed_norm before the
+    next overwrites it.
     """
     w = data.weights
     scratch = GridFunction(u.t, np.empty(u.values.shape, np.result_type(u.values, data.A)))
@@ -346,7 +344,7 @@ def convergence_study(base: ProblemSpec, u0: np.ndarray,
     check_p(p)
     w = base.pair.weights()
     limit = cauchy_solve(base, u0)
-    u0 = limit.values[0]  # u0 as a complex vector of length n
+    u0 = limit.values[0]  # u0 narrowed, as a vector of length n
 
     def wired(eps: float, n_t: int) -> ProblemSpec:
         bc = dataclasses.replace(base.bc, f1=u0.copy(), f2=u0.copy())

@@ -8,18 +8,18 @@ below MIN_RCOND is refused, and the right-hand sides are one GEMM with
 the inverse.  The rcond is exact, not estimated, and M is not
 equilibrated.  solve_cells takes a stack of matrices, inverts it in one
 call and reports a failure per matrix; mat_solve and inv are its
-one-matrix forms, and mat_solve adds shape checks and works in float64
-when matrix and right-hand side are both real, in complex128 otherwise.
+one-matrix forms, and mat_solve adds shape checks.
 The two outside the guard are multiplier's resolvent inverse and
 elliptic._mode_solve's n 2 x 2 boundary systems, solved by Cramer's
 rule behind a scaled-determinant guard of its own.  The rest of the
-operator calculus runs on explicit complex matrices: the principal
-matrix square root by the Schur method of Bjorck & Hammarling
-(scipy.linalg.sqrtm) behind a spectrum check, a capped matrix
-exponential (scipy.linalg.expm), the spectral operator norm from the
-SVD, and the resolvent-bound scan used to certify that an operator
-behaves like a positive one.  scipy is imported inside sqrtm
-and expm only, so a run that calls neither never loads it.
+operator calculus is the principal matrix square root by the Schur
+method of Bjorck & Hammarling (scipy.linalg.sqrtm) behind a spectrum
+check, a capped matrix exponential (scipy.linalg.expm), the spectral
+operator norm from the SVD, and the resolvent-bound scan used to
+certify that an operator behaves like a positive one.  mat_solve, inv
+and expm keep their input's kind (_kind), and narrow states the dtype
+rule.  scipy is imported inside sqrtm and expm only, so a run that
+calls neither never loads it.
 """
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ import numpy as np
 __all__ = [
     "SingularMatrix", "SqrtNotConverged", "Overflow", "NUMERICAL_ERRORS",
     "SectorialityReport",
-    "as_complex_matrix", "solve_cells", "mat_solve", "inv", "sqrtm", "expm",
-    "op_norm", "check_positivity",
+    "narrow", "as_matrix", "as_complex_matrix", "solve_cells", "mat_solve", "inv",
+    "sqrtm", "expm", "op_norm", "check_positivity",
     "INV", "MIN_RCOND", "BRANCH_CUT_RTOL", "EXPM_NORM_CAP",
 ]
 
@@ -61,14 +61,41 @@ class Overflow(OverflowError):
 NUMERICAL_ERRORS = (Overflow, SqrtNotConverged, np.linalg.LinAlgError)
 
 
-def as_complex_matrix(M) -> np.ndarray:
-    """Coerce to a square complex128 2-d array; reject anything else."""
-    A = np.asarray(M, dtype=np.complex128)
+def narrow(x) -> np.ndarray:
+    """x as float64 when its imaginary part is zero, else as complex128.
+
+    The package's dtype rule and its one judgement of realness by value,
+    applied where data enter: OperatorPair, BoundaryData, ProblemSpec's
+    f_samples and A_lam, each cell's lam and cauchy_solve's u0.  numpy's
+    type promotion carries the dtype on through every solver and
+    measurement.  A real-typed x is not copied; a scalar gives a 0-d array.
+    """
+    x = np.asarray(x)
+    if not np.iscomplexobj(x):
+        return x.astype(np.float64, copy=False)
+    return x.astype(np.complex128, copy=False) if x.imag.any() else x.real.astype(np.float64)
+
+
+def _kind(*xs) -> type:
+    """complex128 when any of xs is complex-typed, else float64."""
+    return np.complex128 if any(np.iscomplexobj(x) for x in xs) else np.float64
+
+
+def as_matrix(M) -> np.ndarray:
+    """Coerce to a square 2-d array of finite entries in M's kind (_kind);
+    reject anything else."""
+    A = np.asarray(M)
+    A = A.astype(_kind(A), copy=False)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
+
+
+def as_complex_matrix(M) -> np.ndarray:
+    """as_matrix in complex128."""
+    return as_matrix(np.asarray(M, dtype=np.complex128))
 
 
 def _inverses(M: np.ndarray) -> np.ndarray:
@@ -138,16 +165,13 @@ def solve_cells(M: np.ndarray, coupling=None, load=None, skip=None) -> tuple:
 def mat_solve(M, rhs) -> np.ndarray:
     """Solve M x = rhs by solve_cells; rhs may be a vector or matrix.
 
-    Works in float64 when M and rhs are both real and in complex128
-    otherwise, and returns x in that dtype.  ValueError for a misshapen
-    M or rhs, then solve_cells' first error with rhs as the coupling.
+    Works in float64 when M and rhs are both real-typed and in complex128
+    otherwise, and returns x in that dtype.  as_matrix's ValueError for
+    M, ValueError for a misshapen rhs, then solve_cells' first error
+    with rhs as the coupling.
     """
-    A, b = np.asarray(M), np.asarray(rhs)
-    complex_ = np.iscomplexobj(A) or np.iscomplexobj(b)
-    dtype = np.dtype(np.complex128 if complex_ else np.float64)
-    A, b = A.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    dtype = _kind(M, rhs)
+    A, b = as_matrix(np.asarray(M, dtype)), np.asarray(rhs, dtype)
     if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
         raise ValueError(f"rhs of shape {b.shape} does not match a {A.shape} matrix")
     (x,), (error,) = solve_cells(A[None], b[None] if b.ndim == 2 else b[None, :, None])
@@ -157,8 +181,8 @@ def mat_solve(M, rhs) -> np.ndarray:
 
 
 def inv(M) -> np.ndarray:
-    """Inverse of a square matrix behind solve_cells' guard, in complex128."""
-    (X,), (error,) = solve_cells(as_complex_matrix(M)[None])
+    """Inverse of a square matrix behind solve_cells' guard, in M's kind."""
+    (X,), (error,) = solve_cells(as_matrix(M)[None])
     if error is not None:
         raise error
     return X
@@ -193,9 +217,9 @@ def sqrtm(M) -> np.ndarray:
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential; raises Overflow past EXPM_NORM_CAP or non-finite."""
+    """Matrix exponential in M's kind; Overflow past EXPM_NORM_CAP or non-finite."""
     import scipy.linalg
-    A = as_complex_matrix(M)
+    A = as_matrix(M)
     with np.errstate(over="ignore", invalid="ignore"):
         E = scipy.linalg.expm(A)
     if not np.all(np.isfinite(E)):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .discretize import GridFunction
 from .elliptic import ProblemSpec, _boundary_matrix, _orbit, compute_q_system
-from .linalg import Overflow, expm, inv, mat_solve, op_norm
+from .linalg import Overflow, expm, inv, mat_solve, narrow, op_norm
 
 __all__ = ["cauchy_solve", "build_MN", "CAUCHY_STABILITY_CAP"]
 
@@ -38,10 +38,11 @@ def cauchy_solve(spec: ProblemSpec, u0) -> GridFunction:
     GEMM.  Midpoint quadrature makes the step second order.  With f = 0
     the orbit of E is sampled by block doubling (elliptic._orbit) and is
     exact up to roundoff; with a load the recurrence runs one
-    matrix-vector product per step.  Raises Overflow when exp(-T G)
-    exceeds the stability cap or the orbit is not finite.
+    matrix-vector product per step, in the dtype the narrowed u0 and the
+    data promote to.  Raises Overflow when exp(-T G) exceeds the
+    stability cap or the orbit is not finite.
     """
-    u0 = np.atleast_1d(np.asarray(u0, dtype=np.complex128))
+    u0 = narrow(np.atleast_1d(u0))
     if u0.shape != (spec.n,):
         raise ValueError(f"u0 has length {len(u0)}, operator size is {spec.n}")
     G = mat_solve(spec.pair.B, spec.A_lam)
@@ -55,11 +56,11 @@ def cauchy_solve(spec: ProblemSpec, u0) -> GridFunction:
     if spec.f is None:
         u = _orbit(E, u0, spec.n_t)
     else:
-        u = np.empty((spec.n_t, spec.n), dtype=np.complex128)
-        u[0] = u0
         fmid = spec.f_samples(t[:-1] + h / 2.0)
         binv_f = mat_solve(spec.pair.B, fmid.T).T
         c = h * (binv_f @ expm(-h * G / 2.0).T)
+        u = np.empty((spec.n_t, spec.n), np.result_type(E, u0, c))
+        u[0] = u0
         for i in range(spec.n_t - 1):
             u[i + 1] = E @ u[i] + c[i]
     return GridFunction(t, u, meta={"path": "cauchy"})

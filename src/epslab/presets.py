@@ -31,9 +31,7 @@ PRESET_NAMES = ("scalar", "commuting", "wentzell")
 
 def make_scalar_pair(a: float = 1.0, b: float = 0.5,
                      check_positive: bool = True) -> OperatorPair:
-    return OperatorPair(np.array([[a]], dtype=complex),
-                        np.array([[b]], dtype=complex),
-                        check_positive=check_positive)
+    return OperatorPair([[a]], [[b]], check_positive=check_positive)
 
 
 def make_commuting_pair(n_y: int = 8, a: str = "1+2*y", b0: float = 0.3,
@@ -43,7 +41,7 @@ def make_commuting_pair(n_y: int = 8, a: str = "1+2*y", b0: float = 0.3,
     B = b0 I + b1 A; they commute by construction and share the standard
     basis, so full_solve takes the modes route for this family."""
     grid = SpaceGrid.uniform_interior(n_y)
-    A = np.diag(np.asarray(_as_coefficient(a, ("y",))(y=grid.nodes), dtype=complex))
+    A = np.diag(_as_coefficient(a, ("y",))(y=grid.nodes))
     B = b0 * np.eye(n_y) + b1 * A
     return OperatorPair(A, B, grid=grid, check_positive=check_positive)
 
@@ -144,7 +142,7 @@ def convergence_problem(preset: str = "scalar",
         raise ValueError("convergence scenarios need a commuting pair")
     base = ProblemSpec(pair=pair, eps=0.1, lam=0.0, T=1.0,
                        bc=dirichlet_neumann(n), n_t=n_t)
-    return base, np.asarray(u0, dtype=complex)
+    return base, np.asarray(u0, dtype=float)
 
 
 def cross_validation_spec(eps: float = 0.1, lam: complex = 1.0,

@@ -134,6 +134,29 @@ class TestOperatorPair:
         with pytest.raises(ValueError):
             OperatorPair(np.eye(2), np.eye(3))
 
+    def test_holds_real_matrices_in_float64(self):
+        # the dtype is decided where the matrices enter: complex-typed real
+        # values are held as float64, and a matrix with an imaginary part
+        # stays complex128 without moving the other one
+        A, B = np.diag([1.0, 2.0]) + 0j, np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+        pair = OperatorPair(A, B)
+        assert (pair.A.dtype, pair.B.dtype) == (np.float64, np.float64)
+        np.testing.assert_array_equal(pair.A, A.real)
+        assert pair.A.flags.c_contiguous and pair.B.flags.c_contiguous
+        pair = OperatorPair(A, B + 1j * np.eye(2))
+        assert (pair.A.dtype, pair.B.dtype) == (np.float64, np.complex128)
+
+    def test_real_joint_eigenbasis_stays_real(self):
+        # inv(V) @ B @ V of a real basis is real, and a block of A's
+        # eigenspace that B turns by complex eigenvectors promotes V
+        V, Vinv, a, b = OperatorPair(np.diag([1.0, 2.0, 3.0]) + 0j, np.eye(3) + 0j,
+                                     check_positive=False).joint_eigenbasis
+        assert {x.dtype for x in (V, Vinv, a, b)} == {np.dtype(np.float64)}
+        rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        V, Vinv, a, b = OperatorPair(np.eye(2), rotation, check_positive=False).joint_eigenbasis
+        assert V.dtype == b.dtype == np.complex128
+        np.testing.assert_allclose(sorted(b, key=lambda z: z.imag), [-1j, 1j], atol=1e-14)
+
     def test_commutes(self):
         assert OperatorPair(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])).commutes()
         pair = OperatorPair(np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -260,6 +283,31 @@ class TestBoundaryData:
         np.testing.assert_array_equal(f2, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             bc.data_for(4)
+
+    @pytest.mark.parametrize("f1, f2, dtypes", [
+        (2.0, [1.0, 2.0, 3.0], (np.float64, np.float64)),
+        (2.0 + 0j, np.array([1.0, 2.0, 3.0]) + 0j, (np.float64, np.float64)),
+        (2.0, [1.0, 2j, 3.0], (np.float64, np.complex128)),
+        (1j, 0.0, (np.complex128, np.float64))])
+    def test_data_for_narrows_each_vector(self, f1, f2, dtypes):
+        # f1 and f2 stay complex128 in the frozen instance, which callers
+        # write into; data_for hands out each one narrowed, as a copy
+        bc = BoundaryData(alpha=(1.0, 0.0), beta=(0.0, 1.0), f1=f1, f2=f2)
+        assert bc.f1.dtype == bc.f2.dtype == np.complex128
+        got = bc.data_for(3)
+        assert tuple(x.dtype for x in got) == dtypes
+        for x, f in zip(got, (bc.f1, bc.f2)):
+            np.testing.assert_array_equal(x, np.broadcast_to(f, 3))
+            x[:] = 7.0
+        assert not np.any(bc.f1 == 7.0) and not np.any(bc.f2 == 7.0)
+
+    def test_coefficients_are_narrowed_together(self):
+        bc = BoundaryData(alpha=(1 + 0j, 0.5), beta=(0.0, 1.0), f1=0.0, f2=0.0)
+        assert {np.asarray(c).dtype for c in (*bc.alpha, *bc.beta)} == {np.dtype(np.float64)}
+        assert np.asarray(bc.apply(1, np.ones(2), np.ones(2), 0.25)).dtype == np.float64
+        bc = BoundaryData(alpha=(1.0, 0.5j), beta=(0.0, 1.0), f1=0.0, f2=0.0)
+        assert {np.asarray(c).dtype for c in (*bc.alpha, *bc.beta)} == {np.dtype(np.complex128)}
+        assert bc.alpha == (1.0, 0.5j) and bc.m1 == 1
 
 
 def _phi(y):

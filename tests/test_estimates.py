@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate as si
 
 from epslab import estimates, linalg
-from epslab.cli import _build_spec, load_config
+from epslab.cli import REALS, _build_spec, load_config
 from epslab.discretize import BoundaryData, GridFunction, OperatorPair, mixed_norm
 from epslab.elliptic import ProblemSpec, direct_solve, full_solve
 from epslab.estimates import (ConvergenceRecord, DecayFit, EstimateReport,
@@ -531,6 +531,28 @@ def test_convergence_floor_includes_the_limit_solve_error():
     own, solve = halving(w, w_fine), halving(u, u_fine)
     assert own > 1e-4 and solve < 1e-3 * own
     assert abs(rec.floor - own) <= solve
+
+
+def test_convergence_study_at_the_converge_wide_size_peaks_below_10_mib():
+    # the limit solve runs in float64 like the elliptic ones, so the gaps
+    # u - w and the floor's differences make no complex temporaries
+    ini = Path(__file__).resolve().parent / "golden" / "converge-wide.ini"
+    cfg = load_config(ini)
+    eps_list = cfg.get("convergence", "eps_list", REALS)
+    base = _build_spec(cfg, "commuting", eps_list, lam=0.0)
+    u0 = cfg.getvector("data", "u0", base.n, default=1.0)
+    assert (base.n, base.n_t) == (64, 1601)
+    want = convergence_study(base, u0, eps_list, 0.1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = convergence_study(base, u0, eps_list, 0.1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert cauchy_solve(base, u0).values.dtype == np.float64
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.filterwarnings("error")

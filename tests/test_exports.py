@@ -163,3 +163,32 @@ def test_no_allocator_or_thread_settings_in_the_package():
     found = [f"{path.name}: {word}" for path in sorted(root.rglob("*.py"))
              for word in FORBIDDEN_SETTINGS if word in path.read_text()]
     assert found == []
+
+
+def _realness_judgements(tree) -> list:
+    """Calls in tree that judge an array real by value: x.imag.any() and
+    np.imag(x)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        func = node.func
+        if (func.attr == "any" and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "imag") or (
+                func.attr == "imag" and ast.unparse(func.value) in ("np", "numpy")):
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_linalg_narrow_judges_realness(name):
+    # the dtype is decided once, by linalg.narrow where the data enter;
+    # every solver downstream follows numpy's type promotion
+    source = Path(epslab.__file__).resolve().parent / f"{name}.py"
+    tree = ast.parse(source.read_text())
+    if name == "linalg":
+        narrow = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "narrow")
+        assert _realness_judgements(narrow) == ["x.imag.any()"]
+        tree.body.remove(narrow)
+    assert _realness_judgements(tree) == []

@@ -5,8 +5,43 @@ from hypothesis import given, settings, strategies as st
 from epslab.linalg import (
     EXPM_NORM_CAP, Overflow, SectorialityReport, SingularMatrix,
     SqrtNotConverged, as_complex_matrix, check_positivity, expm, inv,
-    mat_solve, op_norm, sqrtm,
+    mat_solve, narrow, op_norm, sqrtm,
 )
+
+
+class TestNarrow:
+    @pytest.mark.parametrize("x, dtype", [
+        ([1, 2], np.float64), (np.ones(2, np.float32), np.float64),
+        (np.ones(2) + 0j, np.float64), (np.ones(2, np.complex64), np.float64),
+        (np.array([1.0, 1j]), np.complex128), (np.array([1.0, np.nan * 1j]), np.complex128),
+        (3 + 0j, np.float64), (3 + 2j, np.complex128)])
+    def test_dtype_follows_the_imaginary_part(self, x, dtype):
+        y = narrow(x)
+        assert y.dtype == dtype and y.shape == np.shape(x)
+        np.testing.assert_array_equal(y, np.asarray(x))
+
+    def test_real_input_is_not_copied_and_a_real_part_is_compact(self):
+        # the real part of a complex array is a strided view; narrow copies
+        # it out, so BLAS calls on the result need no copy of their own
+        x = np.arange(6.0).reshape(2, 3)
+        assert narrow(x) is x
+        y = narrow(x + 0j)
+        assert y.flags.c_contiguous and y.flags.owndata
+
+
+class TestKeepKind:
+    # inv and expm keep their input's kind, as mat_solve does; they do not
+    # judge realness by value, so complex-typed real input stays complex
+    @pytest.mark.parametrize("M, dtype", [
+        ([[2, 1], [1, 3]], np.float64), (np.array([[2.0, 1.0], [1.0, 3.0]]), np.float64),
+        (np.array([[2.0, 1.0], [1.0, 3.0]]) + 0j, np.complex128),
+        (np.array([[2.0, 1j], [1.0, 3.0]]), np.complex128)])
+    def test_inv_and_expm(self, M, dtype):
+        ref = np.asarray(M, dtype=complex)
+        X, E = inv(M), expm(M)
+        assert X.dtype == E.dtype == dtype
+        assert _close_to(X, np.linalg.inv(ref))
+        assert _close_to(E, expm(ref))
 
 
 class TestAsComplexMatrix:

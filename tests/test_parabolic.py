@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -47,6 +49,21 @@ def test_f_samples_string_and_callable():
     spec = limit_spec(pair, 0.0, 1.0, f=lambda t: np.array([np.sin(t)]))
     assert np.allclose(spec.f_samples(t)[:, 0], np.sin(t))
     assert np.allclose(limit_spec(pair, 0.0, 1.0).f_samples(t), 0.0)
+
+
+def test_f_samples_and_a_lam_are_narrowed():
+    # the load and A + lam enter float64 when real, complex128 otherwise
+    pair = OperatorPair(np.eye(2) + 0j, np.eye(2) + 0j, check_positive=False)
+    t = np.linspace(0.0, 1.0, 5)
+    cases = [("t*y", np.float64), (lambda t: [t, 1], np.float64),
+             (lambda t: np.array([t, 1], dtype=complex), np.float64),
+             (lambda t: [t, 1j], np.complex128), (None, np.float64)]
+    for f, dtype in cases:
+        assert limit_spec(pair, 0.0, 1.0, f=f).f_samples(t).dtype == dtype
+    assert limit_spec(pair, 2 + 0j, 1.0).A_lam.dtype == np.float64
+    assert limit_spec(pair, 2 + 1j, 1.0).A_lam.dtype == np.complex128
+    complex_A = OperatorPair(np.eye(2) + 1j, np.eye(2), check_positive=False)
+    assert limit_spec(complex_A, 2.0, 1.0).A_lam.dtype == np.complex128
 
 
 def test_f_samples_string_sees_grid_nodes():
@@ -126,6 +143,38 @@ def test_only_a_load_takes_the_half_step_exponential(monkeypatch):
     assert len(calls) == 2
     cauchy_solve(limit_spec(scalar_pair(), 1.0, 1.0, f="1"), np.array([1.0]))
     assert len(calls) == 5
+
+
+def _real_limit(n_y, f):
+    """A commuting-style real pair with an invertible B on n_y nodes."""
+    A = np.diag(1.0 + np.linspace(0.0, 2.0, n_y)) + 0.1 * np.eye(n_y, k=1)
+    B = 0.5 * np.eye(n_y) + 0.2 * A
+    return limit_spec(OperatorPair(A + 0j, B + 0j, check_positive=False), 0.5, 1.0,
+                      f=f, n_t=81), np.linspace(1.0, 2.0, n_y) + 0j
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["no-load", "load"])
+@pytest.mark.parametrize("n_y", [1, 5])
+def test_cauchy_solve_keeps_real_data_real(n_y, loaded):
+    # real data, handed over complex-typed, give a float64 limit, and it is
+    # its copy with u0 and the load times 1j, divided by 1j
+    def f(t):
+        return np.sin(3.0 * t) * np.arange(1.0, n_y + 1.0)
+
+    spec, u0 = _real_limit(n_y, f if loaded else None)
+    w = cauchy_solve(spec, u0)
+    assert w.values.dtype == np.float64
+    spec1j = limit_spec(spec.pair, spec.lam, spec.T, n_t=spec.n_t,
+                        f=(lambda t: 1j * f(t)) if loaded else None)
+    w1j = cauchy_solve(spec1j, 1j * u0)
+    assert w1j.values.dtype == np.complex128
+    assert np.abs(w1j.values / 1j - w.values).max() <= 1e-12 * np.abs(w.values).max()
+
+
+def test_cauchy_solve_of_a_complex_lam_is_complex():
+    spec, u0 = _real_limit(3, None)
+    spec = dataclasses.replace(spec, lam=0.5 + 0.25j)
+    assert cauchy_solve(spec, u0.real).values.dtype == np.complex128
 
 
 def test_unstable_drift_raises():
