@@ -28,7 +28,7 @@ __all__ = [
     "SpaceGrid", "GridFunction", "OperatorPair", "BoundaryData",
     "build_wentzell_operator", "build_integral_operator",
     "check_condition_1", "check_condition_2_1", "check_condition_4_1",
-    "e_norm", "check_p", "mixed_norm", "kfunctional_norm", "COMMUTE_RTOL",
+    "e_norm", "check_p", "mixed_norm", "time_norm", "kfunctional_norm", "COMMUTE_RTOL",
     "EIGENBASIS_RTOL",
 ]
 
@@ -513,11 +513,15 @@ def check_p(p: float) -> None:
 def mixed_norm(u: GridFunction, p: float = 2.0, weights=None) -> float:
     """Discrete L_p(0,T;E) norm: trapezoid in t over per-slice E-norms."""
     check_p(p)
-    slices = u.e_norms(weights)
+    return time_norm(u.e_norms(weights), u.t, p)
+
+
+def time_norm(slices: np.ndarray, t: np.ndarray, p: float = 2.0) -> float:
+    """L_p(0,T) norm of per-slice norms on t: trapezoid, max at p = inf."""
     if p == np.inf:
         return float(slices.max())
     with np.errstate(over="ignore"):
-        return float(np.trapezoid(slices**p, u.t) ** (1.0 / p))
+        return float(np.trapezoid(slices**p, t) ** (1.0 / p))
 
 
 def kfunctional_norm(f, A, theta: float, p: float = 2.0, weights=None) -> float:

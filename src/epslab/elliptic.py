@@ -42,6 +42,7 @@ from math import factorial
 from typing import Callable, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import exprparse
 from .discretize import BoundaryData, GridFunction, OperatorPair, SpaceGrid
@@ -481,12 +482,25 @@ def _batch_data(spec: ProblemSpec, cells, loads) -> tuple:
     return eps, lam, loads, f1, f2, finite
 
 
+class _Load:
+    """The load in the basis, forward and then reversed (F), shared by a
+    batch's cells.  doubled, F with each column twice, is made once per
+    batch when a complex cell first takes a real load (_increments)."""
+
+    def __init__(self, F: np.ndarray):
+        self.F = F
+
+    @functools.cached_property
+    def doubled(self) -> np.ndarray:
+        return self.F.repeat(2, axis=1)
+
+
 def _modes_batch(spec: ProblemSpec, cells, loads=None) -> list:
     """solve_batch on the modes route.  Once per batch it takes the
-    boundary vectors and the load (FV, None without one) of _batch_data
-    into the basis; non-finite data make every cell direct_batch's
-    ValueError.  Then each cell is one _mode_solve, and its failure is
-    its value."""
+    boundary vectors and the load (FV, a _Load, None without one)
+    of _batch_data into the basis; non-finite data make every cell
+    direct_batch's ValueError.  Then each cell is one _mode_solve, and
+    its failure is its value."""
     eps, lam, loads, f1, f2, finite = _batch_data(spec, cells, loads)
     if not finite:
         return [ValueError("array must not contain infs or NaNs")] * len(cells)
@@ -495,8 +509,8 @@ def _modes_batch(spec: ProblemSpec, cells, loads=None) -> list:
         f1, f2 = Vinv @ f1, Vinv @ f2
         FV = None
         if loads is not None and loads.any():
-            FV = np.empty((spec.n_t, 2 * n), np.result_type(loads, Vinv))
-            FV[:, n:] = np.matmul(loads, Vinv.T, out=FV[:, :n])[::-1]
+            FV = _Load(np.empty((spec.n_t, 2 * n), np.result_type(loads, Vinv)))
+            FV.F[:, n:] = np.matmul(loads, Vinv.T, out=FV.F[:, :n])[::-1]
     out = []
     for cell in zip(eps, lam):
         try:
@@ -509,56 +523,85 @@ def _modes_batch(spec: ProblemSpec, cells, loads=None) -> list:
 # nodes of the load interpolant per step; a 4-node cubic was off by
 # 1.6e-10 at eps = 1e-2
 STENCIL_WIDTH = 6
+# _phi sums the Taylor series of phi_k below this |z| and recurs above it
+PHI_TAYLOR_RADIUS = 2.0
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _phi(z: np.ndarray, k_max: int) -> np.ndarray:
     """phi_0(z) .. phi_k_max(z) in rows: phi_0 = e^z and phi_(k+1)(z) =
-    (phi_k(z) - 1/k!) / z.  Below |z| = 2, where that would lose up to
-    k_max! / 2^k_max, 20 terms of sum_j z^j / (j + k_max)! give phi_k_max
-    and the rest follow downward, in z's dtype."""
+    (phi_k(z) - 1/k!) / z.  Below |z| = PHI_TAYLOR_RADIUS, where that
+    would lose up to k_max! / 2^k_max (and divides by 0 at z = 0), 20
+    terms of sum_j z^j / (j + k_max)!, by Horner, give phi_k_max and the
+    rest follow downward, in z's dtype."""
     out = np.empty((k_max + 1, len(z)), dtype=z.dtype)
     out[0] = np.exp(z)
     for k in range(k_max):
         out[k + 1] = (out[k] - 1.0 / factorial(k)) / z
-    small = np.abs(z) < 2.0
+    small = np.abs(z) < PHI_TAYLOR_RADIUS
     zs = z[small]
-    taylor = [1.0 / factorial(j + k_max) for j in range(20)]
-    out[k_max, small] = zs[:, None] ** np.arange(20) @ taylor
+    taylor = np.full_like(zs, 1.0 / factorial(k_max + 19))
+    for j in range(k_max + 18, k_max - 1, -1):
+        taylor *= zs
+        taylor += 1.0 / factorial(j)
+    out[k_max, small] = taylor
     for k in range(k_max - 1, 0, -1):
         out[k, small] = zs * out[k + 1, small] + 1.0 / factorial(k)
     return out
 
 
-@functools.cache
 def _lagrange(offsets: tuple) -> np.ndarray:
     """D[m, i] = m! c_im, sum_m c_im theta^m being the Lagrange polynomial
-    of offsets[i]: integer roots and denominators, one rounding each.
-    Shared, so read-only."""
+    of offsets[i]: integer roots and denominators, one rounding each."""
     D = np.empty((len(offsets), len(offsets)))
     for i, o in enumerate(offsets):
         others = np.delete(offsets, i)
         D[:, i] = np.polynomial.polynomial.polyfromroots(others) / np.prod(o - others)
     D *= np.array([factorial(m) for m in range(len(offsets))])[:, None]
-    D.flags.writeable = False
     return D
 
 
-def _increments(F, z, h: float, out, step) -> None:
-    """out[k] = int_0^h e^(z (h - s)/h) p_k(s) ds, p_k interpolating the
-    columns of F at the min(STENCIL_WIDTH, len(F)) nodes o_i h from t_k
-    nearest step k.  As int_0^h e^(z (h - s)/h) (s/h)^m ds is
-    h m! phi_(m+1)(z), node i weighs h sum_m D[m, i] phi_(m+1)(z).  step
-    is scratch."""
-    N, width = len(F), min(STENCIL_WIDTH, len(F))
-    shift = np.clip(np.arange(N - 1) - width // 2 + 1, 0, N - width) - np.arange(N - 1)
-    phi = _phi(z, width)[1:]
-    for sh in np.unique(shift):
-        k = np.flatnonzero(shift == sh)
-        lo, hi = k[0] + sh, k[-1] + 1 + sh
-        w = h * (_lagrange(tuple(range(sh, sh + width))).T @ phi)
-        run = np.multiply(F[lo:hi], w[0], out=out[k[0]:k[-1] + 1])
-        for i in range(1, width):
-            run += np.multiply(F[lo + i:hi + i], w[i], out=step[:len(run)])
+@functools.cache
+def _stencils(n_t: int) -> tuple:
+    """(D, inner, edges, starts) for an n_t-node grid.  Step k interpolates at
+    the width = min(STENCIL_WIDTH, n_t) nodes from start_k =
+    clip(k - width//2 + 1, 0, n_t - width); its class c = k - start_k
+    puts them at offsets -c .. width - 1 - c from t_k, and D[c] is
+    _lagrange of those offsets, transposed.  All steps but the edges
+    share the interior class inner = width//2 - 1 and take the sliding
+    windows in turn; the edges are the first width//2 - 1 steps and the last
+    width - 1 - width//2, whose windows start (starts) at node 0 or
+    n_t - width.  Shared, so read-only."""
+    width = min(STENCIL_WIDTH, n_t)
+    D = np.stack([_lagrange(tuple(range(-c, width - c))).T for c in range(width - 1)])
+    inner = width // 2 - 1
+    edges = np.r_[:inner, n_t - width + inner + 1:n_t - 1]
+    starts = np.where(edges < inner, 0, n_t - width)
+    for a in (D, edges, starts):
+        a.flags.writeable = False
+    return D, inner, edges, starts
+
+
+def _increments(load: _Load, z, h: float, scale, out) -> None:
+    """out[k] = scale int_0^h e^(z (h - s)/h) p_k(s) ds, p_k interpolating
+    the columns of load.F at the nodes of step k (_stencils).  As
+    int_0^h e^(z (h - s)/h) (s/h)^m ds is h m! phi_(m+1)(z), node i of
+    class c weighs h scale sum_m D[c, i, m] phi_(m+1)(z): one stacked
+    matmul gives every class's weights, one einsum over the load's
+    sliding windows the interior steps and one over their gathered
+    windows the edge steps.  Complex weights meet a real load as their
+    float64 view against load.doubled, all in float64 and with the same
+    bits as against the load cast to complex, in about a quarter of the
+    time."""
+    F = load.F
+    D, inner, edges, starts = _stencils(len(F))
+    width = D.shape[-1]
+    w = D @ (_phi(z, width)[1:] * (h * scale))
+    if np.iscomplexobj(w) and not np.iscomplexobj(F):
+        F, w, out = load.doubled, w.view(np.float64), out.view(np.float64)
+    windows = sliding_window_view(F, width, axis=0)
+    np.einsum("ij,kji->kj", w[inner], windows, out=out[inner:inner + len(windows)])
+    out[edges] = np.einsum("kij,kji->kj", w[edges - starts], windows[starts])
 
 
 def _scan(P, x, step) -> None:
@@ -576,10 +619,10 @@ def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, basis, f1, f2,
     """Solve a pair with a joint eigenbasis at eps and lam mode by mode ("modes").
 
     basis is (V, a, b) of the pair's joint eigenbasis; it and f1, f2
-    and FV, the load forward and then reversed, are the data in the
-    basis (_modes_batch), shared by the cells and only read.  The cell
-    runs in the dtype they and lam promote to; with real data past the
-    branch-cut check every b^2 + 4 eps c is > 0, so every root is real.
+    and FV, the _Load, are the data in the basis (_modes_batch), shared
+    by the cells and only read.  The cell runs in the dtype they and lam
+    promote to; with real data past the branch-cut check every
+    b^2 + 4 eps c is > 0, so every root is real.
 
     Mode a, b of the basis solves -eps u'' + b u' + c u = f, c = a + lam,
     as u = (x + y)/s + alpha e^(r- t) + beta e^(r+ (t - T)).  Here s is
@@ -615,16 +658,16 @@ def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, basis, f1, f2,
     # sweep reuses its heap instead of refaulting it: E holds
     # [e^(r- t) | e^(r+ (T - t))]; with a load, x runs forward in xy's first
     # n columns and y backward in its last n
-    dtype = np.result_type(L1, f1, f2, *(() if FV is None else (FV,)))
+    dtype = np.result_type(L1, f1, f2, *(() if FV is None else (FV.F,)))
     E, *xy = np.empty((1 if FV is None else 2, N, 2 * n), dtype)
     z = np.concatenate([r_minus, -r_plus]) * h   # both decay if Re r- < 0 < Re r+
     P = np.exp(z)
     if FV is not None:
+        # xy holds x/s and y/s: the increments come scaled by 1/s
         xy, = xy
         xy[0] = 0.0
-        _increments(FV, z, h, xy[1:], E)
+        _increments(FV, z, h, 1.0 / np.tile(s, 2), xy[1:])
         _scan(P, xy, E)
-        xy /= np.tile(s, 2)
         # (x + y)/s is y(0)/s and r+ y(0)/s at 0, x(T)/s and r- x(T)/s at T
         f1 = f1 - L1[1] * xy[-1, n:]
         f2 = f2 - L2[0] * xy[-1, :n]

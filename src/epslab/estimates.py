@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .discretize import GridFunction, check_p, e_norm, kfunctional_norm, mixed_norm
+from .discretize import GridFunction, check_p, e_norm, kfunctional_norm, mixed_norm, time_norm
 from .elliptic import SOLVER_ERRORS, ProblemSpec, full_solve, solve_batch
 from .linalg import Overflow, op_norm
 from .parabolic import build_MN, cauchy_solve
@@ -309,12 +309,12 @@ class ConvergenceRecord:
     statuses: Tuple[str, ...]
 
 
-def _sup_gap(t: np.ndarray, diff: np.ndarray, weights, delta: float,
-             T: float) -> float:
+def _sup_gap(t: np.ndarray, slices: np.ndarray, delta: float, T: float) -> float:
+    """max of the per-slice norms over the compact window [delta, T - delta]."""
     mask = (t >= delta - 1e-12) & (t <= T - delta + 1e-12)
     if not np.any(mask):
         raise ValueError("compact window is empty")
-    return float(np.max(e_norm(diff[mask], weights)))
+    return float(np.max(slices[mask]))
 
 
 def convergence_study(base: ProblemSpec, u0: np.ndarray,
@@ -355,9 +355,8 @@ def convergence_study(base: ProblemSpec, u0: np.ndarray,
         u = None
         try:
             u = full_solve(wired(eps, base.n_t))
-            diff = u.values - limit.values
-            gaps = (mixed_norm(GridFunction(u.t, diff), p=p, weights=w),
-                    _sup_gap(u.t, diff, w, compact_delta, base.T))
+            slices = e_norm(u.values - limit.values, w)
+            gaps = (time_norm(slices, u.t, p), _sup_gap(u.t, slices, compact_delta, base.T))
             if not np.isfinite(gaps).all():
                 raise Overflow("gap to the limit solution is not finite")
             rows.append((*gaps, "ok"))

@@ -7,7 +7,7 @@ from epslab.discretize import (
     BoundaryData, ConditionReport, GridFunction, NonPositiveCoefficient,
     OperatorPair, SpaceGrid, build_integral_operator, build_wentzell_operator,
     _as_coefficient, _one_sided_rows, check_condition_1, check_condition_2_1,
-    check_condition_4_1, e_norm, kfunctional_norm, mixed_norm,
+    check_condition_4_1, e_norm, kfunctional_norm, mixed_norm, time_norm,
 )
 from epslab.linalg import SingularMatrix, mat_solve, op_norm
 
@@ -595,6 +595,21 @@ class TestNorms:
             for p in (1.0, 2.0, np.inf):
                 want = mixed_norm(cplx, p, w)
                 assert abs(mixed_norm(real, p, w) - want) <= 4 * np.spacing(want)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_slice_norms_serve_the_time_norm_and_a_window(self, n, dtype):
+        # convergence_study takes a gap's slice norms once, for its mixed
+        # norm and for its windowed sup: both read the same bits as before
+        rng = np.random.default_rng(n)
+        t, w = np.linspace(0, 1, 201), rng.uniform(0.1, 2.0, n)
+        v = rng.standard_normal((201, n)).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal((201, n))
+        slices, window = e_norm(v, w), (t >= 0.1) & (t <= 0.9)
+        assert np.array_equal(slices[window], e_norm(v[window], w))
+        for p in (1.0, 2.0, np.inf):
+            assert time_norm(slices, t, p) == mixed_norm(GridFunction(t, v), p, w)
 
     def test_mixed_norm_of_one(self):
         u = GridFunction(np.linspace(0, 1, 11), np.ones((11, 4)))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -893,3 +894,73 @@ class TestModeSolve:
         loads[17, 2] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
             full_solve(spec, loads)
+
+
+# |z| below and above PHI_TAYLOR_RADIUS = 2, so both branches of _phi serve
+Z_REAL = np.array([-0.5, 1.5, -3.0, 5.0, -40.0])
+Z_COMPLEX = np.array([0.3 + 1.2j, -1.0 - 0.5j, -2.5 + 2.0j, 4.0j, -30.0 + 10.0j])
+# positive on [0, 1], so no reference integral is near zero
+LOAD_COEFFS = [1.0, 0.5, -0.3, 0.8, -0.2, 0.4]
+
+
+class TestLoadQuadrature:
+    @pytest.mark.parametrize("load_dtype", [float, complex])
+    @pytest.mark.parametrize("z", [Z_REAL, Z_COMPLEX], ids=["real-z", "complex-z"])
+    @pytest.mark.parametrize("n_t", [5, 6, 801])
+    def test_increments_are_the_exact_integrals_of_a_polynomial_load(self, n_t, z, load_dtype):
+        # the width-node interpolant reproduces a load of degree width - 1,
+        # so each step's increment is int_0^h e^(z (h - s)/h) p(t_k + s) ds,
+        # here against mpmath's quadrature at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        width = min(elliptic.STENCIL_WIDTH, n_t)
+        coeffs = np.array(LOAD_COEFFS[:width]) * (1 + 0.5j if load_dtype is complex else 1)
+        h = 1.0 / (n_t - 1)
+        # column j carries the load times 1 + j/4
+        F = np.outer(np.polynomial.polynomial.polyval(np.arange(n_t) * h, coeffs),
+                     1 + np.arange(len(z)) / 4)
+        out = np.empty((n_t - 1, len(z)), np.result_type(F, z))
+        elliptic._increments(elliptic._Load(F), z, h, 1.0, out)
+        # both first steps, one interior step and both last steps
+        steps = sorted({0, 1, (n_t - 1) // 2, n_t - 3, n_t - 2})
+        with mpmath.workdps(30):
+            mh = mpmath.mpf(h)
+            for k in steps:
+                tk = k * mh
+                for j, zj in enumerate(z):
+                    zj = mpmath.mpc(zj)
+                    want = (1 + j / 4) * complex(mpmath.quad(
+                        lambda s: mpmath.exp(zj * (mh - s) / mh)
+                        * mpmath.polyval([mpmath.mpc(c) for c in coeffs[::-1]], tk + s),
+                        [0, mh]))
+                    assert abs(out[k, j] - want) <= 1e-13 * abs(want), (k, j)
+
+    def test_complex_weights_on_a_real_load_are_those_on_it_cast_to_complex(self):
+        # the real load's float64 contraction gives the complex one's bits
+        rng = np.random.default_rng(3)
+        F = rng.normal(size=(201, 5))
+        out, want = np.empty((2, 200, 5), complex)
+        elliptic._increments(elliptic._Load(F), Z_COMPLEX, 0.005, 0.3, out)
+        elliptic._increments(elliptic._Load(F.astype(complex)), Z_COMPLEX, 0.005, 0.3, want)
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("k_max", [5, 6])
+    @pytest.mark.parametrize("radius", [2 - 1e-9, 2 + 1e-9])
+    def test_phi_branches_agree_at_their_switch(self, monkeypatch, radius, k_max):
+        # each branch forced at the same z with |z| = 2 -+ 1e-9, real and complex
+        z_real = radius * np.array([1.0, -1.0])
+        z_complex = radius * np.exp(1j * np.array([0.3, 1.5, 2.0, -2.8, -np.pi / 2]))
+        for z in (z_real, z_complex):
+            monkeypatch.setattr(elliptic, "PHI_TAYLOR_RADIUS", np.inf)
+            taylor = elliptic._phi(z, k_max)
+            monkeypatch.setattr(elliptic, "PHI_TAYLOR_RADIUS", 0.0)
+            recurrence = elliptic._phi(z, k_max)
+            assert taylor.dtype == recurrence.dtype == z.dtype
+            assert np.all(np.abs(taylor - recurrence) <= 1e-13 * np.abs(taylor))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("k_max", [5, 6])
+    def test_phi_at_zero_is_one_over_k_factorial(self, k_max, dtype):
+        phi = elliptic._phi(np.zeros(3, dtype), k_max)
+        want = [1.0 / math.factorial(k) for k in range(k_max + 1)]
+        assert phi.dtype == dtype
+        assert np.array_equal(phi, np.array(want)[:, None] * np.ones(3))
