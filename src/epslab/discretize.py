@@ -361,13 +361,15 @@ def build_wentzell_operator(grid: SpaceGrid, a, b) -> np.ndarray:
     return L[inner, inner] + L[inner][:, ends] @ S
 
 
+def _kernel_samples(grid: SpaceGrid, kernel) -> np.ndarray:
+    """K[i, j] = K(y_i, y_j) on the grid square, complex."""
+    Y, Tau = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+    return np.asarray(_as_coefficient(kernel, ("y", "tau"))(y=Y, tau=Tau), dtype=complex)
+
+
 def build_integral_operator(grid: SpaceGrid, kernel) -> np.ndarray:
     """Nystrom matrix B[i, j] = K(y_i, y_j) * w_j of (Bu)(y) = int K(y,s)u(s)ds."""
-    k_fn = _as_coefficient(kernel, ("y", "tau"))
-    Y = grid.nodes[:, None]
-    Tau = grid.nodes[None, :]
-    K = np.asarray(k_fn(y=Y + 0 * Tau, tau=Tau + 0 * Y), dtype=complex)
-    return K * grid.weights[None, :]
+    return _kernel_samples(grid, kernel) * grid.weights[None, :]
 
 
 @dataclass(frozen=True)
@@ -435,12 +437,9 @@ def check_condition_4_1(grid: SpaceGrid, a, b, kernel) -> ConditionReport:
     """
     a_fn = _as_coefficient(a, ("y",))
     b_fn = _as_coefficient(b, ("y",))
-    k_fn = _as_coefficient(kernel, ("y", "tau"))
     full = np.linspace(0.0, 1.0, grid.n + 2)
     a_all, b_all = narrow(a_fn(y=full)), narrow(b_fn(y=full))
-    Y = grid.nodes[:, None]
-    Tau = grid.nodes[None, :]
-    K = np.asarray(k_fn(y=Y + 0 * Tau, tau=Tau + 0 * Y), dtype=complex)
+    K = _kernel_samples(grid, kernel)
 
     a_positive = bool(a_all.dtype == np.float64 and np.all(a_all > 0))
     b_real = b_all.dtype == np.float64

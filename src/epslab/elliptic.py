@@ -26,9 +26,9 @@ derivatives; the nodes between share one stencil and are solved by
 odd-even block cyclic reduction, which inverts one block per distinct
 row class and level, O(log n_t) linalg.solve_cells calls.  The rcond
 guard of solve_cells sees each block and its coupling columns, never
-the load; the load and
-boundary vectors are scaled by a power of two, so only a solution past
-the float64 range surfaces, as "solution overflowed" at the end.
+the load; the load and boundary vectors are scaled by a power of two,
+so only a solution past the float64 range surfaces, as "solution
+overflowed" at the end.  Every route reads the load from spec.loads.
 direct_batch runs the scheme for several (eps, lam) cells at once: the
 blocks carry a leading cell axis, each solve_cells call inverts the
 stack of the cells that have not failed, and a cell's failure is its
@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,7 +66,7 @@ def _positive_eps(eps) -> float:
     return eps
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """Full description of one singularly perturbed two-point problem.
 
@@ -86,15 +86,15 @@ class ProblemSpec:
     n_t: int = 201
 
     def __post_init__(self):
-        self.eps = _positive_eps(self.eps)
-        self.lam = complex(self.lam)
-        self.T = float(self.T)
+        object.__setattr__(self, "eps", _positive_eps(self.eps))
+        object.__setattr__(self, "lam", complex(self.lam))
+        object.__setattr__(self, "T", float(self.T))
         if not 0 < self.T < np.inf:
             raise ValueError(f"T must be finite and positive, got {self.T}")
         if self.n_t < 5:
             raise ValueError("need at least 5 time nodes")
-        self._f_expr = (exprparse.parse(self.f, allowed_vars=("t", "y"))
-                        if isinstance(self.f, str) else None)
+        object.__setattr__(self, "_f_expr", exprparse.parse(self.f, allowed_vars=("t", "y"))
+                           if isinstance(self.f, str) else None)
         self.bc.data_for(self.pair.n)  # shape check up front
 
     @property
@@ -108,6 +108,16 @@ class ProblemSpec:
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_t)
+
+    @functools.cached_property
+    def loads(self) -> Optional[np.ndarray]:
+        """f_samples on t_grid(), read-only, or None without a load: sampled
+        once per spec, and a copy made by dataclasses.replace samples its own."""
+        if self.f is None:
+            return None
+        loads = self.f_samples(self.t_grid())
+        loads.flags.writeable = False
+        return loads
 
     def f_samples(self, t) -> np.ndarray:
         """The interior load on time nodes t, narrowed; shape (len(t), n)."""
@@ -145,14 +155,6 @@ class QSystem:
     h2: np.ndarray
 
 
-def _q_operators(spec: ProblemSpec):
-    B = spec.pair.B
-    R = sqrtm(B @ B + 4.0 * spec.eps * spec.A_lam)
-    Q1 = (B + R) / (2.0 * spec.eps)
-    Q2 = (B - R) / (2.0 * spec.eps)
-    return Q1, Q2, R
-
-
 def _boundary_matrix(G1, G2, E1, E2, bc: BoundaryData, eps: float) -> np.ndarray:
     """The 2n x 2n boundary system in the unknowns (g1, h2)."""
     eye = np.eye(G1.shape[0], dtype=np.complex128)
@@ -163,11 +165,13 @@ def _boundary_matrix(G1, G2, E1, E2, bc: BoundaryData, eps: float) -> np.ndarray
 def compute_q_system(spec: ProblemSpec) -> QSystem:
     """Square-root calculus plus the solved boundary weights for spec.
 
-    The boundary system is driven by the raw boundary vectors of spec;
-    to solve a full inhomogeneous problem the interior contribution must
-    be subtracted from the data first, which full_solve does.
+    The boundary system is driven by the raw boundary vectors of spec
+    and sees no load: it serves the homogeneous reference solution
+    (homogeneous_solution) and parabolic.build_MN, not the solvers.
     """
-    Q1, Q2, R = _q_operators(spec)
+    B = spec.pair.B
+    R = sqrtm(B @ B + 4.0 * spec.eps * spec.A_lam)
+    Q1, Q2 = (B + R) / (2.0 * spec.eps), (B - R) / (2.0 * spec.eps)
     G1, G2 = -Q2, Q1
     E1 = expm(-spec.T * G1)
     E2 = expm(-spec.T * G2)
@@ -178,18 +182,15 @@ def compute_q_system(spec: ProblemSpec) -> QSystem:
                    E1=E1, E2=E2, g1=g1, g2=E2 @ h2, h2=h2)
 
 
-def _orbit(P: np.ndarray, start: np.ndarray, n_t: int,
-           backward: bool = False, out=None) -> np.ndarray:
+def _orbit(P: np.ndarray, start: np.ndarray, n_t: int, out=None) -> np.ndarray:
     """n_t states of the step x -> P x from start, sampled by block doubling.
 
     Row 0 is start.  With the first k rows filled, the next
     m = min(k, n_t - k) rows are rows[:m] @ (P^k)^T, one GEMM, and P^k
     is then squared: about log2(n_t) GEMMs plus as many n x n
     squarings, O(n_t n^2) flops in all; a vector P acts elementwise, and
-    out, if given, takes the states.  backward=True anchors start at
-    the last row: the orbit is filled forward and returned as a reversed
-    view, so no GEMM works on negative strides.  Raises Overflow when a
-    state is not finite.
+    out, if given, takes the states.  Raises Overflow when a state is
+    not finite.
     """
     step = np.matmul if P.ndim == 2 else np.multiply
     x = np.empty((n_t, len(start)), np.result_type(P, start)) if out is None else out
@@ -204,7 +205,7 @@ def _orbit(P: np.ndarray, start: np.ndarray, n_t: int,
                 Pk = step(Pk, Pk)
     if not np.isfinite(x).all():
         raise Overflow("semigroup orbit left the representable range")
-    return x[::-1] if backward else x
+    return x
 
 
 def _propagate_modes(spec: ProblemSpec, qsys: QSystem):
@@ -221,7 +222,7 @@ def _propagate_modes(spec: ProblemSpec, qsys: QSystem):
         if op_norm(P) > PROPAGATOR_CAP:
             raise Overflow("mode propagator is unstable over one step")
     x = _orbit(P1, qsys.g1, spec.n_t)
-    w = _orbit(P2, qsys.h2, spec.n_t, backward=True)
+    w = _orbit(P2, qsys.h2, spec.n_t)[::-1]  # a view: no GEMM on negative strides
     return t, x, w
 
 
@@ -342,11 +343,11 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
     return x
 
 
-def direct_batch(spec: ProblemSpec, cells, loads=None) -> list:
+def direct_batch(spec: ProblemSpec, cells) -> list:
     """direct_solve of spec at every (eps, lam) pair of cells, as one batch.
 
     The cells share everything else: the row classes of the cyclic
-    reduction, the load samples (_batch_data) and one dtype, the
+    reduction, the load samples (spec.loads) and one dtype, the
     promotion of every cell's data, so a real cell batched with a
     complex one runs and returns in complex128, within roundoff of its
     float64 solo solve.  Blocks, end pivots, loads and the back
@@ -356,14 +357,14 @@ def direct_batch(spec: ProblemSpec, cells, loads=None) -> list:
     direct_solve raises for it; a failed cell gets no further
     factorization and leaves the other cells' numbers as they are.
     """
-    eps, lam, fvals, f1, f2, finite = _batch_data(spec, cells, loads)
+    eps, lam, f1, f2, finite = _batch_data(spec, cells)
     if not finite:
         return [ValueError("array must not contain infs or NaNs")] * len(cells)
     t = spec.t_grid()
     h = t[1] - t[0]
     n, N, n_cells = spec.n, spec.n_t, len(cells)
     B, A_lam = spec.pair.B, spec.pair.A + np.array(lam)[:, None, None] * np.eye(n)
-    fvals = np.zeros((N, n)) if fvals is None else fvals
+    fvals = np.zeros((N, n)) if spec.loads is None else spec.loads
     # u is linear in the data: solve for the data over 2^(e-1), e the
     # exponent of their largest component, so that a load near the
     # float64 limit keeps the sweep finite; powers of two scale exactly
@@ -421,7 +422,7 @@ def direct_batch(spec: ProblemSpec, cells, loads=None) -> list:
     return out
 
 
-def direct_solve(spec: ProblemSpec, loads=None) -> GridFunction:
+def direct_solve(spec: ProblemSpec) -> GridFunction:
     """Block-tridiagonal finite difference solve of the full problem.
 
     Interior rows are the standard O(h^2) stencil; the boundary rows are
@@ -441,14 +442,14 @@ def direct_solve(spec: ProblemSpec, loads=None) -> GridFunction:
     front; after that, a block that leaves the finite range raises
     Overflow, and so does a solution past the float64 range, as "finite
     difference solution overflowed to non-finite values".  This is the
-    batch of one of direct_batch, which takes loads.
+    batch of one of direct_batch.
     """
-    return _solo(direct_batch(spec, [(spec.eps, spec.lam)], loads))
+    return _solo(direct_batch(spec, [(spec.eps, spec.lam)]))
 
 
-def full_solve(spec: ProblemSpec, loads=None) -> GridFunction:
+def full_solve(spec: ProblemSpec) -> GridFunction:
     """Solve the full problem: solve_batch's batch of one, failure raised."""
-    return _solo(solve_batch(spec, [(spec.eps, spec.lam)], loads))
+    return _solo(solve_batch(spec, [(spec.eps, spec.lam)]))
 
 
 def _solo(cells: list) -> GridFunction:
@@ -458,28 +459,25 @@ def _solo(cells: list) -> GridFunction:
     return u
 
 
-def solve_batch(spec: ProblemSpec, cells, loads=None) -> list:
+def solve_batch(spec: ProblemSpec, cells) -> list:
     """spec at every (eps, lam) pair of cells: per cell, its GridFunction,
     whose meta["path"] names the route, or the SOLVER_ERRORS its solve
     raised.  A pair without a joint eigenbasis is one direct_batch over
-    all the cells, any other one _modes_batch.  loads is sampled when
-    None; an eps that is not finite and positive raises ValueError."""
+    all the cells, any other one _modes_batch; every cell reads
+    spec.loads.  An eps that is not finite and positive raises ValueError."""
     batch = direct_batch if spec.pair.joint_eigenbasis is None else _modes_batch
-    return batch(spec, cells, loads)
+    return batch(spec, cells)
 
 
-def _batch_data(spec: ProblemSpec, cells, loads) -> tuple:
-    """(eps, lam, loads, f1, f2, finite), once per batch: each cell's eps,
-    checked (ValueError), and the list of its lam, narrowed; the load on
-    spec.t_grid(), sampled when None (None for a spec without one); the
-    boundary vectors; and whether loads, f1 and f2 are finite."""
+def _batch_data(spec: ProblemSpec, cells) -> tuple:
+    """(eps, lam, f1, f2, finite), once per batch: each cell's eps,
+    checked (ValueError), and the list of its lam, narrowed; the
+    boundary vectors; and whether spec.loads, f1 and f2 are finite."""
     eps = np.array([_positive_eps(e) for e, _ in cells])
     lam = [narrow(complex(z)) for _, z in cells]
-    if loads is None and spec.f is not None:
-        loads = spec.f_samples(spec.t_grid())
     f1, f2 = spec.bc.data_for(spec.n)
-    finite = all(np.isfinite(x).all() for x in (f1, f2, () if loads is None else loads))
-    return eps, lam, loads, f1, f2, finite
+    finite = all(np.isfinite(x).all() for x in (f1, f2, () if spec.loads is None else spec.loads))
+    return eps, lam, f1, f2, finite
 
 
 class _Load:
@@ -495,22 +493,22 @@ class _Load:
         return self.F.repeat(2, axis=1)
 
 
-def _modes_batch(spec: ProblemSpec, cells, loads=None) -> list:
+def _modes_batch(spec: ProblemSpec, cells) -> list:
     """solve_batch on the modes route.  Once per batch it takes the
-    boundary vectors and the load (FV, a _Load, None without one)
-    of _batch_data into the basis; non-finite data make every cell
+    boundary vectors of _batch_data and spec.loads (FV, a _Load, None
+    without one) into the basis; non-finite data make every cell
     direct_batch's ValueError.  Then each cell is one _mode_solve, and
     its failure is its value."""
-    eps, lam, loads, f1, f2, finite = _batch_data(spec, cells, loads)
+    eps, lam, f1, f2, finite = _batch_data(spec, cells)
     if not finite:
         return [ValueError("array must not contain infs or NaNs")] * len(cells)
     (V, Vinv, a, b), n = spec.pair.joint_eigenbasis, spec.n
     with np.errstate(over="ignore", invalid="ignore"):
         f1, f2 = Vinv @ f1, Vinv @ f2
         FV = None
-        if loads is not None and loads.any():
-            FV = _Load(np.empty((spec.n_t, 2 * n), np.result_type(loads, Vinv)))
-            FV.F[:, n:] = np.matmul(loads, Vinv.T, out=FV.F[:, :n])[::-1]
+        if spec.loads is not None and spec.loads.any():
+            FV = _Load(np.empty((spec.n_t, 2 * n), np.result_type(spec.loads, Vinv)))
+            FV.F[:, n:] = np.matmul(spec.loads, Vinv.T, out=FV.F[:, :n])[::-1]
     out = []
     for cell in zip(eps, lam):
         try:

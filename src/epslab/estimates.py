@@ -107,29 +107,27 @@ def _failed_report(eps: float, lam: complex, p: float, msg: str) -> EstimateRepo
 class _DataTerms:
     """The terms of a coercive report that depend on neither eps nor lam.
 
-    A is the pair's A.  loads is f sampled on the time grid and f_norm
-    its ||f||_X.  ends holds (||f_k||_Ek, theta_k, ||f_k||) for each end
-    with nonzero data, ||f_k||_Ek being the K-functional interpolation
-    norm.
+    A is the pair's A and f_norm ||f||_X of ProblemSpec.loads (0
+    without a load); ends holds (||f_k||_Ek, theta_k, ||f_k||) per end
+    with nonzero data, ||f_k||_Ek being the K-functional interpolation norm.
     """
     A: np.ndarray
     weights: np.ndarray
-    loads: np.ndarray
     f_norm: float
     ends: Tuple[Tuple[float, float, float], ...]
 
 
 def _data_terms(spec: ProblemSpec, p: float) -> _DataTerms:
-    """Sample the load of spec and measure its data norms, once per sweep."""
-    A, w, t = spec.pair.A, spec.pair.weights(), spec.t_grid()
-    loads = spec.f_samples(t)
+    """Measure the data norms of spec, once per sweep."""
+    A, w = spec.pair.A, spec.pair.weights()
     ends = []
     for fk, th in zip(spec.bc.data_for(spec.n), spec.bc.theta(p)):
         norm = e_norm(fk, w)
         if norm != 0.0:
             ends.append((kfunctional_norm(fk, A, th, p=p, weights=w), th, norm))
-    return _DataTerms(A, w, loads, mixed_norm(GridFunction(t, loads), p=p, weights=w),
-                      tuple(ends))
+    f_norm = 0.0 if spec.loads is None else mixed_norm(
+        GridFunction(spec.t_grid(), spec.loads), p=p, weights=w)
+    return _DataTerms(A, w, f_norm, tuple(ends))
 
 
 # a huge but finite solution overflows here; the Overflow below is the
@@ -186,7 +184,7 @@ def solve_and_report(spec: ProblemSpec,
                      p: float = 2.0) -> Tuple[GridFunction, EstimateReport]:
     """full_solve of spec and its coercive_report, from one sampling of the load."""
     data = _data_terms(spec, p)
-    u = full_solve(spec, data.loads)
+    u = full_solve(spec)
     return u, _measure(u, spec.eps, spec.lam, p, data)
 
 
@@ -195,9 +193,9 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
                      p: float = 2.0) -> List[EstimateReport]:
     """coercive_report over the (eps, lam) grid; failures become rows.
 
-    Rows come in input order, eps fastest within each lam.  The load
-    samples and the data norms, which depend on neither eps nor lam, are
-    computed once per sweep, and every solve takes those samples.  The
+    Rows come in input order, eps fastest within each lam.  The data
+    norms, which depend on neither eps nor lam, are computed once per
+    sweep, and they and every solve read base.loads, sampled once.  The
     whole grid is one elliptic.solve_batch, so the sweep holds every
     cell's solution at once, and the cells are measured after it.  An
     empty eps or lam list gives no rows; an inadmissible p raises before
@@ -212,7 +210,7 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
     except SOLVER_ERRORS as exc:
         return [_failed_report(eps, lam, p, str(exc)) for eps, lam in cells]
     return [_cell_report(u, eps, lam, p, data) for (eps, lam), u in zip(
-        cells, solve_batch(base, cells, data.loads))]
+        cells, solve_batch(base, cells))]
 
 
 def _cell_report(u, eps, lam, p: float, data: _DataTerms) -> EstimateReport:
@@ -298,7 +296,8 @@ def layer_norm_sweep(spec: ProblemSpec, eps_list: Sequence[float]) -> List[dict]
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    """Gap between the elliptic solve and the first-order limit per eps."""
+    """Gap between the elliptic solve and the first-order limit per eps;
+    without a load, floor is roundoff (see convergence_study)."""
     eps_list: Tuple[float, ...]
     x_norm_gaps: Tuple[float, ...]
     sup_norm_gaps: Tuple[float, ...]
@@ -329,8 +328,12 @@ def convergence_study(base: ProblemSpec, u0: np.ndarray,
     [delta, T - delta]; a non-finite gap is an error row.  The floor is
     the grid-halving difference of the gap u - w at the smallest eps,
     with both u and w solved again on the halved grid (nan when not
-    finite), and gaps above floor_factor times it are flagged.  base
-    needs lam = 0; an inadmissible p raises before any solve.
+    finite), and gaps above floor_factor times it are flagged.  Without
+    a load, on a pair with a joint eigenbasis, both solves are exact in
+    t, so the floor is roundoff, about 1e-14, and every gap is above it
+    by construction; a load adds the error of cauchy_solve's midpoint
+    rule, and only then can the floor bound a gap.  base needs lam = 0;
+    an inadmissible p raises before any solve.
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 2 or any(e2 >= e1 for e1, e2 in zip(eps_arr, eps_arr[1:])):

@@ -233,10 +233,8 @@ class TestHomogeneousSolution:
         scale = np.linalg.norm(want, axis=1)
         # block doubling sums in another order than the loop: compare
         # each row to 1e-13 of its norm, not bit for bit
-        for got, ref, s in ((_orbit(P, start, 9), want, scale),
-                            (_orbit(P, start, 9, backward=True), want[::-1],
-                             scale[::-1])):
-            assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-13 * s)
+        got = _orbit(P, start, 9)
+        assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("n", [1, 16, 64])
     def test_orbit_matches_long_double_stepping(self, n):
@@ -250,19 +248,9 @@ class TestHomogeneousSolution:
             for i in range(1, n_t):
                 ref[i] = P.astype(np.clongdouble) @ ref[i - 1]
             scale = np.max(np.abs(ref))
-            for got, want in ((_orbit(P, start, n_t), ref),
-                              (_orbit(P, start, n_t, backward=True), ref[::-1])):
-                assert got.shape == (n_t, n)
-                assert np.max(np.abs(got - want)) <= 1e-13 * scale
-
-    @pytest.mark.parametrize("n, n_t", [(1, 2), (6, 9), (16, 801), (64, 1601)])
-    def test_backward_orbit_is_forward_orbit_reversed(self, n, n_t):
-        rng = np.random.default_rng(n_t)
-        M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        P = M / (1.02 * np.linalg.norm(M, 2))
-        start = rng.normal(size=n) + 1j * rng.normal(size=n)
-        np.testing.assert_array_equal(_orbit(P, start, n_t, backward=True),
-                                      _orbit(P, start, n_t)[::-1])
+            got = _orbit(P, start, n_t)
+            assert got.shape == (n_t, n)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
     def test_orbit_overflow_is_typed(self):
         import warnings
@@ -597,12 +585,19 @@ def test_solve_batch_raises_for_an_inadmissible_eps(pair):
         solve_batch(spec, [(1.0, 1.0), (-1.0, 1.0)])
 
 
+def _with_load(spec, loads):
+    """spec with the load whose samples on spec's time grid are loads, as
+    a callable f."""
+    rows = dict(zip(spec.t_grid().tolist(), loads))
+    return dataclasses.replace(spec, f=lambda t: rows[t])
+
+
 @pytest.mark.parametrize("preset", ["commuting", "wentzell"])
 def test_solve_batch_of_a_non_finite_load_fails_every_cell(preset):
     spec = uniformity_base(preset, n_t=51)
-    loads = spec.f_samples(spec.t_grid())
+    loads = spec.loads.copy()
     loads[7, 0] = np.nan
-    cells = solve_batch(spec, [(1.0, 1.0), (1e-2, 3 + 2j), (1e-4, 10.0)], loads)
+    cells = solve_batch(_with_load(spec, loads), [(1.0, 1.0), (1e-2, 3 + 2j), (1e-4, 10.0)])
     assert [type(c) for c in cells] == [ValueError] * 3
     assert {str(c) for c in cells} == {"array must not contain infs or NaNs"}
 
@@ -638,9 +633,8 @@ def test_real_solve_is_its_solve_with_data_times_1j_over_1j(preset, path, eps, l
     # 1j is forced onto complex128, and its solution over 1j must be the
     # float64 one
     spec = uniformity_base(preset)
-    loads = spec.f_samples(spec.t_grid())
-    u, = solve_batch(spec, [(eps, lam)], loads)
-    u1j, = solve_batch(_data_times_1j(spec), [(eps, lam)], 1j * loads)
+    u, = solve_batch(spec, [(eps, lam)])
+    u1j, = solve_batch(_with_load(_data_times_1j(spec), 1j * spec.loads), [(eps, lam)])
     assert u.meta == u1j.meta == {"path": path}
     assert (u.values.dtype, u1j.values.dtype) == (np.float64, np.complex128)
     assert np.abs(u1j.values / 1j - u.values).max() <= 1e-12 * np.abs(u.values).max()
@@ -840,31 +834,19 @@ class TestModeSolve:
         a, b = np.array([1.0, 1.0 + 0.5 ** 0.5]), np.array([1.0, 0.0])
         bc = BoundaryData(alpha=(1.0, 0.7), beta=(0.4, 1.0), f1=np.array([0.8, -0.3]),
                           f2=np.array([-0.4, 0.2]))
+
+        def load(t):
+            return np.array([np.exp(-64 * (t - 0.5) ** 2), np.sin(3 * t)])
+
         diag = ProblemSpec(pair=OperatorPair(np.diag(a), np.diag(b)), eps=1e-2, lam=1.0,
-                           T=1.0, bc=bc, n_t=401)
-        t = diag.t_grid()
-        loads = np.stack([np.exp(-64 * (t - 0.5) ** 2), np.sin(3 * t)], axis=1)
+                           T=1.0, bc=bc, f=load, n_t=401)
         rotated = dataclasses.replace(
             diag, pair=OperatorPair(Q @ np.diag(a) @ Q.T, Q @ np.diag(b) @ Q.T),
-            bc=dataclasses.replace(bc, f1=Q @ bc.f1, f2=Q @ bc.f2))
-        u = full_solve(rotated, loads @ Q.T)
+            bc=dataclasses.replace(bc, f1=Q @ bc.f1, f2=Q @ bc.f2), f=lambda t: Q @ load(t))
+        u = full_solve(rotated)
         assert u.meta["path"] == "modes"
-        want = full_solve(diag, loads).values @ Q.T
+        want = full_solve(diag).values @ Q.T
         assert np.abs(u.values - want).max() <= 1e-12 * np.abs(want).max()
-
-    @pytest.mark.parametrize("pair, path", [(make_pair("commuting", n_y=4), "modes"),
-                                            (OperatorPair([[2.0, 0.5], [0.0, 3.0]],
-                                                          [[0.3, 0.0], [0.2, 0.4]]), "direct")],
-                             ids=["modes", "direct"])
-    def test_given_loads_are_the_sampled_loads(self, pair, path):
-        spec = ProblemSpec(pair=pair, eps=1e-2, lam=1.0, T=1.0, bc=ROBIN,
-                           f="exp(-64*(t-0.5)^2)", n_t=101)
-        u = full_solve(spec)
-        assert u.meta["path"] == path
-        loads = spec.f_samples(spec.t_grid())
-        assert np.array_equal(full_solve(spec, loads).values, u.values)
-        no_f = full_solve(dataclasses.replace(spec, f=None), loads)
-        assert np.array_equal(no_f.values, u.values)
 
     def test_load_and_boundary_data_superpose(self):
         spec = ProblemSpec(pair=make_pair("commuting", n_y=4), eps=1e-3, lam=3 + 2j, T=1.0,
@@ -893,7 +875,70 @@ class TestModeSolve:
         loads = np.ones((51, 4))
         loads[17, 2] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            full_solve(spec, loads)
+            full_solve(_with_load(spec, loads))
+
+
+LOAD_PAIRS = pytest.mark.parametrize(
+    "pair, path", [(make_pair("commuting", n_y=4), "modes"),
+                   (OperatorPair([[2.0, 0.5], [0.0, 3.0]], [[0.3, 0.0], [0.2, 0.4]]), "direct")],
+    ids=["modes", "direct"])
+
+
+class TestLoads:
+    """ProblemSpec.loads, the one sampling of the load on the time grid."""
+
+    @staticmethod
+    def spec(pair, f="exp(-64*(t-0.5)^2)"):
+        return ProblemSpec(pair=pair, eps=1e-2, lam=1.0, T=1.0, bc=ROBIN, f=f, n_t=101)
+
+    @LOAD_PAIRS
+    def test_loads_are_the_samples_on_the_time_grid(self, pair, path):
+        spec = self.spec(pair)
+        assert spec.loads.shape == (101, pair.n)
+        assert np.array_equal(spec.loads, spec.f_samples(spec.t_grid()))
+
+    @LOAD_PAIRS
+    def test_loads_are_read_only_and_sampled_once(self, pair, path):
+        spec = self.spec(pair)
+        loads = spec.loads
+        assert spec.loads is loads
+        assert not loads.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            loads[0, 0] = 1.0
+
+    @LOAD_PAIRS
+    def test_a_spec_without_a_load_has_none(self, pair, path):
+        spec = self.spec(pair, f=None)
+        assert spec.loads is None
+        assert full_solve(spec).meta["path"] == path
+
+    @LOAD_PAIRS
+    def test_a_replaced_spec_samples_its_own_load(self, pair, path):
+        spec = self.spec(pair)
+        loads = spec.loads
+        same = dataclasses.replace(spec, eps=1e-3)
+        assert same.loads is not loads and np.array_equal(same.loads, loads)
+        for changed in (dataclasses.replace(spec, f="exp(-64*(t-0.25)^2)"),
+                        dataclasses.replace(spec, n_t=201)):
+            assert np.array_equal(changed.loads, changed.f_samples(changed.t_grid()))
+        assert dataclasses.replace(spec, f=None).loads is None
+
+    @LOAD_PAIRS
+    def test_spec_is_frozen(self, pair, path):
+        spec = self.spec(pair)
+        loads = spec.loads
+        for name, value in (("eps", 1e-3), ("f", None), ("n_t", 201), ("loads", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+        assert spec.loads is loads
+
+    @LOAD_PAIRS
+    def test_the_solve_sees_the_load_only_through_its_samples(self, pair, path):
+        spec = self.spec(pair)
+        u = full_solve(spec)
+        assert u.meta["path"] == path
+        tabulated = full_solve(_with_load(spec, spec.loads))
+        assert np.array_equal(tabulated.values, u.values)
 
 
 # |z| below and above PHI_TAYLOR_RADIUS = 2, so both branches of _phi serve

@@ -76,7 +76,7 @@ def test_measure_peaks_below_one_and_a_half_solutions():
     spec = ProblemSpec(pair=make_commuting_pair(n_y=16), eps=1e-2, lam=1.0, T=1.0,
                        bc=dirichlet_neumann(16), f="exp(-64*(t-0.5)^2)*(1+0.2*y)", n_t=801)
     data = estimates._data_terms(spec, 2.0)
-    u = full_solve(spec, data.loads)
+    u = full_solve(spec)
     want = estimates._measure(u, spec.eps, spec.lam, 2.0, data)
     tracemalloc.start()
     try:
@@ -259,7 +259,7 @@ def test_measure_of_a_real_solve_is_that_of_its_complex_copy(preset):
     spec = uniformity_base(preset, eps=1e-2, lam=10.0)
     data = estimates._data_terms(spec, 2.0)
     assert data.A.dtype == np.float64
-    u = full_solve(spec, data.loads)
+    u = full_solve(spec)
     assert u.values.dtype == np.float64
     copy = GridFunction(u.t, u.values.astype(complex))
     rep = estimates._measure(u, spec.eps, spec.lam, 2.0, data)
@@ -481,6 +481,19 @@ def test_convergence_commuting():
     for hi, lo in zip(gaps, gaps[1:]):
         assert lo <= 1.05 * hi
     assert gaps[0] / gaps[-1] > 10
+
+
+@pytest.mark.parametrize("preset, eps_list", [("scalar", [1e-1, 1e-2, 1e-3, 1e-4]),
+                                              ("commuting", [1e-1, 1e-2, 1e-3])])
+def test_convergence_floor_without_a_load_is_roundoff(preset, eps_list):
+    # both solves are exact in t, so the grid-halving floor measures
+    # roundoff and every gap lies above it by construction
+    base, u0 = convergence_problem(preset)
+    assert base.loads is None
+    rec = convergence_study(base, u0, eps_list, 0.1)
+    assert all(s == "ok" for s in rec.statuses)
+    assert 0 <= rec.floor <= 1e-10 * min(rec.x_norm_gaps)
+    assert all(rec.above_floor)
 
 
 def test_convergence_validation():

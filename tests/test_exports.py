@@ -192,3 +192,48 @@ def test_only_linalg_narrow_judges_realness(name):
         assert _realness_judgements(narrow) == ["x.imag.any()"]
         tree.body.remove(narrow)
     assert _realness_judgements(tree) == []
+
+
+def _functions(tree, prefix=""):
+    """(qualified name, node) of every function in tree, methods as
+    Class.method."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if not isinstance(node, ast.ClassDef):
+                yield name, node
+            yield from _functions(node, name + ".")
+
+
+def _parameters(fn) -> list:
+    a = fn.args
+    return [arg.arg for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+            if arg is not None]
+
+
+def _package_trees():
+    root = Path(epslab.__file__).resolve().parent
+    return {name: ast.parse((root / f"{name}.py").read_text()) for name in MODULES}
+
+
+def test_no_solver_takes_a_loads_argument():
+    # the load is the problem's data: every solve reads ProblemSpec.loads
+    found = [f"{module}.{name}" for module, tree in _package_trees().items()
+             for name, fn in _functions(tree) if "loads" in _parameters(fn)]
+    assert found == []
+
+
+def test_the_load_is_sampled_where_stated():
+    # ProblemSpec.loads samples the time grid once per spec; only the
+    # off-grid points of the limit solve's midpoints and the whole-line
+    # grid are sampled elsewhere
+    callers = set()
+    for module, tree in _package_trees().items():
+        for name, fn in _functions(tree):
+            inner = {id(n) for _, sub in _functions(fn) for n in ast.walk(sub)}
+            if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "f_samples" and id(node) not in inner
+                   for node in ast.walk(fn)):
+                callers.add(f"{module}.{name}")
+    assert callers == {"elliptic.ProblemSpec.loads", "parabolic.cauchy_solve",
+                       "multiplier.whole_line_solve"}
