@@ -20,16 +20,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import exprparse
-from .linalg import (SectorialityReport, SingularMatrix, _kind, as_complex_matrix, as_matrix,
-                     check_positivity, inv, mat_solve, narrow, op_norm, solve_cells)
+from .linalg import (SectorialityReport, SingularMatrix, _kind, as_matrix, check_positivity,
+                     inv, mat_solve, narrow, op_norm, solve_cells)
 
 __all__ = [
     "NonPositiveCoefficient", "ConditionReport",
     "SpaceGrid", "GridFunction", "OperatorPair", "BoundaryData",
     "build_wentzell_operator", "build_integral_operator",
     "check_condition_1", "check_condition_2_1", "check_condition_4_1",
-    "e_norm", "check_p", "mixed_norm", "time_norm", "kfunctional_norm", "COMMUTE_RTOL",
-    "EIGENBASIS_RTOL",
+    "e_norm", "check_p", "mixed_norm", "time_norm", "kfunctional_norm", "EIGENBASIS_RTOL",
 ]
 
 
@@ -135,7 +134,6 @@ class GridFunction:
         return e_norm(self.values, weights)
 
 
-COMMUTE_RTOL = 1e-10
 # a joint eigenbasis is kept when it reproduces A and B to this relative
 # backward error; eigenvalues of A this close share one eigenspace
 EIGENBASIS_RTOL = 1e-10
@@ -149,9 +147,9 @@ class OperatorPair:
     skip the resolvent scan (needed when A has a nontrivial kernel, as
     dynamic-boundary operators do).  The scan
     samples lam_samples, which the pair keeps for later scans.  A and B
-    are fixed at construction and never reassigned, so the commutator
-    norm, the scale ||A|| ||B|| and the joint eigenbasis are computed
-    once per pair, when first asked for.
+    are fixed at construction and never reassigned, so the joint
+    eigenbasis, the pair's one route test, is computed once per pair,
+    when first asked for.
     """
 
     def __init__(self, A, B, grid: Optional[SpaceGrid] = None,
@@ -184,22 +182,6 @@ class OperatorPair:
         return np.full(self.n, 1.0 / self.n)
 
     @cached_property
-    def commutator_norm(self) -> float:
-        """||AB - BA||_2."""
-        return op_norm(self.A @ self.B - self.B @ self.A)
-
-    @cached_property
-    def _norm_product(self) -> float:
-        return op_norm(self.A) * op_norm(self.B)
-
-    def commutes(self) -> bool:
-        """||AB - BA|| <= COMMUTE_RTOL ||A|| ||B||: the pair may have a joint eigenbasis."""
-        scale = self._norm_product
-        if scale == 0.0:
-            return True
-        return self.commutator_norm <= COMMUTE_RTOL * scale
-
-    @cached_property
     def joint_eigenbasis(self):
         """(V, V^-1, a, b) with A = V diag(a) V^-1 and B = V diag(b) V^-1, or None.
 
@@ -211,12 +193,12 @@ class OperatorPair:
             kappa_F(V) ||V^-1 M V - diag(m)||_F <= EIGENBASIS_RTOL ||M||_F
 
         for M = A and M = B, which bounds the relative backward error of
-        the factorization; otherwise, and for a pair that does not
-        commute or a V that fails inv's rcond guard, it is None.  A
-        defective pair, such as A = B = [[2, 1], [0, 2]], has none.
+        the factorization; otherwise, and for a V that fails inv's rcond
+        guard, it is None.  This test alone decides the route: a pair that
+        does not commute fails it, since the off-diagonal of V^-1 B V is
+        about [A, B]_ij / (a_i - a_j).  A defective pair, such as
+        A = B = [[2, 1], [0, 2]], has none.
         """
-        if not self.commutes():
-            return None
         w, V = np.linalg.eig(self.A)
         try:
             Bv = inv(V) @ self.B @ V
@@ -362,9 +344,9 @@ def build_wentzell_operator(grid: SpaceGrid, a, b) -> np.ndarray:
 
 
 def _kernel_samples(grid: SpaceGrid, kernel) -> np.ndarray:
-    """K[i, j] = K(y_i, y_j) on the grid square, complex."""
+    """K[i, j] = K(y_i, y_j) on the grid square, narrowed."""
     Y, Tau = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
-    return np.asarray(_as_coefficient(kernel, ("y", "tau"))(y=Y, tau=Tau), dtype=complex)
+    return narrow(_as_coefficient(kernel, ("y", "tau"))(y=Y, tau=Tau))
 
 
 def build_integral_operator(grid: SpaceGrid, kernel) -> np.ndarray:
@@ -548,9 +530,9 @@ def kfunctional_norm(f, A, theta: float, p: float = 2.0, weights=None) -> float:
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
     check_p(p)
-    M = as_complex_matrix(A)
+    M = as_matrix(A)
     n = M.shape[0]
-    x = np.atleast_1d(np.asarray(f, dtype=np.complex128))
+    x = np.atleast_1d(narrow(f))
     if x.shape != (n,):
         raise ValueError(f"vector of length {len(x)} does not match operator size {n}")
     w = _e_weights(n, weights)

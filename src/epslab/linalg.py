@@ -1,6 +1,6 @@
 """Dense matrix kernels shared by every solver in the package.
 
-Every dense solve of the package but two runs through solve_cells,
+Every dense solve of the package but one runs through solve_cells,
 which inverts its matrices by numpy's LAPACK (np.linalg.inv, called
 through the name INV) and states the guard once: a matrix whose
 reciprocal 1-norm condition number rcond = 1/(||M||_1 ||M^-1||_1) falls
@@ -9,15 +9,17 @@ the inverse.  The rcond is exact, not estimated, and M is not
 equilibrated.  solve_cells takes a stack of matrices, inverts it in one
 call and reports a failure per matrix; mat_solve and inv are its
 one-matrix forms, and mat_solve adds shape checks.
-The two outside the guard are multiplier's resolvent inverse and
-elliptic._mode_solve's n 2 x 2 boundary systems, solved by Cramer's
-rule behind a scaled-determinant guard of its own.  The rest of the
+The one outside the guard is elliptic._mode_solve's n 2 x 2 boundary
+systems, solved by Cramer's rule behind a scaled-determinant guard of
+its own.  The rest of the
 operator calculus is the principal matrix square root by the Schur
 method of Bjorck & Hammarling (scipy.linalg.sqrtm) behind a spectrum
 check, a capped matrix exponential (scipy.linalg.expm), the spectral
 operator norm from the SVD, and the resolvent-bound scan used to
-certify that an operator behaves like a positive one.  mat_solve, inv
-and expm keep their input's kind (_kind), and narrow states the dtype
+certify that an operator behaves like a positive one.  Every kernel
+keeps its input's kind (_kind): a real-typed input is worked in float64
+and a complex-typed one in complex128, and only sqrtm's complex Schur
+form makes a real input's result complex.  narrow states the dtype
 rule.  scipy is imported inside sqrtm and expm only, so a run that
 calls neither never loads it.
 """
@@ -31,7 +33,7 @@ import numpy as np
 __all__ = [
     "SingularMatrix", "SqrtNotConverged", "Overflow", "NUMERICAL_ERRORS",
     "SectorialityReport",
-    "narrow", "as_matrix", "as_complex_matrix", "solve_cells", "mat_solve", "inv",
+    "narrow", "as_matrix", "solve_cells", "mat_solve", "inv",
     "sqrtm", "expm", "op_norm", "check_positivity",
     "INV", "MIN_RCOND", "BRANCH_CUT_RTOL", "EXPM_NORM_CAP",
 ]
@@ -91,11 +93,6 @@ def as_matrix(M) -> np.ndarray:
     if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
-
-
-def as_complex_matrix(M) -> np.ndarray:
-    """as_matrix in complex128."""
-    return as_matrix(np.asarray(M, dtype=np.complex128))
 
 
 def _inverses(M: np.ndarray) -> np.ndarray:
@@ -198,7 +195,7 @@ def sqrtm(M) -> np.ndarray:
     to zeros.
     """
     import scipy.linalg
-    A = as_complex_matrix(M)
+    A = as_matrix(M)
     scale = np.abs(A).max(initial=0.0)
     if scale == 0.0:
         return np.zeros_like(A)
@@ -232,7 +229,7 @@ def expm(M) -> np.ndarray:
 
 def op_norm(M) -> float:
     """Spectral norm (largest singular value), from the SVD."""
-    return float(np.linalg.norm(as_complex_matrix(M), 2))
+    return float(np.linalg.norm(as_matrix(M), 2))
 
 
 @dataclass(frozen=True)
@@ -252,11 +249,11 @@ def check_positivity(A, lam_samples: Sequence = (0.0, 1.0, 10.0, 100.0, 1000.0),
 
     A uniform bound of this quantity is the operational stand-in for A
     being a positive operator.  The resolvents are one solve_cells
-    stack; raises the first sample's SingularMatrix when A+lam is not
-    invertible there.
+    stack, in float64 when A and the narrowed samples are real; raises
+    the first sample's SingularMatrix when A+lam is not invertible there.
     """
-    M = as_complex_matrix(A)
-    lams = np.array([complex(x) for x in lam_samples])
+    M = as_matrix(A)
+    lams = narrow([complex(x) for x in lam_samples])
     res, errors = solve_cells(M + lams[:, None, None] * np.eye(M.shape[0]))
     for error in errors:
         if error is not None:

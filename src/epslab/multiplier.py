@@ -8,7 +8,8 @@ turns the equation into one algebraic system per frequency:
 For a commuting pair with a joint eigenbasis A = V diag(a) V^-1,
 B = V diag(b) V^-1 every system is diagonal in that basis, so each
 frequency costs n divisions by a + i xi b + eps xi^2 + lam.  The
-solution symbol Phi(xi) is the inverse above.  No solver route uses
+solution symbol Phi(xi) is the inverse above, taken behind
+linalg.solve_cells' guard.  No solver route uses
 the whole-line solve any more: it is an independent reference for the
 modes route of elliptic.full_solve, evaluated exactly at any points by
 the direct sum over its n_x frequencies.  The module also measures the
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import SingularMatrix, as_complex_matrix
+from .linalg import SingularMatrix, as_matrix, solve_cells
 
 __all__ = [
     "LineGrid", "LineSolution",
@@ -59,8 +60,8 @@ class LineGrid:
 
 def _symbol(A, B, eps: float, lam: complex, xi) -> np.ndarray:
     """Stack of A + i xi B + (eps xi^2 + lam) I, shape (m, n, n)."""
-    A = as_complex_matrix(A)
-    B = as_complex_matrix(B)
+    A = as_matrix(A)
+    B = as_matrix(B)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     diag = np.arange(A.shape[0])
     M = np.multiply.outer(1j * xi, B)
@@ -70,8 +71,17 @@ def _symbol(A, B, eps: float, lam: complex, xi) -> np.ndarray:
 
 
 def resolvent_symbol(A, B, eps: float, lam: complex, xi) -> np.ndarray:
-    """Stack of Phi(xi) = (A + i xi B + (eps xi^2 + lam))^-1, shape (m, n, n)."""
-    return np.linalg.inv(_symbol(A, B, eps, lam, xi))
+    """Stack of Phi(xi) = (A + i xi B + (eps xi^2 + lam))^-1, shape (m, n, n).
+
+    The stack inverts behind linalg.solve_cells' guard; the first
+    frequency it refuses raises its error (SingularMatrix when the
+    symbol is singular or too ill-conditioned there).
+    """
+    Phi, errors = solve_cells(_symbol(A, B, eps, lam, xi))
+    for error in errors:
+        if error is not None:
+            raise error
+    return Phi
 
 
 @dataclass

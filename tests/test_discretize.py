@@ -9,7 +9,9 @@ from epslab.discretize import (
     _as_coefficient, _one_sided_rows, check_condition_1, check_condition_2_1,
     check_condition_4_1, e_norm, kfunctional_norm, mixed_norm, time_norm,
 )
-from epslab.linalg import SingularMatrix, mat_solve, op_norm
+from epslab import linalg
+from epslab.linalg import SingularMatrix, check_positivity, mat_solve, op_norm
+from epslab.presets import PRESET_NAMES, make_pair
 
 
 def _kfunctional_by_solves(f, A, theta, p, w, stacked=False):
@@ -158,22 +160,47 @@ class TestOperatorPair:
         np.testing.assert_allclose(sorted(b, key=lambda z: z.imag), [-1j, 1j], atol=1e-14)
 
     def test_commutes(self):
-        assert OperatorPair(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])).commutes()
+        # the joint-eigenbasis test is the pair's one route test: a diagonal
+        # pair has a basis, and a nilpotent drift that does not commute with
+        # A has none
+        assert OperatorPair(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])).joint_eigenbasis is not None
         pair = OperatorPair(np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [0.0, 0.0]]),
                             check_positive=False)
-        assert not pair.commutes()
+        assert pair.joint_eigenbasis is None
 
-    def test_commutator_norms_computed_once(self, monkeypatch):
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_a_real_pair_inverts_only_float64_stacks(self, monkeypatch, preset):
+        # the positivity scan and the route test keep the pair's kind: no
+        # real operator is cast to complex128 on its way to LAPACK
+        dtypes = []
+        INV = linalg.INV
+        monkeypatch.setattr(linalg, "INV", lambda M: dtypes.append(M.dtype) or INV(M))
+        pair = make_pair(preset)
+        pair.joint_eigenbasis  # the route test inverts V
+        assert pair.A.dtype == pair.B.dtype == np.float64
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+    def test_real_positivity_scan_matches_its_complex_copy(self):
+        pair = make_pair("wentzell")
+        rng = np.random.default_rng(5)
+        G = rng.normal(size=(6, 6))
+        for A, lams in ((pair.A, pair.lam_samples),
+                        (G @ G.T + np.eye(6) + 0.3 * rng.normal(size=(6, 6)), (0.0, 1.0, 10.0))):
+            real, cplx = check_positivity(A, lams), check_positivity(A + 0j, lams)
+            np.testing.assert_allclose(real.values, cplx.values, rtol=1e-13, atol=0)
+            assert (real.lam_samples, real.worst_lam) == (cplx.lam_samples, cplx.worst_lam)
+            assert isinstance(real.worst_lam, complex)
+
+    def test_the_route_test_runs_once_per_pair(self, monkeypatch):
         A = np.array([[2.0, 1.0], [0.0, 3.0]])
         B = np.array([[0.0, 1.0], [1.0, 0.0]])
         pair = OperatorPair(A, B, check_positive=False)
         calls = []
-        monkeypatch.setattr("epslab.discretize.op_norm",
-                            lambda M: calls.append(1) or op_norm(M))
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(1) or eig(M))
         for _ in range(3):
-            assert pair.commutator_norm == op_norm(A @ B - B @ A)
-            assert not pair.commutes()
-        assert len(calls) == 3  # ||AB - BA||, ||A||, ||B||
+            assert pair.joint_eigenbasis is None
+        assert len(calls) == 1
 
     def test_joint_eigenbasis_diagonalizes_both(self, monkeypatch):
         rng = np.random.default_rng(2)
@@ -676,6 +703,16 @@ class TestKFunctionalNorm:
 
     def test_zero_vector(self):
         assert kfunctional_norm([0.0, 0.0], np.eye(2), 0.5, 2.0) == 0.0
+
+    @pytest.mark.parametrize("theta,p", [(0.25, 2.0), (0.75, 2.0), (0.5, 1.0), (0.25, np.inf)])
+    def test_real_operator_matches_its_complex_copy(self, theta, p):
+        # a real A and f are worked in float64, within roundoff of complex128
+        rng = np.random.default_rng(29)
+        A, f = rng.normal(size=(16, 16)), rng.normal(size=16)
+        w = rng.uniform(0.5, 1.5, size=16)
+        got = kfunctional_norm(f, A, theta, p, weights=w)
+        want = kfunctional_norm(f + 0j, A + 0j, theta, p, weights=w)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("theta,p", [(0.25, 2.0), (0.75, 2.0), (0.5, 1.0), (0.25, 3.0)])
     def test_matches_regularized_solves_random(self, theta, p):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -948,6 +949,21 @@ Z_COMPLEX = np.array([0.3 + 1.2j, -1.0 - 0.5j, -2.5 + 2.0j, 4.0j, -30.0 + 10.0j]
 LOAD_COEFFS = [1.0, 0.5, -0.3, 0.8, -0.2, 0.4]
 
 
+@functools.lru_cache(maxsize=None)
+def _load_integral(n_t: int, zj: complex, k: int):
+    """int_0^h e^(zj (h - s)/h) p(t_k + s) ds by mpmath's quadrature at 30
+    digits, for the load p with the first min(STENCIL_WIDTH, n_t) of
+    LOAD_COEFFS and h = 1/(n_t - 1); an mpc."""
+    import mpmath
+    coeffs = LOAD_COEFFS[:min(elliptic.STENCIL_WIDTH, n_t)]
+    with mpmath.workdps(30):
+        mh = mpmath.mpf(1.0 / (n_t - 1))
+        z, tk = mpmath.mpc(zj), k * mh
+        return mpmath.quad(lambda s: mpmath.exp(z * (mh - s) / mh)
+                           * mpmath.polyval([mpmath.mpf(c) for c in coeffs[::-1]], tk + s),
+                           [0, mh])
+
+
 class TestLoadQuadrature:
     @pytest.mark.parametrize("load_dtype", [float, complex])
     @pytest.mark.parametrize("z", [Z_REAL, Z_COMPLEX], ids=["real-z", "complex-z"])
@@ -955,10 +971,13 @@ class TestLoadQuadrature:
     def test_increments_are_the_exact_integrals_of_a_polynomial_load(self, n_t, z, load_dtype):
         # the width-node interpolant reproduces a load of degree width - 1,
         # so each step's increment is int_0^h e^(z (h - s)/h) p(t_k + s) ds,
-        # here against mpmath's quadrature at 30 digits
+        # here against mpmath's quadrature at 30 digits.  The complex load
+        # is the real one times 1 + 0.5j, exactly in binary, so its
+        # integrals are the real load's (_load_integral) times that factor
         mpmath = pytest.importorskip("mpmath")
         width = min(elliptic.STENCIL_WIDTH, n_t)
-        coeffs = np.array(LOAD_COEFFS[:width]) * (1 + 0.5j if load_dtype is complex else 1)
+        scale = 1 + 0.5j if load_dtype is complex else 1
+        coeffs = np.array(LOAD_COEFFS[:width]) * scale
         h = 1.0 / (n_t - 1)
         # column j carries the load times 1 + j/4
         F = np.outer(np.polynomial.polynomial.polyval(np.arange(n_t) * h, coeffs),
@@ -968,15 +987,10 @@ class TestLoadQuadrature:
         # both first steps, one interior step and both last steps
         steps = sorted({0, 1, (n_t - 1) // 2, n_t - 3, n_t - 2})
         with mpmath.workdps(30):
-            mh = mpmath.mpf(h)
             for k in steps:
-                tk = k * mh
                 for j, zj in enumerate(z):
-                    zj = mpmath.mpc(zj)
-                    want = (1 + j / 4) * complex(mpmath.quad(
-                        lambda s: mpmath.exp(zj * (mh - s) / mh)
-                        * mpmath.polyval([mpmath.mpc(c) for c in coeffs[::-1]], tk + s),
-                        [0, mh]))
+                    want = (1 + j / 4) * complex(
+                        mpmath.mpc(scale) * _load_integral(n_t, complex(zj), k))
                     assert abs(out[k, j] - want) <= 1e-13 * abs(want), (k, j)
 
     def test_complex_weights_on_a_real_load_are_those_on_it_cast_to_complex(self):

@@ -233,6 +233,9 @@ def test_failing_cell_leaves_the_rest_of_its_batch_alone(monkeypatch, eps_list):
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "scalar_solve.ini",
                       preset="wentzell")
     base = _build_spec(cfg, "wentzell", eps_list, lam=1.0)
+    # the route test inverts V once per pair and caches the result: read
+    # it first, so that inverse counts against no solve below
+    assert base.pair.joint_eigenbasis is None
     counts = Counter()
     _counting_factorizations(monkeypatch, counts)
     reps = uniformity_sweep(base, eps_list, [1.0])

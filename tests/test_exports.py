@@ -101,7 +101,7 @@ def test_scipy_imported_only_inside_linalg_functions(name):
 
 # the numpy factorizations that linalg.solve_cells does not guard, per
 # module; linalg's own is INV, the inverse its guard wraps
-UNGUARDED = {"multiplier": ["np.linalg.inv"], "linalg": ["np.linalg.inv"]}
+UNGUARDED = {"linalg": ["np.linalg.inv"]}
 
 
 def _unguarded_uses(tree) -> list:
@@ -237,3 +237,54 @@ def test_the_load_is_sampled_where_stated():
                 callers.add(f"{module}.{name}")
     assert callers == {"elliptic.ProblemSpec.loads", "parabolic.cauchy_solve",
                        "multiplier.whole_line_solve"}
+
+
+# the explicit complex casts of the package, per module, by enclosing
+# function; every other kernel keeps its input's kind, so a real operator
+# cast to complex on its way to LAPACK shows up here
+COMPLEX_CASTS = {
+    # narrow states the dtype rule, and _kind names its complex side
+    "linalg": ["_kind", "narrow"],
+    # the boundary vectors are stored complex so callers may write complex
+    # data into them in place; data_for narrows each on its way out
+    "discretize": ["BoundaryData.__post_init__", "BoundaryData.__post_init__"],
+    # the boundary system is built from G1 and G2, which come from sqrtm's
+    # complex Schur form; its eye takes their kind
+    "elliptic": ["_boundary_matrix"],
+    # the FFT of the load is complex whatever the load's kind
+    "multiplier": ["whole_line_solve"],
+    # config vectors parse as complex; BoundaryData.data_for and
+    # cauchy_solve narrow them where they enter a solve
+    "cli": ["Config.getvector", "Config.getvector"],
+    # preset boundary data take a complex scale; data_for narrows them
+    "presets": ["_data"],
+}
+
+
+def _is_complex_cast(node) -> bool:
+    """np.complex128, dtype=complex or astype(complex)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "complex128"
+    if isinstance(node, ast.keyword):
+        return node.arg == "dtype" and isinstance(node.value, ast.Name) and node.value.id == "complex"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "astype" and len(node.args) > 0
+            and isinstance(node.args[0], ast.Name) and node.args[0].id == "complex")
+
+
+def _complex_casts(tree, scope="") -> list:
+    """Qualified name of the function around each complex cast in tree."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}{node.name}."
+        elif _is_complex_cast(node):
+            found.append(scope.rstrip(".") or "<module>")
+        found += _complex_casts(node, inner)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_complex_casts_stay_where_stated(name):
+    assert _complex_casts(_package_trees()[name]) == COMPLEX_CASTS.get(name, [])

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from epslab.linalg import (
     EXPM_NORM_CAP, Overflow, SectorialityReport, SingularMatrix,
-    SqrtNotConverged, as_complex_matrix, check_positivity, expm, inv,
+    SqrtNotConverged, as_matrix, check_positivity, expm, inv,
     mat_solve, narrow, op_norm, sqrtm,
 )
 
@@ -44,21 +44,21 @@ class TestKeepKind:
         assert _close_to(E, expm(ref))
 
 
-class TestAsComplexMatrix:
+class TestAsMatrix:
     def test_accepts_nested_lists(self):
-        A = as_complex_matrix([[1, 2], [3, 4]])
-        assert A.dtype == np.complex128
+        A = as_matrix([[1, 2], [3, 4]])
+        assert A.dtype == np.float64
         assert A.shape == (2, 2)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            as_complex_matrix(np.ones((2, 3)))
+            as_matrix(np.ones((2, 3)))
         with pytest.raises(ValueError):
-            as_complex_matrix(np.ones(4))
+            as_matrix(np.ones(4))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            as_complex_matrix([[np.inf, 0], [0, 1]])
+            as_matrix([[np.inf, 0], [0, 1]])
 
 
 class TestMatSolve:

@@ -188,7 +188,7 @@ class TestJointEigenbasis:
     def test_defective_pair_has_no_line_solve(self):
         J = np.array([[2.0, 1.0], [0.0, 2.0]])
         pair = OperatorPair(J, J)
-        assert pair.commutes() and pair.joint_eigenbasis is None
+        assert pair.joint_eigenbasis is None
         spec = ProblemSpec(pair=pair, eps=1e-2, lam=1.0, T=1.0, bc=dn_bc(),
                            f="exp(-64*(t-0.5)^2)", n_t=101)
         with pytest.raises(ValueError, match="joint eigenbasis"):
@@ -212,6 +212,18 @@ class TestResolventSymbol:
         for k, x in enumerate(xi):
             M = A + 1j * x * B + (0.3 * x**2 + 2.0) * np.eye(3)
             np.testing.assert_allclose(Phi[k] @ M, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [-1 + 1e-15, -1.0])
+    def test_a_singular_symbol_raises(self, lam):
+        # at xi = 0 the symbol is diag(1 + lam, 2 + lam): its rcond is about
+        # 1e-15 at lam = -1 + 1e-15, below solve_cells' guard, and it is
+        # exactly singular at lam = -1, as the 1 x 1 symbol 1 + lam is
+        A = np.diag([1.0, 2.0])
+        with pytest.raises(SingularMatrix):
+            resolvent_symbol(A, np.zeros((2, 2)), 0.0, lam, [0.0])
+        if lam == -1.0:
+            with pytest.raises(SingularMatrix):
+                resolvent_symbol([[1.0]], [[0.0]], 0.0, lam, [0.0])
 
 
 class TestBoundScan:

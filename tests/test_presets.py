@@ -13,14 +13,14 @@ def test_scalar_pair_values():
     pair = make_scalar_pair(a=2.0, b=-0.25)
     assert pair.A[0, 0] == 2.0
     assert pair.B[0, 0] == -0.25
-    assert pair.commutes()
+    assert pair.joint_eigenbasis is not None
 
 
 def test_commuting_pair_structure():
     pair = make_commuting_pair(n_y=6)
     assert pair.n == 6
     assert pair.grid is not None and pair.grid.n == 6
-    assert pair.commutes()
+    assert pair.joint_eigenbasis is not None
     want = np.diag(1.0 + 2.0 * pair.grid.nodes)
     assert np.allclose(pair.A, want)
     assert np.allclose(pair.B, 0.3 * np.eye(6) + 0.1 * want)
@@ -30,7 +30,7 @@ def test_commuting_pair_structure():
 def test_wentzell_pair_structure():
     pair = make_wentzell_pair(n_y=12)
     assert pair.n == 12
-    assert not pair.commutes()
+    assert pair.joint_eigenbasis is None
     # second-order part annihilates constants through the eliminated rows
     const = np.ones(12)
     assert np.max(np.abs(pair.A @ const)) < 1e-8
@@ -104,5 +104,5 @@ def test_convergence_problem_wiring():
 def test_cross_validation_spec_shape():
     spec = cross_validation_spec()
     assert spec.T == 2.0
-    assert spec.pair.commutes()
+    assert spec.pair.joint_eigenbasis is not None
     assert spec.n_t == 400
