@@ -22,13 +22,12 @@ The factorization is exact when A and B commute; otherwise the residual
 of the quadratic is (RB - BR)/(4 eps).  Pairs with no eigenbasis go to a
 block-tridiagonal finite difference scheme (direct_batch).  Two 2n x 2n
 end pivots absorb the two-node reach of the one-sided boundary
-derivatives; the nodes between share one stencil and are solved by
-odd-even block cyclic reduction, which inverts one block per distinct
-row class and level, O(log n_t) linalg.solve_cells calls.  The rcond
-guard of solve_cells sees each block and its coupling columns, never
-the load; the load and boundary vectors are scaled by a power of two,
-so only a solution past the float64 range surfaces, as "solution
-overflowed" at the end.  Every route reads the load from spec.loads.
+derivatives; the nodes between share one stencil and are solved in
+place by odd-even block cyclic reduction, O(log n_t) solve_cells calls.
+Their rcond guard sees each block and its coupling columns, never the
+load; the data are scaled by a power of two, so only a block past the
+float64 range surfaces, as Overflow, or a solution past it, as
+"solution overflowed" at the end.  Every route reads spec.loads.
 direct_batch runs the scheme for several (eps, lam) cells at once: the
 blocks carry a leading cell axis, each solve_cells call inverts the
 stack of the cells that have not failed, and a cell's failure is its
@@ -274,39 +273,39 @@ def _shifted(rows: slice, by: int) -> slice:
     return slice(rows.start + by, rows.stop + by, rows.step)
 
 
-def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
-                      fails: list) -> np.ndarray:
-    """Solve L_i x_{i-1} + D_i x_i + U_i x_{i+1} = load_i by odd-even reduction.
+def _cyclic_reduction(kinds: list, cls: np.ndarray, x: np.ndarray, fails: list) -> None:
+    """Solve L_i x_{i-1} + D_i x_i + U_i x_{i+1} = load_i by odd-even
+    reduction, in place: x holds the loads on entry, the solution on return.
 
-    The leading axis of load, (cells, rows, n), and of every block,
+    The leading axis of x, (cells, rows, n), and of every block,
     (cells, n, n), runs over the cells of a batch, which share the row
     classes: row i has class cls[i], and kinds[c] = (L, D, U) are the
     block stacks of class c, with None for the missing neighbour of an
-    end row.  Each level eliminates the odd rows: per distinct class
-    among them, one solve_cells stack with right-hand side [L | U | their
-    loads] gives x_j = y_j - alpha x_{j-1} - beta x_{j+1}.  A kept row's
-    class becomes the triple of the classes of its left neighbour, itself
-    and its right neighbour, and per triple batched GEMMs update its load
-    and then its blocks.  The rows of a class are indexed by a slice
-    (_rows): with a first, an interior and a last class at the start,
-    every class's rows are evenly spaced.  The guard sees each block
-    and its [L | U] columns, not the load; the first failing inverse of a
-    cell in reduction order goes to fails (_solve_live), and that cell's
-    rows of the result mean nothing.  The caller holds the errstate.
+    end row.  Level l eliminates every other row of those s = 2^l apart:
+    per distinct class among them, one solve_cells stack with right-hand
+    side [L | U | their loads] gives x_j = y_j - alpha x_{j-s} - beta
+    x_{j+s}, and y_j overwrites load_j.  A kept row's class becomes the
+    triple of the classes of its left neighbour, itself and its right
+    neighbour, and per triple batched GEMMs update its load where it
+    stands, then its blocks; the back substitution writes x_j over y_j.
+    The rows of a class are indexed by a slice (_rows): with a first, an
+    interior and a last class at the start, every class's rows are
+    evenly spaced.  The guard sees each block and its [L | U] columns,
+    not the load; the first failing inverse of a cell in reduction order
+    goes to fails (_solve_live), and that cell's rows of x mean nothing.
+    The caller holds the errstate.
     """
-    n = load.shape[2]
-    levels = []
+    n, s, levels = x.shape[2], 1, []
     while len(cls) > 1:
         m = len(cls)
-        y = np.empty_like(load)
         elim = {}
         for c in np.unique(cls[1::2]):
-            rows = _rows(2 * np.flatnonzero(cls[1::2] == c) + 1)
+            rows = _rows(s * (2 * np.flatnonzero(cls[1::2] == c) + 1))
             L, D, U = kinds[c]
             coupling = L if U is None else np.concatenate([L, U], axis=2)
-            X = _solve_live(fails, D, coupling, load[:, rows].mT)
+            X = _solve_live(fails, D, coupling, x[:, rows].mT)
             k = coupling.shape[2]
-            y[:, rows] = X[:, :, k:].mT
+            x[:, rows] = X[:, :, k:].mT
             elim[c] = (rows, X[:, :, :n], None if U is None else X[:, :, n:k])
         keep = np.arange(0, m, 2)
         left = np.where(keep > 0, cls[keep - 1], -1)
@@ -314,33 +313,29 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, load: np.ndarray,
         K = len(kinds) + 1
         codes, new_cls = np.unique((left + 1) * K * K + cls[keep] * K + right + 1,
                                    return_inverse=True)
-        new_kinds, new_load = [], load[:, ::2].copy()
+        new_kinds = []
         for j, code in enumerate(codes):
-            l, s, r = code // (K * K) - 1, code // K % K, code % K - 1
-            L, D, U = kinds[s]
-            kept = np.flatnonzero(new_cls == j)
-            rows, half = _rows(2 * kept), _rows(kept)
+            l, c, r = code // (K * K) - 1, code // K % K, code % K - 1
+            L, D, U = kinds[c]
+            rows = _rows(2 * s * np.flatnonzero(new_cls == j))
             if l >= 0:
                 _, alpha, beta = elim[l]
-                new_load[:, half] -= y[:, _shifted(rows, -1)] @ L.mT
+                x[:, rows] -= x[:, _shifted(rows, -s)] @ L.mT
                 L, D = -L @ alpha, D - L @ beta
             if r >= 0:
                 _, alpha, beta = elim[r]
-                new_load[:, half] -= y[:, _shifted(rows, 1)] @ U.mT
+                x[:, rows] -= x[:, _shifted(rows, s)] @ U.mT
                 D, U = D - U @ alpha, None if beta is None else -U @ beta
             new_kinds.append((L, D, U))
-        levels.append((m, y, elim))
-        kinds, cls, load = new_kinds, new_cls, new_load
+        levels.append((s, elim))
+        kinds, cls, s = new_kinds, new_cls, 2 * s
     _, D, _ = kinds[cls[0]]
-    x = _solve_live(fails, D, None, load.mT).mT
-    for m, y, elim in reversed(levels):
-        x_kept, x = x, np.empty((len(fails), m, n), dtype=x.dtype)
-        x[:, 0::2] = x_kept
+    x[:, :1] = _solve_live(fails, D, None, x[:, :1].mT).mT
+    for s, elim in reversed(levels):
         for rows, alpha, beta in elim.values():
-            x[:, rows] = y[:, rows] - x[:, _shifted(rows, -1)] @ alpha.mT
+            x[:, rows] -= x[:, _shifted(rows, -s)] @ alpha.mT
             if beta is not None:
-                x[:, rows] -= x[:, _shifted(rows, 1)] @ beta.mT
-    return x
+                x[:, rows] -= x[:, _shifted(rows, s)] @ beta.mT
 
 
 def direct_batch(spec: ProblemSpec, cells) -> list:
@@ -350,67 +345,65 @@ def direct_batch(spec: ProblemSpec, cells) -> list:
     reduction, the load samples (spec.loads) and one dtype, the
     promotion of every cell's data, so a real cell batched with a
     complex one runs and returns in complex128, within roundoff of its
-    float64 solo solve.  Blocks, end pivots, loads and the back
-    substitution are (cells, ...) stacks, and every factorization is one
-    linalg.solve_cells call over the stack, whose guard judges each cell
-    apart.  Returns, per cell, its GridFunction or the exception a solo
-    direct_solve raises for it; a failed cell gets no further
-    factorization and leaves the other cells' numbers as they are.
+    float64 solo solve.  Blocks, end pivots and the solution u are
+    (cells, ...) stacks, and every factorization is one solve_cells call
+    over the stack, whose guard judges each cell apart.  u holds the
+    scaled data on entry: the pivots read their ends, and the cyclic
+    reduction solves the interior nodes in place.  Returns, per cell,
+    its GridFunction or the exception a solo direct_solve raises for it;
+    a failed cell gets no further factorization and leaves the others.
     """
     eps, lam, f1, f2, finite = _batch_data(spec, cells)
     if not finite:
         return [ValueError("array must not contain infs or NaNs")] * len(cells)
     t = spec.t_grid()
     h = t[1] - t[0]
-    n, N, n_cells = spec.n, spec.n_t, len(cells)
+    n, N, n_cells, loads = spec.n, spec.n_t, len(cells), spec.loads
     B, A_lam = spec.pair.B, spec.pair.A + np.array(lam)[:, None, None] * np.eye(n)
-    fvals = np.zeros((N, n)) if spec.loads is None else spec.loads
+    data = (f1, f2) if loads is None else (f1, f2, loads)
     # u is linear in the data: solve for the data over 2^(e-1), e the
     # exponent of their largest component, so that a load near the
     # float64 limit keeps the sweep finite; powers of two scale exactly
-    top = max(np.abs(part).max(initial=0.0)
-              for x in (fvals, f1, f2) for part in (x.real, x.imag))
+    top = max(np.abs(part).max(initial=0.0) for x in data for part in (x.real, x.imag))
     scale = np.ldexp(1.0, int(np.frexp(top)[1]) - 1)
-    fvals, f1, f2 = fvals / scale, f1 / scale, f2 / scale
     # L1 on (u_0, u_1, u_2) and L2 on (u_{N-3}, u_{N-2}, u_{N-1}), per cell
     left = spec.bc.apply(1, np.array([1.0, 0.0, 0.0]),
                          np.array([-3.0, 4.0, -1.0]) / (2 * h), eps[:, None])
     right = spec.bc.apply(2, np.array([0.0, 0.0, 1.0]),
                           np.array([1.0, -4.0, 3.0]) / (2 * h), eps[:, None])
-    dtype = np.result_type(B, A_lam, fvals, f1, f2, left, right)
+    dtype = np.result_type(B, A_lam, *data, left, right)
+    u = np.empty((n_cells, N, n), dtype)
+    np.divide(f1, scale, out=u[:, 0])
+    np.divide(0.0 if loads is None else loads[1:N - 1], scale, out=u[:, 1:N - 1])
+    np.divide(f2, scale, out=u[:, N - 1])
     eye = np.eye(n, dtype=dtype)
-    s = eps[:, None, None]
-    lower = -s / h**2 * eye - B / (2 * h)
-    diag = 2 * s / h**2 * eye + A_lam
-    upper = -s / h**2 * eye + B / (2 * h)
     left, right = left[:, :, None, None] * eye, right[:, :, None, None] * eye
-
-    def column(v):
-        return np.broadcast_to(v[:, None], (n_cells, len(v), 1))
-
     with np.errstate(over="ignore", invalid="ignore"):
+        s = eps[:, None, None]
+        lower = -s / h**2 * eye - B / (2 * h)
+        diag = 2 * s / h**2 * eye + A_lam
+        upper = -s / h**2 * eye + B / (2 * h)
+        fails = [None] * n_cells
         # rows 0 and 1, L1 then the stencil; first[:, i] = [Uhat_i | r_i]
         # with u_i = r_i - Uhat_i u_2
         P = np.block([[left[:, 0], left[:, 1]], [lower, diag]])
-        rhs = np.block([[left[:, 2], column(f1)], [upper, column(fvals[1])]])
-        first, fails = solve_cells(P, rhs)
+        first = _solve_live(fails, P, np.concatenate([left[:, 2], upper], axis=1),
+                            u[:, :2].reshape(n_cells, 2 * n, 1))
         first = first.reshape(n_cells, 2, n, n + 1)
         # the stencil at N-2, then L2; last[:, i] = [V_i | s_i] with
         # u_{N-2+i} = s_i - V_i u_{N-3}
         P = np.block([[diag, upper], [right[:, 1], right[:, 2]]])
         last = _solve_live(fails, P, np.concatenate([lower, right[:, 0]], axis=1),
-                           column(np.concatenate([fvals[N - 2], f2])))
+                           u[:, N - 2:].reshape(n_cells, 2 * n, 1))
         last = last.reshape(n_cells, 2, n, n + 1)
         D_first = diag - lower @ first[:, 1, :, :n]
         D_last = (D_first if N == 5 else diag) - upper @ last[:, 0, :, :n]
-        load = np.repeat(fvals[None, 2:N - 2], n_cells, axis=0).astype(dtype, copy=False)
-        load[:, 0] -= (lower @ first[:, 1, :, n:])[..., 0]
-        load[:, -1] -= (upper @ last[:, 0, :, n:])[..., 0]
+        u[:, 2] -= (lower @ first[:, 1, :, n:])[..., 0]
+        u[:, N - 3] -= (upper @ last[:, 0, :, n:])[..., 0]
         kinds = [(None, D_first, upper), (lower, diag, upper), (lower, D_last, None)]
         cls = np.ones(N - 4, int)
         cls[0], cls[-1] = 0, 2
-        u = np.empty((n_cells, N, n), dtype)
-        u[:, 2:N - 2] = _cyclic_reduction(kinds, cls, load, fails)
+        _cyclic_reduction(kinds, cls, u[:, 2:N - 2], fails)
         u[:, :2] = first[..., n] - (first[..., :n] @ u[:, None, 2, :, None])[..., 0]
         u[:, N - 2:] = last[..., n] - (last[..., :n] @ u[:, None, N - 3, :, None])[..., 0]
         u *= scale
@@ -431,18 +424,18 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     terms of u_2, rows N-2 and N-1 give (u_{N-2}, u_{N-1}) in terms of
     u_{N-3}.  The nodes 2..N-3 left over share one stencil except for
     the diagonal blocks of the two end rows (one row at n_t = 5), and
-    odd-even block cyclic reduction solves them (_cyclic_reduction):
-    each level inverts one block per distinct row class, O(log n_t) in
-    all, in the dtype the data promote to.  Both pivots and
-    every block of the reduction go through linalg.solve_cells, whose
-    rcond guard sees the block and its coupling columns, so the first
-    failing inverse raises: the first pivot's, then the last pivot's,
-    then in reduction order.  No inverted block depends on the load.
-    Non-finite load or boundary data raise ValueError up
-    front; after that, a block that leaves the finite range raises
-    Overflow, and so does a solution past the float64 range, as "finite
-    difference solution overflowed to non-finite values".  This is the
-    batch of one of direct_batch.
+    odd-even block cyclic reduction solves them in the solution array
+    (_cyclic_reduction): each level inverts one block per distinct row
+    class, O(log n_t) in all, in the dtype the data promote to.  Both
+    pivots and every block of the reduction go through
+    linalg.solve_cells, whose rcond guard sees the block and its
+    coupling columns, so the first failing inverse raises: the first
+    pivot's, then the last pivot's, then in reduction order.  No
+    inverted block depends on the load.  A non-finite eps, lam, load or
+    boundary vector raises ValueError up front; after that, a block
+    past the float64 range (eps / h^2, say) raises Overflow, and so
+    does a solution past it, as "finite difference solution overflowed
+    to non-finite values".  This is the batch of one of direct_batch.
     """
     return _solo(direct_batch(spec, [(spec.eps, spec.lam)]))
 
@@ -464,17 +457,20 @@ def solve_batch(spec: ProblemSpec, cells) -> list:
     whose meta["path"] names the route, or the SOLVER_ERRORS its solve
     raised.  A pair without a joint eigenbasis is one direct_batch over
     all the cells, any other one _modes_batch; every cell reads
-    spec.loads.  An eps that is not finite and positive raises ValueError."""
+    spec.loads.  An eps that is not finite and positive, or a lam that is
+    not finite, raises ValueError."""
     batch = direct_batch if spec.pair.joint_eigenbasis is None else _modes_batch
     return batch(spec, cells)
 
 
 def _batch_data(spec: ProblemSpec, cells) -> tuple:
-    """(eps, lam, f1, f2, finite), once per batch: each cell's eps,
-    checked (ValueError), and the list of its lam, narrowed; the
+    """(eps, lam, f1, f2, finite), once per batch: each cell's eps and
+    lam, checked (ValueError), the lam narrowed and in a list; the
     boundary vectors; and whether spec.loads, f1 and f2 are finite."""
     eps = np.array([_positive_eps(e) for e, _ in cells])
     lam = [narrow(complex(z)) for _, z in cells]
+    if not np.isfinite(lam).all():
+        raise ValueError("lam must be finite")
     f1, f2 = spec.bc.data_for(spec.n)
     finite = all(np.isfinite(x).all() for x in (f1, f2, () if spec.loads is None else spec.loads))
     return eps, lam, f1, f2, finite
@@ -631,15 +627,17 @@ def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, basis, f1, f2,
     step adding the exact integral of the load's interpolant
     (_increments), and alpha, beta solve each mode's 2 x 2 boundary
     system by Cramer's rule on rows scaled to unit max-norm.  Raises
-    SqrtNotConverged when some b^2 + 4 eps c lies within
-    BRANCH_CUT_RTOL max|b^2 + 4 eps c| of (-inf, 0], SingularMatrix for
-    a scaled determinant below MIN_RCOND and Overflow for a solution
-    that is not finite.
+    Overflow when some b^2 + 4 eps c is not finite, SqrtNotConverged when
+    one lies within BRANCH_CUT_RTOL max|b^2 + 4 eps c| of (-inf, 0],
+    SingularMatrix for a scaled determinant below MIN_RCOND and Overflow
+    for a solution that is not finite.
     """
     V, a, b = basis
     t, n, N = spec.t_grid(), spec.n, spec.n_t
     h, c = t[1] - t[0], a + lam
     m = b * b + 4.0 * eps * c
+    if not np.isfinite(m).all():
+        raise Overflow("b^2 + 4 eps (a + lam) overflowed to non-finite values")
     tol = BRANCH_CUT_RTOL * np.abs(m).max()
     on_cut = (np.abs(m.imag) <= tol) & (m.real <= tol)
     if on_cut.any():

@@ -198,8 +198,8 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
     sweep, and they and every solve read base.loads, sampled once.  The
     whole grid is one elliptic.solve_batch, so the sweep holds every
     cell's solution at once, and the cells are measured after it.  An
-    empty eps or lam list gives no rows; an inadmissible p raises before
-    any cell runs.
+    empty eps or lam list gives no rows; an inadmissible p or a
+    non-finite lam (solve_batch) raises before any cell runs.
     """
     base.bc.theta(p)
     cells = [(eps, lam) for lam in lam_list for eps in eps_list]

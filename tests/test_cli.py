@@ -249,6 +249,37 @@ def test_solve_at_huge_eps(tmp_path, preset):
     np.testing.assert_allclose(u[:, 1::2], 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("preset, eps", [("wentzell", "1e305"), ("wentzell", "1.7e308"),
+                                         ("scalar", "1.7e308"), ("commuting", "1.7e308")])
+def test_solve_at_overflowing_eps_is_a_numerical_failure(tmp_path, capsys, preset, eps):
+    # eps / h^2 (FD) or b^2 + 4 eps (a + lam) (modes) leaves float64
+    assert main(["--config", str(CONFIGS / "scalar_solve.ini"), "--out", str(tmp_path / "out"),
+                 "--preset", preset, "--override", f"solve.eps={eps}"]) == 2
+    assert "numerical failure: Overflow" in capsys.readouterr().err
+
+
+def test_sweep_at_overflowing_eps_writes_an_overflow_row(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--config", str(GOLDEN / "sweep-fd.ini"), "--out", str(out),
+                 "--override", "sweep.eps_list=0.01 1e305",
+                 "--override", "sweep.lambda_list=[1,0]", "--override", "grid.n_t=41"]) == 2
+    ok, bad = [row.split(",")[-1] for row in (out / "sweep.csv").read_text().splitlines()[2:]]
+    assert (ok, bad) == ("ok", "error: finite difference sweep overflowed to non-finite values")
+
+
+@pytest.mark.parametrize("preset", ["wentzell", "scalar"])
+def test_solve_at_infinite_lambda_is_an_invalid_scenario(tmp_path, capsys, preset):
+    assert main(["--config", str(CONFIGS / "scalar_solve.ini"), "--out", str(tmp_path / "out"),
+                 "--preset", preset, "--override", "solve.lambda=inf"]) == 1
+    assert "invalid scenario: lam must be finite" in capsys.readouterr().err
+
+
+def test_sweep_at_infinite_lambda_is_an_invalid_scenario(tmp_path, capsys):
+    assert main(["--config", str(write(tmp_path, SWEEP_MINI)), "--out", str(tmp_path / "out"),
+                 "--override", "sweep.lambda_list=[1,0] [inf,0]"]) == 1
+    assert "invalid scenario: lam must be finite" in capsys.readouterr().err
+
+
 def test_overrides_and_preset_flag(tmp_path):
     cfgp = write(tmp_path, SOLVE_MINI)
     out = tmp_path / "out"

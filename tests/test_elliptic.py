@@ -1,10 +1,13 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from epslab.cli import COMPLEXES, REALS, _build_spec, load_config
 from epslab.discretize import BoundaryData, OperatorPair, SpaceGrid
 from epslab.elliptic import (
     ProblemSpec, QSystem, _boundary_matrix, _orbit, compute_q_system, direct_solve,
@@ -584,6 +587,66 @@ def test_solve_batch_raises_for_an_inadmissible_eps(pair):
     spec = ProblemSpec(pair=pair, eps=1.0, lam=1.0, T=1.0, bc=dn_bc(), n_t=21)
     with pytest.raises(ValueError, match="eps must be finite and positive"):
         solve_batch(spec, [(1.0, 1.0), (-1.0, 1.0)])
+
+
+@pytest.mark.parametrize("n_t, eps", [(41, 1e305), (41, 1.7e308), (801, 2.9e302)])
+def test_direct_solve_of_an_overflowing_stencil_is_overflow(n_t, eps):
+    # eps / h^2 leaves float64, so the first pivot's blocks are not
+    # finite: that is overflow, raised with no warning, as for the blocks
+    # of the last pivot and of the reduction
+    spec = ProblemSpec(pair=make_wentzell_pair(n_y=4), eps=eps, lam=1.0, T=1.0,
+                       bc=dn_bc(), f="1", n_t=n_t)
+    with pytest.raises(Overflow, match="^finite difference sweep overflowed"):
+        direct_solve(spec)
+
+
+def test_direct_batch_keeps_an_overflowing_cell_apart():
+    spec = ProblemSpec(pair=make_wentzell_pair(n_y=4), eps=1e-2, lam=1.0, T=1.0,
+                       bc=dn_bc(), f="1", n_t=41)
+    good, bad = direct_batch(spec, [(1e-2, 1.0), (1e305, 1.0)])
+    assert isinstance(bad, Overflow)
+    assert np.array_equal(good.values, direct_solve(spec).values)
+
+
+@pytest.mark.parametrize("preset", ["scalar", "commuting"])
+@pytest.mark.parametrize("eps, lam", [(1.7e308, 1.0), (1.0, 1e308)])
+def test_mode_solve_of_an_overflowing_discriminant_is_overflow(preset, eps, lam):
+    # b^2 + 4 eps (a + lam) is inf: no root near the branch cut, overflow
+    spec = ProblemSpec(pair=make_pair(preset), eps=eps, lam=lam, T=1.0, bc=dn_bc(),
+                       f="1", n_t=41)
+    with pytest.raises(Overflow, match="^b\\^2 \\+ 4 eps \\(a \\+ lam\\) overflowed"):
+        full_solve(spec)
+
+
+@pytest.mark.parametrize("lam", [np.inf, complex(1.0, np.nan)], ids=["inf", "nan"])
+@pytest.mark.parametrize("pair", [commuting_pair(3, 1), make_wentzell_pair(n_y=4)],
+                         ids=["modes", "direct"])
+def test_solve_batch_raises_for_a_non_finite_lam(pair, lam):
+    # like an inadmissible eps, on both routes
+    spec = ProblemSpec(pair=pair, eps=1.0, lam=1.0, T=1.0, bc=dn_bc(), f="1", n_t=21)
+    with pytest.raises(ValueError, match="^lam must be finite$"):
+        solve_batch(spec, [(1.0, 1.0), (1.0, lam)])
+
+
+@pytest.mark.parametrize("loaded", [True, False], ids=["load", "zero-load"])
+def test_direct_batch_peaks_below_four_solutions(loaded):
+    # the cyclic reduction works in the solution array: no per-cell copy
+    # of the load, no per-level load or solution buffers, no result copy
+    cfg = load_config(Path(__file__).resolve().parent / "golden" / "sweep-fd.ini")
+    eps_list = cfg.get("sweep", "eps_list", REALS)
+    lam_list = cfg.get("sweep", "lambda_list", COMPLEXES)
+    spec = _build_spec(cfg, "wentzell", eps_list, lam=lam_list[0])
+    spec = spec if loaded else dataclasses.replace(spec, f=None)
+    cells = [(eps, lam) for lam in lam_list for eps in eps_list]
+    assert len(cells) == 15 and (spec.loads is None) != loaded
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = direct_batch(spec, cells)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * sum(u.values.nbytes for u in out)
 
 
 def _with_load(spec, loads):
