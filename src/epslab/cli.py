@@ -26,7 +26,7 @@ import numpy as np
 
 from .discretize import (SpaceGrid, BoundaryData, check_condition_1,
                          check_condition_2_1, check_condition_4_1)
-from .elliptic import ProblemSpec
+from .elliptic import ProblemSpec, _positive_eps
 from .estimates import (EstimateReport, convergence_study, solve_and_report,
                         uniformity_factors, uniformity_sweep)
 from .exprparse import EvalError, ParseError
@@ -188,7 +188,8 @@ def _build_bc(cfg: Config, n: int) -> BoundaryData:
 
 def _build_spec(cfg: Config, preset: str, eps_list: Sequence[float],
                 lam: complex) -> ProblemSpec:
-    """The problem at eps_list[0]; every eps in eps_list must be valid."""
+    """The problem at eps_list[0]; every eps in eps_list must be valid, by
+    the spec's own eps rule, so the load is parsed once."""
     pair = make_pair(preset, **_preset_kwargs(cfg, preset))
     bc = _build_bc(cfg, pair.n)
     T = cfg.get("scenario", "T", REAL, 1.0)
@@ -198,7 +199,7 @@ def _build_spec(cfg: Config, preset: str, eps_list: Sequence[float],
         spec = ProblemSpec(pair=pair, eps=eps_list[0], lam=lam, T=T, bc=bc,
                            f=f, n_t=n_t)
         for eps in eps_list[1:]:
-            dataclasses.replace(spec, eps=eps)
+            _positive_eps(eps)
         return spec
     except (ValueError, ParseError) as exc:
         raise ConfigError(f"invalid scenario: {exc}") from None

@@ -28,7 +28,8 @@ __all__ = [
     "SpaceGrid", "GridFunction", "OperatorPair", "BoundaryData",
     "build_wentzell_operator", "build_integral_operator",
     "check_condition_1", "check_condition_2_1", "check_condition_4_1",
-    "e_norm", "check_p", "mixed_norm", "time_norm", "kfunctional_norm", "EIGENBASIS_RTOL",
+    "e_norm", "check_p", "mixed_norm", "time_norm", "time_norms", "kfunctional_norm",
+    "EIGENBASIS_RTOL",
 ]
 
 
@@ -499,10 +500,16 @@ def mixed_norm(u: GridFunction, p: float = 2.0, weights=None) -> float:
 
 def time_norm(slices: np.ndarray, t: np.ndarray, p: float = 2.0) -> float:
     """L_p(0,T) norm of per-slice norms on t: trapezoid, max at p = inf."""
+    return time_norms(np.asarray(slices)[None], t, p)[0]
+
+
+def time_norms(slices: np.ndarray, t: np.ndarray, p: float = 2.0) -> list:
+    """time_norm of each row of slices, (rows, n_t): one trapezoid along
+    the time axis, then the 1/p-th power of each row's integral."""
     if p == np.inf:
-        return float(slices.max())
+        return [float(x) for x in slices.max(axis=-1)]
     with np.errstate(over="ignore"):
-        return float(np.trapezoid(slices**p, t) ** (1.0 / p))
+        return [float(x ** (1.0 / p)) for x in np.trapezoid(slices**p, t, axis=-1)]
 
 
 def kfunctional_norm(f, A, theta: float, p: float = 2.0, weights=None) -> float:

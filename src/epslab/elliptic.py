@@ -3,7 +3,9 @@
 solve_batch solves one spec at a sequence of (eps, lam) cells and is the
 one place that picks a route; full_solve is its batch of one.  In a
 joint eigenbasis the problem splits into n scalar ones, solved exactly
-but for the load quadrature (_modes_batch, one _mode_solve per cell).
+but for the load quadrature (_modes_batch): per dtype kind of lam, one
+_modes_stack does every length-n step for all its cells at once and the
+n_t-long passes cell by cell, in one workspace, into one solution stack.
 Both routes solve in the dtype their data promote to (linalg.narrow),
 and the same code runs in either.
 The solution calculus, kept as a reference, factors the quadratic
@@ -69,8 +71,8 @@ def _positive_eps(eps) -> float:
 class ProblemSpec:
     """Full description of one singularly perturbed two-point problem.
 
-    eps must be finite and positive, T finite and positive, and the time
-    grid needs n_t >= 5 nodes.  f is None (zero load), a callable
+    eps must be finite and positive, lam finite, T finite and positive,
+    and the time grid needs n_t >= 5 nodes.  f is None (zero load), a callable
     t -> vector of length pair.n, or an expression string in t and y;
     expressions see y at the pair's grid nodes, or at uniform interior
     nodes without a grid.  The same spec describes the eps -> 0 limit that parabolic.cauchy_solve
@@ -87,6 +89,8 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "eps", _positive_eps(self.eps))
         object.__setattr__(self, "lam", complex(self.lam))
+        if not np.isfinite(self.lam):
+            raise ValueError("lam must be finite")
         object.__setattr__(self, "T", float(self.T))
         if not 0 < self.T < np.inf:
             raise ValueError(f"T must be finite and positive, got {self.T}")
@@ -493,8 +497,10 @@ def _modes_batch(spec: ProblemSpec, cells) -> list:
     """solve_batch on the modes route.  Once per batch it takes the
     boundary vectors of _batch_data and spec.loads (FV, a _Load, None
     without one) into the basis; non-finite data make every cell
-    direct_batch's ValueError.  Then each cell is one _mode_solve, and
-    its failure is its value."""
+    direct_batch's ValueError.  The cells then go by kind, those with a
+    real lam and those with a complex one, each kind as one _modes_stack,
+    so that a cell's numbers are its solo solve's, whatever the batch;
+    a cell's failure is its value."""
     eps, lam, f1, f2, finite = _batch_data(spec, cells)
     if not finite:
         return [ValueError("array must not contain infs or NaNs")] * len(cells)
@@ -505,12 +511,114 @@ def _modes_batch(spec: ProblemSpec, cells) -> list:
         if spec.loads is not None and spec.loads.any():
             FV = _Load(np.empty((spec.n_t, 2 * n), np.result_type(spec.loads, Vinv)))
             FV.F[:, n:] = np.matmul(spec.loads, Vinv.T, out=FV.F[:, :n])[::-1]
-    out = []
-    for cell in zip(eps, lam):
+    out = [None] * len(cells)
+    for kind in dict.fromkeys(z.dtype for z in lam):
+        index = [i for i, z in enumerate(lam) if z.dtype == kind]
+        solved = _modes_stack(spec, eps[index], np.array([lam[i] for i in index]),
+                              (V, a, b), f1, f2, FV)
+        for i, u in zip(index, solved):
+            out[i] = u
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _modes_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, basis, f1, f2,
+                 FV) -> list:
+    """Solve a pair with a joint eigenbasis mode by mode ("modes") at the
+    cells eps[j], lam[j], whose lam share one dtype: per cell, its
+    GridFunction or the SOLVER_ERRORS its solve raised.
+
+    basis is (V, a, b) of the pair's joint eigenbasis; it and f1, f2
+    and FV, the _Load, are the data in the basis (_modes_batch), shared
+    by the cells and only read.  The cells run in the dtype they and lam
+    promote to; with real data past the branch-cut check every
+    b^2 + 4 eps c is > 0, so every root is real.
+
+    Mode a, b of the basis solves -eps u'' + b u' + c u = f, c = a + lam,
+    as u = (x + y)/s + alpha e^(r- t) + beta e^(r+ (t - T)).  Here s is
+    (b^2 + 4 eps c)^(1/2), and r-, r+ are the roots of eps r^2 - b r - c,
+    the larger by modulus as (b +- s)/(2 eps) and the other as
+    -2c/(b +- s), so neither cancels.  x' = r- x + f from x(0) = 0 and
+    y' = r+ y - f from y(T) = 0 are scanned forward and backward, each
+    step adding the exact integral of the load's interpolant
+    (_increments), and alpha, beta solve each mode's 2 x 2 boundary
+    system by Cramer's rule on rows scaled to unit max-norm.
+
+    Everything of length n is done for all the cells at once, as
+    (cells, n) stacks: c and b^2 + 4 eps c with their checks, the roots,
+    the boundary rows, the steps' exponents z and propagators P, and
+    with a load every cell's increment weights (_weights, one _phi).
+    The passes over the n_t x 2n workspace stay per cell, in one
+    workspace for all of them, and each cell's u goes into its row of
+    one (cells, n_t, n) stack, which the GridFunctions view.  A cell
+    fails on its own: Overflow when some b^2 + 4 eps c is not finite,
+    SqrtNotConverged when one lies within BRANCH_CUT_RTOL
+    max|b^2 + 4 eps c| of (-inf, 0], then Overflow from the orbit,
+    SingularMatrix for a scaled determinant below MIN_RCOND and Overflow
+    for a solution that is not finite.
+    """
+    V, a, b = basis
+    t, n, N = spec.t_grid(), spec.n, spec.n_t
+    h, c = t[1] - t[0], a + lam[:, None]
+    m = b * b + 4.0 * eps[:, None] * c
+    out = [None] * len(eps)
+    tol = BRANCH_CUT_RTOL * np.abs(m).max(axis=1, keepdims=True)
+    on_cut = (np.abs(m.imag) <= tol) & (m.real <= tol)
+    for j, mj in enumerate(m):
+        if not np.isfinite(mj).all():
+            out[j] = Overflow("b^2 + 4 eps (a + lam) overflowed to non-finite values")
+        elif on_cut[j].any():
+            out[j] = SqrtNotConverged(f"b^2 + 4 eps (a + lam) = {complex(mj[on_cut[j]][0]):.3e} "
+                                      f"on the branch cut (-inf, 0]")
+    s = np.sqrt(m)
+    plus = (b.conj() * s).real >= 0
+    q = np.where(plus, b + s, b - s)
+    large, small = q / (2.0 * eps[:, None]), -2.0 * c / q
+    r_minus, r_plus = np.where(plus, small, large), np.where(plus, large, small)
+    # L1 and L2 of e^(r t) per unit value at their ends, r = r-, r+, per cell
+    L1, L2 = np.stack([spec.bc.apply(k, 1.0, np.stack([r_minus, r_plus]), eps[:, None])
+                       for k in (1, 2)])
+    # one workspace for every cell, so that a solve makes few large
+    # allocations: E holds [e^(r- t) | e^(r+ (T - t))]; with a load, x
+    # runs forward in xy's first n columns and y backward in its last n
+    dtype = np.result_type(L1, f1, f2, *(() if FV is None else (FV.F,)))
+    E, *xy = np.empty((1 if FV is None else 2, N, 2 * n), dtype)
+    U = np.empty((len(eps), N, n), np.result_type(dtype, V))
+    z = np.concatenate([r_minus, -r_plus], axis=1) * h   # both decay if Re r- < 0 < Re r+
+    P = np.exp(z)
+    if FV is not None:
+        # xy holds x/s and y/s: the increments come scaled by 1/s
+        xy, = xy
+        w = _weights(N, z, h, 1.0 / np.tile(s, 2))
+    for j in (j for j, fail in enumerate(out) if fail is None):
         try:
-            out.append(_mode_solve(spec, *cell, (V, a, b), f1, f2, FV))
+            g1, g2 = f1, f2
+            if FV is not None:
+                xy[0] = 0.0
+                _increments(FV, w[j], xy[1:])
+                _scan(P[j], xy, E)
+                # (x + y)/s is y(0)/s and r+ y(0)/s at 0, x(T)/s and r- x(T)/s at T
+                g1 = f1 - L1[1, j] * xy[-1, n:]
+                g2 = f2 - L2[0, j] * xy[-1, :n]
+            _orbit(P[j], np.ones(2 * n), N, out=E)
+            S = np.array([[L1[0, j], L1[1, j] * E[-1, n:]], [L2[0, j] * E[-1, :n], L2[1, j]]])
+            scale = np.abs(S).max(axis=1)
+            (S11, S12), (S21, S22) = S / scale[:, None]
+            g1, g2 = g1 / scale[0], g2 / scale[1]
+            det = S11 * S22 - S12 * S21
+            if not np.all(np.abs(det) >= MIN_RCOND):
+                raise SingularMatrix(f"mode boundary system has scaled determinant "
+                                     f"{np.abs(det).min():.3e} below {MIN_RCOND:.0e}")
+            E *= np.concatenate([g1 * S22 - S12 * g2, S11 * g2 - S21 * g1]) / np.tile(det, 2)
+            if FV is not None:
+                E += xy
+            E[:, :n] += E[::-1, n:]
+            np.matmul(E[:, :n], V.T, out=U[j])
+            if not np.isfinite(U[j]).all():
+                raise Overflow("mode solution overflowed to non-finite values")
+            out[j] = GridFunction(t, U[j], meta={"path": "modes"})
         except SOLVER_ERRORS as exc:
-            out.append(exc)
+            out[j] = exc
     return out
 
 
@@ -576,21 +684,33 @@ def _stencils(n_t: int) -> tuple:
     return D, inner, edges, starts
 
 
-def _increments(load: _Load, z, h: float, scale, out) -> None:
-    """out[k] = scale int_0^h e^(z (h - s)/h) p_k(s) ds, p_k interpolating
-    the columns of load.F at the nodes of step k (_stencils).  As
-    int_0^h e^(z (h - s)/h) (s/h)^m ds is h m! phi_(m+1)(z), node i of
-    class c weighs h scale sum_m D[c, i, m] phi_(m+1)(z): one stacked
-    matmul gives every class's weights, one einsum over the load's
-    sliding windows the interior steps and one over their gathered
-    windows the edge steps.  Complex weights meet a real load as their
-    float64 view against load.doubled, all in float64 and with the same
-    bits as against the load cast to complex, in about a quarter of the
-    time."""
-    F = load.F
-    D, inner, edges, starts = _stencils(len(F))
+def _weights(n_t: int, z: np.ndarray, h: float, scale) -> np.ndarray:
+    """The increment weights of an n_t-node grid for each cell's row of
+    exponents z, (cells, columns): w[j, c] = D[c] @ (phi_(1..width)(z[j])
+    h scale[j]), (cells, classes, width, columns), from one _phi over
+    every cell's z.  As int_0^h e^(z (h - s)/h) (s/h)^m ds is
+    h m! phi_(m+1)(z), node i of class c weighs w[j, c, i] in the step's
+    integral (_increments).  scale broadcasts against z."""
+    D = _stencils(n_t)[0]
     width = D.shape[-1]
-    w = D @ (_phi(z, width)[1:] * (h * scale))
+    phi = _phi(z.ravel(), width)[1:].reshape(width, *z.shape)
+    x = np.empty((len(z), width, z.shape[1]), z.dtype)
+    np.multiply(phi, h * scale, out=x.transpose(1, 0, 2))
+    return D @ x[:, None]
+
+
+def _increments(load: _Load, w: np.ndarray, out) -> None:
+    """out[k] = scale int_0^h e^(z (h - s)/h) p_k(s) ds for one cell, p_k
+    interpolating the columns of load.F at the nodes of step k
+    (_stencils), with w that cell's weights (_weights): one einsum over
+    the load's sliding windows gives the interior steps and one over
+    their gathered windows the edge steps.  Complex weights meet a real
+    load as their float64 view against load.doubled, all in float64 and
+    with the same bits as against the load cast to complex, in about a
+    quarter of the time."""
+    F = load.F
+    _, inner, edges, starts = _stencils(len(F))
+    width = w.shape[1]
     if np.iscomplexobj(w) and not np.iscomplexobj(F):
         F, w, out = load.doubled, w.view(np.float64), out.view(np.float64)
     windows = sliding_window_view(F, width, axis=0)
@@ -599,88 +719,17 @@ def _increments(load: _Load, z, h: float, scale, out) -> None:
 
 
 def _scan(P, x, step) -> None:
-    """x_k += P x_(k-1) in place, in order, elementwise, by doubling: after
-    the pass of stride d each row sums its last 2d terms.  step is scratch."""
-    d = 1
-    while d < len(x):
-        x[d:] += np.multiply(x[:-d], P, out=step[d:])
-        d, P = 2 * d, P * P
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _mode_solve(spec: ProblemSpec, eps: float, lam: complex, basis, f1, f2,
-                FV) -> GridFunction:
-    """Solve a pair with a joint eigenbasis at eps and lam mode by mode ("modes").
-
-    basis is (V, a, b) of the pair's joint eigenbasis; it and f1, f2
-    and FV, the _Load, are the data in the basis (_modes_batch), shared
-    by the cells and only read.  The cell runs in the dtype they and lam
-    promote to; with real data past the branch-cut check every
-    b^2 + 4 eps c is > 0, so every root is real.
-
-    Mode a, b of the basis solves -eps u'' + b u' + c u = f, c = a + lam,
-    as u = (x + y)/s + alpha e^(r- t) + beta e^(r+ (t - T)).  Here s is
-    (b^2 + 4 eps c)^(1/2), and r-, r+ are the roots of eps r^2 - b r - c,
-    the larger by modulus as (b +- s)/(2 eps) and the other as
-    -2c/(b +- s), so neither cancels.  x' = r- x + f from x(0) = 0 and
-    y' = r+ y - f from y(T) = 0 are scanned forward and backward, each
-    step adding the exact integral of the load's interpolant
-    (_increments), and alpha, beta solve each mode's 2 x 2 boundary
-    system by Cramer's rule on rows scaled to unit max-norm.  Raises
-    Overflow when some b^2 + 4 eps c is not finite, SqrtNotConverged when
-    one lies within BRANCH_CUT_RTOL max|b^2 + 4 eps c| of (-inf, 0],
-    SingularMatrix for a scaled determinant below MIN_RCOND and Overflow
-    for a solution that is not finite.
-    """
-    V, a, b = basis
-    t, n, N = spec.t_grid(), spec.n, spec.n_t
-    h, c = t[1] - t[0], a + lam
-    m = b * b + 4.0 * eps * c
-    if not np.isfinite(m).all():
-        raise Overflow("b^2 + 4 eps (a + lam) overflowed to non-finite values")
-    tol = BRANCH_CUT_RTOL * np.abs(m).max()
-    on_cut = (np.abs(m.imag) <= tol) & (m.real <= tol)
-    if on_cut.any():
-        raise SqrtNotConverged(
-            f"b^2 + 4 eps (a + lam) = {complex(m[on_cut][0]):.3e} on the branch cut (-inf, 0]")
-    s = np.sqrt(m)
-    plus = (b.conj() * s).real >= 0
-    q = np.where(plus, b + s, b - s)
-    large, small = q / (2.0 * eps), -2.0 * c / q
-    r_minus, r_plus = np.where(plus, small, large), np.where(plus, large, small)
-    # L1 and L2 of e^(r t) per unit value at their ends, r = r-, r+
-    L1, L2 = np.stack([spec.bc.apply(k, 1.0, np.stack([r_minus, r_plus]), eps) for k in (1, 2)])
-    # one workspace, so that a solve makes few large allocations and a
-    # sweep reuses its heap instead of refaulting it: E holds
-    # [e^(r- t) | e^(r+ (T - t))]; with a load, x runs forward in xy's first
-    # n columns and y backward in its last n
-    dtype = np.result_type(L1, f1, f2, *(() if FV is None else (FV.F,)))
-    E, *xy = np.empty((1 if FV is None else 2, N, 2 * n), dtype)
-    z = np.concatenate([r_minus, -r_plus]) * h   # both decay if Re r- < 0 < Re r+
-    P = np.exp(z)
-    if FV is not None:
-        # xy holds x/s and y/s: the increments come scaled by 1/s
-        xy, = xy
-        xy[0] = 0.0
-        _increments(FV, z, h, 1.0 / np.tile(s, 2), xy[1:])
-        _scan(P, xy, E)
-        # (x + y)/s is y(0)/s and r+ y(0)/s at 0, x(T)/s and r- x(T)/s at T
-        f1 = f1 - L1[1] * xy[-1, n:]
-        f2 = f2 - L2[0] * xy[-1, :n]
-    _orbit(P, np.ones(2 * n), N, out=E)
-    S = np.array([[L1[0], L1[1] * E[-1, n:]], [L2[0] * E[-1, :n], L2[1]]])
-    scale = np.abs(S).max(axis=1)
-    (S11, S12), (S21, S22) = S / scale[:, None]
-    f1, f2 = f1 / scale[0], f2 / scale[1]
-    det = S11 * S22 - S12 * S21
-    if not np.all(np.abs(det) >= MIN_RCOND):
-        raise SingularMatrix(f"mode boundary system has scaled determinant "
-                             f"{np.abs(det).min():.3e} below {MIN_RCOND:.0e}")
-    E *= np.concatenate([f1 * S22 - S12 * f2, S11 * f2 - S21 * f1]) / np.tile(det, 2)
-    if FV is not None:
-        E += xy
-    E[:, :n] += E[::-1, n:]
-    u = E[:, :n] @ V.T
-    if not np.isfinite(u).all():
-        raise Overflow("mode solution overflowed to non-finite values")
-    return GridFunction(t, u, meta={"path": "modes"})
+    """x_k += P x_(k-1) in place, in order, elementwise, by a Brent-Kung
+    scan (Brent & Kung 1982; Blelloch 1990): the up sweep at stride s
+    adds P^s times row s-1 mod 2s into row 2s-1 mod 2s, so that row
+    2s-1 mod 2s sums its block of 2s terms, and the down sweep, from the
+    largest s down, adds P^s times row 2s-1 mod 2s into row 3s-1 mod 2s.
+    About 2 len(x) row updates in all; step is scratch of len(x)//2 rows."""
+    n, s, powers = len(x), 1, []
+    while 2 * s <= n:
+        powers.append((s, P))
+        x[2 * s - 1::2 * s] += np.multiply(x[s - 1:n - s:2 * s], P, out=step[:n // (2 * s)])
+        s, P = 2 * s, P * P
+    for s, P in reversed(powers):
+        x[3 * s - 1::2 * s] += np.multiply(x[2 * s - 1:n - s:2 * s], P,
+                                           out=step[:(n - s) // (2 * s)])

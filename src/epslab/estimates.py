@@ -14,7 +14,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .discretize import GridFunction, check_p, e_norm, kfunctional_norm, mixed_norm, time_norm
+from .discretize import (GridFunction, check_p, e_norm, kfunctional_norm, mixed_norm, time_norm,
+                         time_norms)
 from .elliptic import SOLVER_ERRORS, ProblemSpec, full_solve, solve_batch
 from .linalg import Overflow, op_norm
 from .parabolic import build_MN, cauchy_solve
@@ -43,31 +44,33 @@ def _lam_pow(mod: float, e: float) -> float:
     return mod ** e
 
 
-def _derivative(u: GridFunction, order: int, out: np.ndarray) -> np.ndarray:
-    """The first or second t-derivative of u into out, O(h^2), one-sided
-    at the ends; the interior stencil runs in place in out."""
-    v, h = u.values, u.dt
-    if u.n_t < 4:
+def _derivative(v: np.ndarray, h: float, order: int, out: np.ndarray) -> np.ndarray:
+    """The first or second t-derivative of v, (n_t, n) or a (cells, n_t, n)
+    stack on a grid of step h, into out, O(h^2), one-sided at the ends;
+    the interior stencil runs in place in out."""
+    if v.shape[-2] < 4:
         raise ValueError("need at least 4 time nodes for derivatives")
-    inner = out[1:-1]
+    # the time axis first: v[k] and o[k] are the rows of node k
+    v, o = np.moveaxis(v, -2, 0), np.moveaxis(out, -2, 0)
+    inner = o[1:-1]
     if order == 1:
         np.subtract(v[2:], v[:-2], out=inner)
         inner /= 2 * h
-        out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-        out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+        o[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+        o[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
     else:
         np.subtract(v[2:], np.multiply(2, v[1:-1], out=inner), out=inner)
         inner += v[:-2]
         inner /= h**2
-        out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
-        out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
+        o[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
+        o[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
     return out
 
 
 def time_derivatives(u: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
     """First and second t-derivatives, O(h^2), one-sided at the ends."""
-    return (_derivative(u, 1, np.empty_like(u.values)),
-            _derivative(u, 2, np.empty_like(u.values)))
+    return (_derivative(u.values, u.dt, 1, np.empty_like(u.values)),
+            _derivative(u.values, u.dt, 2, np.empty_like(u.values)))
 
 
 @dataclass(frozen=True)
@@ -130,25 +133,78 @@ def _data_terms(spec: ProblemSpec, p: float) -> _DataTerms:
     return _DataTerms(A, w, f_norm, tuple(ends))
 
 
-# a huge but finite solution overflows here; the Overflow below is the
-# only signal
-@np.errstate(over="ignore", invalid="ignore")
-def _measure(u: GridFunction, eps: float, lam: complex, p: float,
-             data: _DataTerms) -> EstimateReport:
-    """The coercive report of the solve u at (eps, lam); see coercive_report.
+def _stack_row(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """(stack, row) with stack[row] the memory of values: the solvers'
+    batches return their cells as rows of one (cells, n_t, n) stack per
+    dtype, and any other values is a stack of one."""
+    stack = values.base
+    if (stack is not None and stack.ndim == 3 and stack.dtype == values.dtype
+            and stack.shape[1:] == values.shape and stack.strides[1:] == values.strides):
+        row, rest = divmod(values.ctypes.data - stack.ctypes.data, stack.strides[0])
+        if rest == 0 and 0 <= row < len(stack):
+            return stack, row
+    return values[None], 0
 
-    One scratch array of u's shape and of u's and A's promoted dtype
-    holds u', then u'', then Au, each measured by mixed_norm before the
-    next overwrites it.
+
+# a huge but finite solution overflows here and in _report; the Overflow
+# of _report is the only signal
+@np.errstate(over="ignore", invalid="ignore")
+def _measure(stack: np.ndarray, t: np.ndarray, p: float, data: _DataTerms) -> list:
+    """The mixed norms of u, u', u'' and Au for each solution u of stack,
+    (rows, n_t, n), on the time grid t: one 4-tuple of floats per row.
+
+    One scratch stack of stack's shape and of its and A's promoted dtype
+    holds u', then u'', then Au, each measured before the next
+    overwrites it: one e_norm per quantity over every row, one trapezoid
+    along the time axis (time_norms).  Au is one matmul per row.
     """
+    check_p(p)
     w = data.weights
-    scratch = GridFunction(u.t, np.empty(u.values.shape, np.result_type(u.values, data.A)))
-    norms = [mixed_norm(u, p=p, weights=w)]
+    scratch = np.empty(stack.shape, np.result_type(stack, data.A))
+    norms = [time_norms(e_norm(stack, w), t, p)]
     for order in (1, 2):
-        _derivative(u, order, scratch.values)
-        norms.append(mixed_norm(scratch, p=p, weights=w))
-    np.matmul(u.values, data.A.T, out=scratch.values)
-    au_norm = mixed_norm(scratch, p=p, weights=w)
+        _derivative(stack, float(t[1] - t[0]), order, scratch)
+        norms.append(time_norms(e_norm(scratch, w), t, p))
+    for u, au in zip(stack, scratch):
+        np.matmul(u, data.A.T, out=au)
+    norms.append(time_norms(e_norm(scratch, w), t, p))
+    return list(zip(*norms))
+
+
+def _reports(solutions: list, cells, p: float, data: _DataTerms) -> list:
+    """Per cell (eps, lam) of cells, the coercive report of its solution
+    in solutions, or the exception its solve raised (its entry there) or
+    its measurement raised.
+
+    The solutions are measured by the stack they are rows of (_stack_row),
+    one _measure per stack, so a cell's numbers do not depend on the
+    cells measured with it.  The scalar terms follow per cell; a
+    non-finite one is an Overflow.
+    """
+    out = list(solutions)
+    stacks = {}
+    for i, u in enumerate(solutions):
+        if not isinstance(u, Exception):
+            stack, row = _stack_row(u.values)
+            stacks.setdefault(id(stack), (stack, u.t, []))[2].append((i, row))
+    for stack, t, rows in stacks.values():
+        try:
+            norms = _measure(stack, t, p, data)
+        except SOLVER_ERRORS as exc:
+            for i, _ in rows:
+                out[i] = exc
+            continue
+        for i, row in rows:
+            eps, lam = cells[i]
+            out[i] = _report(norms[row], float(eps), complex(lam), p, data)
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _report(norms: tuple, eps: float, lam: complex, p: float, data: _DataTerms):
+    """The EstimateReport of the mixed norms of u, u', u'' and Au at
+    (eps, lam), or an Overflow when a term is not finite."""
+    *norms, au_norm = norms
     mod = abs(lam)
     main, alt = [], []
     for j in range(3):
@@ -164,7 +220,7 @@ def _measure(u: GridFunction, eps: float, lam: complex, p: float,
     lhs_total = sum(main) + au_norm
     ratio = lhs_total / rhs if rhs > 0 else 0.0
     if not np.isfinite(main + alt + [au_norm, rhs, ratio]).all():
-        raise Overflow("coercive report overflowed to non-finite values")
+        return Overflow("coercive report overflowed to non-finite values")
     return EstimateReport(eps, lam, p, tuple(main), tuple(alt), au_norm, rhs, ratio)
 
 
@@ -182,10 +238,14 @@ def coercive_report(spec: ProblemSpec, p: float = 2.0) -> EstimateReport:
 
 def solve_and_report(spec: ProblemSpec,
                      p: float = 2.0) -> Tuple[GridFunction, EstimateReport]:
-    """full_solve of spec and its coercive_report, from one sampling of the load."""
+    """full_solve of spec and its coercive_report, from one sampling of the
+    load: the batch of one of uniformity_sweep's measurement (_reports)."""
     data = _data_terms(spec, p)
     u = full_solve(spec)
-    return u, _measure(u, spec.eps, spec.lam, p, data)
+    rep, = _reports([u], [(spec.eps, spec.lam)], p, data)
+    if isinstance(rep, Exception):
+        raise rep
+    return u, rep
 
 
 def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
@@ -197,9 +257,10 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
     norms, which depend on neither eps nor lam, are computed once per
     sweep, and they and every solve read base.loads, sampled once.  The
     whole grid is one elliptic.solve_batch, so the sweep holds every
-    cell's solution at once, and the cells are measured after it.  An
-    empty eps or lam list gives no rows; an inadmissible p or a
-    non-finite lam (solve_batch) raises before any cell runs.
+    cell's solution at once, and the cells are measured after it, one
+    pass per solution stack the batch returns (_reports).  An empty eps
+    or lam list gives no rows; an inadmissible p or a non-finite lam
+    (solve_batch) raises before any cell runs.
     """
     base.bc.theta(p)
     cells = [(eps, lam) for lam in lam_list for eps in eps_list]
@@ -209,19 +270,9 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
         data = _data_terms(base, p)
     except SOLVER_ERRORS as exc:
         return [_failed_report(eps, lam, p, str(exc)) for eps, lam in cells]
-    return [_cell_report(u, eps, lam, p, data) for (eps, lam), u in zip(
-        cells, solve_batch(base, cells))]
-
-
-def _cell_report(u, eps, lam, p: float, data: _DataTerms) -> EstimateReport:
-    """The report of the solution u, or an error row when u is the exception
-    its solve raised or the measurement fails."""
-    try:
-        if isinstance(u, Exception):
-            raise u
-        return _measure(u, float(eps), complex(lam), p, data)
-    except SOLVER_ERRORS as exc:
-        return _failed_report(eps, lam, p, str(exc))
+    reports = _reports(solve_batch(base, cells), cells, p, data)
+    return [_failed_report(eps, lam, p, str(rep)) if isinstance(rep, Exception) else rep
+            for (eps, lam), rep in zip(cells, reports)]
 
 
 def uniformity_factors(reports: Sequence[EstimateReport]) -> dict:

@@ -9,9 +9,9 @@ the inverse.  The rcond is exact, not estimated, and M is not
 equilibrated.  solve_cells takes a stack of matrices, inverts it in one
 call and reports a failure per matrix; mat_solve and inv are its
 one-matrix forms, and mat_solve adds shape checks.
-The one outside the guard is elliptic._mode_solve's n 2 x 2 boundary
-systems, solved by Cramer's rule behind a scaled-determinant guard of
-its own.  The rest of the
+The one outside the guard is elliptic._modes_stack's n 2 x 2 boundary
+systems per cell, solved by Cramer's rule behind a scaled-determinant
+guard of its own.  The rest of the
 operator calculus is the principal matrix square root by the Schur
 method of Bjorck & Hammarling (scipy.linalg.sqrtm) behind a spectrum
 check, a capped matrix exponential (scipy.linalg.expm), the spectral

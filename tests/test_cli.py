@@ -318,6 +318,22 @@ def test_invalid_spec_is_config_error(tmp_path, capsys, override):
     assert "config error" in capsys.readouterr().err
 
 
+def test_build_spec_parses_the_load_once(monkeypatch):
+    # one parse for the preset's coefficient, one for the load: the
+    # further eps are checked without a spec of their own
+    from epslab import exprparse
+    from epslab.cli import COMPLEXES, REALS, _build_spec
+    cfg = load_config(Path(__file__).resolve().parent / "golden" / "sweep-split.ini")
+    eps_list = cfg.get("sweep", "eps_list", REALS)
+    lam_list = cfg.get("sweep", "lambda_list", COMPLEXES)
+    calls = []
+    parse = exprparse.parse
+    monkeypatch.setattr(exprparse, "parse", lambda *a, **k: calls.append(a[0]) or parse(*a, **k))
+    spec = _build_spec(cfg, "commuting", eps_list, lam=lam_list[0])
+    assert len(eps_list) == 5 and spec.eps == eps_list[0]
+    assert calls == [cfg.raw("operators", "a"), cfg.raw("data", "f")]
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")),
                          ids=lambda p: p.stem)
 def test_shipped_config_runs(tmp_path, config, monkeypatch):

@@ -55,6 +55,12 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="T must be finite and positive"):
             ProblemSpec(pair=scalar_pair(), eps=0.5, lam=0.0, T=T, bc=dn_bc())
 
+    @pytest.mark.parametrize("lam", [np.inf, complex(1.0, np.nan)], ids=["inf", "nan"])
+    def test_lam_must_be_finite(self, lam):
+        # refused where the spec is made, so no solver meets it unchecked
+        with pytest.raises(ValueError, match="^lam must be finite$"):
+            ProblemSpec(pair=commuting_pair(3, 1), eps=0.5, lam=lam, T=1.0, bc=dn_bc())
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             ProblemSpec(pair=scalar_pair(), eps=0.5, lam=0.0, T=0.0, bc=dn_bc())
@@ -680,6 +686,73 @@ def test_modes_batch_cells_are_their_solo_solves(n_t):
         assert np.array_equal(u.values, solo.values)
 
 
+def _sweep_split_cells():
+    """The spec and the 15 (eps, lam) cells of the sweep-split golden scenario."""
+    cfg = load_config(Path(__file__).resolve().parent / "golden" / "sweep-split.ini")
+    eps_list = cfg.get("sweep", "eps_list", REALS)
+    lam_list = cfg.get("sweep", "lambda_list", COMPLEXES)
+    spec = _build_spec(cfg, "commuting", eps_list, lam=lam_list[0])
+    return spec, [(eps, lam) for lam in lam_list for eps in eps_list]
+
+
+def test_modes_batch_takes_phi_once_per_kind(monkeypatch):
+    # every cell's increment weights come from one _phi per dtype kind
+    spec, cells = _sweep_split_cells()
+    calls = []
+    phi = elliptic._phi
+    monkeypatch.setattr(elliptic, "_phi", lambda z, k: calls.append(len(z)) or phi(z, k))
+    solve_batch(spec, cells)
+    assert calls == [15 * 2 * spec.n]
+    calls.clear()
+    solve_batch(spec, cells + [(1e-2, 3 + 2j), (1.0, 1j)])
+    assert calls == [15 * 2 * spec.n, 2 * 2 * spec.n]
+
+
+def test_modes_batch_peaks_below_two_solutions():
+    # one workspace per kind, and the solutions are rows of one stack
+    spec, cells = _sweep_split_cells()
+    assert len(cells) == 15 and spec.loads is not None
+    elliptic._modes_batch(spec, cells)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = elliptic._modes_batch(spec, cells)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert all(u.values.base is out[0].values.base for u in out)
+    assert peak < 2 * sum(u.values.nbytes for u in out)
+
+
+def _sequential_scan(P, x):
+    """x_k += P x_(k-1), in order, in long double."""
+    wide = np.clongdouble if np.iscomplexobj(P) else np.longdouble
+    x, P = x.astype(wide), P.astype(wide)
+    for k in range(1, len(x)):
+        x[k] += P * x[k - 1]
+    return x
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_scan_is_the_sequential_recurrence(dtype):
+    # the Brent-Kung scan reassociates the sums: within 4e-15 of the
+    # largest sum of magnitudes sum_j |P|^(k-j) |x_j| of the exact
+    # recurrence, at every length up to 70 and around the powers of two,
+    # for |P| from 1e-6 to 1 - 1e-9 of either sign or of any phase.  For
+    # same-signed x and P > 0 that scale is max |x|
+    rng = np.random.default_rng(11)
+    modulus = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9])
+    P = modulus * (np.exp(1j * rng.uniform(-np.pi, np.pi, len(modulus)))
+                   if dtype is complex else np.sign(rng.uniform(-1, 1, len(modulus))))
+    for n_t in [*range(1, 71), 127, 128, 129, 255, 256, 257, 801, 1024, 1025]:
+        x = rng.normal(size=(n_t, len(P))) + (1j * rng.normal(size=(n_t, len(P)))
+                                               if dtype is complex else 0)
+        want = _sequential_scan(P, x)
+        scale = _sequential_scan(np.abs(P), np.abs(x)).max()
+        elliptic._scan(P, x, np.empty((n_t // 2, len(P)), x.dtype))
+        assert np.abs(x - want).max() <= 4e-15 * scale, n_t
+
+
 def _data_times_1j(spec):
     """spec with its boundary vectors multiplied by 1j."""
     return dataclasses.replace(spec, bc=dataclasses.replace(
@@ -1046,7 +1119,7 @@ class TestLoadQuadrature:
         F = np.outer(np.polynomial.polynomial.polyval(np.arange(n_t) * h, coeffs),
                      1 + np.arange(len(z)) / 4)
         out = np.empty((n_t - 1, len(z)), np.result_type(F, z))
-        elliptic._increments(elliptic._Load(F), z, h, 1.0, out)
+        elliptic._increments(elliptic._Load(F), elliptic._weights(n_t, z[None], h, 1.0)[0], out)
         # both first steps, one interior step and both last steps
         steps = sorted({0, 1, (n_t - 1) // 2, n_t - 3, n_t - 2})
         with mpmath.workdps(30):
@@ -1061,8 +1134,9 @@ class TestLoadQuadrature:
         rng = np.random.default_rng(3)
         F = rng.normal(size=(201, 5))
         out, want = np.empty((2, 200, 5), complex)
-        elliptic._increments(elliptic._Load(F), Z_COMPLEX, 0.005, 0.3, out)
-        elliptic._increments(elliptic._Load(F.astype(complex)), Z_COMPLEX, 0.005, 0.3, want)
+        w = elliptic._weights(201, Z_COMPLEX[None], 0.005, 0.3)[0]
+        elliptic._increments(elliptic._Load(F), w, out)
+        elliptic._increments(elliptic._Load(F.astype(complex)), w, want)
         assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("k_max", [5, 6])

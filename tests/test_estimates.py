@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from epslab import estimates, linalg
+from epslab import discretize, estimates, linalg
 from epslab.cli import REALS, _build_spec, load_config
 from epslab.discretize import BoundaryData, GridFunction, OperatorPair, mixed_norm
 from epslab.elliptic import ProblemSpec, direct_solve, full_solve
@@ -77,11 +77,11 @@ def test_measure_peaks_below_one_and_a_half_solutions():
                        bc=dirichlet_neumann(16), f="exp(-64*(t-0.5)^2)*(1+0.2*y)", n_t=801)
     data = estimates._data_terms(spec, 2.0)
     u = full_solve(spec)
-    want = estimates._measure(u, spec.eps, spec.lam, 2.0, data)
+    want = estimates._reports([u], [(spec.eps, spec.lam)], 2.0, data)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        got = estimates._measure(u, spec.eps, spec.lam, 2.0, data)
+        got = estimates._reports([u], [(spec.eps, spec.lam)], 2.0, data)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -265,8 +265,8 @@ def test_measure_of_a_real_solve_is_that_of_its_complex_copy(preset):
     u = full_solve(spec)
     assert u.values.dtype == np.float64
     copy = GridFunction(u.t, u.values.astype(complex))
-    rep = estimates._measure(u, spec.eps, spec.lam, 2.0, data)
-    want = estimates._measure(copy, spec.eps, spec.lam, 2.0, data)
+    rep, = estimates._reports([u], [(spec.eps, spec.lam)], 2.0, data)
+    want, = estimates._reports([copy], [(spec.eps, spec.lam)], 2.0, data)
     for got, ref in zip(_report_numbers(rep), _report_numbers(want)):
         assert got == pytest.approx(ref, rel=1e-14, abs=0)
 
@@ -308,6 +308,25 @@ def test_commuting_sweep_samples_the_load_once(monkeypatch):
     reps = uniformity_sweep(uniformity_base("commuting", n_t=51), [1, 0.1, 0.01], [1, 10])
     assert [r.status for r in reps] == ["ok"] * 6
     assert counts["load"] == 1
+
+
+@pytest.mark.parametrize("preset", ["commuting", "wentzell"])
+def test_sweep_norms_each_quantity_once_per_stack(monkeypatch, preset):
+    # u, u', u'' and Au are each normed once over the stack of solutions,
+    # so the number of e_norm calls does not grow with the cells
+    calls = []
+    for module in (estimates, discretize):
+        monkeypatch.setattr(module, "e_norm", lambda v, w=None, norm=discretize.e_norm:
+                            calls.append(np.shape(v)) or norm(v, w))
+    base = uniformity_base(preset, n_t=51)
+    counts = []
+    for eps_list in ([1.0, 1e-2], [1.0, 1e-1, 1e-2, 1e-3, 1e-4]):
+        calls.clear()
+        reps = uniformity_sweep(base, eps_list, [1.0, 10.0, 100.0])
+        assert [r.status for r in reps] == ["ok"] * 3 * len(eps_list)
+        assert sum(len(shape) == 3 for shape in calls) == 4
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_modes_sweep_records_each_failed_cell_as_its_row():
