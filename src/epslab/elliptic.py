@@ -26,10 +26,11 @@ block-tridiagonal finite difference scheme (direct_batch).  Two 2n x 2n
 end pivots absorb the two-node reach of the one-sided boundary
 derivatives; the nodes between share one stencil and are solved in
 place by odd-even block cyclic reduction, O(log n_t) solve_cells calls.
-Their rcond guard sees each block and its coupling columns, never the
-load; the data are scaled by a power of two, so only a block past the
-float64 range surfaces, as Overflow, or a solution past it, as
-"solution overflowed" at the end.  Every route reads spec.loads.
+Their rcond guard sees each block alone, and the route applies each
+inverse to the coupling and the load itself; the data are scaled by a
+power of two, so only a block past the float64 range surfaces, as
+Overflow, or a solution past it, as "solution overflowed" at the end.
+Every route reads spec.loads.
 direct_batch runs the scheme for several (eps, lam) cells at once: the
 blocks carry a leading cell axis, each solve_cells call inverts the
 stack of the cells that have not failed, and a cell's failure is its
@@ -246,15 +247,14 @@ def mode_derivatives(spec: ProblemSpec):
     return t, u, du, ddu
 
 
-def _solve_live(fails: list, M, coupling, load) -> np.ndarray:
-    """linalg.solve_cells of the stacks M, coupling and load, skipping
-    every cell that has failed already.
+def _solve_live(fails: list, M) -> np.ndarray:
+    """linalg.solve_cells' inverses of the (cells, n, n) stack M,
+    skipping every cell that has failed already.
 
-    The leading axis runs over the cells; coupling or load may be None.
     A cell that fails here gets the error direct_solve raises for it in
-    fails and a zero result, and no later call inverts its blocks.
+    fails and a zero inverse, and no later call inverts its blocks.
     """
-    X, errors = solve_cells(M, coupling, load, skip=[f is not None for f in fails])
+    Minv, errors = solve_cells(M, skip=[f is not None for f in fails])
     for i, exc in enumerate(errors):
         if isinstance(exc, SingularMatrix):
             fails[i] = exc
@@ -262,7 +262,7 @@ def _solve_live(fails: list, M, coupling, load) -> np.ndarray:
             # the data are finite, so a non-finite block is overflow
             fails[i] = Overflow("finite difference sweep overflowed to non-finite values")
             fails[i].__cause__ = exc
-    return X
+    return Minv
 
 
 def _rows(index: np.ndarray) -> slice:
@@ -286,31 +286,29 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, x: np.ndarray, fails: list) 
     classes: row i has class cls[i], and kinds[c] = (L, D, U) are the
     block stacks of class c, with None for the missing neighbour of an
     end row.  Level l eliminates every other row of those s = 2^l apart:
-    per distinct class among them, one solve_cells stack with right-hand
-    side [L | U | their loads] gives x_j = y_j - alpha x_{j-s} - beta
-    x_{j+s}, and y_j overwrites load_j.  A kept row's class becomes the
-    triple of the classes of its left neighbour, itself and its right
-    neighbour, and per triple batched GEMMs update its load where it
-    stands, then its blocks; the back substitution writes x_j over y_j.
-    The rows of a class are indexed by a slice (_rows): with a first, an
-    interior and a last class at the start, every class's rows are
-    evenly spaced.  The guard sees each block and its [L | U] columns,
-    not the load; the first failing inverse of a cell in reduction order
-    goes to fails (_solve_live), and that cell's rows of x mean nothing.
-    The caller holds the errstate.
+    per distinct class among them, one solve_cells stack inverts D, and
+    x_j = y_j - alpha x_{j-s} - beta x_{j+s} with y_j = D^-1 load_j,
+    which overwrites load_j, alpha = D^-1 L and beta = D^-1 U.  A kept
+    row's class becomes the triple of the classes of its left neighbour,
+    itself and its right neighbour, and per triple batched GEMMs update
+    its load where it stands, then its blocks; the back substitution
+    writes x_j over y_j.  The rows of a class are indexed by a slice
+    (_rows): with a first, an interior and a last class at the start,
+    every class's rows are evenly spaced.  The guard sees each block
+    alone; the first failing inverse of a cell in reduction order goes
+    to fails (_solve_live), and that cell's rows of x mean nothing.  The
+    caller holds the errstate.
     """
-    n, s, levels = x.shape[2], 1, []
+    s, levels = 1, []
     while len(cls) > 1:
         m = len(cls)
         elim = {}
         for c in np.unique(cls[1::2]):
             rows = _rows(s * (2 * np.flatnonzero(cls[1::2] == c) + 1))
             L, D, U = kinds[c]
-            coupling = L if U is None else np.concatenate([L, U], axis=2)
-            X = _solve_live(fails, D, coupling, x[:, rows].mT)
-            k = coupling.shape[2]
-            x[:, rows] = X[:, :, k:].mT
-            elim[c] = (rows, X[:, :, :n], None if U is None else X[:, :, n:k])
+            Dinv = _solve_live(fails, D)
+            x[:, rows] = x[:, rows] @ Dinv.mT
+            elim[c] = (rows, Dinv @ L, None if U is None else Dinv @ U)
         keep = np.arange(0, m, 2)
         left = np.where(keep > 0, cls[keep - 1], -1)
         right = np.where(keep + 1 < m, cls[np.minimum(keep + 1, m - 1)], -1)
@@ -334,7 +332,7 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, x: np.ndarray, fails: list) 
         levels.append((s, elim))
         kinds, cls, s = new_kinds, new_cls, 2 * s
     _, D, _ = kinds[cls[0]]
-    x[:, :1] = _solve_live(fails, D, None, x[:, :1].mT).mT
+    x[:, :1] = x[:, :1] @ _solve_live(fails, D).mT
     for s, elim in reversed(levels):
         for rows, alpha, beta in elim.values():
             x[:, rows] -= x[:, _shifted(rows, -s)] @ alpha.mT
@@ -351,11 +349,13 @@ def direct_batch(spec: ProblemSpec, cells) -> list:
     complex one runs and returns in complex128, within roundoff of its
     float64 solo solve.  Blocks, end pivots and the solution u are
     (cells, ...) stacks, and every factorization is one solve_cells call
-    over the stack, whose guard judges each cell apart.  u holds the
-    scaled data on entry: the pivots read their ends, and the cyclic
-    reduction solves the interior nodes in place.  Returns, per cell,
-    its GridFunction or the exception a solo direct_solve raises for it;
-    a failed cell gets no further factorization and leaves the others.
+    over the stack, whose guard judges each cell apart; each end pivot's
+    inverse gives its coupling Uhat (Vhat) and its load r (s) as arrays
+    of their own.  u holds the scaled data on entry: the pivots read
+    their ends, and the cyclic reduction solves the interior nodes in
+    place.  Returns, per cell, its GridFunction or the exception a solo
+    direct_solve raises for it; a failed cell gets no further
+    factorization and leaves the others.
     """
     eps, lam, f1, f2, finite = _batch_data(spec, cells)
     if not finite:
@@ -383,33 +383,29 @@ def direct_batch(spec: ProblemSpec, cells) -> list:
     eye = np.eye(n, dtype=dtype)
     left, right = left[:, :, None, None] * eye, right[:, :, None, None] * eye
     with np.errstate(over="ignore", invalid="ignore"):
-        s = eps[:, None, None]
-        lower = -s / h**2 * eye - B / (2 * h)
-        diag = 2 * s / h**2 * eye + A_lam
-        upper = -s / h**2 * eye + B / (2 * h)
+        e = eps[:, None, None]
+        lower = -e / h**2 * eye - B / (2 * h)
+        diag = 2 * e / h**2 * eye + A_lam
+        upper = -e / h**2 * eye + B / (2 * h)
         fails = [None] * n_cells
-        # rows 0 and 1, L1 then the stencil; first[:, i] = [Uhat_i | r_i]
-        # with u_i = r_i - Uhat_i u_2
-        P = np.block([[left[:, 0], left[:, 1]], [lower, diag]])
-        first = _solve_live(fails, P, np.concatenate([left[:, 2], upper], axis=1),
-                            u[:, :2].reshape(n_cells, 2 * n, 1))
-        first = first.reshape(n_cells, 2, n, n + 1)
-        # the stencil at N-2, then L2; last[:, i] = [V_i | s_i] with
-        # u_{N-2+i} = s_i - V_i u_{N-3}
-        P = np.block([[diag, upper], [right[:, 1], right[:, 2]]])
-        last = _solve_live(fails, P, np.concatenate([lower, right[:, 0]], axis=1),
-                           u[:, N - 2:].reshape(n_cells, 2 * n, 1))
-        last = last.reshape(n_cells, 2, n, n + 1)
-        D_first = diag - lower @ first[:, 1, :, :n]
-        D_last = (D_first if N == 5 else diag) - upper @ last[:, 0, :, :n]
-        u[:, 2] -= (lower @ first[:, 1, :, n:])[..., 0]
-        u[:, N - 3] -= (upper @ last[:, 0, :, n:])[..., 0]
+        # rows 0 and 1, L1 then the stencil: u_i = r_i - Uhat_i u_2
+        Pinv = _solve_live(fails, np.block([[left[:, 0], left[:, 1]], [lower, diag]]))
+        Uhat = (Pinv @ np.concatenate([left[:, 2], upper], axis=1)).reshape(n_cells, 2, n, n)
+        r = (Pinv @ u[:, :2].reshape(n_cells, 2 * n, 1)).reshape(n_cells, 2, n, 1)
+        # the stencil at N-2, then L2: u_{N-2+i} = s_i - Vhat_i u_{N-3}
+        Pinv = _solve_live(fails, np.block([[diag, upper], [right[:, 1], right[:, 2]]]))
+        Vhat = (Pinv @ np.concatenate([lower, right[:, 0]], axis=1)).reshape(n_cells, 2, n, n)
+        s = (Pinv @ u[:, N - 2:].reshape(n_cells, 2 * n, 1)).reshape(n_cells, 2, n, 1)
+        D_first = diag - lower @ Uhat[:, 1]
+        D_last = (D_first if N == 5 else diag) - upper @ Vhat[:, 0]
+        u[:, 2] -= (lower @ r[:, 1])[..., 0]
+        u[:, N - 3] -= (upper @ s[:, 0])[..., 0]
         kinds = [(None, D_first, upper), (lower, diag, upper), (lower, D_last, None)]
         cls = np.ones(N - 4, int)
         cls[0], cls[-1] = 0, 2
         _cyclic_reduction(kinds, cls, u[:, 2:N - 2], fails)
-        u[:, :2] = first[..., n] - (first[..., :n] @ u[:, None, 2, :, None])[..., 0]
-        u[:, N - 2:] = last[..., n] - (last[..., :n] @ u[:, None, N - 3, :, None])[..., 0]
+        u[:, :2] = (r - Uhat @ u[:, None, 2, :, None])[..., 0]
+        u[:, N - 2:] = (s - Vhat @ u[:, None, N - 3, :, None])[..., 0]
         u *= scale
     out = []
     for fail, ui in zip(fails, u):
@@ -432,10 +428,10 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     (_cyclic_reduction): each level inverts one block per distinct row
     class, O(log n_t) in all, in the dtype the data promote to.  Both
     pivots and every block of the reduction go through
-    linalg.solve_cells, whose rcond guard sees the block and its
-    coupling columns, so the first failing inverse raises: the first
-    pivot's, then the last pivot's, then in reduction order.  No
-    inverted block depends on the load.  A non-finite eps, lam, load or
+    linalg.solve_cells, whose rcond guard sees the block alone, so the
+    first failing inverse raises: the first pivot's, then the last
+    pivot's, then in reduction order.  No inverted block depends on the
+    load.  A non-finite eps, lam, load or
     boundary vector raises ValueError up front; after that, a block
     past the float64 range (eps / h^2, say) raises Overflow, and so
     does a solution past it, as "finite difference solution overflowed

@@ -4,11 +4,11 @@ Every dense solve of the package but one runs through solve_cells,
 which inverts its matrices by numpy's LAPACK (np.linalg.inv, called
 through the name INV) and states the guard once: a matrix whose
 reciprocal 1-norm condition number rcond = 1/(||M||_1 ||M^-1||_1) falls
-below MIN_RCOND is refused, and the right-hand sides are one GEMM with
-the inverse.  The rcond is exact, not estimated, and M is not
-equilibrated.  solve_cells takes a stack of matrices, inverts it in one
-call and reports a failure per matrix; mat_solve and inv are its
-one-matrix forms, and mat_solve adds shape checks.
+below MIN_RCOND is refused.  The rcond is exact, not estimated, and M
+is not equilibrated.  solve_cells takes a stack of matrices, inverts it
+in one call, reports a failure per matrix and returns the inverses;
+each caller applies its own.  mat_solve and inv are its one-matrix
+forms, and mat_solve checks and applies a right-hand side.
 The one outside the guard is elliptic._modes_stack's n 2 x 2 boundary
 systems per cell, solved by Cramer's rule behind a scaled-determinant
 guard of its own.  The rest of the
@@ -109,72 +109,63 @@ def _inverses(M: np.ndarray) -> np.ndarray:
         return out
 
 
-def solve_cells(M: np.ndarray, coupling=None, load=None, skip=None) -> tuple:
-    """Guarded M^-1 [coupling | load] of each cell of a (cells, n, n) stack.
+def solve_cells(M: np.ndarray, skip=None) -> tuple:
+    """Guarded inverse of each cell of a (cells, n, n) stack.
 
-    coupling and load are (cells, n, k) stacks or None; with neither the
-    result is the inverse itself.  Returns (X, errors): errors[i] is None
-    or cell i's failure, checked in this order: ValueError for a
-    non-finite M, SingularMatrix for the zero (or empty) matrix,
-    ValueError for non-finite coupling, and SingularMatrix when rcond =
+    Returns (inverses, errors): errors[i] is None or cell i's failure,
+    checked in this order: ValueError for a non-finite M, SingularMatrix
+    for the zero (or empty) matrix, and SingularMatrix when rcond =
     1/(||M||_1 ||M^-1||_1) falls below MIN_RCOND, which an inverse that
-    is not finite does too.  The guard never looks at the load.  One INV
-    call inverts the cells that pass the first three checks and are not
-    flagged in skip, and one batched GEMM applies the inverses that pass
-    the last; every other cell gets zeros.  Neither input is overwritten.
+    is not finite does too.  One INV call inverts the cells that pass
+    the first two checks and are not flagged in skip; a skipped cell
+    gets None, and it and every failed cell get zeros.  The inverses
+    keep M's dtype, and M is not overwritten.
     """
-    cells, n = M.shape[:2]
-    rhs = coupling if load is None else load if coupling is None else np.concatenate(
-        [coupling, load], axis=2)
     norm = np.abs(M).sum(axis=1).max(axis=1, initial=0.0)
     finite = np.isfinite(M).all(axis=(1, 2))
-    rhs_finite = np.ones(cells, bool) if coupling is None else np.isfinite(coupling).all(axis=(1, 2))
-    skip = np.zeros(cells, bool) if skip is None else np.asarray(skip, bool)
-    live = finite & (norm > 0.0) & rhs_finite & ~skip
-    errors = [None] * cells
+    skip = np.zeros(len(M), bool) if skip is None else np.asarray(skip, bool)
+    live = finite & (norm > 0.0) & ~skip
+    errors = [None] * len(M)
     for i in np.flatnonzero(~live & ~skip):
         errors[i] = (ValueError("matrix entries must be finite") if not finite[i]
-                     else SingularMatrix("zero matrix") if norm[i] == 0.0
-                     else ValueError("array must not contain infs or NaNs"))
-    shape = (cells, n, n if rhs is None else rhs.shape[2])
-    dtype = M.dtype if rhs is None else np.result_type(M, rhs)
+                     else SingularMatrix("zero matrix"))
     if not live.any():
-        return np.zeros(shape, dtype), errors
+        return np.zeros_like(M), errors
     every = live.all()
     Minv = _inverses(M if every else M[live])
     with np.errstate(over="ignore", invalid="ignore"):
         rcond = 1.0 / (norm[live] * np.abs(Minv).sum(axis=1).max(axis=1))
     refused = ~(rcond >= MIN_RCOND)
-    if refused.any():
-        for j, i in enumerate(np.flatnonzero(live)):
-            if refused[j]:
-                errors[i] = SingularMatrix(
-                    f"rcond {np.nan_to_num(rcond[j]):.3e} below {MIN_RCOND:.0e}")
-        Minv[refused] = 0.0
-    Y = Minv if rhs is None else Minv @ (rhs if every else rhs[live])
+    for i, r in zip(np.flatnonzero(live)[refused], rcond[refused]):
+        errors[i] = SingularMatrix(f"rcond {np.nan_to_num(r):.3e} below {MIN_RCOND:.0e}")
+    Minv[refused] = 0.0
     if every:
-        return Y, errors
-    X = np.zeros(shape, dtype)
-    X[live] = Y
-    return X, errors
+        return Minv, errors
+    out = np.zeros_like(M)
+    out[live] = Minv
+    return out, errors
 
 
 def mat_solve(M, rhs) -> np.ndarray:
-    """Solve M x = rhs by solve_cells; rhs may be a vector or matrix.
+    """Solve M x = rhs by solve_cells' inverse of M; rhs may be a vector
+    or matrix.
 
     Works in float64 when M and rhs are both real-typed and in complex128
-    otherwise, and returns x in that dtype.  as_matrix's ValueError for
-    M, ValueError for a misshapen rhs, then solve_cells' first error
-    with rhs as the coupling.
+    otherwise, and returns x in that dtype.  Fails with as_matrix's
+    ValueError for M, ValueError for a misshapen rhs, SingularMatrix for
+    the zero matrix, ValueError for a non-finite rhs, then SingularMatrix
+    for an rcond below MIN_RCOND.
     """
     dtype = _kind(M, rhs)
     A, b = as_matrix(np.asarray(M, dtype)), np.asarray(rhs, dtype)
     if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
         raise ValueError(f"rhs of shape {b.shape} does not match a {A.shape} matrix")
-    (x,), (error,) = solve_cells(A[None], b[None] if b.ndim == 2 else b[None, :, None])
+    (Ainv,), (error,) = solve_cells(A[None])
+    if A.any() and not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
     if error is not None:
         raise error
-    return x.reshape(b.shape)
+    return Ainv @ b
 
 
 def inv(M) -> np.ndarray:

@@ -194,6 +194,17 @@ def test_only_linalg_narrow_judges_realness(name):
     assert _realness_judgements(tree) == []
 
 
+def test_solve_cells_is_given_only_the_stack_and_skip():
+    # solve_cells returns the guarded inverses, and each caller applies
+    # its own, so no call hands it a coupling or a load
+    calls = [node for tree in _package_trees().values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] == "solve_cells"]
+    assert calls
+    assert [ast.unparse(node) for node in calls
+            if len(node.args) > 1 or any(k.arg != "skip" for k in node.keywords)] == []
+
+
 def _functions(tree, prefix=""):
     """(qualified name, node) of every function in tree, methods as
     Class.method."""

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from epslab.linalg import (
     EXPM_NORM_CAP, Overflow, SectorialityReport, SingularMatrix,
     SqrtNotConverged, as_matrix, check_positivity, expm, inv,
-    mat_solve, narrow, op_norm, sqrtm,
+    mat_solve, narrow, op_norm, solve_cells, sqrtm,
 )
 
 
@@ -200,6 +200,110 @@ class TestMatSolveContract:
         X = mat_solve(np.eye(3) + 1j, np.ones((3, 0)))
         assert X.shape == (3, 0)
         assert X.dtype == np.complex128
+
+
+class TestFailureOrder:
+    """Which failure mat_solve and inv report when an input has several."""
+
+    def test_zero_matrix_before_non_finite_rhs(self):
+        with pytest.raises(SingularMatrix, match="^zero matrix$"):
+            mat_solve(np.zeros((2, 2)), [np.nan, 1.0])
+
+    def test_non_finite_rhs_before_rcond(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            mat_solve([[1.0, 2.0], [2.0, 4.0]], [np.nan, 1.0])
+
+    def test_matrix_and_shape_before_rhs_values(self):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            mat_solve([[np.nan, 0.0], [0.0, 0.0]], [np.nan, 1.0])
+        with pytest.raises(ValueError, match="does not match"):
+            mat_solve(np.zeros((2, 2)), [np.nan, 1.0, 1.0])
+
+    def test_inv(self):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            inv([[np.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(SingularMatrix, match="^zero matrix$"):
+            inv(np.zeros((2, 2)))
+        with pytest.raises(SingularMatrix, match="^rcond 0.000e[+]00 below 1e-13$"):
+            inv([[1.0, 2.0], [2.0, 4.0]])
+
+
+def _stack(*cells):
+    return np.stack([np.asarray(c, dtype=float) for c in cells])
+
+
+class TestSolveCells:
+    """The package's one guarded inverse of a (cells, n, n) stack."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_each_cell_is_its_inverse_in_the_stack_dtype(self, dtype):
+        rng = np.random.default_rng(3)
+        M = rng.normal(size=(5, 4, 4)) + np.eye(4)
+        M = M + 1j * rng.normal(size=M.shape) if dtype is np.complex128 else M
+        X, errors = solve_cells(M)
+        assert errors == [None] * 5 and X.dtype == dtype and X.shape == M.shape
+        for Mi, Xi in zip(M, X):
+            np.testing.assert_allclose(Xi, np.linalg.inv(Mi), rtol=1e-12, atol=0)
+
+    def test_errors_in_order_and_failed_cells_get_zeros(self):
+        M = _stack(np.eye(2),
+                   [[np.nan, 0.0], [0.0, 0.0]],  # non-finite and otherwise zero
+                   [[np.inf, 1.0], [0.0, 1.0]],
+                   np.zeros((2, 2)),
+                   [[1.0, 2.0], [2.0, 4.0]],
+                   np.diag([1.0, 5e-14]),
+                   1e-310 * np.eye(2),  # its inverse overflows
+                   2 * np.eye(2))
+        X, errors = solve_cells(M)
+        assert [(type(e), str(e)) for e in errors] == [
+            (type(None), "None"),
+            (ValueError, "matrix entries must be finite"),
+            (ValueError, "matrix entries must be finite"),
+            (SingularMatrix, "zero matrix"),
+            (SingularMatrix, "rcond 0.000e+00 below 1e-13"),
+            (SingularMatrix, "rcond 5.000e-14 below 1e-13"),
+            (SingularMatrix, "rcond 0.000e+00 below 1e-13"),
+            (type(None), "None")]
+        np.testing.assert_array_equal(X[1:7], 0.0)
+        np.testing.assert_array_equal(X[0], np.eye(2))
+        np.testing.assert_array_equal(X[7], 0.5 * np.eye(2))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_skip_gives_none_and_zeros(self, dtype):
+        M = _stack(2 * np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], np.zeros((2, 2)),
+                   4 * np.eye(2)).astype(dtype)
+        X, errors = solve_cells(M, skip=[False, True, True, False])
+        assert errors == [None] * 4 and X.dtype == dtype
+        np.testing.assert_array_equal(X[1:3], 0.0)
+        np.testing.assert_array_equal(X[[0, 3]], [0.5 * np.eye(2), 0.25 * np.eye(2)])
+        X, errors = solve_cells(M, skip=[True] * 4)
+        assert errors == [None] * 4 and X.dtype == dtype
+        np.testing.assert_array_equal(X, 0.0)
+
+    def test_exactly_singular_cell_leaves_the_others_their_solo_inverses(self):
+        # LAPACK refuses the whole stack, so each cell is inverted alone
+        rng = np.random.default_rng(8)
+        good = rng.normal(size=(3, 3, 3)) + 3 * np.eye(3)
+        singular = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        M = np.stack([good[0], singular, good[1], good[2]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(M)
+        X, errors = solve_cells(M)
+        assert [type(e) for e in errors] == [type(None), SingularMatrix] + [type(None)] * 2
+        np.testing.assert_array_equal(X[1], 0.0)
+        for i in (0, 2, 3):
+            solo, _ = solve_cells(M[i:i + 1])
+            np.testing.assert_array_equal(X[i], solo[0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_input_is_not_overwritten(self, dtype):
+        rng = np.random.default_rng(9)
+        M = np.asfortranarray((rng.normal(size=(4, 3, 3)) + 2 * np.eye(3)).astype(dtype))
+        M[2] = 0.0
+        M0 = M.copy()
+        solve_cells(M, skip=[False, True, False, False])
+        solve_cells(M)
+        np.testing.assert_array_equal(M, M0)
 
 
 class TestSqrtm:
