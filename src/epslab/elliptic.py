@@ -1,13 +1,14 @@
 """Two-point solvers for -eps u'' + B u' + (A + lam) u = f on (0, T).
 
 solve_batch solves one spec at a sequence of (eps, lam) cells and is the
-one place that picks a route; full_solve is its batch of one.  In a
-joint eigenbasis the problem splits into n scalar ones, solved exactly
-but for the load quadrature (_modes_batch): per dtype kind of lam, one
-_modes_stack does every length-n step for all its cells at once and the
-n_t-long passes cell by cell, in one workspace, into one solution stack.
-Both routes solve in the dtype their data promote to (linalg.narrow),
-and the same code runs in either.
+one place that picks a route; full_solve is its batch of one.  Both
+routes go through _batched: every route solves one kind of lam per
+stack, in the dtype its data promote to (linalg.narrow), so a cell's
+numbers never depend on its batch; the same code runs in either dtype.
+In a joint eigenbasis the problem splits into n scalar ones, solved
+exactly but for the load quadrature (_modes_stack): every length-n step
+for all the stack's cells at once and the n_t-long passes cell by cell,
+in one workspace, into one solution stack.
 The solution calculus, kept as a reference, factors the quadratic
 pencil through the square root R = (B^2 + 4 eps (A+lam))^(1/2):
 
@@ -31,10 +32,10 @@ inverse to the coupling and the load itself; the data are scaled by a
 power of two, so only a block past the float64 range surfaces, as
 Overflow, or a solution past it, as "solution overflowed" at the end.
 Every route reads spec.loads.
-direct_batch runs the scheme for several (eps, lam) cells at once: the
-blocks carry a leading cell axis, each solve_cells call inverts the
-stack of the cells that have not failed, and a cell's failure is its
-own; direct_solve is its batch of one.
+direct_batch runs the scheme for several (eps, lam) cells at once: per
+kind of lam (_fd_stack), the blocks carry a leading cell axis, each
+solve_cells call inverts the stack of the cells that have not failed,
+and a cell's failure is its own; direct_solve is its batch of one.
 """
 from __future__ import annotations
 
@@ -282,7 +283,7 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, x: np.ndarray, fails: list) 
     reduction, in place: x holds the loads on entry, the solution on return.
 
     The leading axis of x, (cells, rows, n), and of every block,
-    (cells, n, n), runs over the cells of a batch, which share the row
+    (cells, n, n), runs over the cells of a stack, which share the row
     classes: row i has class cls[i], and kinds[c] = (L, D, U) are the
     block stacks of class c, with None for the missing neighbour of an
     end row.  Level l eliminates every other row of those s = 2^l apart:
@@ -341,29 +342,32 @@ def _cyclic_reduction(kinds: list, cls: np.ndarray, x: np.ndarray, fails: list) 
 
 
 def direct_batch(spec: ProblemSpec, cells) -> list:
-    """direct_solve of spec at every (eps, lam) pair of cells, as one batch.
+    """direct_solve of spec at every (eps, lam) pair of cells, as one batch
+    (_batched): per kind of lam, one _fd_stack; per cell, its
+    GridFunction or the exception a solo direct_solve raises for it."""
+    return _batched(_fd_stack, spec, cells)
+
+
+def _fd_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, f1, f2) -> list:
+    """The finite difference scheme of direct_solve at the cells eps[j],
+    lam[j], whose lam share one dtype, with the boundary vectors f1, f2.
 
     The cells share everything else: the row classes of the cyclic
-    reduction, the load samples (spec.loads) and one dtype, the
-    promotion of every cell's data, so a real cell batched with a
-    complex one runs and returns in complex128, within roundoff of its
-    float64 solo solve.  Blocks, end pivots and the solution u are
-    (cells, ...) stacks, and every factorization is one solve_cells call
-    over the stack, whose guard judges each cell apart; each end pivot's
-    inverse gives its coupling Uhat (Vhat) and its load r (s) as arrays
-    of their own.  u holds the scaled data on entry: the pivots read
-    their ends, and the cyclic reduction solves the interior nodes in
-    place.  Returns, per cell, its GridFunction or the exception a solo
-    direct_solve raises for it; a failed cell gets no further
-    factorization and leaves the others.
+    reduction, the load samples (spec.loads) and the dtype their data
+    promote to, which is each cell's solo dtype.  Blocks, end pivots and
+    the solution u are (cells, ...) stacks, and every factorization is
+    one solve_cells call over the stack, whose guard judges each cell
+    apart; each end pivot's inverse gives its coupling Uhat (Vhat) and
+    its load r (s) as arrays of their own.  u holds the scaled data on
+    entry: the pivots read their ends, and the cyclic reduction solves
+    the interior nodes in place.  Returns, per cell, its GridFunction or
+    its error; a failed cell gets no further factorization and leaves
+    the others.
     """
-    eps, lam, f1, f2, finite = _batch_data(spec, cells)
-    if not finite:
-        return [ValueError("array must not contain infs or NaNs")] * len(cells)
     t = spec.t_grid()
     h = t[1] - t[0]
-    n, N, n_cells, loads = spec.n, spec.n_t, len(cells), spec.loads
-    B, A_lam = spec.pair.B, spec.pair.A + np.array(lam)[:, None, None] * np.eye(n)
+    n, N, n_cells, loads = spec.n, spec.n_t, len(eps), spec.loads
+    B, A_lam = spec.pair.B, spec.pair.A + lam[:, None, None] * np.eye(n)
     data = (f1, f2) if loads is None else (f1, f2, loads)
     # u is linear in the data: solve for the data over 2^(e-1), e the
     # exponent of their largest component, so that a load near the
@@ -435,7 +439,8 @@ def direct_solve(spec: ProblemSpec) -> GridFunction:
     boundary vector raises ValueError up front; after that, a block
     past the float64 range (eps / h^2, say) raises Overflow, and so
     does a solution past it, as "finite difference solution overflowed
-    to non-finite values".  This is the batch of one of direct_batch.
+    to non-finite values".  This is the batch of one of direct_batch,
+    and a cell's numbers never depend on its batch.
     """
     return _solo(direct_batch(spec, [(spec.eps, spec.lam)]))
 
@@ -455,31 +460,40 @@ def _solo(cells: list) -> GridFunction:
 def solve_batch(spec: ProblemSpec, cells) -> list:
     """spec at every (eps, lam) pair of cells: per cell, its GridFunction,
     whose meta["path"] names the route, or the SOLVER_ERRORS its solve
-    raised.  A pair without a joint eigenbasis is one direct_batch over
-    all the cells, any other one _modes_batch; every cell reads
-    spec.loads.  An eps that is not finite and positive, or a lam that is
-    not finite, raises ValueError."""
-    batch = direct_batch if spec.pair.joint_eigenbasis is None else _modes_batch
-    return batch(spec, cells)
+    raised.  A pair without a joint eigenbasis takes the FD route
+    (_fd_stack), any other one the modes route (_modes_stack), both
+    through _batched; every cell reads spec.loads.  An eps that is not
+    finite and positive, or a lam that is not finite, raises ValueError."""
+    return _batched(_fd_stack if spec.pair.joint_eigenbasis is None else _modes_stack,
+                    spec, cells)
 
 
-def _batch_data(spec: ProblemSpec, cells) -> tuple:
-    """(eps, lam, f1, f2, finite), once per batch: each cell's eps and
-    lam, checked (ValueError), the lam narrowed and in a list; the
-    boundary vectors; and whether spec.loads, f1 and f2 are finite."""
+def _batched(route: Callable, spec: ProblemSpec, cells) -> list:
+    """route(spec, eps, lam, f1, f2) once per kind of lam, real or
+    complex, its values back in cell order: eps and lam hold one kind's
+    cells, so each cell solves in its solo dtype, bit for bit its solo
+    solve.  Each eps and lam is checked (ValueError) and each lam
+    narrowed (linalg.narrow) first; a non-finite spec.loads or boundary
+    vector f1, f2 makes every cell its ValueError."""
     eps = np.array([_positive_eps(e) for e, _ in cells])
     lam = [narrow(complex(z)) for _, z in cells]
     if not np.isfinite(lam).all():
         raise ValueError("lam must be finite")
     f1, f2 = spec.bc.data_for(spec.n)
-    finite = all(np.isfinite(x).all() for x in (f1, f2, () if spec.loads is None else spec.loads))
-    return eps, lam, f1, f2, finite
+    if not all(np.isfinite(x).all() for x in (f1, f2, () if spec.loads is None else spec.loads)):
+        return [ValueError("array must not contain infs or NaNs")] * len(cells)
+    out = [None] * len(cells)
+    for kind in dict.fromkeys(z.dtype for z in lam):
+        index = [i for i, z in enumerate(lam) if z.dtype == kind]
+        for i, u in zip(index, route(spec, eps[index], np.array([lam[i] for i in index]), f1, f2)):
+            out[i] = u
+    return out
 
 
 class _Load:
     """The load in the basis, forward and then reversed (F), shared by a
-    batch's cells.  doubled, F with each column twice, is made once per
-    batch when a complex cell first takes a real load (_increments)."""
+    stack's cells.  doubled, F with each column twice, is made once per
+    stack when a complex cell first takes a real load (_increments)."""
 
     def __init__(self, F: np.ndarray):
         self.F = F
@@ -489,46 +503,18 @@ class _Load:
         return self.F.repeat(2, axis=1)
 
 
-def _modes_batch(spec: ProblemSpec, cells) -> list:
-    """solve_batch on the modes route.  Once per batch it takes the
-    boundary vectors of _batch_data and spec.loads (FV, a _Load, None
-    without one) into the basis; non-finite data make every cell
-    direct_batch's ValueError.  The cells then go by kind, those with a
-    real lam and those with a complex one, each kind as one _modes_stack,
-    so that a cell's numbers are its solo solve's, whatever the batch;
-    a cell's failure is its value."""
-    eps, lam, f1, f2, finite = _batch_data(spec, cells)
-    if not finite:
-        return [ValueError("array must not contain infs or NaNs")] * len(cells)
-    (V, Vinv, a, b), n = spec.pair.joint_eigenbasis, spec.n
-    with np.errstate(over="ignore", invalid="ignore"):
-        f1, f2 = Vinv @ f1, Vinv @ f2
-        FV = None
-        if spec.loads is not None and spec.loads.any():
-            FV = _Load(np.empty((spec.n_t, 2 * n), np.result_type(spec.loads, Vinv)))
-            FV.F[:, n:] = np.matmul(spec.loads, Vinv.T, out=FV.F[:, :n])[::-1]
-    out = [None] * len(cells)
-    for kind in dict.fromkeys(z.dtype for z in lam):
-        index = [i for i, z in enumerate(lam) if z.dtype == kind]
-        solved = _modes_stack(spec, eps[index], np.array([lam[i] for i in index]),
-                              (V, a, b), f1, f2, FV)
-        for i, u in zip(index, solved):
-            out[i] = u
-    return out
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _modes_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, basis, f1, f2,
-                 FV) -> list:
+def _modes_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, f1, f2) -> list:
     """Solve a pair with a joint eigenbasis mode by mode ("modes") at the
-    cells eps[j], lam[j], whose lam share one dtype: per cell, its
-    GridFunction or the SOLVER_ERRORS its solve raised.
+    cells eps[j], lam[j], whose lam share one dtype (_batched), with the
+    boundary vectors f1, f2: per cell, its GridFunction or the
+    SOLVER_ERRORS its solve raised.
 
-    basis is (V, a, b) of the pair's joint eigenbasis; it and f1, f2
-    and FV, the _Load, are the data in the basis (_modes_batch), shared
-    by the cells and only read.  The cells run in the dtype they and lam
-    promote to; with real data past the branch-cut check every
-    b^2 + 4 eps c is > 0, so every root is real.
+    Once per stack, f1, f2 and spec.loads (FV, a _Load, None without one)
+    go into the pair's joint eigenbasis (V, Vinv, a, b), shared by the
+    cells and only read.  The cells run in the dtype they and lam
+    promote to, each cell's solo dtype; with real data past the
+    branch-cut check every b^2 + 4 eps c is > 0, so every root is real.
 
     Mode a, b of the basis solves -eps u'' + b u' + c u = f, c = a + lam,
     as u = (x + y)/s + alpha e^(r- t) + beta e^(r+ (t - T)).  Here s is
@@ -553,8 +539,13 @@ def _modes_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, basis, f1,
     SingularMatrix for a scaled determinant below MIN_RCOND and Overflow
     for a solution that is not finite.
     """
-    V, a, b = basis
+    V, Vinv, a, b = spec.pair.joint_eigenbasis
     t, n, N = spec.t_grid(), spec.n, spec.n_t
+    f1, f2 = Vinv @ f1, Vinv @ f2
+    FV = None
+    if spec.loads is not None and spec.loads.any():
+        FV = _Load(np.empty((N, 2 * n), np.result_type(spec.loads, Vinv)))
+        FV.F[:, n:] = np.matmul(spec.loads, Vinv.T, out=FV.F[:, :n])[::-1]
     h, c = t[1] - t[0], a + lam[:, None]
     m = b * b + 4.0 * eps[:, None] * c
     out = [None] * len(eps)

@@ -136,7 +136,8 @@ def _data_terms(spec: ProblemSpec, p: float) -> _DataTerms:
 def _stack_row(values: np.ndarray) -> Tuple[np.ndarray, int]:
     """(stack, row) with stack[row] the memory of values: the solvers'
     batches return their cells as rows of one (cells, n_t, n) stack per
-    dtype, and any other values is a stack of one."""
+    kind of lam (elliptic._batched), and any other values is a stack of
+    one."""
     stack = values.base
     if (stack is not None and stack.ndim == 3 and stack.dtype == values.dtype
             and stack.shape[1:] == values.shape and stack.strides[1:] == values.strides):
@@ -177,8 +178,9 @@ def _reports(solutions: list, cells, p: float, data: _DataTerms) -> list:
     its measurement raised.
 
     The solutions are measured by the stack they are rows of (_stack_row),
-    one _measure per stack, so a cell's numbers do not depend on the
-    cells measured with it.  The scalar terms follow per cell; a
+    one _measure per stack.  Every route solves one kind of lam per
+    stack, so neither a cell's solution nor its numbers depend on the
+    cells solved and measured with it.  The scalar terms follow per cell; a
     non-finite one is an Overflow.
     """
     out = list(solutions)
@@ -426,7 +428,7 @@ def convergence_study(base: ProblemSpec, u0: np.ndarray,
             n_fine = 2 * (base.n_t - 1) + 1
             fine = full_solve(wired(eps_arr[-1], n_fine))
             fine_limit = cauchy_solve(dataclasses.replace(base, n_t=n_fine), u0)
-            dd = (u.values - limit.values) - (fine.values - fine_limit.values)[::2]
+            dd = (u.values - limit.values) - (fine.values[::2] - fine_limit.values[::2])
             floor = mixed_norm(GridFunction(u.t, dd), p=p, weights=w)
         except SOLVER_ERRORS:
             pass

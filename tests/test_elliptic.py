@@ -673,18 +673,31 @@ def test_solve_batch_of_a_non_finite_load_fails_every_cell(preset):
     assert {str(c) for c in cells} == {"array must not contain infs or NaNs"}
 
 
+ROUTES = [("commuting", "modes"), ("scalar", "modes"), ("wentzell", "direct")]
+
+
 @pytest.mark.parametrize("n_t", [51, 201])
-def test_modes_batch_cells_are_their_solo_solves(n_t):
-    # the batch takes the data into the basis once; each cell's numbers
-    # stay those of its own full_solve, bit for bit
-    spec = uniformity_base("commuting", n_t=n_t)
+@pytest.mark.parametrize("preset, path", ROUTES)
+def test_modes_batch_cells_are_their_solo_solves(preset, path, n_t):
+    # a batch mixing real and complex lam solves one kind per stack on
+    # every route: each cell's numbers are those of its own full_solve,
+    # bit for bit and in its dtype
+    spec = uniformity_base(preset, n_t=n_t)
     cells = [(eps, lam) for lam in [1.0, 3 + 2j, 10.0, 100.0] for eps in [1.0, 1e-2, 1e-4]]
     batch = solve_batch(spec, cells)
     assert len(batch) == len(cells)
     for (eps, lam), u in zip(cells, batch):
         solo = full_solve(dataclasses.replace(spec, eps=eps, lam=lam))
-        assert u.meta == solo.meta == {"path": "modes"}
+        assert u.meta == solo.meta == {"path": path}
+        assert u.values.dtype == solo.values.dtype
         assert np.array_equal(u.values, solo.values)
+
+
+@pytest.mark.parametrize("preset", [preset for preset, _ in ROUTES])
+def test_an_empty_batch_is_no_cells(preset):
+    spec = uniformity_base(preset, n_t=51)
+    assert solve_batch(spec, []) == []
+    assert direct_batch(spec, []) == []
 
 
 def _sweep_split_cells():
@@ -713,11 +726,11 @@ def test_modes_batch_peaks_below_two_solutions():
     # one workspace per kind, and the solutions are rows of one stack
     spec, cells = _sweep_split_cells()
     assert len(cells) == 15 and spec.loads is not None
-    elliptic._modes_batch(spec, cells)
+    solve_batch(spec, cells)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = elliptic._modes_batch(spec, cells)
+        out = solve_batch(spec, cells)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -760,9 +773,6 @@ def _data_times_1j(spec):
         spec.bc, f1=1j * spec.bc.f1, f2=1j * spec.bc.f2))
 
 
-ROUTES = [("commuting", "modes"), ("scalar", "modes"), ("wentzell", "direct")]
-
-
 @pytest.mark.parametrize("lam", [1.0, 100.0])
 @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4])
 @pytest.mark.parametrize("preset, path", ROUTES)
@@ -787,9 +797,9 @@ def test_real_cells_solve_in_float64_and_the_rest_in_complex128(preset, path):
     assert real.meta == complex_lam.meta == complex_bc.meta == {"path": path}
     assert real.values.dtype == np.float64
     assert complex_lam.values.dtype == complex_bc.values.dtype == np.complex128
-    # the modes route picks the dtype per cell, the FD route per batch
+    # every route picks the dtype per kind of lam, not per batch
     mixed = solve_batch(spec, [(1e-2, 3.0), (1e-2, 3 + 2j)])
-    assert mixed[0].values.dtype == (np.float64 if path == "modes" else np.complex128)
+    assert mixed[0].values.dtype == np.float64
 
 
 def test_an_oscillatory_modes_cell_solves_in_complex128():
@@ -805,15 +815,14 @@ def test_an_oscillatory_modes_cell_solves_in_complex128():
 
 
 def test_a_real_fd_cell_batched_with_a_complex_one_is_its_solo_solve():
-    # the batch runs in complex128, and the real cell within roundoff of
-    # its float64 solo solve (measured at 1.5e-13 of max|u| at eps 1e-4)
+    # the real cell solves in its own float64 stack, bit for bit its solo solve
     spec = uniformity_base("wentzell", n_t=201)
     for eps in (1.0, 1e-2, 1e-4):
         real, cplx = direct_batch(spec, [(eps, 3.0), (eps, 3 + 2j)])
         solo, = direct_batch(spec, [(eps, 3.0)])
         assert (real.values.dtype, cplx.values.dtype, solo.values.dtype) == (
-            np.complex128, np.complex128, np.float64)
-        assert np.abs(real.values - solo.values).max() <= 1e-12 * np.abs(solo.values).max()
+            np.float64, np.complex128, np.float64)
+        assert np.array_equal(real.values, solo.values)
 
 
 class TestFullSolve:
