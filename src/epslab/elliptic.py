@@ -5,6 +5,8 @@ one place that picks a route; full_solve is its batch of one.  Both
 routes go through _batched: every route solves one kind of lam per
 stack, in the dtype its data promote to (linalg.narrow), so a cell's
 numbers never depend on its batch; the same code runs in either dtype.
+The batch (_Batch) is per cell its GridFunction or its error, and it
+hands out the solution stacks those GridFunctions view (stacks).
 In a joint eigenbasis the problem splits into n scalar ones, solved
 exactly but for the load quadrature (_modes_stack): every length-n step
 for all the stack's cells at once and the n_t-long passes cell by cell,
@@ -345,10 +347,10 @@ def direct_batch(spec: ProblemSpec, cells) -> list:
     """direct_solve of spec at every (eps, lam) pair of cells, as one batch
     (_batched): per kind of lam, one _fd_stack; per cell, its
     GridFunction or the exception a solo direct_solve raises for it."""
-    return _batched(_fd_stack, spec, cells)
+    return _batched(_fd_stack, "direct", spec, cells)
 
 
-def _fd_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, f1, f2) -> list:
+def _fd_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, f1, f2) -> tuple:
     """The finite difference scheme of direct_solve at the cells eps[j],
     lam[j], whose lam share one dtype, with the boundary vectors f1, f2.
 
@@ -360,9 +362,9 @@ def _fd_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, f1, f2) -> li
     apart; each end pivot's inverse gives its coupling Uhat (Vhat) and
     its load r (s) as arrays of their own.  u holds the scaled data on
     entry: the pivots read their ends, and the cyclic reduction solves
-    the interior nodes in place.  Returns, per cell, its GridFunction or
-    its error; a failed cell gets no further factorization and leaves
-    the others.
+    the interior nodes in place.  Returns u and, per cell, None or its
+    error; a failed cell gets no further factorization and leaves the
+    others.
     """
     t = spec.t_grid()
     h = t[1] - t[0]
@@ -411,12 +413,10 @@ def _fd_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, f1, f2) -> li
         u[:, :2] = (r - Uhat @ u[:, None, 2, :, None])[..., 0]
         u[:, N - 2:] = (s - Vhat @ u[:, None, N - 3, :, None])[..., 0]
         u *= scale
-    out = []
-    for fail, ui in zip(fails, u):
-        if fail is None and not np.isfinite(ui).all():
-            fail = Overflow("finite difference solution overflowed to non-finite values")
-        out.append(GridFunction(t, ui, meta={"path": "direct"}) if fail is None else fail)
-    return out
+    for j, ui in enumerate(u):
+        if fails[j] is None and not np.isfinite(ui).all():
+            fails[j] = Overflow("finite difference solution overflowed to non-finite values")
+    return u, fails
 
 
 def direct_solve(spec: ProblemSpec) -> GridFunction:
@@ -458,36 +458,52 @@ def _solo(cells: list) -> GridFunction:
 
 
 def solve_batch(spec: ProblemSpec, cells) -> list:
-    """spec at every (eps, lam) pair of cells: per cell, its GridFunction,
-    whose meta["path"] names the route, or the SOLVER_ERRORS its solve
-    raised.  A pair without a joint eigenbasis takes the FD route
-    (_fd_stack), any other one the modes route (_modes_stack), both
-    through _batched; every cell reads spec.loads.  An eps that is not
+    """spec at every (eps, lam) pair of cells, as one batch (_batched): per
+    cell, its GridFunction, whose meta["path"] names the route, or the
+    SOLVER_ERRORS its solve raised.  A pair without a joint eigenbasis
+    takes the FD route (direct_batch), any other one the modes route
+    (_modes_stack); every cell reads spec.loads.  An eps that is not
     finite and positive, or a lam that is not finite, raises ValueError."""
-    return _batched(_fd_stack if spec.pair.joint_eigenbasis is None else _modes_stack,
-                    spec, cells)
+    if spec.pair.joint_eigenbasis is None:
+        return direct_batch(spec, cells)
+    return _batched(_modes_stack, "modes", spec, cells)
 
 
-def _batched(route: Callable, spec: ProblemSpec, cells) -> list:
+class _Batch(list):
+    """Per cell, in cell order, its GridFunction or its error; stacks holds
+    (index, stack) per kind of lam, in the order the kinds first occur,
+    with stack[k] the solution of cell index[k], which that cell's
+    GridFunction views.  A failed cell's row means nothing."""
+
+    def __init__(self, cells: list, stacks: list):
+        super().__init__(cells)
+        self.stacks = stacks
+
+
+def _batched(route: Callable, path: str, spec: ProblemSpec, cells) -> _Batch:
     """route(spec, eps, lam, f1, f2) once per kind of lam, real or
-    complex, its values back in cell order: eps and lam hold one kind's
-    cells, so each cell solves in its solo dtype, bit for bit its solo
-    solve.  Each eps and lam is checked (ValueError) and each lam
-    narrowed (linalg.narrow) first; a non-finite spec.loads or boundary
-    vector f1, f2 makes every cell its ValueError."""
+    complex, as a _Batch: eps and lam hold one kind's cells, so each cell
+    solves in its solo dtype, bit for bit its solo solve, and route
+    returns their solution stack and per cell None or its error.  Each
+    solved row becomes a GridFunction with meta["path"] = path.  Each eps
+    and lam is checked (ValueError) and each lam narrowed (linalg.narrow)
+    first; a non-finite spec.loads or boundary vector f1, f2 makes every
+    cell its ValueError, with no stack."""
     eps = np.array([_positive_eps(e) for e, _ in cells])
     lam = [narrow(complex(z)) for _, z in cells]
     if not np.isfinite(lam).all():
         raise ValueError("lam must be finite")
     f1, f2 = spec.bc.data_for(spec.n)
     if not all(np.isfinite(x).all() for x in (f1, f2, () if spec.loads is None else spec.loads)):
-        return [ValueError("array must not contain infs or NaNs")] * len(cells)
-    out = [None] * len(cells)
+        return _Batch([ValueError("array must not contain infs or NaNs")] * len(cells), [])
+    t, out, stacks = spec.t_grid(), [None] * len(cells), []
     for kind in dict.fromkeys(z.dtype for z in lam):
         index = [i for i, z in enumerate(lam) if z.dtype == kind]
-        for i, u in zip(index, route(spec, eps[index], np.array([lam[i] for i in index]), f1, f2)):
-            out[i] = u
-    return out
+        stack, errors = route(spec, eps[index], np.array([lam[i] for i in index]), f1, f2)
+        for i, row, exc in zip(index, stack, errors):
+            out[i] = GridFunction(t, row, meta={"path": path}) if exc is None else exc
+        stacks.append((index, stack))
+    return _Batch(out, stacks)
 
 
 class _Load:
@@ -504,11 +520,11 @@ class _Load:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _modes_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, f1, f2) -> list:
-    """Solve a pair with a joint eigenbasis mode by mode ("modes") at the
-    cells eps[j], lam[j], whose lam share one dtype (_batched), with the
-    boundary vectors f1, f2: per cell, its GridFunction or the
-    SOLVER_ERRORS its solve raised.
+def _modes_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, f1, f2) -> tuple:
+    """Solve a pair with a joint eigenbasis mode by mode at the cells
+    eps[j], lam[j], whose lam share one dtype (_batched), with the
+    boundary vectors f1, f2: the (cells, n_t, n) solution stack and, per
+    cell, None or the SOLVER_ERRORS its solve raised.
 
     Once per stack, f1, f2 and spec.loads (FV, a _Load, None without one)
     go into the pair's joint eigenbasis (V, Vinv, a, b), shared by the
@@ -532,7 +548,7 @@ def _modes_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, f1, f2) ->
     with a load every cell's increment weights (_weights, one _phi).
     The passes over the n_t x 2n workspace stay per cell, in one
     workspace for all of them, and each cell's u goes into its row of
-    one (cells, n_t, n) stack, which the GridFunctions view.  A cell
+    the solution stack.  A cell
     fails on its own: Overflow when some b^2 + 4 eps c is not finite,
     SqrtNotConverged when one lies within BRANCH_CUT_RTOL
     max|b^2 + 4 eps c| of (-inf, 0], then Overflow from the orbit,
@@ -548,15 +564,15 @@ def _modes_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, f1, f2) ->
         FV.F[:, n:] = np.matmul(spec.loads, Vinv.T, out=FV.F[:, :n])[::-1]
     h, c = t[1] - t[0], a + lam[:, None]
     m = b * b + 4.0 * eps[:, None] * c
-    out = [None] * len(eps)
+    errors = [None] * len(eps)
     tol = BRANCH_CUT_RTOL * np.abs(m).max(axis=1, keepdims=True)
     on_cut = (np.abs(m.imag) <= tol) & (m.real <= tol)
     for j, mj in enumerate(m):
         if not np.isfinite(mj).all():
-            out[j] = Overflow("b^2 + 4 eps (a + lam) overflowed to non-finite values")
+            errors[j] = Overflow("b^2 + 4 eps (a + lam) overflowed to non-finite values")
         elif on_cut[j].any():
-            out[j] = SqrtNotConverged(f"b^2 + 4 eps (a + lam) = {complex(mj[on_cut[j]][0]):.3e} "
-                                      f"on the branch cut (-inf, 0]")
+            errors[j] = SqrtNotConverged(f"b^2 + 4 eps (a + lam) = {complex(mj[on_cut[j]][0]):.3e} "
+                                         f"on the branch cut (-inf, 0]")
     s = np.sqrt(m)
     plus = (b.conj() * s).real >= 0
     q = np.where(plus, b + s, b - s)
@@ -577,7 +593,7 @@ def _modes_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, f1, f2) ->
         # xy holds x/s and y/s: the increments come scaled by 1/s
         xy, = xy
         w = _weights(N, z, h, 1.0 / np.tile(s, 2))
-    for j in (j for j, fail in enumerate(out) if fail is None):
+    for j in (j for j, fail in enumerate(errors) if fail is None):
         try:
             g1, g2 = f1, f2
             if FV is not None:
@@ -603,10 +619,9 @@ def _modes_stack(spec: ProblemSpec, eps: np.ndarray, lam: np.ndarray, f1, f2) ->
             np.matmul(E[:, :n], V.T, out=U[j])
             if not np.isfinite(U[j]).all():
                 raise Overflow("mode solution overflowed to non-finite values")
-            out[j] = GridFunction(t, U[j], meta={"path": "modes"})
         except SOLVER_ERRORS as exc:
-            out[j] = exc
-    return out
+            errors[j] = exc
+    return U, errors
 
 
 # nodes of the load interpolant per step; a 4-node cubic was off by

@@ -133,20 +133,6 @@ def _data_terms(spec: ProblemSpec, p: float) -> _DataTerms:
     return _DataTerms(A, w, f_norm, tuple(ends))
 
 
-def _stack_row(values: np.ndarray) -> Tuple[np.ndarray, int]:
-    """(stack, row) with stack[row] the memory of values: the solvers'
-    batches return their cells as rows of one (cells, n_t, n) stack per
-    kind of lam (elliptic._batched), and any other values is a stack of
-    one."""
-    stack = values.base
-    if (stack is not None and stack.ndim == 3 and stack.dtype == values.dtype
-            and stack.shape[1:] == values.shape and stack.strides[1:] == values.strides):
-        row, rest = divmod(values.ctypes.data - stack.ctypes.data, stack.strides[0])
-        if rest == 0 and 0 <= row < len(stack):
-            return stack, row
-    return values[None], 0
-
-
 # a huge but finite solution overflows here and in _report; the Overflow
 # of _report is the only signal
 @np.errstate(over="ignore", invalid="ignore")
@@ -170,36 +156,6 @@ def _measure(stack: np.ndarray, t: np.ndarray, p: float, data: _DataTerms) -> li
         np.matmul(u, data.A.T, out=au)
     norms.append(time_norms(e_norm(scratch, w), t, p))
     return list(zip(*norms))
-
-
-def _reports(solutions: list, cells, p: float, data: _DataTerms) -> list:
-    """Per cell (eps, lam) of cells, the coercive report of its solution
-    in solutions, or the exception its solve raised (its entry there) or
-    its measurement raised.
-
-    The solutions are measured by the stack they are rows of (_stack_row),
-    one _measure per stack.  Every route solves one kind of lam per
-    stack, so neither a cell's solution nor its numbers depend on the
-    cells solved and measured with it.  The scalar terms follow per cell; a
-    non-finite one is an Overflow.
-    """
-    out = list(solutions)
-    stacks = {}
-    for i, u in enumerate(solutions):
-        if not isinstance(u, Exception):
-            stack, row = _stack_row(u.values)
-            stacks.setdefault(id(stack), (stack, u.t, []))[2].append((i, row))
-    for stack, t, rows in stacks.values():
-        try:
-            norms = _measure(stack, t, p, data)
-        except SOLVER_ERRORS as exc:
-            for i, _ in rows:
-                out[i] = exc
-            continue
-        for i, row in rows:
-            eps, lam = cells[i]
-            out[i] = _report(norms[row], float(eps), complex(lam), p, data)
-    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -241,13 +197,41 @@ def coercive_report(spec: ProblemSpec, p: float = 2.0) -> EstimateReport:
 def solve_and_report(spec: ProblemSpec,
                      p: float = 2.0) -> Tuple[GridFunction, EstimateReport]:
     """full_solve of spec and its coercive_report, from one sampling of the
-    load: the batch of one of uniformity_sweep's measurement (_reports)."""
-    data = _data_terms(spec, p)
-    u = full_solve(spec)
-    rep, = _reports([u], [(spec.eps, spec.lam)], p, data)
-    if isinstance(rep, Exception):
+    load: the batch of one of uniformity_sweep's measurement
+    (_solve_and_measure)."""
+    (u,), (rep,) = _solve_and_measure(spec, [(spec.eps, spec.lam)], p, _data_terms(spec, p))
+    if isinstance(rep, Exception):  # a failed solve's error included
         raise rep
     return u, rep
+
+
+def _solve_and_measure(spec: ProblemSpec, cells: list, p: float, data: _DataTerms) -> tuple:
+    """The elliptic.solve_batch of spec at cells, and per cell the
+    coercive report of its solution, or the exception its solve or its
+    measurement raised.
+
+    Each solution stack of the batch that holds a solved cell is
+    measured in one _measure, the scalar terms per solved cell; a
+    non-finite one is an Overflow.  Every route solves one kind of lam
+    per stack, so neither a cell's solution nor its numbers depend on the
+    cells solved and measured with it.
+    """
+    batch = solve_batch(spec, cells)
+    out, t = list(batch), spec.t_grid()
+    for index, stack in batch.stacks:
+        solved = [(k, i) for k, i in enumerate(index) if not isinstance(batch[i], Exception)]
+        if not solved:
+            continue
+        try:
+            norms = _measure(stack, t, p, data)
+        except SOLVER_ERRORS as exc:
+            for _, i in solved:
+                out[i] = exc
+            continue
+        for k, i in solved:
+            eps, lam = cells[i]
+            out[i] = _report(norms[k], float(eps), complex(lam), p, data)
+    return batch, out
 
 
 def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
@@ -260,9 +244,9 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
     sweep, and they and every solve read base.loads, sampled once.  The
     whole grid is one elliptic.solve_batch, so the sweep holds every
     cell's solution at once, and the cells are measured after it, one
-    pass per solution stack the batch returns (_reports).  An empty eps
-    or lam list gives no rows; an inadmissible p or a non-finite lam
-    (solve_batch) raises before any cell runs.
+    pass per solution stack the batch returns (_solve_and_measure).  An
+    empty eps or lam list gives no rows; an inadmissible p or a
+    non-finite lam (solve_batch) raises before any cell runs.
     """
     base.bc.theta(p)
     cells = [(eps, lam) for lam in lam_list for eps in eps_list]
@@ -272,7 +256,7 @@ def uniformity_sweep(base: ProblemSpec, eps_list: Sequence[float],
         data = _data_terms(base, p)
     except SOLVER_ERRORS as exc:
         return [_failed_report(eps, lam, p, str(exc)) for eps, lam in cells]
-    reports = _reports(solve_batch(base, cells), cells, p, data)
+    _, reports = _solve_and_measure(base, cells, p, data)
     return [_failed_report(eps, lam, p, str(rep)) if isinstance(rep, Exception) else rep
             for (eps, lam), rep in zip(cells, reports)]
 

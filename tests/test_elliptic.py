@@ -700,6 +700,62 @@ def test_an_empty_batch_is_no_cells(preset):
     assert direct_batch(spec, []) == []
 
 
+def _stacks(batch):
+    """(index, dtype) of each solution stack of batch, with every solved
+    cell's values checked to share memory with its row."""
+    for index, stack in batch.stacks:
+        assert stack.shape[0] == len(index)
+        for k, i in enumerate(index):
+            if not isinstance(batch[i], Exception):
+                assert np.shares_memory(batch[i].values, stack[k])
+    return [(index, stack.dtype) for index, stack in batch.stacks]
+
+
+@pytest.mark.parametrize("preset, path", ROUTES)
+def test_a_batch_hands_out_one_stack_per_kind_of_lam(preset, path):
+    # the stacks partition the cells by the kind of their lam, in the
+    # order the kinds first occur, and the GridFunctions view their rows
+    spec = uniformity_base(preset, n_t=51)
+    batch = solve_batch(spec, [(1, 1), (1e-2, 3 + 2j), (1e-4, 10), (1, 1j)])
+    assert _stacks(batch) == [([0, 2], np.float64), ([1, 3], np.complex128)]
+    assert [u.meta for u in batch] == [{"path": path}] * 4
+
+
+def test_a_failed_cell_keeps_its_row_in_the_stack():
+    # the eps = 1e-6 orbit overflows at lam = -5+1j: that cell's entry is
+    # its error, and its row stays in the stack of its kind
+    pair = OperatorPair(np.array([[1.0]]), np.array([[0.005]]), check_positive=False)
+    spec = dataclasses.replace(uniformity_base("scalar", n_t=51), pair=pair, f="1")
+    batch = solve_batch(spec, [(1e-2, -5 + 1j), (1e-6, -5 + 1j), (1.0, 2.0)])
+    assert _stacks(batch) == [([0, 1], np.complex128), ([2], np.float64)]
+    assert isinstance(batch[1], Overflow)
+    assert str(batch[1]) == "semigroup orbit left the representable range"
+    assert [u.meta for u in batch[::2]] == [{"path": "modes"}] * 2
+
+
+@pytest.mark.parametrize("n_t", [5, 6, 9, 33, 201])
+def test_fd_batch_inverts_per_level_not_per_cell(monkeypatch, n_t):
+    # the end pivots and the cyclic reduction's levels each invert one
+    # stack over all the cells: the solve_cells calls of a batch follow
+    # its n_t alone, at most 3 + 2 ceil(log2(n_t - 4))
+    calls = [0]
+    solve_cells = elliptic.solve_cells
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return solve_cells(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "solve_cells", counting)
+    spec = uniformity_base("wentzell", n_t=n_t)
+    cells = [(eps, lam) for lam in [1.0, 10.0, 100.0] for eps in [1.0, 1e-1, 1e-2, 1e-3, 1e-4]]
+    counts = []
+    for n_cells in (1, 5, 15):
+        calls[0] = 0
+        assert all(u.meta == {"path": "direct"} for u in direct_batch(spec, cells[:n_cells]))
+        counts.append(calls[0])
+    assert counts[0] == counts[1] == counts[2] <= 3 + 2 * math.ceil(math.log2(n_t - 4))
+
+
 def _sweep_split_cells():
     """The spec and the 15 (eps, lam) cells of the sweep-split golden scenario."""
     cfg = load_config(Path(__file__).resolve().parent / "golden" / "sweep-split.ini")

@@ -77,11 +77,11 @@ def test_measure_peaks_below_one_and_a_half_solutions():
                        bc=dirichlet_neumann(16), f="exp(-64*(t-0.5)^2)*(1+0.2*y)", n_t=801)
     data = estimates._data_terms(spec, 2.0)
     u = full_solve(spec)
-    want = estimates._reports([u], [(spec.eps, spec.lam)], 2.0, data)
+    want = estimates._measure(u.values[None], u.t, 2.0, data)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        got = estimates._reports([u], [(spec.eps, spec.lam)], 2.0, data)
+        got = estimates._measure(u.values[None], u.t, 2.0, data)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -265,8 +265,12 @@ def test_measure_of_a_real_solve_is_that_of_its_complex_copy(preset):
     u = full_solve(spec)
     assert u.values.dtype == np.float64
     copy = GridFunction(u.t, u.values.astype(complex))
-    rep, = estimates._reports([u], [(spec.eps, spec.lam)], 2.0, data)
-    want, = estimates._reports([copy], [(spec.eps, spec.lam)], 2.0, data)
+
+    def report(v):
+        norms, = estimates._measure(v.values[None], v.t, 2.0, data)
+        return estimates._report(norms, spec.eps, spec.lam, 2.0, data)
+
+    rep, want = report(u), report(copy)
     for got, ref in zip(_report_numbers(rep), _report_numbers(want)):
         assert got == pytest.approx(ref, rel=1e-14, abs=0)
 
@@ -319,14 +323,16 @@ def test_sweep_norms_each_quantity_once_per_stack(monkeypatch, preset):
         monkeypatch.setattr(module, "e_norm", lambda v, w=None, norm=discretize.e_norm:
                             calls.append(np.shape(v)) or norm(v, w))
     base = uniformity_base(preset, n_t=51)
-    counts = []
-    for eps_list in ([1.0, 1e-2], [1.0, 1e-1, 1e-2, 1e-3, 1e-4]):
-        calls.clear()
-        reps = uniformity_sweep(base, eps_list, [1.0, 10.0, 100.0])
-        assert [r.status for r in reps] == ["ok"] * 3 * len(eps_list)
-        assert sum(len(shape) == 3 for shape in calls) == 4
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+    # a lam list of one kind is one stack; one that mixes kinds is two
+    for lam_list, n_stacks in (([1.0, 10.0, 100.0], 1), ([1.0, 10.0, 3 + 2j], 2)):
+        counts = []
+        for eps_list in ([1.0, 1e-2], [1.0, 1e-1, 1e-2, 1e-3, 1e-4]):
+            calls.clear()
+            reps = uniformity_sweep(base, eps_list, lam_list)
+            assert [r.status for r in reps] == ["ok"] * 3 * len(eps_list)
+            assert sum(len(shape) == 3 for shape in calls) == 4 * n_stacks
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 def test_modes_sweep_records_each_failed_cell_as_its_row():
@@ -341,6 +347,22 @@ def test_modes_sweep_records_each_failed_cell_as_its_row():
         "ok", "error: semigroup orbit left the representable range", "ok"]
     for eps, rep in zip(eps_list[::2], reps[::2]):
         assert rep == coercive_report(dataclasses.replace(base, eps=eps, lam=-5 + 1j))
+
+
+def test_a_stack_whose_every_cell_failed_is_not_measured(monkeypatch):
+    # at eps = 1e-6 the orbit overflows at lam = -5+1j but not at lam = 2:
+    # the complex stack holds no solved cell, so only the real one is
+    # measured
+    calls = []
+    measure = estimates._measure
+    monkeypatch.setattr(estimates, "_measure",
+                        lambda stack, *args: calls.append(stack.dtype) or measure(stack, *args))
+    pair = OperatorPair(np.array([[1.0]]), np.array([[0.005]]), check_positive=False)
+    base = dataclasses.replace(uniformity_base("scalar", n_t=51), pair=pair, f="1")
+    reps = uniformity_sweep(base, [1e-6], [-5 + 1j, 2.0])
+    assert [r.status for r in reps] == [
+        "error: semigroup orbit left the representable range", "ok"]
+    assert calls == [np.float64]
 
 
 @pytest.mark.parametrize("preset", ["wentzell", "commuting"])

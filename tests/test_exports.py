@@ -165,6 +165,22 @@ def test_no_allocator_or_thread_settings_in_the_package():
     assert found == []
 
 
+def _address_reads(tree) -> list:
+    """.base and .ctypes attribute reads and calls of the builtin id in tree."""
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("base", "ctypes")
+            or isinstance(node, ast.Call) and ast.unparse(node.func) == "id"]
+
+
+def test_no_code_finds_arrays_by_their_memory():
+    # solve_batch hands out its solution stacks (elliptic._Batch), so no
+    # code recovers a stack from a view's base, its address or its id
+    root = Path(epslab.__file__).resolve().parent
+    found = {path.name: _address_reads(ast.parse(path.read_text()))
+             for path in sorted(root.rglob("*.py"))}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
 def _realness_judgements(tree) -> list:
     """Calls in tree that judge an array real by value: x.imag.any() and
     np.imag(x)."""
